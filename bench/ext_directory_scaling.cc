@@ -12,10 +12,6 @@
  * harness.
  */
 
-#include <algorithm>
-#include <chrono>
-#include <thread>
-
 #include "bench/common.hh"
 
 using namespace hmtx;
@@ -33,130 +29,6 @@ struct Sample
     double speedup;
 };
 
-/** One cell of the host-throughput shard sweep. */
-struct ShardSample
-{
-    unsigned cores;
-    unsigned shards;
-    double wallMs;
-    runtime::ExecResult r;
-};
-
-/** Best-of-3 host wall clock around one HMTX run. */
-ShardSample
-timeShardRun(const char* name, unsigned cores, unsigned shards)
-{
-    ShardSample s{cores, shards, 0.0, {}};
-    for (int rep = 0; rep < 3; ++rep) {
-        sim::MachineConfig cfg;
-        cfg.numCores = cores;
-        cfg.fabric = sim::Fabric::Directory;
-        cfg.dirBanks = 16;
-        cfg.dirLookup = 10;
-        cfg.dirHop = 10;
-        // Naive SS 4.4 commit processing: every commit/abort walks the
-        // speculative lines, which is exactly the bulk work the
-        // sharded engine parallelizes.
-        cfg.txMode = TxMode::EagerHmtx;
-        cfg.shards = shards;
-        applyEngineEnv(cfg);
-        auto wl = workloads::makeByName(name);
-        const auto t0 = std::chrono::steady_clock::now();
-        runtime::ExecResult r = runtime::Runner::runHmtx(*wl, cfg);
-        const auto t1 = std::chrono::steady_clock::now();
-        const double ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        if (rep == 0 || ms < s.wallMs) {
-            s.wallMs = ms;
-            s.r = std::move(r);
-        }
-    }
-    return s;
-}
-
-/** One cell of the event-engine host-throughput sweep. */
-struct EngineSample
-{
-    unsigned cores;
-    sim::SimEngine engine;
-    double wallMs;
-    runtime::ExecResult r;
-};
-
-/** Best-of-3 host wall clock around one HMTX run under @p engine.
- *  The per-access hot path dominates here, so the directory fabric
- *  at many simulated cores is where staged execution has breadth. */
-EngineSample
-timeEngineRun(const char* name, unsigned cores, sim::SimEngine engine)
-{
-    EngineSample s{cores, engine, 0.0, {}};
-    for (int rep = 0; rep < 3; ++rep) {
-        sim::MachineConfig cfg;
-        cfg.numCores = cores;
-        cfg.fabric = sim::Fabric::Directory;
-        cfg.dirBanks = 16;
-        cfg.dirLookup = 10;
-        cfg.dirHop = 10;
-        cfg.engine = engine;
-        cfg.engineThreads = 0; // auto: clamp to host CPUs
-        auto wl = workloads::makeByName(name);
-        const auto t0 = std::chrono::steady_clock::now();
-        runtime::ExecResult r = runtime::Runner::runHmtx(*wl, cfg);
-        const auto t1 = std::chrono::steady_clock::now();
-        const double ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        if (rep == 0 || ms < s.wallMs) {
-            s.wallMs = ms;
-            s.r = std::move(r);
-        }
-    }
-    return s;
-}
-
-/** One cell of the commute-apply / fast-path sweep. */
-struct ApplySample
-{
-    unsigned cores;
-    bool commute;
-    bool fastPath;
-    double wallMs;
-    runtime::ExecResult r;
-};
-
-/** Best-of-3 host wall clock of a parallel-engine run with the
- *  commute-aware apply and the zero-event fast path (DESIGN.md §13)
- *  toggled. Config otherwise identical to timeEngineRun so simulated
- *  cycles must match the engine sweep bit for bit. */
-ApplySample
-timeApplyRun(const char* name, unsigned cores, bool commute,
-             bool fastPath)
-{
-    ApplySample s{cores, commute, fastPath, 0.0, {}};
-    for (int rep = 0; rep < 3; ++rep) {
-        sim::MachineConfig cfg;
-        cfg.numCores = cores;
-        cfg.fabric = sim::Fabric::Directory;
-        cfg.dirBanks = 16;
-        cfg.dirLookup = 10;
-        cfg.dirHop = 10;
-        cfg.engine = sim::SimEngine::Parallel;
-        cfg.engineThreads = 0; // auto: clamp to host CPUs
-        cfg.applyCommute = commute;
-        cfg.fastPath = fastPath;
-        auto wl = workloads::makeByName(name);
-        const auto t0 = std::chrono::steady_clock::now();
-        runtime::ExecResult r = runtime::Runner::runHmtx(*wl, cfg);
-        const auto t1 = std::chrono::steady_clock::now();
-        const double ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        if (rep == 0 || ms < s.wallMs) {
-            s.wallMs = ms;
-            s.r = std::move(r);
-        }
-    }
-    return s;
-}
-
 } // namespace
 
 int
@@ -164,10 +36,9 @@ main(int argc, char** argv)
 {
     const char* outPath = argc > 1 ? argv[1] : "BENCH_scaling.json";
     sim::MachineConfig envProbe;
-    const char* envEngine = applyEngineEnv(envProbe);
+    applyFastPathEnv(envProbe);
     std::printf("Extension §8: PS-DSWP scaling, snoopy bus vs "
-                "directory fabric (engine: %s)\n",
-                envEngine);
+                "directory fabric\n");
 
     const std::vector<const char*> benches{"456.hmmer", "197.parser"};
     const std::vector<unsigned> coreCounts{2, 4, 8, 16, 32};
@@ -180,11 +51,10 @@ main(int argc, char** argv)
     // Echo the commit-mode axis so every BENCH report is
     // self-describing even though this sweep runs the lazy default.
     std::fprintf(js,
-                 "{\n \"engine\": \"%s\",\n"
-                 " \"config\": {\"txMode\": \"%s\", "
+                 "{\n \"config\": {\"txMode\": \"%s\", "
                  "\"btxMaxRetries\": %u, \"btxAbortThreshold\": %u, "
                  "\"limitedSetK\": %u},\n \"workloads\": {\n",
-                 envEngine, txModeName(envProbe.txMode),
+                 txModeName(envProbe.txMode),
                  envProbe.btxMaxRetries, envProbe.btxAbortThreshold,
                  envProbe.limitedSetK);
 
@@ -193,7 +63,7 @@ main(int argc, char** argv)
         const char* name = benches[w];
         auto seqWl = workloads::makeByName(name);
         sim::MachineConfig base;
-        applyEngineEnv(base);
+        applyFastPathEnv(base);
         runtime::ExecResult seq =
             runtime::Runner::runSequential(*seqWl, base);
 
@@ -209,7 +79,7 @@ main(int argc, char** argv)
         for (unsigned cores : coreCounts) {
             sim::MachineConfig snoop;
             snoop.numCores = cores;
-            applyEngineEnv(snoop);
+            applyFastPathEnv(snoop);
             auto a = workloads::makeByName(name);
             runtime::ExecResult rs = runtime::Runner::runHmtx(*a, snoop);
             requireChecksum(name, seq, rs);
@@ -268,262 +138,10 @@ main(int argc, char** argv)
                      w + 1 < benches.size() ? "," : "");
     }
 
-    // --- sharded-engine host-throughput sweep --------------------------
-    // Simulated results are bit-identical at any shard count (the
-    // differential tests enforce that); this sweep measures the *host*
-    // wall clock of the banked walk engine at the many-core configs
-    // where bulk commit/abort walks dominate. shards=1 runs the
-    // sequential engine; shards=hostShards runs one worker thread per
-    // bank. On a single-CPU host the threads time-slice, so the ratio
-    // is reported but only gated when the host can actually run them
-    // in parallel.
-    const unsigned hostCpus =
-        std::max(1u, std::thread::hardware_concurrency());
-    const unsigned hostShards = std::max(2u, hostCpus);
-    const char* shardBench = "456.hmmer";
-    std::printf("\nsharded engine, %s, directory fabric, eager commit "
-                "(host CPUs: %u)\n",
-                shardBench, hostCpus);
-    rule(88);
-    std::printf("%-7s | %-7s %-6s %-9s | %-10s %-9s\n", "cores",
-                "shards", "banks", "threaded", "wall ms", "speedup");
-    rule(88);
-
-    auto shardSeqWl = workloads::makeByName(shardBench);
-    sim::MachineConfig shardSeqCfg;
-    applyEngineEnv(shardSeqCfg);
-    runtime::ExecResult shardSeq =
-        runtime::Runner::runSequential(*shardSeqWl, shardSeqCfg);
-
-    bool shardSpeedupMet = true;
-    std::vector<ShardSample> shardSamples;
-    for (unsigned cores : {16u, 32u}) {
-        ShardSample base = timeShardRun(shardBench, cores, 1);
-        requireChecksum(shardBench, shardSeq, base.r);
-        ShardSample wide = timeShardRun(shardBench, cores, hostShards);
-        requireChecksum(shardBench, shardSeq, wide.r);
-        if (base.r.cycles != wide.r.cycles) {
-            std::fprintf(stderr,
-                         "FATAL: shard count changed simulated time\n");
-            return 1;
-        }
-        for (const ShardSample* s : {&base, &wide}) {
-            std::printf("%-7u | %-7u %-6llu %-9s | %9.2f %8.2fx\n",
-                        s->cores, s->shards,
-                        static_cast<unsigned long long>(
-                            s->r.shardStats.banks),
-                        s->r.shardStats.threaded ? "yes" : "no",
-                        s->wallMs, base.wallMs / s->wallMs);
-        }
-        if (hostCpus > 1 && wide.wallMs * 1.5 > base.wallMs)
-            shardSpeedupMet = false;
-        shardSamples.push_back(std::move(base));
-        shardSamples.push_back(std::move(wide));
-    }
-    rule(88);
-
-    // --- parallel-engine host-throughput sweep -------------------------
-    // Same bit-identity guarantee as the shard sweep (ParallelDifferential
-    // and the fuzzer's engine cells enforce it); this measures the host
-    // wall clock of staged per-access execution (DESIGN.md §11) at the
-    // many-core configs where each tick carries events from many lanes.
-    // On a single-CPU host auto mode stays inline, so the ratio is
-    // reported but the >1x gate is only armed when host_cpus > 1.
-    std::printf("\nparallel event engine, %s, directory fabric "
-                "(host CPUs: %u)\n",
-                shardBench, hostCpus);
-    rule(88);
-    std::printf("%-7s | %-10s %-8s %-9s | %-10s %-9s\n", "cores",
-                "engine", "workers", "threaded", "wall ms", "speedup");
-    rule(88);
-
-    bool parallelSpeedupMet = true;
-    std::vector<EngineSample> engineSamples;
-    for (unsigned cores : {16u, 32u}) {
-        EngineSample base =
-            timeEngineRun(shardBench, cores, sim::SimEngine::Sequential);
-        requireChecksum(shardBench, shardSeq, base.r);
-        EngineSample par =
-            timeEngineRun(shardBench, cores, sim::SimEngine::Parallel);
-        requireChecksum(shardBench, shardSeq, par.r);
-        if (base.r.cycles != par.r.cycles) {
-            std::fprintf(stderr,
-                         "FATAL: engine choice changed simulated "
-                         "time (%llu vs %llu cycles)\n",
-                         static_cast<unsigned long long>(base.r.cycles),
-                         static_cast<unsigned long long>(par.r.cycles));
-            return 1;
-        }
-        for (const EngineSample* s : {&base, &par}) {
-            std::printf(
-                "%-7u | %-10s %-8llu %-9s | %9.2f %8.2fx\n", s->cores,
-                s->engine == sim::SimEngine::Parallel ? "parallel"
-                                                      : "sequential",
-                static_cast<unsigned long long>(s->r.parStats.workers),
-                s->r.parStats.threaded ? "yes" : "no", s->wallMs,
-                base.wallMs / s->wallMs);
-        }
-        if (hostCpus > 1 && par.wallMs >= base.wallMs)
-            parallelSpeedupMet = false;
-        engineSamples.push_back(std::move(base));
-        engineSamples.push_back(std::move(par));
-    }
-    rule(88);
-
-    // --- commute-apply / fast-path sweep -------------------------------
-    // Three parallel-engine cells per core count: serial apply,
-    // commute-aware apply, and commute-aware apply with the zero-event
-    // fast path. Simulated cycles must equal the engine sweep's
-    // sequential base bit for bit (DESIGN.md §13) — the knobs may only
-    // move host time and the sim.parallel.apply.* / sim.fastpath.*
-    // diagnostics. As above, the wall-clock gate is only armed when
-    // the host can actually run workers in parallel.
-    std::printf("\ncommute-aware apply + fast path, %s, parallel "
-                "engine (host CPUs: %u)\n",
-                shardBench, hostCpus);
-    rule(88);
-    std::printf("%-7s | %-8s %-9s | %-10s %-9s | %-12s %-10s\n",
-                "cores", "apply", "fastpath", "wall ms", "speedup",
-                "batches", "fast hits");
-    rule(88);
-
-    bool applySpeedupMet = true;
-    std::vector<ApplySample> applySamples;
-    for (std::size_t ci = 0; ci < 2; ++ci) {
-        const unsigned cores = ci == 0 ? 16u : 32u;
-        ApplySample serial =
-            timeApplyRun(shardBench, cores, false, false);
-        ApplySample commute =
-            timeApplyRun(shardBench, cores, true, false);
-        ApplySample fast = timeApplyRun(shardBench, cores, true, true);
-        const runtime::ExecResult& engBase = engineSamples[2 * ci].r;
-        for (const ApplySample* s : {&serial, &commute, &fast}) {
-            requireChecksum(shardBench, shardSeq, s->r);
-            if (s->r.cycles != engBase.cycles) {
-                std::fprintf(stderr,
-                             "FATAL: apply/fast-path knobs changed "
-                             "simulated time (%llu vs %llu cycles)\n",
-                             static_cast<unsigned long long>(
-                                 s->r.cycles),
-                             static_cast<unsigned long long>(
-                                 engBase.cycles));
-                return 1;
-            }
-            std::printf(
-                "%-7u | %-8s %-9s | %9.2f %8.2fx | %12llu %10llu\n",
-                s->cores, s->commute ? "commute" : "serial",
-                s->fastPath ? "on" : "off", s->wallMs,
-                serial.wallMs / s->wallMs,
-                static_cast<unsigned long long>(
-                    s->r.parStats.commuteBatches),
-                static_cast<unsigned long long>(
-                    s->r.fastStats.hits()));
-        }
-        if (hostCpus > 1 && commute.wallMs >= serial.wallMs)
-            applySpeedupMet = false;
-        applySamples.push_back(std::move(serial));
-        applySamples.push_back(std::move(commute));
-        applySamples.push_back(std::move(fast));
-    }
-    rule(88);
-
-    std::fprintf(js, " },\n \"host_cpus\": %u,\n \"shard_sweep\": [\n",
-                 hostCpus);
-    for (std::size_t i = 0; i < shardSamples.size(); ++i) {
-        const ShardSample& s = shardSamples[i];
-        const ShardSample& base = shardSamples[i & ~std::size_t{1}];
-        std::fprintf(
-            js,
-            "  {\"workload\": \"%s\", \"cores\": %u, \"shards\": %u, "
-            "\"banks\": %llu, \"threaded\": %s, \"wall_ms\": %.3f, "
-            "\"speedup_vs_1shard\": %.4f, \"epochs\": %llu, "
-            "\"bank_cmds\": %llu, \"ring_high_water\": %llu, "
-            "\"push_stalls\": %llu, \"barrier_stalls\": %llu}%s\n",
-            shardBench, s.cores, s.shards,
-            static_cast<unsigned long long>(s.r.shardStats.banks),
-            s.r.shardStats.threaded ? "true" : "false", s.wallMs,
-            base.wallMs / s.wallMs,
-            static_cast<unsigned long long>(s.r.shardStats.epochs),
-            static_cast<unsigned long long>(s.r.shardStats.totalCmds()),
-            static_cast<unsigned long long>(
-                s.r.shardStats.ringHighWater),
-            static_cast<unsigned long long>(s.r.shardStats.pushStalls),
-            static_cast<unsigned long long>(
-                s.r.shardStats.barrierStalls),
-            i + 1 < shardSamples.size() ? "," : "");
-    }
-    std::fprintf(js, " ],\n \"engine_sweep\": [\n");
-    for (std::size_t i = 0; i < engineSamples.size(); ++i) {
-        const EngineSample& s = engineSamples[i];
-        const EngineSample& base = engineSamples[i & ~std::size_t{1}];
-        std::fprintf(
-            js,
-            "  {\"workload\": \"%s\", \"cores\": %u, "
-            "\"engine\": \"%s\", \"workers\": %llu, \"threaded\": %s, "
-            "\"wall_ms\": %.3f, \"speedup_vs_sequential\": %.4f, "
-            "\"windows\": %llu, \"events_per_window\": %.2f, "
-            "\"barrier_stalls\": %llu, \"rollbacks\": %llu}%s\n",
-            shardBench, s.cores,
-            s.engine == sim::SimEngine::Parallel ? "parallel"
-                                                 : "sequential",
-            static_cast<unsigned long long>(s.r.parStats.workers),
-            s.r.parStats.threaded ? "true" : "false", s.wallMs,
-            base.wallMs / s.wallMs,
-            static_cast<unsigned long long>(s.r.parStats.windows),
-            s.r.parStats.eventsPerWindow(),
-            static_cast<unsigned long long>(
-                s.r.parStats.barrierStalls),
-            static_cast<unsigned long long>(s.r.parStats.rollbacks),
-            i + 1 < engineSamples.size() ? "," : "");
-    }
-    std::fprintf(js, " ],\n \"apply_sweep\": [\n");
-    for (std::size_t i = 0; i < applySamples.size(); ++i) {
-        const ApplySample& s = applySamples[i];
-        const ApplySample& base = applySamples[i - i % 3];
-        std::fprintf(
-            js,
-            "  {\"workload\": \"%s\", \"cores\": %u, "
-            "\"apply\": \"%s\", \"fastpath\": %s, "
-            "\"wall_ms\": %.3f, \"speedup_vs_serial\": %.4f, "
-            "\"commute_batches\": %llu, \"commute_applied\": %llu, "
-            "\"commute_conflicts\": %llu, "
-            "\"commute_serial_fallbacks\": %llu, "
-            "\"fast_hits\": %llu, \"fast_hit_rate\": %.4f}%s\n",
-            shardBench, s.cores, s.commute ? "commute" : "serial",
-            s.fastPath ? "true" : "false", s.wallMs,
-            base.wallMs / s.wallMs,
-            static_cast<unsigned long long>(
-                s.r.parStats.commuteBatches),
-            static_cast<unsigned long long>(
-                s.r.parStats.commuteApplied),
-            static_cast<unsigned long long>(
-                s.r.parStats.commuteConflicts),
-            static_cast<unsigned long long>(
-                s.r.parStats.commuteSerialFallbacks),
-            static_cast<unsigned long long>(s.r.fastStats.hits()),
-            s.r.fastStats.hitRate(),
-            i + 1 < applySamples.size() ? "," : "");
-    }
-    std::fprintf(js,
-                 " ],\n \"shard_speedup_gate_active\": %s,\n"
-                 " \"shard_speedup_met\": %s,\n"
-                 " \"parallel_speedup_gate_active\": %s,\n"
-                 " \"parallel_speedup_met\": %s,\n"
-                 " \"apply_speedup_gate_active\": %s,\n"
-                 " \"apply_speedup_met\": %s,\n"
-                 " \"directory_wins_at_8plus_cores\": %s\n}\n",
-                 hostCpus > 1 ? "true" : "false",
-                 shardSpeedupMet ? "true" : "false",
-                 hostCpus > 1 ? "true" : "false",
-                 parallelSpeedupMet ? "true" : "false",
-                 hostCpus > 1 ? "true" : "false",
-                 applySpeedupMet ? "true" : "false",
+    std::fprintf(js, " },\n \"directory_wins_at_8plus_cores\": %s\n}\n",
                  dirWinsAtScale ? "true" : "false");
     std::fclose(js);
     std::printf("\nwrote %s\n", outPath);
-    if (hostCpus == 1)
-        std::printf("note: single-CPU host, shard and engine workers "
-                    "time-slice; speedup gates inactive\n");
 
     std::printf(
         "\nThe HMTX version rules are fabric-independent; only the "
@@ -531,8 +149,5 @@ main(int argc, char** argv)
         "core count) saturates as cores multiply,\nwhile directory "
         "banks let transactions to independent lines proceed "
         "concurrently.\n");
-    return dirWinsAtScale && shardSpeedupMet && parallelSpeedupMet &&
-            applySpeedupMet
-        ? 0
-        : 2;
+    return dirWinsAtScale ? 0 : 2;
 }

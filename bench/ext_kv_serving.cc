@@ -59,7 +59,7 @@ sim::MachineConfig
 servingConfig(TxMode mode, sim::Fabric fabric)
 {
     sim::MachineConfig cfg;
-    bench::applyEngineEnv(cfg);
+    bench::applyFastPathEnv(cfg);
     cfg.numCores = kCores;
     // Small hierarchy (the crossover bench's geometry): the serving
     // footprints are per-request tiny, but the hot Zipfian working

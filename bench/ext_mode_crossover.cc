@@ -48,7 +48,7 @@ sim::MachineConfig
 cellConfig(TxMode mode, sim::Fabric fabric)
 {
     sim::MachineConfig cfg;
-    bench::applyEngineEnv(cfg);
+    bench::applyFastPathEnv(cfg);
     cfg.numCores = kCores;
     // Tiny hierarchy so the write-set sweep crosses the capacity
     // boundary mid-sweep instead of at absurd W.

@@ -40,7 +40,7 @@ int
 main()
 {
     sim::MachineConfig base; // Table 2: cache-to-cache = 40 cycles
-    applyEngineEnv(base);
+    applyFastPathEnv(base);
     sim::MachineConfig slow = base;
     slow.l2Latency = 120; // a high-latency interconnect
 

@@ -17,7 +17,7 @@ int
 main()
 {
     sim::MachineConfig cfg;
-    applyEngineEnv(cfg);
+    applyFastPathEnv(cfg);
 
     std::printf("Figure 2: SMTX whole-program speedup over "
                 "sequential (4 cores)\n");

@@ -16,14 +16,10 @@ int
 main()
 {
     sim::MachineConfig cfg; // Table 2 defaults, 4 cores
-    // HMTX_ENGINE=parallel reruns the whole figure on the parallel
-    // event engine; every number must come out identical (the figure
-    // reports simulated cycles, and the engines are bit-identical).
-    const char* engine = applyEngineEnv(cfg);
+    applyFastPathEnv(cfg);
 
     std::printf("Figure 8: Hot loop speedup over sequential, "
-                "4 cores (engine: %s)\n",
-                engine);
+                "4 cores\n");
     std::printf("(paper bar heights shown for shape comparison)\n");
     rule();
     std::printf("%-12s | %-9s %-9s | %-9s %-9s\n", "Benchmark",

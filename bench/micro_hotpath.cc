@@ -42,7 +42,7 @@ sim::MachineConfig
 makeCfg(bool table2, bool fullScan)
 {
     sim::MachineConfig cfg; // Table 2 defaults
-    bench::applyEngineEnv(cfg);
+    bench::applyFastPathEnv(cfg);
     if (!table2)
         cfg.l2SizeKB = 256; // small seed-style geometry
     cfg.forceFullScan = fullScan;

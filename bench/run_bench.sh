@@ -7,16 +7,9 @@
 #                       the hit-dominated stream) plus end-to-end
 #                       fig8_speedup timings.
 #   BENCH_scaling.json  ext_directory_scaling cores x fabric sweep
-#                       (snoop bus vs directory, 2-32 cores) plus the
-#                       sharded-engine host-throughput sweep (shards=1
-#                       vs shards=host CPUs at 16/32 simulated cores)
-#                       and the apply=serial|commute / fast-path sweep
-#                       on the parallel engine; the run fails if the
-#                       directory fabric is not at least as fast as
-#                       the bus from 8 cores up, or if (on a multi-CPU
-#                       host) the sharded engine falls short of 1.5x
-#                       on the bulk-walk-heavy config or commute apply
-#                       is not faster than serial apply.
+#                       (snoop bus vs directory, 2-32 cores); the run
+#                       fails if the directory fabric is not at least
+#                       as fast as the bus from 8 cores up.
 #   BENCH_modes.json    ext_mode_crossover commit-mode sweep (full
 #                       HMTX with unbounded sets vs best-effort HTM
 #                       with the serialized fallback, rising stores

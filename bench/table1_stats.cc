@@ -18,7 +18,7 @@ int
 main()
 {
     sim::MachineConfig cfg;
-    applyEngineEnv(cfg);
+    applyFastPathEnv(cfg);
 
     std::printf("Table 1: Statistics from simulated speculative "
                 "execution using HMTX\n");

@@ -17,7 +17,7 @@ int
 main()
 {
     sim::MachineConfig c;
-    applyEngineEnv(c); // table reflects the effective env-selected config
+    applyFastPathEnv(c); // table reflects the effective env-selected config
 
     std::printf("Table 2: Architectural configuration\n");
     rule(72);

@@ -101,15 +101,12 @@ if printf '%s\n' "${PRESETS[@]}" | grep -qx release \
     mc_batch delivery-order all 300001 --ops 5 --delivery 3
 fi
 
-# Parallel event engine (DESIGN.md §11): the bit-identity smoke across
-# the full {bus,directory} x {lazy,eager} x {inline,threaded} matrix,
-# plus a small threaded fuzz batch from a distinct seed range (the main
-# batch above already runs the engine-backed matrix cells on every
-# schedule; this one additionally exercises the --threads batch mode).
+# Whole-simulation parallelism: host threads run independent schedules
+# side by side (hmtx_fuzz --threads), each on the one sequential
+# simulation loop. A small batch from a distinct seed range exercises
+# that batch mode.
 if printf '%s\n' "${PRESETS[@]}" | grep -qx release; then
-    echo "==== parallel engine: differential smoke ===="
-    "$ROOT/build-release/tests/workloads/parallel_differential_test"
-    echo "==== parallel engine: threaded fuzz batch ===="
+    echo "==== whole-simulation parallel fuzz batch ===="
     if ! "$ROOT/build-release/tests/fuzz/hmtx_fuzz" --schedules 400 \
         --ops 120 --seed0 900001 --threads 2 \
         --corpus-out "$ROOT/tests/fuzz/corpus"; then

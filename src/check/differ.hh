@@ -1,11 +1,9 @@
 /**
  * @file
  * Differential execution of fuzz schedules: one schedule runs against
- * the GoldenModel and ten real CacheSystem cells in three groups —
- * the six full-HMTX cells ({SnoopBus, DirectoryFabric} × {lazy, eager
- * commit} with per-cell shard counts, plus two cells that route every
- * access through the parallel event engine's staged-retirement path,
- * DESIGN.md §11), two best-effort cells ({bus, dir} with the retry/
+ * the GoldenModel and eight real CacheSystem cells in three groups —
+ * the four full-HMTX cells ({SnoopBus, DirectoryFabric} × {lazy, eager
+ * commit}), two best-effort cells ({bus, dir} with the retry/
  * fallback-lock policy), and two limited-set cells ({bus, dir}
  * tracking only the first K speculative lines per VID) — and every
  * architecturally visible outcome is compared:
@@ -84,8 +82,7 @@ struct Coverage
  * different commit modes diverge architecturally by design, so
  * cross-cell comparison is only meaningful within a group.
  *
- *  - kGroupHmtx: the six full-HMTX cells — {bus, dir} × {lazy, eager}
- *    with per-cell shard policies, plus the two parallel-engine cells;
+ *  - kGroupHmtx: the four full-HMTX cells — {bus, dir} × {lazy, eager};
  *  - kGroupBtx: {bus, dir} best-effort cells (fallback serialization);
  *  - kGroupLtd: {bus, dir} limited-set cells (first-K-lines tracking).
  */

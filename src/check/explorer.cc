@@ -299,18 +299,12 @@ generateProgram(std::uint64_t seed, unsigned cores, unsigned numOps)
     c.vidBits = rng.chance(0.25) ? 4 : 6;
     c.unboundedSpecSets = false;
     c.slaEnabled = !rng.chance(0.25);
-    for (unsigned& sh : c.shards)
-        sh = 1;
-    for (unsigned& t : c.shardThreads)
-        t = 1;
-    for (unsigned& t : c.engineThreads)
-        t = 1;
     c.btxRetries = 1 + static_cast<unsigned>(rng.range(2));
     c.btxThreshold = 0;
     // Tiny K so the K-th-line boundary is inside a 4-8 op program.
     c.limitedK = 1 + static_cast<unsigned>(rng.range(3));
     c.fastPathMask =
-        rng.chance(0.5) ? (1u << 10) - 1 : 0u;
+        rng.chance(0.5) ? (1u << 8) - 1 : 0u;
     // The address pool is the opposite of the fuzzer's: 2-3 lines in
     // *distinct* L1 and L2 sets, far under every capacity bound, so
     // no environmental capacity abort can fire and the sleep-set

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 
 #include "check/schedule.hh"
@@ -87,20 +86,6 @@ generate(std::uint64_t seed, unsigned numOps)
     s.cfg.unboundedSpecSets = rng.chance(0.4);
     s.cfg.slaEnabled = !rng.chance(0.2);
 
-    unsigned host = std::max(1u, std::thread::hardware_concurrency());
-    const unsigned shardChoices[3] = {1, 2, host};
-    for (int c = 0; c < 4; ++c) {
-        unsigned sh = shardChoices[rng.range(3)];
-        s.cfg.shards[c] = sh;
-        // Exercise inline, forced-thread, and auto worker policies.
-        s.cfg.shardThreads[c] =
-            sh == 1 ? 1 : (rng.chance(0.5) ? 2 : 0);
-    }
-    // Engine-backed cells: exercise inline, forced-thread, and auto
-    // staging-worker policies just like the shard cells.
-    for (unsigned& t : s.cfg.engineThreads)
-        t = rng.chance(0.5) ? 1 : (rng.chance(0.5) ? 2 : 0);
-
     // Best-effort group: small retry budgets so the fallback lock
     // engages constantly; half the schedules add an early-fallback
     // threshold (>= the budget — the config layer rejects less).
@@ -113,7 +98,7 @@ generate(std::uint64_t seed, unsigned numOps)
     s.cfg.limitedK = 1 + static_cast<unsigned>(rng.range(6));
     // Zero-event fast path: random per-cell toggles, so each schedule
     // doubles as a fast-on vs fast-off differential across cells.
-    s.cfg.fastPathMask = static_cast<unsigned>(rng.range(1u << 10));
+    s.cfg.fastPathMask = static_cast<unsigned>(rng.range(1u << 8));
 
     // Address pool: a clutch of lines that all collide in one set of
     // the tiny L1 *and* L2 (stride = max set span), plus a few
@@ -234,16 +219,7 @@ serialize(const Schedule& s)
        << "vidbits " << c.vidBits << "\n"
        << "unbounded " << (c.unboundedSpecSets ? 1 : 0) << "\n"
        << "sla " << (c.slaEnabled ? 1 : 0) << "\n";
-    os << "shards";
-    for (unsigned sh : c.shards)
-        os << ' ' << sh;
-    os << "\nshardthreads";
-    for (unsigned t : c.shardThreads)
-        os << ' ' << t;
-    os << "\nenginethreads";
-    for (unsigned t : c.engineThreads)
-        os << ' ' << t;
-    os << "\nbtx " << c.btxRetries << ' ' << c.btxThreshold << "\n"
+    os << "btx " << c.btxRetries << ' ' << c.btxThreshold << "\n"
        << "limitedk " << c.limitedK << "\n"
        << "fastpath " << c.fastPathMask << "\n";
     if (s.isProgram)
@@ -267,8 +243,7 @@ parse(const std::string& text, Schedule& out, std::string& err)
     std::istringstream is(text);
     std::string line;
     out = Schedule{};
-    out.omittedKnobs = kOmitEngineThreads | kOmitBtx | kOmitLimitedK |
-        kOmitFastPath;
+    out.omittedKnobs = kOmitBtx | kOmitLimitedK | kOmitFastPath;
     bool sawVersion = false, sawEnd = false;
     unsigned lineNo = 0;
     // Hand-edited witnesses must fail loudly, not replay the wrong
@@ -367,31 +342,6 @@ parse(const std::string& text, Schedule& out, std::string& err)
             if (!(ls >> v) || v > 1)
                 return fail("bad sla (want 0 or 1)");
             c.slaEnabled = v != 0;
-        } else if (tok == "shards") {
-            for (unsigned& sh : c.shards) {
-                if (!(ls >> sh))
-                    return fail("bad shards (want 4 cell counts)");
-                if (sh < 1 || sh > 4096)
-                    return fail("shard count out of range (1..4096)");
-            }
-        } else if (tok == "shardthreads") {
-            for (unsigned& t : c.shardThreads) {
-                if (!(ls >> t))
-                    return fail("bad shardthreads (want 4 cell "
-                                "policies)");
-                if (t > 4096)
-                    return fail("shardthreads out of range (0..4096)");
-            }
-        } else if (tok == "enginethreads") {
-            for (unsigned& t : c.engineThreads) {
-                if (!(ls >> t))
-                    return fail("bad enginethreads (want 2 cell "
-                                "policies)");
-                if (t > 4096)
-                    return fail("enginethreads out of range "
-                                "(0..4096)");
-            }
-            out.omittedKnobs &= ~kOmitEngineThreads;
         } else if (tok == "btx") {
             if (!(ls >> c.btxRetries >> c.btxThreshold))
                 return fail("bad btx");
@@ -407,8 +357,8 @@ parse(const std::string& text, Schedule& out, std::string& err)
         } else if (tok == "fastpath") {
             if (!(ls >> c.fastPathMask))
                 return fail("bad fastpath");
-            if (c.fastPathMask >= (1u << 10))
-                return fail("fastpath mask out of range (10 cell "
+            if (c.fastPathMask >= (1u << 8))
+                return fail("fastpath mask out of range (8 cell "
                             "bits)");
             out.omittedKnobs &= ~kOmitFastPath;
         } else if (tok == "program") {

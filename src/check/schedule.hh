@@ -54,7 +54,7 @@ struct Op
 
 /**
  * Semantic knobs shared by every cell of the config matrix; the
- * matrix itself (fabric × commit mode × shards) lives in the runner.
+ * matrix itself (fabric × commit mode) lives in the runner.
  */
 struct FuzzConfig
 {
@@ -66,16 +66,6 @@ struct FuzzConfig
     unsigned vidBits = 6;
     bool unboundedSpecSets = false;
     bool slaEnabled = true;
-    /** Shard counts for the four matrix cells, recorded at generation
-     *  time (host cell uses the generating machine's CPU count) so a
-     *  replay reruns the exact same partitioning. */
-    unsigned shards[4] = {1, 1, 1, 1};
-    /** Worker-thread policy per cell (0 auto, 1 inline, >=2 forced). */
-    unsigned shardThreads[4] = {1, 1, 1, 1};
-    /** Parallel-engine worker policy for the two engine-backed matrix
-     *  cells (same encoding as shardThreads). Older replay files omit
-     *  this line; the defaults keep those cells inline. */
-    unsigned engineThreads[2] = {1, 1};
     /** Best-effort group policy: retry budget before the fallback lock
      *  arms, and the total-abort threshold for early fallback (0 =
      *  disabled). Older replay files omit the `btx` line. */
@@ -84,9 +74,9 @@ struct FuzzConfig
     /** Limited-set group policy: speculative lines tracked per VID.
      *  Older replay files omit the `limitedk` line. */
     unsigned limitedK = 4;
-    /** Zero-event fast-path toggle, one bit per matrix cell (bits 0-5:
-     *  the hmtx cells in kCellNames order; bits 6-7: btx bus/dir;
-     *  bits 8-9: ltd bus/dir, where the config layer gates the knob
+    /** Zero-event fast-path toggle, one bit per matrix cell (bits 0-3:
+     *  the hmtx cells in kCellNames order; bits 4-5: btx bus/dir;
+     *  bits 6-7: ltd bus/dir, where the config layer gates the knob
      *  off again — fuzzing that the gate holds). Cells with the bit
      *  clear run the classic event path, so every schedule is also a
      *  fast-on vs fast-off differential. Older replay files omit the
@@ -100,10 +90,9 @@ struct FuzzConfig
  *  a pre-PR-7/PR-8 witness then replays unambiguously. */
 enum OmittedKnob : unsigned
 {
-    kOmitEngineThreads = 1u << 0,
-    kOmitBtx = 1u << 1,
-    kOmitLimitedK = 1u << 2,
-    kOmitFastPath = 1u << 3,
+    kOmitBtx = 1u << 0,
+    kOmitLimitedK = 1u << 1,
+    kOmitFastPath = 1u << 2,
 };
 
 struct Schedule
@@ -146,7 +135,8 @@ std::string describe(const Op& op);
  * input; accepts exactly what serialize() emits plus blank lines and
  * `#` comments. Hand-edited witnesses fail loudly rather than
  * replaying the wrong schedule: duplicate header lines, config lines
- * after the first op, out-of-range shard/cell/knob encodings, and
+ * after the first op, out-of-range cell/knob encodings, unknown
+ * tokens, and
  * truncated or over-long op lines are all explicit errors.
  */
 bool parse(const std::string& text, Schedule& out, std::string& err);

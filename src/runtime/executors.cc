@@ -189,8 +189,7 @@ stage1Task(Shared& sh, unsigned workers)
                 if (sh.recovering)
                     throw sim::TxAborted{};
                 co_await sh.coord.beginIter(tc, i);
-                co_await sh.m.section(tc.core(),
-                                      sh.wl.stage1(mem, i));
+                co_await sh.wl.stage1(mem, i);
                 // Done with our part of the MTX; back to bookkeeping
                 // (Figure 3(b): beginMTX(0) does not commit).
                 tc.beginMtx(kNonSpecVid);
@@ -233,8 +232,7 @@ workerTask(Shared& sh, unsigned w)
                 if (i == kDoneToken)
                     break;
                 tc.beginMtx(sh.coord.vidOf(i));
-                co_await sh.m.section(tc.core(),
-                                      sh.wl.stage2(mem, i));
+                co_await sh.wl.stage2(mem, i);
                 co_await sh.coord.commitIter(tc, i);
                 if (sh.txOut)
                     sh.txOut->commit(sh.coord.vidOf(i));
@@ -269,10 +267,8 @@ doallTask(Shared& sh, unsigned w, unsigned workers)
                 if (sh.recovering)
                     throw sim::TxAborted{};
                 co_await sh.coord.beginIter(tc, i);
-                co_await sh.m.section(tc.core(),
-                                      sh.wl.stage1(mem, i));
-                co_await sh.m.section(tc.core(),
-                                      sh.wl.stage2(mem, i));
+                co_await sh.wl.stage1(mem, i);
+                co_await sh.wl.stage2(mem, i);
                 co_await sh.coord.commitIter(tc, i);
                 if (sh.txOut)
                     sh.txOut->commit(sh.coord.vidOf(i));
@@ -312,14 +308,14 @@ doacrossTask(Shared& sh, unsigned w, unsigned workers)
             (void)tok;
         }
         co_await sh.coord.beginIter(tc, i);
-        co_await sh.m.section(tc.core(), sh.wl.stage1(mem, i));
+        co_await sh.wl.stage1(mem, i);
         // The next iteration's thread may start only now: hand over
         // the loop-carried dependence.
         tc.beginMtx(kNonSpecVid);
         if (i + 1 < n)
             co_await sh.queues[(w + 1) % workers]->produce(tc, i + 1);
         tc.beginMtx(sh.coord.vidOf(i));
-        co_await sh.m.section(tc.core(), sh.wl.stage2(mem, i));
+        co_await sh.wl.stage2(mem, i);
         co_await sh.coord.commitIter(tc, i);
         sh.checkDone();
     }
@@ -336,9 +332,6 @@ collect(Machine& m, LoopWorkload& wl, Shared* sh, std::string model)
     r.stats = m.sys().stats();
     r.txStats = m.sys().txPolicy().stats();
     r.indexStats = m.sys().indexStats();
-    r.shardStats = m.sys().shardStats();
-    if (const sim::ParallelEngine* pe = m.parallel())
-        r.parStats = pe->stats();
     r.fastStats = m.sys().fastStats();
     r.transactions = r.stats.committedTxs;
     for (CoreId c = 0; c < m.config().numCores; ++c) {
@@ -357,7 +350,7 @@ sim::Task<void>
 sequentialRoot(Machine& m, LoopWorkload& wl)
 {
     DirectMem mem(m.ctx(0));
-    co_await m.section(0, wl.runSequential(mem));
+    co_await wl.runSequential(mem);
 }
 
 /**

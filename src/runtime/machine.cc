@@ -1,8 +1,6 @@
 #include "runtime/machine.hh"
 
-#include <algorithm>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "runtime/thread_context.hh"
@@ -10,60 +8,12 @@
 namespace hmtx::runtime
 {
 
-namespace
-{
-
-/**
- * Host worker threads for the parallel engine, mirroring the
- * shardThreads policy (cache_system.cc): 0 = auto (threads only on a
- * multi-CPU host), 1 = inline, >=2 = forced. Workers are clamped to
- * the simulated core count (one lane per core, a lane never spans
- * workers) and, in auto mode, to the host CPU count.
- */
-unsigned
-engineWorkers(const sim::MachineConfig& cfg)
-{
-    const unsigned host =
-        std::max(1u, std::thread::hardware_concurrency());
-    if (cfg.engineThreads == 1)
-        return 0;
-    if (cfg.engineThreads == 0)
-        return host > 1 ? std::min(cfg.numCores, host) : 0;
-    return std::min(cfg.numCores, cfg.engineThreads);
-}
-
-} // namespace
-
 Machine::Machine(const sim::MachineConfig& cfg)
     : cfg_(cfg), sys_(eq_, cfg)
 {
     ctxs_.reserve(cfg.numCores);
     for (CoreId c = 0; c < cfg.numCores; ++c)
         ctxs_.push_back(std::make_unique<ThreadContext>(*this, c));
-    if (cfg.engine == sim::SimEngine::Parallel) {
-        peng_ = std::make_unique<sim::ParallelEngine>(
-            eq_, cfg.numCores, engineWorkers(cfg),
-            std::max<Cycles>(1, sys_.interconnect().minC2CLatency()));
-        peng_->setApply(
-            [this](std::uint32_t lane, const sim::LaneIntent& in) {
-                return ctxs_[lane]->applyStaged(in);
-            });
-        if (cfg.applyCommute && sys_.fastPathEnabled()) {
-            peng_->setFastPath(
-                [this](std::uint32_t lane, const sim::LaneIntent& in,
-                       void*& line, std::uint64_t& klass) {
-                    return ctxs_[lane]->tryFastStaged(in, line, klass);
-                },
-                [this](std::uint32_t lane, const sim::LaneIntent& in,
-                       void* line, Tick stamp) {
-                    return ctxs_[lane]->fastStaged(in, line, stamp);
-                },
-                [this](std::uint32_t lane, const sim::LaneIntent& in) {
-                    ctxs_[lane]->accountFastStaged(in);
-                },
-                [this](unsigned n) { return sys_.reserveUseClock(n); });
-        }
-    }
 }
 
 Machine::~Machine() = default;
@@ -73,20 +23,12 @@ Machine::spawn(sim::Task<void> t)
 {
     roots_.push_back(std::move(t));
     roots_.back().start();
-    // A root runs executor code until its first suspension; retire any
-    // sections it opened so the next root sees the same simulator
-    // state it would under the sequential engine.
-    if (peng_)
-        peng_->drainAll();
 }
 
 void
 Machine::run()
 {
-    if (peng_)
-        peng_->run();
-    else
-        eq_.run();
+    eq_.run();
     for (auto& t : roots_) {
         t.rethrow();
         if (!t.done()) {

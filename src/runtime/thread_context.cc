@@ -63,91 +63,8 @@ ThreadContext::abortMtx()
     vid_ = kNonSpecVid;
 }
 
-sim::ParallelEngine*
-ThreadContext::stagingEngine() const
-{
-    sim::ParallelEngine* eng = m_.parallel();
-    return eng != nullptr && eng->staging(core_) ? eng : nullptr;
-}
-
-sim::StagedResult
-ThreadContext::applyStaged(const sim::LaneIntent& in)
-{
-    OpAwait r;
-    switch (in.kind) {
-      case sim::LaneIntent::Kind::Load:
-        r = applyLoad(in.addr, in.size);
-        break;
-      case sim::LaneIntent::Kind::Store:
-        r = applyStore(in.addr, in.value, in.size);
-        break;
-      case sim::LaneIntent::Kind::Compute:
-        r = applyCompute(in.cycles);
-        break;
-      case sim::LaneIntent::Kind::Branch:
-        r = applyBranch(in.pc, in.taken);
-        break;
-    }
-    return {r.wake, r.value, r.abort, r.vid};
-}
-
-bool
-ThreadContext::tryFastStaged(const sim::LaneIntent& in, void*& line,
-                             std::uint64_t& klass)
-{
-    const bool isStore = in.kind == sim::LaneIntent::Kind::Store;
-    if (!isStore && in.kind != sim::LaneIntent::Kind::Load) {
-        // Compute/branch turns never touch the memory system: under
-        // the §9 relation they commute with every other intent. They
-        // join the batch as coordinator-serial members (null line).
-        line = nullptr;
-        klass = 0;
-        return true;
-    }
-    if (!m_.sys().fastPathEnabled() || abortedSinceBegin())
-        return false;
-    sim::Line* l = m_.sys().fastProbe(core_, in.addr, vid_, isStore);
-    if (l == nullptr)
-        return false;
-    line = l;
-    klass = lineAddr(in.addr);
-    return true;
-}
-
-sim::StagedResult
-ThreadContext::fastStaged(const sim::LaneIntent& in, void* line,
-                          Tick stamp)
-{
-    const bool isStore = in.kind == sim::LaneIntent::Kind::Store;
-    ++insts_;
-    noteAddr(in.addr);
-    const std::uint64_t v = m_.sys().fastData(
-        *static_cast<sim::Line*>(line), in.addr, in.value, in.size,
-        isStore, stamp);
-    return {m_.now() + 1 + m_.config().l1Latency,
-            isStore ? in.value : v, false, vid_};
-}
-
-void
-ThreadContext::accountFastStaged(const sim::LaneIntent& in)
-{
-    m_.sys().fastAccount(in.kind == sim::LaneIntent::Kind::Store,
-                         m_.sys().fastEffVid(vid_) != kNonSpecVid);
-}
-
 OpAwait
 ThreadContext::load(Addr a, unsigned size)
-{
-    if (sim::ParallelEngine* eng = stagingEngine()) {
-        eng->stageIntent(core_, {sim::LaneIntent::Kind::Load, a, 0,
-                                 size, 0, 0, false});
-        return OpAwait{nullptr, 0, 0, false, 0, eng, core_};
-    }
-    return applyLoad(a, size);
-}
-
-OpAwait
-ThreadContext::applyLoad(Addr a, unsigned size)
 {
     ++insts_;
     if (abortedSinceBegin())
@@ -166,17 +83,6 @@ ThreadContext::applyLoad(Addr a, unsigned size)
 OpAwait
 ThreadContext::store(Addr a, std::uint64_t v, unsigned size)
 {
-    if (sim::ParallelEngine* eng = stagingEngine()) {
-        eng->stageIntent(core_, {sim::LaneIntent::Kind::Store, a, v,
-                                 size, 0, 0, false});
-        return OpAwait{nullptr, 0, 0, false, 0, eng, core_};
-    }
-    return applyStore(a, v, size);
-}
-
-OpAwait
-ThreadContext::applyStore(Addr a, std::uint64_t v, unsigned size)
-{
     ++insts_;
     if (abortedSinceBegin())
         return abortedOp();
@@ -192,17 +98,6 @@ ThreadContext::applyStore(Addr a, std::uint64_t v, unsigned size)
 OpAwait
 ThreadContext::compute(Cycles c)
 {
-    if (sim::ParallelEngine* eng = stagingEngine()) {
-        eng->stageIntent(core_, {sim::LaneIntent::Kind::Compute, 0, 0,
-                                 8, c, 0, false});
-        return OpAwait{nullptr, 0, 0, false, 0, eng, core_};
-    }
-    return applyCompute(c);
-}
-
-OpAwait
-ThreadContext::applyCompute(Cycles c)
-{
     insts_ += c; // roughly one instruction per cycle of compute
     if (abortedSinceBegin())
         return abortedOp();
@@ -212,17 +107,6 @@ ThreadContext::applyCompute(Cycles c)
 
 OpAwait
 ThreadContext::branch(Addr pc, bool taken)
-{
-    if (sim::ParallelEngine* eng = stagingEngine()) {
-        eng->stageIntent(core_, {sim::LaneIntent::Kind::Branch, 0, 0,
-                                 8, 0, pc, taken});
-        return OpAwait{nullptr, 0, 0, false, 0, eng, core_};
-    }
-    return applyBranch(pc, taken);
-}
-
-OpAwait
-ThreadContext::applyBranch(Addr pc, bool taken)
 {
     ++insts_;
     if (abortedSinceBegin())

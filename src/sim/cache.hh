@@ -2,8 +2,8 @@
  * @file
  * Set-associative cache storage holding versioned lines.
  *
- * Storage is split into two planes per set (the SoA layout the sharded
- * engine scans): a contiguous *metadata* plane of compact Line records
+ * Storage is split into two planes per set (an SoA layout): a
+ * contiguous *metadata* plane of compact Line records
  * (base/state/VID tags/flags — what every probe, snoop and bulk walk
  * reads) and a parallel *data* plane of 64-byte line payloads that only
  * actual data movement touches. A set probe therefore streams a few
@@ -211,43 +211,13 @@ class Cache
     Cache(std::string name, unsigned sets, unsigned assoc,
           std::uint32_t id = kNoCacheId)
         : name_(std::move(name)), id_(id), setCount_(sets),
-          assoc_(assoc), sets_(sets), specRegs_(1), dirtyRegs_(1)
+          assoc_(assoc), sets_(sets)
     {}
 
     const std::string& name() const { return name_; }
     std::uint32_t id() const { return id_; }
     unsigned assoc() const { return assoc_; }
     unsigned setCount() const { return setCount_; }
-
-    /**
-     * Partitions the registry into @p banks address-hashed banks for
-     * the sharded engine. @p banks must be a power of two dividing the
-     * set count — then a set (and so a slot, whatever address it is
-     * reused for) belongs to exactly one bank forever, and bank-local
-     * walks may run concurrently. Call before any line turns
-     * interesting.
-     */
-    void
-    setBanks(unsigned banks)
-    {
-        if (banks < 1 || setCount_ % banks != 0 ||
-            (banks & (banks - 1)) != 0) {
-            banks = 1;
-        }
-        specRegs_.assign(banks, {});
-        dirtyRegs_.assign(banks, {});
-        bankMask_ = banks - 1;
-    }
-
-    /** Number of registry banks. */
-    unsigned bankCount() const { return bankMask_ + 1; }
-
-    /** Bank owning the set of @p a (== bank owning the slot). */
-    unsigned
-    bankOf(Addr a) const
-    {
-        return static_cast<unsigned>((a >> kLineShift) & bankMask_);
-    }
 
     /**
      * True when @p l needs to be visited by *some* bulk protocol walk
@@ -295,55 +265,51 @@ class Cache
      * speculative state, the dirty registry if it holds unwritten
      * data — if it is not already there. Slots are never removed
      * eagerly; the walks purge stale entries lazily. @p l must be a
-     * slot of this cache. Entries land on the bank owning the slot's
-     * set, so concurrent bank-local walks touch disjoint registry
-     * storage.
+     * slot of this cache.
      */
     void
     noteInteresting(Line& l)
     {
         if (isSpec(l.state) && !l.bk.onSpecReg) {
             l.bk.onSpecReg = true;
-            specRegs_[bankOf(l.base)].push_back(&l);
+            specReg_.push_back(&l);
         }
         if (l.dirty && l.state != State::Invalid && !l.bk.onDirtyReg) {
             l.bk.onDirtyReg = true;
-            dirtyRegs_[bankOf(l.base)].push_back(&l);
+            dirtyReg_.push_back(&l);
         }
     }
 
     /**
-     * Applies @p fn to every speculative line in bank @p b, dropping
-     * registry entries that went stale since they were added. Entries
-     * whose line @p fn itself retires (e.g. a commit walk reconciling
-     * a line to non-spec) are also dropped, so repeated walks stay
-     * proportional to live speculative state. Safe to run
-     * concurrently for distinct banks as long as @p fn itself only
-     * touches bank-local state. @p fn may re-enlist the line on the
-     * *dirty* registry (via noteInteresting) but must not make a
-     * non-spec line speculative.
+     * Applies @p fn to every speculative line, dropping registry
+     * entries that went stale since they were added. Entries whose
+     * line @p fn itself retires (e.g. a commit walk reconciling a line
+     * to non-spec) are also dropped, so repeated walks stay
+     * proportional to live speculative state. @p fn may re-enlist the
+     * line on the *dirty* registry (via noteInteresting) but must not
+     * make a non-spec line speculative.
      */
     template <typename Fn>
     void
-    forEachSpecInBank(unsigned b, Fn&& fn)
+    forEachSpec(Fn&& fn)
     {
-        walkReg(specRegs_[b], &specInteresting,
-                &LineBookkeeping::onSpecReg, fn);
+        walkReg(specReg_, &specInteresting, &LineBookkeeping::onSpecReg,
+                fn);
     }
 
     /**
-     * Applies @p fn to every dirty valid line in bank @p b, with the
-     * same lazy-purge discipline as forEachSpecInBank(). Lines that
-     * are both spec and dirty appear here too — a walk needing the
-     * union (flush) visits both registries and must tolerate seeing
-     * such a line twice.
+     * Applies @p fn to every dirty valid line, with the same
+     * lazy-purge discipline as forEachSpec(). Lines that are both spec
+     * and dirty appear here too — a walk needing the union (flush)
+     * visits both registries and must tolerate seeing such a line
+     * twice.
      */
     template <typename Fn>
     void
-    forEachDirtyInBank(unsigned b, Fn&& fn)
+    forEachDirty(Fn&& fn)
     {
-        walkReg(dirtyRegs_[b], &dirtyInteresting,
-                &LineBookkeeping::onDirtyReg, fn);
+        walkReg(dirtyReg_, &dirtyInteresting, &LineBookkeeping::onDirtyReg,
+                fn);
     }
 
     /** Current registry lengths, stale entries and dual-class
@@ -351,23 +317,17 @@ class Cache
     std::size_t
     registrySize() const
     {
-        std::size_t n = 0;
-        for (const auto& r : specRegs_)
-            n += r.size();
-        for (const auto& r : dirtyRegs_)
-            n += r.size();
-        return n;
+        return specReg_.size() + dirtyReg_.size();
     }
 
-    /** Applies @p fn(const Line*) to every raw spec-registry entry,
-     *  banks in ascending order (index cross-check). */
+    /** Applies @p fn(const Line*) to every raw spec-registry entry
+     *  (index cross-check). */
     template <typename Fn>
     void
     forEachSpecRegistryEntry(Fn&& fn) const
     {
-        for (const auto& r : specRegs_)
-            for (const Line* l : r)
-                fn(l);
+        for (const Line* l : specReg_)
+            fn(l);
     }
 
     /** Dirty-registry analog of forEachSpecRegistryEntry(). */
@@ -375,9 +335,8 @@ class Cache
     void
     forEachDirtyRegistryEntry(Fn&& fn) const
     {
-        for (const auto& r : dirtyRegs_)
-            for (const Line* l : r)
-                fn(l);
+        for (const Line* l : dirtyReg_)
+            fn(l);
     }
 
     /** Set index for an address. */
@@ -414,22 +373,6 @@ class Cache
     {
         for (auto& s : sets_)
             for (auto& l : s.lines)
-                fn(l);
-    }
-
-    /**
-     * Applies @p fn to every metadata slot whose set belongs to bank
-     * @p b (the full-scan analog of the registry walks). Because
-     * the bank count divides the set count, this visits sets
-     * b, b+banks, b+2*banks, ...
-     */
-    template <typename Fn>
-    void
-    forEachLineInBank(unsigned b, Fn&& fn)
-    {
-        const unsigned step = bankCount();
-        for (std::size_t si = b; si < sets_.size(); si += step)
-            for (auto& l : sets_[si].lines)
                 fn(l);
     }
 
@@ -511,13 +454,10 @@ class Cache
     unsigned setCount_;
     unsigned assoc_;
     std::vector<LineSet> sets_;
-    /** Per-bank class registries of slots that were spec
-     *  (resp. dirty) when last touched (lazily purged); single bank
-     *  unless setBanks() ran. */
-    std::vector<std::vector<Line*>> specRegs_;
-    std::vector<std::vector<Line*>> dirtyRegs_;
-    /** bankCount() - 1; bank of a set = setIndex & bankMask_. */
-    unsigned bankMask_ = 0;
+    /** Class registries of slots that were spec (resp. dirty) when
+     *  last touched (lazily purged). */
+    std::vector<Line*> specReg_;
+    std::vector<Line*> dirtyReg_;
 };
 
 } // namespace hmtx::sim

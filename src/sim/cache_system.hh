@@ -39,7 +39,6 @@
 #include "sim/interconnect.hh"
 #include "sim/memory.hh"
 #include "sim/overflow_table.hh"
-#include "sim/shard.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
 
@@ -218,71 +217,9 @@ class CacheSystem
     /** Index diagnostics (simulator-side, not architectural). */
     const IndexStats& indexStats() const { return idxStats_; }
 
-    /** Sharded-engine diagnostics (simulator-side). */
-    const ShardStats& shardStats() const { return shard_->stats(); }
-
     /** Fast-path diagnostics (simulator-side, DESIGN.md §13). */
     const FastStats& fastStats() const { return fastStats_; }
     FastStats& fastStats() { return fastStats_; }
-
-    // --- zero-event fast path (DESIGN.md §13) --------------------------
-    //
-    // The split API exists for the commute-aware apply: the parallel
-    // engine classifies intents on the coordinator (fastProbe), runs
-    // the data halves of a non-conflicting batch on worker threads
-    // (fastData — touches only the probed line, safe across distinct
-    // banks), and accounts stats back on the coordinator (fastAccount).
-    // The sequential inline composition of the three is what load() /
-    // store() use.
-
-    /**
-     * Probe half: returns the line that can retire (core, a, vid) as a
-     * pure L1 hit with no protocol side effects, or nullptr when the
-     * access must take the full path. Validates the per-line
-     * generation tag plus the dynamic guards (shadow map empty,
-     * read/write-set marks current) that plant-time checks cannot
-     * freeze. Counts FastStats attempts/rejections; never mutates
-     * architectural state.
-     */
-    Line* fastProbe(CoreId core, Addr a, Vid vid, bool isStore);
-
-    /**
-     * Data half of a fast retirement: reads (or writes) the payload
-     * and stamps the pre-reserved recency tick. Worker-safe as long as
-     * concurrent calls touch lines of pairwise-distinct engine banks
-     * (distinct banks => distinct sets => distinct lines and payload
-     * planes; set vectors never resize on hits).
-     */
-    std::uint64_t fastData(Line& l, Addr a, std::uint64_t value,
-                           unsigned size, bool isStore, Tick stamp);
-
-    /** Stats half of a fast retirement (coordinator side). */
-    void fastAccount(bool isStore, bool spec);
-
-    /**
-     * Reserves @p n recency-clock stamps in issue order and returns
-     * the first; each fast retirement consumes exactly one, so a
-     * commute batch pre-assigns stamps before fanning out.
-     */
-    Tick
-    reserveUseClock(unsigned n)
-    {
-        const Tick first = useClock_ + 1;
-        useClock_ += n;
-        return first;
-    }
-
-    /** True when the fast path is armed for this configuration. */
-    bool fastPathEnabled() const { return fastEnabled_; }
-
-    /** Request VID as the fast path keys it: non-speculative accesses
-     *  (VID 0, or any VID with HMTX disabled) share one tag slot. */
-    Vid
-    fastEffVid(Vid vid) const
-    {
-        return cfg_.hmtxEnabled && vid != kNonSpecVid ? vid
-                                                      : kNonSpecVid;
-    }
 
   private:
     // --- protocol-engine bridge ---------------------------------------
@@ -449,11 +386,10 @@ class CacheSystem
                 fn(ci);
             return;
         }
-        auto& bank = presenceBank(la);
-        auto it = bank.find(la);
+        auto it = presence_.find(la);
         // Snapshot the holder mask: fn may invalidate lines and
         // thereby shrink (or erase) the filter entry while we iterate.
-        const std::uint64_t mask = it == bank.end() ? 0 : it->second;
+        const std::uint64_t mask = it == presence_.end() ? 0 : it->second;
         const auto holders =
             static_cast<std::uint64_t>(std::popcount(mask));
         idxStats_.snoopsVisited += holders;
@@ -461,12 +397,8 @@ class CacheSystem
         for (std::uint64_t m = mask; m != 0; m &= m - 1)
             fn(static_cast<std::size_t>(std::countr_zero(m)));
     }
-    /**
-     * Where a bulk walk's overflow-table fold sits relative to its
-     * cache segments — the sequential phase order each bank's FIFO
-     * ring reproduces (same-address entries must keep their order;
-     * see shard.hh).
-     */
+    /** Where a bulk walk's overflow-table fold sits relative to its
+     *  cache segments. */
     enum class OvPhase
     {
         None,
@@ -495,76 +427,48 @@ class CacheSystem
     };
 
     /**
-     * Runs one bulk protocol walk on the shard engine: compiles the
-     * phase-ordered per-bank command list (cache registry/full-scan
-     * segments, plus an optional overflow fold per @p ov), dispatches
-     * a single epoch, and returns the per-bank scratches folded in
-     * ascending bank order.
+     * Runs one bulk protocol walk: every cache's registry (or
+     * full-scan) segment in ascending cache order, with the overflow
+     * table folded before or after them per @p ov.
      *
-     * @p lineFn(Line&, WalkScratch&) runs for every line of the
-     * requested @p wc registry class (scratch slots 0-2 are the
-     * caller's; slot 3 counts registry lines); @p ovFn(Line&,
-     * LineData&, WalkScratch&) for every overflow entry. Both MUST
-     * touch only bank-local state — the line/entry itself, its set,
-     * its bank's presence, registry, memory, and overflow partitions
-     * — because with worker threads they run concurrently across
-     * banks. Under MachineConfig::forceFullScan every walk visits
-     * the union class (each interesting line once), so Spec walk
-     * bodies must be no-ops on non-spec dirty lines rather than
-     * rely on never seeing them.
+     * @p lineFn(Line&) runs for every line of the requested @p wc
+     * registry class; @p ovFn(Line&, LineData&) for every overflow
+     * entry. Under MachineConfig::forceFullScan every walk visits the
+     * union class (each interesting line once), so Spec walk bodies
+     * must be no-ops on non-spec dirty lines rather than rely on never
+     * seeing them.
      */
     template <typename LineFn, typename OvFn>
-    WalkScratch
-    shardedWalk(OvPhase ov, WalkClass wc, LineFn&& lineFn, OvFn&& ovFn)
+    void
+    bulkWalk(OvPhase ov, WalkClass wc, LineFn&& lineFn, OvFn&& ovFn)
     {
-        std::vector<BankCmd> cmds;
         if (ov == OvPhase::BeforeLines)
-            cmds.push_back({BankCmd::Op::OverflowSegment, 0});
-        for (std::uint32_t ci = 0; ci < caches_.size(); ++ci)
-            cmds.push_back({BankCmd::Op::CacheSegment, ci});
-        if (ov == OvPhase::AfterLines)
-            cmds.push_back({BankCmd::Op::OverflowSegment, 0});
-        if (cfg_.forceFullScan)
-            ++idxStats_.fullScanWalks;
-        else
-            ++idxStats_.registryWalks;
-
-        ShardEngine::Exec exec = [&](unsigned b, const BankCmd& c,
-                                     WalkScratch& s) {
-            if (c.op == BankCmd::Op::CacheSegment) {
-                Cache& cc = caches_[c.arg];
-                if (cfg_.forceFullScan) {
-                    cc.forEachLineInBank(b, [&](Line& l) {
-                        if (Cache::interesting(l))
-                            lineFn(l, s);
-                    });
-                } else {
-                    cc.forEachSpecInBank(b, [&](Line& l) {
-                        ++s.n[3];
-                        lineFn(l, s);
-                    });
-                    if (wc == WalkClass::SpecAndDirty) {
-                        cc.forEachDirtyInBank(b, [&](Line& l) {
-                            ++s.n[3];
-                            lineFn(l, s);
-                        });
-                    }
-                }
-            } else {
-                overflow_.forEachInBank(b, [&](Line& l, LineData& d) {
-                    ovFn(l, d, s);
+            overflow_.forEach(ovFn);
+        std::uint64_t regLines = 0;
+        for (Cache& c : caches_) {
+            if (cfg_.forceFullScan) {
+                c.forEachLine([&](Line& l) {
+                    if (Cache::interesting(l))
+                        lineFn(l);
                 });
+                continue;
             }
-        };
-        shard_->runEpoch(exec, cmds);
-
-        WalkScratch agg;
-        for (unsigned b = 0; b < shard_->banks(); ++b)
-            for (std::size_t i = 0; i < agg.n.size(); ++i)
-                agg.n[i] += shard_->scratch(b).n[i];
-        if (!cfg_.forceFullScan)
-            idxStats_.registryWalkLines += agg.n[3];
-        return agg;
+            auto visit = [&](Line& l) {
+                ++regLines;
+                lineFn(l);
+            };
+            c.forEachSpec(visit);
+            if (wc == WalkClass::SpecAndDirty)
+                c.forEachDirty(visit);
+        }
+        if (ov == OvPhase::AfterLines)
+            overflow_.forEach(ovFn);
+        if (cfg_.forceFullScan) {
+            ++idxStats_.fullScanWalks;
+        } else {
+            ++idxStats_.registryWalks;
+            idxStats_.registryWalkLines += regLines;
+        }
     }
     /** Runs verifyIndexes() when MachineConfig::indexCrossCheck. */
     void maybeCrossCheck();
@@ -604,10 +508,19 @@ class CacheSystem
     bool limitedSetBlocks(Vid vid, Addr la);
 
     // --- zero-event fast path internals --------------------------------
+    /** Request VID as the fast path keys it: non-speculative accesses
+     *  (VID 0, or any VID with HMTX disabled) share one tag slot. */
+    Vid
+    fastEffVid(Vid vid) const
+    {
+        return cfg_.hmtxEnabled && vid != kNonSpecVid ? vid
+                                                      : kNonSpecVid;
+    }
+
     /**
-     * Inline composition of probe + data + account: retires the access
-     * entirely on the fast path when eligible. Returns false (leaving
-     * @p r untouched) when the access must take the full path.
+     * Retires the access entirely on the zero-event fast path when the
+     * local L1 copy carries a currently-valid tag for it. Returns false
+     * (leaving @p r untouched) when the access must take the full path.
      */
     bool fastAccess(CoreId core, Addr a, std::uint64_t value,
                     unsigned size, Vid vid, bool isStore,
@@ -680,32 +593,12 @@ class CacheSystem
      * set is rescanned to decide whether the bit survives (sets are
      * tiny, and removals are far rarer than the adds/probes the
      * per-cache count vectors used to tax). Empty-masked entries are
-     * erased eagerly. Partitioned into the engine's address-hashed
-     * banks so concurrent bank walks update disjoint maps.
+     * erased eagerly.
      */
-    std::vector<std::unordered_map<Addr, std::uint64_t>> presence_;
+    std::unordered_map<Addr, std::uint64_t> presence_;
     /** False when caches_.size() > 64 bits of mask; filter disabled. */
     bool filterEnabled_ = true;
     IndexStats idxStats_;
-
-    /** The sharded bulk-walk engine (banks, rings, epoch barrier). */
-    std::unique_ptr<ShardEngine> shard_;
-    /** Engine bank count minus one; bankOf(la) masks with this. */
-    std::uint64_t bankMask_ = 0;
-
-    /** Engine bank owning line address @p la. */
-    std::size_t
-    bankOf(Addr la) const
-    {
-        return static_cast<std::size_t>((la >> kLineShift) & bankMask_);
-    }
-
-    /** Presence-filter partition owning @p la. */
-    std::unordered_map<Addr, std::uint64_t>&
-    presenceBank(Addr la)
-    {
-        return presence_[bankOf(la)];
-    }
 
     /** Wrong-path shadow marks: line -> highest wrong-path VID (§5.1
      *  "aborts avoided via SLA" accounting). */

@@ -993,21 +993,26 @@ CacheSystem::slaConfirm(CoreId core, const SlaEntry& e)
 // --- zero-event hit fast path (DESIGN.md §13) --------------------------------
 
 /**
- * Probe for a currently-valid fast-path tag. Scans the L1 set
- * directly — no reconcile, no VidComparator counts: the comparator
- * diagnostics are not part of SysStats or any differential comparison,
- * and the tag's validity already proves reconcile would be a no-op
- * (lcVid_ unchanged since the tag was planted).
+ * Retires the access on the fast path when the local L1 holds a
+ * currently-valid tag for it: returns true and fills @p r, or false
+ * (leaving @p r untouched) when the access must take the full path.
  *
- * Returns the tagged line when the access can retire on the fast path,
- * nullptr when it must take the full path. A tag for the right VID
- * whose generation is stale counts as a rejection but keeps scanning:
- * two versions of the same line address may coexist in a set, and the
- * protocol's uniqueness invariant only guarantees at most one
- * *currently-valid* tag per (address, VID, direction).
+ * The probe scans the L1 set directly — no reconcile, no VidComparator
+ * counts: the comparator diagnostics are not part of SysStats or any
+ * differential comparison, and the tag's validity already proves
+ * reconcile would be a no-op (lcVid_ unchanged since the tag was
+ * planted). A tag for the right VID whose generation is stale counts as
+ * a rejection but keeps scanning: two versions of the same line address
+ * may coexist in a set, and the protocol's uniqueness invariant only
+ * guarantees at most one *currently-valid* tag per (address, VID,
+ * direction). A retirement mutates only the payload bytes and the LRU
+ * stamp, and bumps exactly the SysStats counters the full path bumps on
+ * the corresponding pure hit.
  */
-Line*
-CacheSystem::fastProbe(CoreId core, Addr a, Vid vid, bool isStore)
+bool
+CacheSystem::fastAccess(CoreId core, Addr a, std::uint64_t value,
+                        unsigned size, Vid vid, bool isStore,
+                        AccessResult& r)
 {
     ++fastStats_.attempts;
     const Addr la = lineAddr(a);
@@ -1028,7 +1033,7 @@ CacheSystem::fastProbe(CoreId core, Addr a, Vid vid, bool isStore)
             // there), and a committed line's pending reconcile is real
             // work the fast path must not skip.
             if (vid <= lcVid_)
-                return nullptr;
+                return false;
             // Dynamic guards for state the tag cannot vouch for:
             // shadow_ can be populated by a wrong-path load that never
             // touched this line (checkShadowAvoided's side effects
@@ -1037,74 +1042,32 @@ CacheSystem::fastProbe(CoreId core, Addr a, Vid vid, bool isStore)
             // fast tags. The current rw mark proves the
             // recordRead/recordWrite hash insert is a no-op.
             if (isStore && !shadow_.empty())
-                return nullptr;
+                return false;
             if (l.rwGen != rwGen_ ||
                 (isStore ? l.rwWriteVid : l.rwReadVid) != vid)
-                return nullptr;
+                return false;
         }
-        return &l;
+        l.lastUse = ++useClock_;
+        if (isStore) {
+            writeData(l, a, value, size);
+            ++stats_.stores;
+            if (spec)
+                ++stats_.specStores;
+            ++fastStats_.storeHits;
+        } else {
+            r.value = readData(l, a, size);
+            ++stats_.loads;
+            if (spec)
+                ++stats_.specLoads;
+            ++fastStats_.loadHits;
+        }
+        ++stats_.l1Hits;
+        r.latency = cfg_.l1Latency;
+        r.l1Hit = true;
+        r.fastHit = true;
+        return true;
     }
-    return nullptr;
-}
-
-/**
- * Data half of a fast retirement: the only line mutations (payload
- * bytes + LRU stamp). Pure payload moves via dataOf — safe to run on
- * an engine worker thread when the commute-aware apply batches
- * accesses on distinct banks (distinct banks imply distinct lines and
- * payload planes).
- */
-std::uint64_t
-CacheSystem::fastData(Line& l, Addr a, std::uint64_t value,
-                      unsigned size, bool isStore, Tick stamp)
-{
-    l.lastUse = stamp;
-    if (isStore) {
-        writeData(l, a, value, size);
-        return 0;
-    }
-    return readData(l, a, size);
-}
-
-/**
- * Accounting half of a fast retirement: exactly the SysStats bumps the
- * full path performs on the corresponding pure hit. Coordinator-only.
- */
-void
-CacheSystem::fastAccount(bool isStore, bool spec)
-{
-    if (isStore) {
-        ++stats_.stores;
-        if (spec)
-            ++stats_.specStores;
-        ++fastStats_.storeHits;
-    } else {
-        ++stats_.loads;
-        if (spec)
-            ++stats_.specLoads;
-        ++fastStats_.loadHits;
-    }
-    ++stats_.l1Hits;
-}
-
-/**
- * Complete inline fast access: probe, data, accounting. Returns true
- * and fills `r` when the access retired on the fast path.
- */
-bool
-CacheSystem::fastAccess(CoreId core, Addr a, std::uint64_t value,
-                        unsigned size, Vid vid, bool isStore,
-                        AccessResult& r)
-{
-    Line* l = fastProbe(core, a, vid, isStore);
-    if (!l)
-        return false;
-    r.value = fastData(*l, a, value, size, isStore, ++useClock_);
-    r.latency = cfg_.l1Latency;
-    r.l1Hit = true;
-    r.fastHit = true;
-    fastAccount(isStore, fastEffVid(vid) != kNonSpecVid);
-    return true;
+    return false;
 }
 
 } // namespace hmtx::sim

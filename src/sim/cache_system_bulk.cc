@@ -27,7 +27,7 @@ CacheSystem::commit(Vid vid)
     lcVid_ = vid;
     // Fast-path tags survive commits: a tag only ever matches a probe
     // with its own (VID, direction), VIDs advance monotonically until
-    // vidReset, and fastProbe rejects VIDs at or below the watermark —
+    // vidReset, and the fast path rejects VIDs at or below the watermark —
     // so tags whose reconcile the commit un-no-ops are unreachable,
     // and for live VIDs the fold is deferred exactly as lazy commit
     // already defers it (every slow access reconciles first).
@@ -63,16 +63,17 @@ CacheSystem::commit(Vid vid)
         // a full cache walk would cost one cycle per cache line,
         // >500k cycles per commit with Table 2's 32 MB L2. The walk
         // occupies the memory system, stalling every core's misses.
-        WalkScratch agg = shardedWalk(
+        std::uint64_t touched = 0;
+        bulkWalk(
             OvPhase::None, WalkClass::Spec,
-            [&](Line& l, WalkScratch& s) {
+            [&](Line& l) {
                 if (isSpec(l.state)) {
-                    ++s.n[0];
+                    ++touched;
                     reconcile(l);
                 }
             },
-            [](Line&, LineData&, WalkScratch&) {});
-        cost += agg.n[0] * cfg_.eagerPerLineCycles;
+            [](Line&, LineData&) {});
+        cost += touched * cfg_.eagerPerLineCycles;
         net_->occupy(eq_.curTick(), cost);
     }
     stats_.commitProcessingCycles += cost;
@@ -89,16 +90,17 @@ CacheSystem::abortAll()
     // and committed lines — the only other tag carriers — are exactly
     // the lines an abort leaves untouched.
     ++stats_.aborts;
-    WalkScratch agg = shardedWalk(
+    std::uint64_t touched = 0;
+    bulkWalk(
         OvPhase::AfterLines, WalkClass::Spec,
-        [&](Line& l, WalkScratch& s) {
+        [&](Line& l) {
             if (!isSpec(l.state))
                 return; // dirty committed lines survive aborts
-            ++s.n[0];
+            ++touched;
             applyView(l, abortVersion(viewOf(l), lcVid_));
             syncLine(l);
         },
-        [&](Line& l, LineData& d, WalkScratch& s) {
+        [&](Line& l, LineData& d) {
             LineTransition tr =
                 commitLine(l.state, l.tag, lcVid_, l.dirty);
             tr = abortLine(tr.state, tr.tag, lcVid_, l.dirty);
@@ -107,13 +109,11 @@ CacheSystem::abortAll()
                 // into memory rather than keeping a nonspec entry
                 // spilled.
                 mem_.writeLine(l.base, d);
-                ++s.n[1];
+                ++stats_.writebacks;
             }
             l.state = State::Invalid;
             l.tag = {};
         });
-    const std::uint64_t touched = agg.n[0];
-    stats_.writebacks += agg.n[1];
     rwCached_ = nullptr;
     rw_.clear();
     ++rwGen_; // stale Line rw marks must not suppress future inserts
@@ -142,9 +142,9 @@ CacheSystem::vidReset()
         throw std::logic_error(
             "vidReset with outstanding uncommitted transactions");
     }
-    WalkScratch agg = shardedWalk(
+    bulkWalk(
         OvPhase::BeforeLines, WalkClass::Spec,
-        [&](Line& l, WalkScratch& s) {
+        [&](Line& l) {
             // Spec walk: plain dirty committed lines stay cached and
             // dirty across the reset (reconcile would be a no-op on
             // them), so only speculative lines need visiting.
@@ -152,10 +152,9 @@ CacheSystem::vidReset()
             if (isSpec(l.state)) {
                 applyView(l, resetVersion(viewOf(l)));
                 syncLine(l);
-                ++s.n[0];
             }
         },
-        [&](Line& l, LineData& d, WalkScratch& s) {
+        [&](Line& l, LineData& d) {
             reconcile(l);
             if (l.state == State::Invalid)
                 return;
@@ -164,11 +163,10 @@ CacheSystem::vidReset()
             // memory.
             if (l.dirty && !isSpecSuperseded(l.state)) {
                 mem_.writeLine(l.base, d);
-                ++s.n[1];
+                ++stats_.writebacks;
             }
             l.state = State::Invalid;
         });
-    stats_.writebacks += agg.n[1];
     lcVid_ = kNonSpecVid;
     policy_.onVidReset();
     ++rwGen_; // VIDs recycle after the reset; invalidate rw marks
@@ -183,9 +181,9 @@ void
 CacheSystem::flushDirtyToMemory()
 {
     ++fastGen_; // VID recycling / bulk rewrite: retire all fast tags
-    WalkScratch agg = shardedWalk(
+    bulkWalk(
         OvPhase::BeforeLines, WalkClass::SpecAndDirty,
-        [&](Line& l, WalkScratch& s) {
+        [&](Line& l) {
             // Union walk: a spec+dirty line appears via both class
             // registries; the second visit sees it already reconciled
             // and written back (clean), so the body is idempotent.
@@ -197,14 +195,14 @@ CacheSystem::flushDirtyToMemory()
             if (!isSpec(l.state) && l.dirty) {
                 mem_.writeLine(l.base, dataOf(l));
                 l.dirty = false;
-                ++s.n[0];
+                ++stats_.writebacks;
                 l.state = l.state == State::Modified
                     ? State::Exclusive
                     : State::Shared;
                 syncLine(l);
             }
         },
-        [&](Line& l, LineData& d, WalkScratch& s) {
+        [&](Line& l, LineData& d) {
             reconcile(l);
             if (l.state == State::Invalid)
                 return;
@@ -212,12 +210,11 @@ CacheSystem::flushDirtyToMemory()
                 // The spilled version retired: its data is committed.
                 if (l.dirty) {
                     mem_.writeLine(l.base, d);
-                    ++s.n[0];
+                    ++stats_.writebacks;
                 }
                 l.state = State::Invalid;
             }
         });
-    stats_.writebacks += agg.n[0];
     maybeCrossCheck();
 }
 

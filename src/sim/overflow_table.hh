@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "core/types.hh"
 #include "sim/cache.hh"
@@ -32,37 +31,10 @@ namespace hmtx::sim
  * dirtiness), so a refilled line continues exactly where it left off;
  * commit/abort/VID-reset reconciliation is applied lazily by the
  * cache system when it touches an entry, and eagerly on aborts.
- *
- * Entries are partitioned into address-hashed banks (power-of-two
- * count, single bank by default) so the sharded engine's bulk folds
- * can process disjoint banks concurrently. Versions of one address
- * always share a bank, preserving their relative order under any
- * partitioning.
  */
 class OverflowTable
 {
   public:
-    OverflowTable() : banks_(1) {}
-
-    /**
-     * Re-partitions into @p banks banks (power of two). Only legal
-     * while the table is empty; the owning system banks it once at
-     * construction.
-     */
-    void
-    setBanks(unsigned banks)
-    {
-        banks_.assign(banks < 1 ? 1 : banks, {});
-        mask_ = banks_.size() - 1;
-    }
-
-    /** Bank index owning address @p a. */
-    std::size_t
-    bankOf(Addr a) const
-    {
-        return static_cast<std::size_t>((a >> kLineShift) & mask_);
-    }
-
     /**
      * Spills @p line (metadata) with payload @p data into the table.
      * Spilled entries are detached from any cache, so the table is
@@ -71,7 +43,7 @@ class OverflowTable
     void
     spill(const Line& line, const LineData& data)
     {
-        auto& v = banks_[bankOf(line.base)][line.base];
+        auto& v = entries_[line.base];
         v.lines.push_back(line);
         v.data.push_back(data);
         ++spills_;
@@ -82,9 +54,8 @@ class OverflowTable
     LineSet*
     versionsOf(Addr la)
     {
-        auto& b = banks_[bankOf(la)];
-        auto it = b.find(la);
-        return it == b.end() ? nullptr : &it->second;
+        auto it = entries_.find(la);
+        return it == entries_.end() ? nullptr : &it->second;
     }
 
     /**
@@ -94,39 +65,24 @@ class OverflowTable
     void
     remove(Addr la, std::size_t idx)
     {
-        auto& b = banks_[bankOf(la)];
-        auto it = b.find(la);
-        if (it == b.end())
+        auto it = entries_.find(la);
+        if (it == entries_.end())
             return;
         auto& v = it->second;
         v.lines.erase(v.lines.begin() + static_cast<std::ptrdiff_t>(idx));
         v.data.erase(v.data.begin() + static_cast<std::ptrdiff_t>(idx));
         if (v.lines.empty())
-            b.erase(it);
+            entries_.erase(it);
         ++refills_;
     }
 
-    /** Applies @p fn(Line&, LineData&) to every entry, banks in
-     *  ascending order; entries left Invalid are erased. */
+    /** Applies @p fn(Line&, LineData&) to every entry; entries left
+     *  Invalid are erased. */
     template <typename Fn>
     void
     forEach(Fn&& fn)
     {
-        for (std::size_t b = 0; b < banks_.size(); ++b)
-            forEachInBank(b, fn);
-    }
-
-    /**
-     * Bank-local variant of forEach(): folds only bank @p b. Safe to
-     * run concurrently for distinct banks as long as @p fn itself only
-     * touches bank-local state.
-     */
-    template <typename Fn>
-    void
-    forEachInBank(std::size_t bankIdx, Fn&& fn)
-    {
-        auto& bank = banks_[bankIdx];
-        for (auto it = bank.begin(); it != bank.end();) {
+        for (auto it = entries_.begin(); it != entries_.end();) {
             auto& v = it->second;
             for (std::size_t i = 0; i < v.lines.size(); ++i)
                 fn(v.lines[i], v.data[i]);
@@ -139,7 +95,7 @@ class OverflowTable
                 }
             }
             if (v.lines.empty())
-                it = bank.erase(it);
+                it = entries_.erase(it);
             else
                 ++it;
         }
@@ -155,37 +111,25 @@ class OverflowTable
     void
     forEachConst(Fn&& fn) const
     {
-        for (const auto& bank : banks_)
-            for (const auto& [a, v] : bank)
-                for (std::size_t i = 0; i < v.lines.size(); ++i)
-                    fn(v.lines[i], v.data[i]);
+        for (const auto& [a, v] : entries_)
+            for (std::size_t i = 0; i < v.lines.size(); ++i)
+                fn(v.lines[i], v.data[i]);
     }
-
-    /** Number of banks the entries are partitioned into. */
-    std::size_t bankCount() const { return banks_.size(); }
 
     /**
      * True when no versions are spilled. The snoop path checks this
      * before probing versionsOf() so runs that never overflow pay no
      * hash lookup at all.
      */
-    bool
-    empty() const
-    {
-        for (const auto& b : banks_)
-            if (!b.empty())
-                return false;
-        return true;
-    }
+    bool empty() const { return entries_.empty(); }
 
     /** Entries currently held. */
     std::size_t
     size() const
     {
         std::size_t n = 0;
-        for (const auto& b : banks_)
-            for (const auto& [a, v] : b)
-                n += v.lines.size();
+        for (const auto& [a, v] : entries_)
+            n += v.lines.size();
         return n;
     }
 
@@ -199,8 +143,7 @@ class OverflowTable
     static constexpr Cycles kWalkCycles = 60;
 
   private:
-    std::vector<std::unordered_map<Addr, LineSet>> banks_;
-    std::size_t mask_ = 0;
+    std::unordered_map<Addr, LineSet> entries_;
     std::uint64_t spills_ = 0;
     std::uint64_t refills_ = 0;
 };

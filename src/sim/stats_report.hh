@@ -33,10 +33,6 @@ class StatsReport
      * @param idx   optional simulator-side index diagnostics (snoop
      *              filter / registry effectiveness); printed when
      *              given
-     * @param shard optional sharded-engine diagnostics (bank command
-     *              routing / epoch barriers); printed when given
-     * @param par   optional parallel-engine diagnostics (time windows
-     *              / staged retirement); printed when given
      * @param cfg   optional machine config; echoes the commit-mode
      *              axis (TxMode, retry budget, K) so reports are
      *              self-describing
@@ -52,14 +48,12 @@ class StatsReport
      */
     explicit StatsReport(const SysStats& s,
                          const IndexStats* idx = nullptr,
-                         const ShardStats* shard = nullptr,
-                         const ParStats* par = nullptr,
                          const MachineConfig* cfg = nullptr,
                          const TxModeStats* tx = nullptr,
                          const FastStats* fast = nullptr,
                          const ServeStats* serve = nullptr)
-        : s_(s), idx_(idx), shard_(shard), par_(par), cfg_(cfg),
-          tx_(tx), fast_(fast), serve_(serve)
+        : s_(s), idx_(idx), cfg_(cfg), tx_(tx), fast_(fast),
+          serve_(serve)
     {}
 
     /** Writes the report to @p out. */
@@ -70,8 +64,6 @@ class StatsReport
         group(sink, cfg_, &printConfig);
         printSys(sink, s_);
         group(sink, idx_, &printIndex);
-        group(sink, shard_, &printShard);
-        group(sink, par_, &printParallel);
         group(sink, fast_, &printFastPath);
         group(sink, tx_, &printTxMode);
         group(sink, serve_, &printServe);
@@ -218,80 +210,6 @@ class StatsReport
     }
 
     static void
-    printShard(RowSink& k, const ShardStats& shard)
-    {
-        k.row("sim.shard.banks", double(shard.banks),
-              "address-hashed banks of the sharded engine");
-        k.row("sim.shard.threaded", shard.threaded ? 1.0 : 0.0,
-              "1 when dedicated bank workers drained the rings");
-        k.row("sim.shard.epochs", double(shard.epochs),
-              "epoch barriers executed (one per bulk operation)");
-        k.row("sim.shard.cmds", double(shard.totalCmds()),
-              "commands routed through the bank SPSC rings");
-        std::uint64_t mn = 0, mx = 0;
-        if (!shard.bankCmds.empty()) {
-            mn = mx = shard.bankCmds[0];
-            for (std::uint64_t c : shard.bankCmds) {
-                mn = c < mn ? c : mn;
-                mx = c > mx ? c : mx;
-            }
-        }
-        k.row("sim.shard.bankCmdsMin", double(mn),
-              "commands routed to the least-loaded bank");
-        k.row("sim.shard.bankCmdsMax", double(mx),
-              "commands routed to the most-loaded bank");
-        k.row("sim.shard.ringHighWater",
-              double(shard.ringHighWater),
-              "max SPSC ring occupancy observed");
-        k.row("sim.shard.pushStalls", double(shard.pushStalls),
-              "ring-full back-pressure events at the producer");
-        k.row("sim.shard.barrierStalls",
-              double(shard.barrierStalls),
-              "epoch barriers where the coordinator blocked");
-    }
-
-    static void
-    printParallel(RowSink& k, const ParStats& par)
-    {
-        k.row("sim.parallel.workers", double(par.workers),
-              "host staging threads of the parallel engine");
-        k.row("sim.parallel.threaded", par.threaded ? 1.0 : 0.0,
-              "1 when stages ran on dedicated worker threads");
-        k.row("sim.parallel.windows", double(par.windows),
-              "time windows executed (min c2c latency each)");
-        k.row("sim.parallel.events", double(par.events),
-              "events popped by the coordinator");
-        k.rate("sim.parallel.eventsPerWindow",
-               par.eventsPerWindow(),
-               "mean events retired per time window");
-        k.row("sim.parallel.laneEvents", double(par.laneEvents),
-              "lane turns dispatched for staging");
-        k.row("sim.parallel.sections", double(par.sections),
-              "staged workload sections opened");
-        k.row("sim.parallel.intents", double(par.intents),
-              "memory intents retired in event order");
-        k.row("sim.parallel.barrierStalls",
-              double(par.barrierStalls),
-              "retirements where the coordinator blocked on a "
-              "worker");
-        k.row("sim.parallel.rollbacks", double(par.rollbacks),
-              "speculation rollbacks (always 0: conservative "
-              "engine)");
-        k.row("sim.parallel.apply.batches",
-              double(par.commuteBatches),
-              "commute-aware batches committed concurrently");
-        k.row("sim.parallel.apply.applied",
-              double(par.commuteApplied),
-              "intents applied through commute batches");
-        k.row("sim.parallel.apply.conflicts",
-              double(par.commuteConflicts),
-              "batches cut short by a commutativity-class clash");
-        k.row("sim.parallel.apply.serialFallbacks",
-              double(par.commuteSerialFallbacks),
-              "intents retired alone in exact serial order");
-    }
-
-    static void
     printFastPath(RowSink& k, const FastStats& fast)
     {
         k.row("sim.fastpath.attempts", double(fast.attempts),
@@ -381,8 +299,6 @@ class StatsReport
 
     const SysStats& s_;
     const IndexStats* idx_;
-    const ShardStats* shard_;
-    const ParStats* par_;
     const MachineConfig* cfg_;
     const TxModeStats* tx_;
     const FastStats* fast_;

@@ -350,7 +350,6 @@ SmtxRunner::run(runtime::LoopWorkload& wl,
     r.checksum = wl.checksum(m);
     r.stats = m.sys().stats();
     r.indexStats = m.sys().indexStats();
-    r.shardStats = m.sys().shardStats();
     r.transactions = wl.iterations();
     r.smtxMisspeculations = sh.rt.misspeculations();
     for (CoreId i = 0; i < c.numCores; ++i) {

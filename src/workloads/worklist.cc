@@ -34,9 +34,8 @@ ChasedListWorkload::stage1(runtime::MemIf& mem, std::uint64_t iter)
     // order_ mirrors the link order (initWorkList chains nodes[i] ->
     // nodes[i+1]), so indexing it is value-identical to chasing a
     // loop-carried cursor. Keeping the stage body free of host state
-    // makes it safe under DOALL's concurrent stage-1 invocations,
-    // abort-recovery restarts at arbitrary iterations, and the
-    // parallel engine's off-thread staging alike.
+    // makes it safe under DOALL's concurrent stage-1 invocations and
+    // abort-recovery restarts at arbitrary iterations alike.
     Addr node = order_[iter];
     std::uint64_t payload = co_await mem.load(node + 8);
     co_await mem.store(slots_.slot(iter), payload);

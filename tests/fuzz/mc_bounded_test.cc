@@ -4,8 +4,8 @@
  *
  * The headline test enumerates *every* interleaving of a block of
  * generated 2-core programs of up to 6 ops and replays each through
- * the differential runner — on the six full-HMTX matrix cells
- * ({bus, dir} x {lazy, eager} x engines), once with the zero-event
+ * the differential runner — on the four full-HMTX matrix cells
+ * ({bus, dir} x {lazy, eager}), once with the zero-event
  * fast path off and once with it on, and on the bounded-mode
  * {bus, dir} x {btx, ltd} cells. Any divergence fails the test with
  * the flattened interleaving as a replay file. Explored-vs-pruned
@@ -73,7 +73,7 @@ TEST(McBounded, HmtxCellsFastPathOff)
 
 TEST(McBounded, HmtxCellsFastPathOn)
 {
-    ExploreStats s = exploreBlock(1, 60, 6, kGroupHmtx, 0x3f);
+    ExploreStats s = exploreBlock(1, 60, 6, kGroupHmtx, 0xf);
     EXPECT_GT(s.explored, 60u);
     std::cout << "[mc] hmtx fp-on: explored=" << s.explored
               << " pruned=" << s.pruned << "\n";

@@ -54,9 +54,6 @@ minimalText(const std::string& extraHeader = "",
            "vidbits 6\n"
            "unbounded 0\n"
            "sla 1\n"
-           "shards 1 1 1 1\n"
-           "shardthreads 1 1 1 1\n"
-           "enginethreads 1 1\n"
            "btx 2 0\n"
            "limitedk 4\n"
            "fastpath 0\n" +
@@ -118,23 +115,17 @@ TEST(ScheduleParse, OutOfRangeEncodings)
               std::string::npos);
     EXPECT_NE(swap("unbounded 0", "unbounded 2").find("unbounded"),
               std::string::npos);
-    EXPECT_NE(swap("shards 1 1 1 1", "shards 0 1 1 1")
-                  .find("shard count out of range"),
-              std::string::npos);
-    EXPECT_NE(swap("shards 1 1 1 1", "shards 1 1 1")
-                  .find("want 4 cell counts"),
-              std::string::npos);
-    EXPECT_NE(swap("enginethreads 1 1", "enginethreads 1")
-                  .find("want 2 cell"),
-              std::string::npos);
     EXPECT_NE(swap("btx 2 0", "btx 0 0").find("retries"),
               std::string::npos);
     EXPECT_NE(swap("btx 2 0", "btx 3 2").find("threshold"),
               std::string::npos);
     EXPECT_NE(swap("limitedk 4", "limitedk 0").find("limitedk"),
               std::string::npos);
-    EXPECT_NE(swap("fastpath 0", "fastpath 1024").find("fastpath"),
+    EXPECT_NE(swap("fastpath 0", "fastpath 256").find("8 cell bits"),
               std::string::npos);
+    std::string top = minimalText();
+    top.replace(top.find("fastpath 0"), 10, "fastpath 255");
+    EXPECT_EQ(parseOk(top).cfg.fastPathMask, 255u);
 }
 
 TEST(ScheduleParse, TruncatedOpLine)
@@ -176,6 +167,14 @@ TEST(ScheduleParse, UnknownTokenAndMissingEnd)
     EXPECT_NE(parseErr(minimalText("wibble 3\n"))
                   .find("unknown token"),
               std::string::npos);
+    // The host-engine knobs are gone from the format: a witness that
+    // still names them must fail instead of replaying silently.
+    for (const char* line : {"shards 1 1 1 1\n", "shardthreads 1 1 1 1\n",
+                             "enginethreads 1 1\n"}) {
+        EXPECT_NE(parseErr(minimalText(line)).find("unknown token"),
+                  std::string::npos)
+            << line;
+    }
     std::string t = minimalText();
     t.resize(t.size() - 4); // drop "end\n"
     EXPECT_NE(parseErr(t).find("missing 'end'"), std::string::npos);
@@ -193,16 +192,12 @@ TEST(ScheduleParse, OmittedKnobProvenance)
         return text;
     };
     EXPECT_EQ(parseOk(t).omittedKnobs, 0u);
-    Schedule s = parseOk(drop(t, "enginethreads"));
-    EXPECT_EQ(s.omittedKnobs, unsigned(kOmitEngineThreads));
-    EXPECT_EQ(s.cfg.engineThreads[0], 1u);
-    std::string old = drop(drop(drop(drop(t, "enginethreads"), "btx"),
-                                "limitedk"),
-                           "fastpath");
+    Schedule s = parseOk(drop(t, "fastpath"));
+    EXPECT_EQ(s.omittedKnobs, unsigned(kOmitFastPath));
+    EXPECT_EQ(s.cfg.fastPathMask, 0u);
+    std::string old = drop(drop(drop(t, "btx"), "limitedk"), "fastpath");
     Schedule v1 = parseOk(old);
-    EXPECT_EQ(v1.omittedKnobs,
-              kOmitEngineThreads | kOmitBtx | kOmitLimitedK |
-                  kOmitFastPath);
+    EXPECT_EQ(v1.omittedKnobs, kOmitBtx | kOmitLimitedK | kOmitFastPath);
     EXPECT_EQ(v1.cfg.btxRetries, 2u);
     EXPECT_EQ(v1.cfg.limitedK, 4u);
     EXPECT_EQ(v1.cfg.fastPathMask, 0u);
