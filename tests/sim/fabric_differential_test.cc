@@ -9,6 +9,9 @@
  * directory's own lookup counter. Only timing (latency, which never
  * feeds back into raw streams) may differ.
  *
+ * The same stream traces also check that simulations sharded across
+ * host threads stay independent of one another.
+ *
  * Also exercises the numCores-parametric orchestration: 8-, 16- and
  * 32-core machines must run fig8-style parallel workloads to
  * completion on both fabrics with matching checksums.
@@ -16,9 +19,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <random>
+#include <thread>
+#include <tuple>
+#include <vector>
 
 #include "runtime/executors.hh"
 #include "sim/cache_system.hh"
@@ -49,29 +57,52 @@ fabricNeutral(const sim::SysStats& s)
     return n;
 }
 
+/** One step of a protocol stream as one system saw it. */
+struct OpRecord
+{
+    Vid lcVid = 0;
+    std::uint64_t abortGen = 0;
+    std::uint64_t value = 0;
+    bool aborted = false;
+    bool l1Hit = false;
+    bool needSla = false;
+
+    bool operator==(const OpRecord&) const = default;
+};
+
+/** Everything a stream lets the caller observe of one system. */
+struct StreamTrace
+{
+    /** One record per step, then the final state. */
+    std::vector<OpRecord> ops;
+    std::map<Addr, sim::LineData> memory;
+    sim::SysStats stats;
+};
+
 /**
- * Drives an identical randomized protocol stream into two systems,
- * comparing every functional outcome as it goes. Latency is
- * deliberately NOT compared: that is exactly what the fabrics own.
- * The stream stays legal by construction: commits are consecutive,
- * vidReset only runs when all VIDs used since the last reset have
- * committed or aborted. Ends with an abort + flush so the final
- * memory images are complete.
+ * Drives a seeded randomized protocol stream into @p sys and records
+ * every functional outcome. Latency is deliberately NOT recorded: that
+ * is exactly what the fabrics own. The stream stays legal by
+ * construction: commits are consecutive, vidReset only runs when all
+ * VIDs used since the last reset have committed or aborted. Ends with
+ * an abort + flush so the final memory image is complete.
  */
-void
-driveIdenticalStreams(sim::CacheSystem& a, sim::CacheSystem& b,
-                      std::uint64_t seed, unsigned ops)
+StreamTrace
+traceStream(sim::CacheSystem& sys, std::uint64_t seed, unsigned ops)
 {
     std::mt19937_64 rng(seed);
     auto rnd = [&](std::uint64_t n) { return rng() % n; };
 
     const Vid maxVid = 48; // stay clear of the wrap guard
-    const unsigned cores = a.config().numCores;
+    const unsigned cores = sys.config().numCores;
     bool outstanding = false;
+    StreamTrace t;
 
     for (unsigned i = 0; i < ops; ++i) {
-        ASSERT_EQ(a.lcVid(), b.lcVid()) << "op " << i;
-        const Vid lc = a.lcVid();
+        OpRecord& r = t.ops.emplace_back();
+        r.lcVid = sys.lcVid();
+        r.abortGen = sys.abortGen();
+        const Vid lc = sys.lcVid();
         const unsigned kind = rnd(100);
         const CoreId core = CoreId(rnd(cores));
         const Addr addr = 0x1000 + rnd(96) * 64 + rnd(8) * 8;
@@ -81,69 +112,61 @@ driveIdenticalStreams(sim::CacheSystem& a, sim::CacheSystem& b,
             if (vid > maxVid)
                 continue;
             outstanding = true;
-            sim::AccessResult ra, rb;
-            if (rnd(2)) {
-                ra = a.load(core, addr, 8, vid);
-                rb = b.load(core, addr, 8, vid);
-            } else {
-                const std::uint64_t v = rng();
-                ra = a.store(core, addr, v, 8, vid);
-                rb = b.store(core, addr, v, 8, vid);
-            }
-            ASSERT_EQ(ra.value, rb.value) << "op " << i;
-            ASSERT_EQ(ra.aborted, rb.aborted) << "op " << i;
-            ASSERT_EQ(ra.l1Hit, rb.l1Hit) << "op " << i;
-            ASSERT_EQ(ra.needSla, rb.needSla) << "op " << i;
+            const sim::AccessResult a = rnd(2)
+                ? sys.load(core, addr, 8, vid)
+                : sys.store(core, addr, rng(), 8, vid);
+            r.value = a.value;
+            r.aborted = a.aborted;
+            r.l1Hit = a.l1Hit;
+            r.needSla = a.needSla;
         } else if (kind < 70) { // non-speculative access
-            sim::AccessResult ra, rb;
-            if (rnd(2)) {
-                ra = a.load(core, addr, 8, 0);
-                rb = b.load(core, addr, 8, 0);
-            } else {
-                const std::uint64_t v = rng();
-                ra = a.store(core, addr, v, 8, 0);
-                rb = b.store(core, addr, v, 8, 0);
-            }
-            ASSERT_EQ(ra.value, rb.value) << "op " << i;
-            ASSERT_EQ(ra.aborted, rb.aborted) << "op " << i;
+            const sim::AccessResult a = rnd(2)
+                ? sys.load(core, addr, 8, 0)
+                : sys.store(core, addr, rng(), 8, 0);
+            r.value = a.value;
+            r.aborted = a.aborted;
         } else if (kind < 85) { // commit the next VID
             if (lc + 1 > maxVid)
                 continue;
-            a.commit(Vid(lc + 1));
-            b.commit(Vid(lc + 1));
+            sys.commit(Vid(lc + 1));
         } else if (kind < 92) { // global abort
-            a.abortAll();
-            b.abortAll();
+            sys.abortAll();
             outstanding = false;
         } else { // drain the window and reset
             if (outstanding)
                 continue; // uncommitted spec VIDs may be live
-            if (a.lcVid() != 0) {
-                a.vidReset();
-                b.vidReset();
-            }
+            if (sys.lcVid() != 0)
+                sys.vidReset();
         }
         // A committed-past-the-window stream ends the round early.
-        if (a.lcVid() >= maxVid) {
-            a.abortAll();
-            b.abortAll();
-            a.vidReset();
-            b.vidReset();
+        if (sys.lcVid() >= maxVid) {
+            sys.abortAll();
+            sys.vidReset();
             outstanding = false;
         }
-        ASSERT_EQ(a.abortGen(), b.abortGen()) << "op " << i;
     }
 
-    a.abortAll();
-    b.abortAll();
-    a.flushDirtyToMemory();
-    b.flushDirtyToMemory();
+    sys.abortAll();
+    sys.flushDirtyToMemory();
+    OpRecord& end = t.ops.emplace_back();
+    end.lcVid = sys.lcVid();
+    end.abortGen = sys.abortGen();
+    t.memory = memImage(sys);
+    t.stats = sys.stats();
+    sys.checkInvariants();
+    return t;
+}
 
-    EXPECT_EQ(a.lcVid(), b.lcVid());
-    EXPECT_EQ(a.abortGen(), b.abortGen());
-    EXPECT_EQ(memImage(a), memImage(b));
-    a.checkInvariants();
-    b.checkInvariants();
+/** Functional outcomes of two traces must match step by step.
+ *  Statistics are left to the caller. */
+void
+expectSameTrace(const StreamTrace& a, const StreamTrace& b)
+{
+    const std::size_t n = std::min(a.ops.size(), b.ops.size());
+    for (std::size_t i = 0; i < n; ++i)
+        ASSERT_TRUE(a.ops[i] == b.ops[i]) << "op " << i;
+    ASSERT_EQ(a.ops.size(), b.ops.size());
+    EXPECT_EQ(a.memory, b.memory);
 }
 
 /** Cross-fabric differential: everything but the directory's own
@@ -152,11 +175,13 @@ void
 runFabricDifferential(sim::CacheSystem& a, sim::CacheSystem& b,
                       std::uint64_t seed, unsigned ops)
 {
-    driveIdenticalStreams(a, b, seed, ops);
-    EXPECT_TRUE(fabricNeutral(a.stats()) == fabricNeutral(b.stats()));
-    EXPECT_GT(b.stats().dirLookups, 0u)
+    const StreamTrace ta = traceStream(a, seed, ops);
+    const StreamTrace tb = traceStream(b, seed, ops);
+    expectSameTrace(ta, tb);
+    EXPECT_TRUE(fabricNeutral(ta.stats) == fabricNeutral(tb.stats));
+    EXPECT_GT(tb.stats.dirLookups, 0u)
         << "the directory fabric must actually have been exercised";
-    EXPECT_EQ(a.stats().dirLookups, 0u)
+    EXPECT_EQ(ta.stats.dirLookups, 0u)
         << "the snoop bus must never consult a directory";
 }
 
@@ -217,6 +242,99 @@ TEST_P(FabricDifferential, UnboundedSetsMatchAcrossFabrics)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FabricDifferential,
                          ::testing::Range<std::uint64_t>(1, 5));
+
+// --- host-sharded runs vs the sequential reference ----------------------
+
+/**
+ * Independent simulations sharded across host threads — the way
+ * `hmtx_fuzz --threads` splits its batch — must not see one another:
+ * every shard's copy of a stream must reproduce the reference trace,
+ * every architectural statistic included. Inline drives the copies one
+ * after another on the calling thread; threaded drives each on its own
+ * host thread, all at once.
+ */
+void
+runShardDifferential(const sim::MachineConfig& cfg, std::uint64_t seed,
+                     unsigned ops, unsigned shards, bool threaded)
+{
+    auto run = [&] {
+        sim::EventQueue eq;
+        sim::CacheSystem sys(eq, cfg);
+        return traceStream(sys, seed, ops);
+    };
+    const StreamTrace ref = run();
+
+    std::vector<StreamTrace> got(shards);
+    std::vector<std::exception_ptr> err(shards);
+    auto shard = [&](unsigned s) {
+        try {
+            got[s] = run();
+        } catch (...) {
+            err[s] = std::current_exception();
+        }
+    };
+    if (threaded) {
+        std::vector<std::thread> pool;
+        for (unsigned s = 0; s < shards; ++s)
+            pool.emplace_back(shard, s);
+        for (std::thread& th : pool)
+            th.join();
+    } else {
+        for (unsigned s = 0; s < shards; ++s)
+            shard(s);
+    }
+    for (unsigned s = 0; s < shards; ++s) {
+        if (err[s])
+            std::rethrow_exception(err[s]);
+        expectSameTrace(ref, got[s]);
+        EXPECT_TRUE(got[s].stats == ref.stats) << "shard " << s;
+    }
+}
+
+/** (seed, host shards) */
+using ShardParam = std::tuple<std::uint64_t, unsigned>;
+
+class ShardDifferential : public ::testing::TestWithParam<ShardParam>
+{};
+
+TEST_P(ShardDifferential, SnoopBusStreamMatchesSequentialInline)
+{
+    const auto [seed, shards] = GetParam();
+    sim::MachineConfig cfg;
+    cfg.l2SizeKB = 256;
+    runShardDifferential(cfg, seed * 7 + 1, 2500, shards,
+                         /*threaded=*/false);
+}
+
+TEST_P(ShardDifferential, DirectoryStreamMatchesSequentialThreaded)
+{
+    const auto [seed, shards] = GetParam();
+    sim::MachineConfig cfg;
+    cfg.l2SizeKB = 256;
+    cfg.fabric = sim::Fabric::Directory;
+    runShardDifferential(cfg, seed * 11 + 5, 2000, shards,
+                         /*threaded=*/true);
+}
+
+TEST_P(ShardDifferential, UnboundedSetsMatchSequentialThreaded)
+{
+    // Tiny caches + overflow traffic: spills and refills through the
+    // overflow table join the surface.
+    const auto [seed, shards] = GetParam();
+    sim::MachineConfig cfg;
+    cfg.l1SizeKB = 4;
+    cfg.l1Assoc = 2;
+    cfg.l2SizeKB = 32;
+    cfg.l2Assoc = 4;
+    cfg.unboundedSpecSets = true;
+    runShardDifferential(cfg, seed * 13 + 2, 1500, shards,
+                         /*threaded=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsByShards, ShardDifferential,
+    ::testing::Combine(::testing::Range<std::uint64_t>(1, 4),
+                       ::testing::Values(1u, 2u, 4u, 8u)));
 
 // --- numCores-parametric orchestration ----------------------------------
 

@@ -1,21 +1,22 @@
 /**
  * @file
- * ParallelDifferential: the parallel event engine (DESIGN.md §11)
- * and the zero-event fast path with commute-aware apply (DESIGN.md
- * §13) must be bit-identical to the plain sequential engine — same
- * cycles, same checksum, same instruction/branch/abort counts, same
- * SysStats — on the full {bus, directory} x {lazy, eager} matrix, in
- * both inline (engineThreads = 1) and forced-threaded
- * (engineThreads >= 2) modes, across all fast-path modes
- * {off, fastpath+serial apply, fastpath+commute apply}.
- * Follows the ShardDifferential pattern (differential_fullscan_test):
- * drive identically-configured runs and compare everything the
- * simulated machine can observe.
+ * ParallelDifferential: the zero-event hit fast path (DESIGN.md §13)
+ * must be bit-identical to the full per-access path — same cycles,
+ * same checksum, same instruction/branch/abort counts, same SysStats —
+ * on the full {bus, directory} x {lazy, eager} matrix, and so must
+ * whole simulations run side by side on host threads, the way
+ * `hmtx_fuzz --threads` runs its batch. Each cell compares a
+ * fast-path-off reference run on the calling thread against the
+ * candidate ({fast path off, fast path on}) run either inline (on the
+ * calling thread) or threaded (two copies at once on two host threads).
  */
 
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "runtime/executors.hh"
 #include "workloads/gzip.hh"
@@ -27,22 +28,19 @@ namespace hmtx::workloads
 namespace
 {
 
-/** Fast-path mode axis: off, fastpath with strictly-serial apply,
- *  fastpath with commute-aware apply. */
+/** Fast-path axis. The fast path always applies serially. */
 enum : unsigned
 {
     kFpOff = 0,
     kFpSerial = 1,
-    kFpCommute = 2,
 };
 
 using Combo = std::tuple<sim::Fabric, bool /*lazy*/,
-                         unsigned /*engineThreads*/,
+                         unsigned /*host threads*/,
                          unsigned /*fast-path mode*/>;
 
 /** Everything architecturally observable must match exactly.
- *  (parStats/fastStats/shardStats are simulator-side and excluded by
- *  design.) */
+ *  (fastStats is simulator-side and excluded by design.) */
 void
 expectIdentical(const runtime::ExecResult& ref,
                 const runtime::ExecResult& got)
@@ -61,74 +59,104 @@ expectIdentical(const runtime::ExecResult& ref,
         << ref.stats.l1Hits << " vs " << got.stats.l1Hits << ")";
 }
 
+/** Runs @p run once on the calling thread (@p hostThreads == 1) or
+ *  once on each of @p hostThreads host threads side by side, and
+ *  returns every result. A run that throws is rethrown here. */
+template <class Fn>
+std::vector<runtime::ExecResult>
+runSideBySide(unsigned hostThreads, Fn run)
+{
+    if (hostThreads == 1)
+        return {run()};
+    std::vector<runtime::ExecResult> out(hostThreads);
+    std::vector<std::exception_ptr> err(hostThreads);
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < hostThreads; ++t)
+        pool.emplace_back([&, t] {
+            try {
+                out[t] = run();
+            } catch (...) {
+                err[t] = std::current_exception();
+            }
+        });
+    for (std::thread& th : pool)
+        th.join();
+    for (const std::exception_ptr& e : err)
+        if (e)
+            std::rethrow_exception(e);
+    return out;
+}
+
 class ParallelDifferential : public ::testing::TestWithParam<Combo>
 {
   protected:
-    /** Reference cell: plain sequential engine, fast path off. */
+    /** Reference cell: the combo's fabric and commit mode, fast path
+     *  off. */
     static sim::MachineConfig
-    makeRef(const Combo& c)
+    makeRef()
     {
         sim::MachineConfig cfg;
-        cfg.fabric = std::get<0>(c);
-        cfg.txMode = std::get<1>(c) ? TxMode::LazyHmtx
-                                    : TxMode::EagerHmtx;
-        cfg.engine = sim::SimEngine::Sequential;
-        cfg.engineThreads = std::get<2>(c);
+        cfg.fabric = std::get<0>(GetParam());
+        cfg.txMode = std::get<1>(GetParam()) ? TxMode::LazyHmtx
+                                             : TxMode::EagerHmtx;
         return cfg;
     }
 
-    /** Candidate cell: requested engine with the combo's fast mode. */
+    /** Candidate cell: the reference with the combo's fast mode. */
     static sim::MachineConfig
-    make(const Combo& c, sim::SimEngine engine)
+    make()
     {
-        sim::MachineConfig cfg = makeRef(c);
-        cfg.engine = engine;
-        cfg.fastPath = std::get<3>(c) != kFpOff;
-        cfg.applyCommute = std::get<3>(c) == kFpCommute;
+        sim::MachineConfig cfg = makeRef();
+        cfg.fastPath = std::get<3>(GetParam()) != kFpOff;
         return cfg;
     }
+
+    /** Candidate runs of workload @p W with @p params under
+     *  @p exec, on the combo's host threads. */
+    template <class W, class Exec>
+    static std::vector<runtime::ExecResult>
+    candidates(const typename W::Params& params, Exec exec)
+    {
+        return runSideBySide(std::get<2>(GetParam()), [&] {
+            W w(params);
+            return exec(w, make());
+        });
+    }
 };
+
+runtime::ExecResult
+hmtx(runtime::LoopWorkload& w, const sim::MachineConfig& cfg)
+{
+    return runtime::Runner::runHmtx(w, cfg);
+}
+
+runtime::ExecResult
+sequential(runtime::LoopWorkload& w, const sim::MachineConfig& cfg)
+{
+    return runtime::Runner::runSequential(w, cfg);
+}
 
 TEST_P(ParallelDifferential, LinkedListBitIdentical)
 {
     LinkedListWorkload::Params p;
     p.nodes = 80;
     p.workRounds = 16;
-    LinkedListWorkload a(p), b(p), c(p);
-    runtime::ExecResult ref =
-        runtime::Runner::runHmtx(a, makeRef(GetParam()));
-    // Sequential engine with the combo's fast mode: exercises the
-    // zero-event bypass (EventQueue::tryBypass) on every pure hit.
-    runtime::ExecResult rf = runtime::Runner::runHmtx(
-        b, make(GetParam(), sim::SimEngine::Sequential));
-    runtime::ExecResult rp = runtime::Runner::runHmtx(
-        c, make(GetParam(), sim::SimEngine::Parallel));
-    expectIdentical(ref, rf);
-    expectIdentical(ref, rp);
-    EXPECT_EQ(rp.parStats.rollbacks, 0u);
-    EXPECT_GT(rp.parStats.sections, 0u);
-    EXPECT_GT(rp.parStats.intents, 0u);
-    if (std::get<3>(GetParam()) != kFpOff) {
-        // The fast path must actually fire on this hit-heavy workload.
-        // (eventBypasses is asserted in FastPathBypass below: on the
-        // busier directory-fabric queues another event is usually
-        // pending before the wake, so the bypass legally declines.)
-        EXPECT_GT(rf.fastStats.hits(), 0u);
-        EXPECT_GT(rp.fastStats.hits(), 0u);
-    } else {
-        EXPECT_EQ(rf.fastStats.attempts, 0u);
-        EXPECT_EQ(rp.fastStats.attempts, 0u);
-    }
-    if (std::get<3>(GetParam()) == kFpCommute) {
-        // Batches need >= 2 lane turns at one slot with nothing else
-        // due there. The snoopy bus delivers that; the directory
-        // fabric interleaves per-tick protocol callbacks, and every
-        // callback forces a full serial drain first — so batching is
-        // legitimately (and verifiably) rare there and not asserted.
-        if (std::get<0>(GetParam()) == sim::Fabric::SnoopBus)
-            EXPECT_GT(rp.parStats.commuteBatches, 0u);
-    } else {
-        EXPECT_EQ(rp.parStats.commuteBatches, 0u);
+    LinkedListWorkload a(p);
+    const runtime::ExecResult ref = hmtx(a, makeRef());
+    EXPECT_EQ(ref.fastStats.attempts, 0u);
+    for (const runtime::ExecResult& r :
+         candidates<LinkedListWorkload>(p, hmtx)) {
+        expectIdentical(ref, r);
+        if (std::get<3>(GetParam()) != kFpOff) {
+            // The fast path must actually fire on this hit-heavy
+            // workload. (eventBypasses is asserted in FastPathBypass
+            // below: on the busier directory-fabric queues another
+            // event is usually pending before the wake, so the bypass
+            // legally declines.)
+            EXPECT_GT(r.fastStats.hits(), 0u);
+        } else {
+            EXPECT_EQ(r.fastStats.attempts, 0u);
+        }
     }
 }
 
@@ -137,54 +165,40 @@ TEST_P(ParallelDifferential, GzipBitIdentical)
     GzipWorkload::Params p;
     p.blocks = 8;
     p.wordsPerBlock = 120;
-    GzipWorkload a(p), b(p), c(p);
-    runtime::ExecResult ref =
-        runtime::Runner::runHmtx(a, makeRef(GetParam()));
-    runtime::ExecResult rf = runtime::Runner::runHmtx(
-        b, make(GetParam(), sim::SimEngine::Sequential));
-    runtime::ExecResult rp = runtime::Runner::runHmtx(
-        c, make(GetParam(), sim::SimEngine::Parallel));
-    expectIdentical(ref, rf);
-    expectIdentical(ref, rp);
+    GzipWorkload a(p);
+    const runtime::ExecResult ref = hmtx(a, makeRef());
+    for (const runtime::ExecResult& r : candidates<GzipWorkload>(p, hmtx))
+        expectIdentical(ref, r);
 }
 
 /** The abort/recovery path (misspeculation storms, group aborts,
- *  queue resets) must replay identically under staged execution and
- *  under the fast path: every abort bumps the generation and kills
- *  all outstanding tags. */
+ *  queue resets) must replay identically under the fast path: every
+ *  abort bumps the generation and kills all outstanding tags. */
 TEST_P(ParallelDifferential, StressConflictsBitIdentical)
 {
     StressWorkload::Params p;
     p.iterations = 48;
     p.scratchWords = 24;
     p.conflictRate = 0.25;
-    StressWorkload a(p), b(p), c(p);
-    runtime::ExecResult ref =
-        runtime::Runner::runHmtx(a, makeRef(GetParam()));
-    runtime::ExecResult rf = runtime::Runner::runHmtx(
-        b, make(GetParam(), sim::SimEngine::Sequential));
-    runtime::ExecResult rp = runtime::Runner::runHmtx(
-        c, make(GetParam(), sim::SimEngine::Parallel));
-    expectIdentical(ref, rf);
-    expectIdentical(ref, rp);
-    EXPECT_GT(rp.stats.aborts, 0u); // the matrix cell really aborted
-    EXPECT_EQ(rp.parStats.rollbacks, 0u);
+    StressWorkload a(p);
+    const runtime::ExecResult ref = hmtx(a, makeRef());
+    for (const runtime::ExecResult& r :
+         candidates<StressWorkload>(p, hmtx)) {
+        expectIdentical(ref, r);
+        EXPECT_GT(r.stats.aborts, 0u); // the matrix cell really aborted
+    }
 }
 
-/** Sequential runs (one lane, long staged sections) too. */
+/** Sequential runs (one core, long stretches of hits) too. */
 TEST_P(ParallelDifferential, SequentialScheduleBitIdentical)
 {
     LinkedListWorkload::Params p;
     p.nodes = 60;
-    LinkedListWorkload a(p), b(p), c(p);
-    runtime::ExecResult ref =
-        runtime::Runner::runSequential(a, makeRef(GetParam()));
-    runtime::ExecResult rf = runtime::Runner::runSequential(
-        b, make(GetParam(), sim::SimEngine::Sequential));
-    runtime::ExecResult rp = runtime::Runner::runSequential(
-        c, make(GetParam(), sim::SimEngine::Parallel));
-    expectIdentical(ref, rf);
-    expectIdentical(ref, rp);
+    LinkedListWorkload a(p);
+    const runtime::ExecResult ref = sequential(a, makeRef());
+    for (const runtime::ExecResult& r :
+         candidates<LinkedListWorkload>(p, sequential))
+        expectIdentical(ref, r);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -193,8 +207,8 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(sim::Fabric::SnoopBus,
                           sim::Fabric::Directory),
         ::testing::Bool(),          // lazy / eager commit
-        ::testing::Values(1u, 2u),  // inline / forced worker threads
-        ::testing::Values(kFpOff, kFpSerial, kFpCommute)),
+        ::testing::Values(1u, 2u),  // inline / two host threads
+        ::testing::Values(kFpOff, kFpSerial)),
     [](const ::testing::TestParamInfo<Combo>& info) {
         std::string n;
         n += std::get<0>(info.param) == sim::Fabric::SnoopBus
@@ -202,39 +216,9 @@ INSTANTIATE_TEST_SUITE_P(
             : "dir";
         n += std::get<1>(info.param) ? "_lazy" : "_eager";
         n += std::get<2>(info.param) == 1 ? "_inline" : "_threaded";
-        n += std::get<3>(info.param) == kFpOff ? "_fpoff"
-            : std::get<3>(info.param) == kFpSerial ? "_fpserial"
-                                                   : "_fpcommute";
+        n += std::get<3>(info.param) == kFpOff ? "_fpoff" : "_fpserial";
         return n;
     });
-
-/** Worker count and threading mode honor the engineThreads policy. */
-TEST(ParallelEnginePolicy, WorkerClampAndIdleCores)
-{
-    LinkedListWorkload::Params p;
-    p.nodes = 24;
-
-    // Forced threads clamp to the simulated core count.
-    sim::MachineConfig cfg;
-    cfg.engine = sim::SimEngine::Parallel;
-    cfg.engineThreads = 64; // > numCores (4)
-    LinkedListWorkload a(p);
-    runtime::ExecResult r = runtime::Runner::runHmtx(a, cfg);
-    EXPECT_TRUE(r.parStats.threaded);
-    EXPECT_EQ(r.parStats.workers, cfg.numCores);
-
-    // Inline mode reports no workers; idleCores accounting must stay
-    // identical to the sequential engine's (engine choice never
-    // changes the simulated schedule).
-    cfg.engineThreads = 1;
-    LinkedListWorkload b(p), c(p);
-    runtime::ExecResult ri = runtime::Runner::runHmtx(b, cfg);
-    sim::MachineConfig scfg;
-    runtime::ExecResult rs = runtime::Runner::runHmtx(c, scfg);
-    EXPECT_FALSE(ri.parStats.threaded);
-    EXPECT_EQ(ri.parStats.workers, 0u);
-    EXPECT_EQ(ri.stats.idleCores, rs.stats.idleCores);
-}
 
 /** The bounded policies and copy-on-read must gate the fast path off
  *  entirely (no probes, no tags), even when the knob is set.
