@@ -159,4 +159,48 @@ resetLine(State st, VersionTag t, bool dirty)
     }
 }
 
+namespace
+{
+
+/** True when the first two responders of @p live hitting @p a carry
+ *  distinct modVIDs. */
+bool
+respondersDisagreeAt(std::span<const LineVersion> live, Vid a)
+{
+    Vid first = kNonSpecVid;
+    bool seen = false;
+    for (const LineVersion& v : live) {
+        if (!isSpecResponder(v.state) || !versionHits(v.state, v.tag, a))
+            continue;
+        if (seen)
+            return v.tag.mod != first;
+        first = v.tag.mod;
+        seen = true;
+    }
+    return false;
+}
+
+} // namespace
+
+std::optional<Vid>
+firstResponderConflict(std::span<const LineVersion> live, Vid maxVid)
+{
+    // The smallest violating VID starts a run on which the responders
+    // hitting it are constant, so it is one of the probed endpoints.
+    std::optional<Vid> first;
+    auto probe = [&](Vid a) {
+        if (a <= maxVid && (!first || a < *first) &&
+            respondersDisagreeAt(live, a))
+            first = a;
+    };
+    probe(0);
+    for (const LineVersion& v : live) {
+        if (!isSpecResponder(v.state))
+            continue;
+        probe(v.tag.mod);
+        probe(v.tag.high);
+    }
+    return first;
+}
+
 } // namespace hmtx

@@ -13,6 +13,9 @@
 #ifndef HMTX_CORE_VERSION_RULES_HH
 #define HMTX_CORE_VERSION_RULES_HH
 
+#include <optional>
+#include <span>
+
 #include "core/spec_state.hh"
 #include "core/types.hh"
 
@@ -127,6 +130,31 @@ LineTransition abortLine(State st, VersionTag t, Vid c, bool dirty);
  * superseded versions (S-O / S-S) can never hit again and are dropped.
  */
 LineTransition resetLine(State st, VersionTag t, bool dirty);
+
+/** One live version of a line as the responder rule sees it. */
+struct LineVersion
+{
+    State state = State::Invalid;
+    VersionTag tag{};
+};
+
+/**
+ * Responder rule for the live versions of one address (the check
+ * CacheSystem::checkInvariants() enforces): for every request VID
+ * a in [0, @p maxVid], the first two responder-class versions (S-E,
+ * S-O, S-M) of @p live, in order, that hit a must carry the same
+ * modVID.
+ *
+ * A responder hits [mod, maxVid] (S-M, S-E) or [mod, high) (S-O), so
+ * the ordered list of responders hitting a only changes at a = 0 and
+ * at some responder's mod or high. The rule is evaluated at those
+ * points alone, which finds exactly the violations a scan of every
+ * VID finds.
+ *
+ * @return the smallest violating VID, or nullopt when the rule holds
+ */
+std::optional<Vid> firstResponderConflict(
+    std::span<const LineVersion> live, Vid maxVid);
 
 } // namespace hmtx
 

@@ -149,7 +149,8 @@ CacheSystem::checkInvariants()
     // Collect every cached address. The presence filter already keys
     // on exactly the live addresses; fall back to a full scan when it
     // is disabled.
-    std::unordered_set<Addr> addrs;
+    auto& addrs = checkAddrs_;
+    addrs.clear();
     if (filterEnabled_) {
         for (const auto& [la, p] : presence_)
             addrs.insert(la);
@@ -175,7 +176,8 @@ CacheSystem::checkInvariants()
         // The check judges lines as of the current LC VID, so fold the
         // lazy-commit transitions into *snapshots* — the cached state
         // itself stays untouched (this check is read-only).
-        std::vector<Line> live;
+        auto& live = checkLive_;
+        live.clear();
         for (auto& c : caches_) {
             for (auto& l : c.set(la).lines) {
                 if (l.state == State::Invalid || l.base != la)
@@ -183,7 +185,7 @@ CacheSystem::checkInvariants()
                 Line s = l;
                 applyReconcile(s);
                 if (s.state != State::Invalid)
-                    live.push_back(s);
+                    live.push_back({s.state, s.tag});
             }
         }
         overflow_.forEachConst([&](const Line& l, const LineData&) {
@@ -192,10 +194,10 @@ CacheSystem::checkInvariants()
             Line s = l;
             applyReconcile(s);
             if (s.state != State::Invalid)
-                live.push_back(s);
+                live.push_back({s.state, s.tag});
         });
         bool anySpec = false, anyNonSpec = false, responder = false;
-        for (const Line& s : live) {
+        for (const LineVersion& s : live) {
             (isSpec(s.state) ? anySpec : anyNonSpec) = true;
             responder = responder || isSpecResponder(s.state);
         }
@@ -207,23 +209,10 @@ CacheSystem::checkInvariants()
                 "protocol invariant violated: speculative and "
                 "non-speculative versions coexist");
         }
-        for (Vid a = 0; a <= maxV; ++a) {
-            Vid mods[2];
-            int n = 0;
-            for (const Line& s : live) {
-                if (!isSpecResponder(s.state))
-                    continue;
-                if (versionHits(s.state, s.tag, a)) {
-                    if (n < 2)
-                        mods[n] = s.tag.mod;
-                    ++n;
-                }
-            }
-            if (n > 1 && mods[0] != mods[1]) {
-                throw std::logic_error(
-                    "protocol invariant violated: multiple distinct "
-                    "responder versions hit one VID");
-            }
+        if (firstResponderConflict(live, maxV)) {
+            throw std::logic_error(
+                "protocol invariant violated: multiple distinct "
+                "responder versions hit one VID");
         }
     }
 }
@@ -234,7 +223,8 @@ CacheSystem::verifyIndexes()
     ++idxStats_.crossChecks;
     // Rebuild the expected presence masks from a full scan and check
     // the per-slot bookkeeping along the way.
-    std::unordered_map<Addr, std::uint64_t> want;
+    auto& want = checkWant_;
+    want.clear();
     for (std::size_t ci = 0; ci < caches_.size(); ++ci) {
         caches_[ci].forEachLine([&](Line& l) {
             if (l.bk.cacheId != ci) {
@@ -294,8 +284,11 @@ CacheSystem::verifyIndexes()
     // Registries may hold stale (no longer in-class) entries, but
     // every entry must be flagged and unique within its class so lazy
     // purging stays linear.
+    auto& seenSpec = checkSeenSpec_;
+    auto& seenDirty = checkSeenDirty_;
     for (auto& c : caches_) {
-        std::unordered_set<const Line*> seenSpec, seenDirty;
+        seenSpec.clear();
+        seenDirty.clear();
         c.forEachSpecRegistryEntry([&](const Line* l) {
             if (!l->bk.onSpecReg) {
                 throw std::logic_error(

@@ -638,6 +638,15 @@ class CacheSystem
      *  (copy-on-read ablation, non-plain TxPolicy). */
     bool fastEnabled_ = false;
     FastStats fastStats_;
+
+    // Scratch of checkInvariants()/verifyIndexes(): cleared on each
+    // call, kept so the self-checks the differ runs every 32 ops do
+    // not reallocate.
+    std::unordered_set<Addr> checkAddrs_;
+    std::vector<LineVersion> checkLive_;
+    std::unordered_map<Addr, std::uint64_t> checkWant_;
+    std::unordered_set<const Line*> checkSeenSpec_;
+    std::unordered_set<const Line*> checkSeenDirty_;
 };
 
 } // namespace hmtx::sim

@@ -7,6 +7,7 @@
 #define HMTX_SIM_EVENT_QUEUE_HH
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <coroutine>
 #include <cstdint>
@@ -37,6 +38,10 @@ namespace hmtx::sim
  * classic binary-heap implementation produced: a bucket that receives
  * migrated overflow events is re-sorted by sequence number before it
  * drains.
+ *
+ * The wheel's buckets are allocated by the first push(): a queue that
+ * only tracks the clock (curTick()/tryBypass(), as the differential
+ * cells and kv_serve's direct drive do) never pays for them.
  */
 class EventQueue
 {
@@ -112,10 +117,10 @@ class EventQueue
             return false;
         if (pending() != 0 && nextWhen() <= wake)
             return false;
-        // Retire the current tick's bucket exactly as advance() does.
-        auto* b = &wheel_[bucketOf(now_)];
+        // Retire the current tick's bucket exactly as advance() does
+        // (drainIdx_ != 0 implies the wheel is allocated).
         if (drainIdx_ != 0) {
-            b->clear();
+            wheel_[bucketOf(now_)].clear();
             drainIdx_ = 0;
             const std::size_t bi = bucketOf(now_);
             occ_[bi >> 6] &= ~(std::uint64_t{1} << (bi & 63));
@@ -189,7 +194,10 @@ class EventQueue
 
     static std::size_t bucketOf(Tick t) { return t & kMask; }
 
-    /** Tick of the next pending event. @pre pending() != 0 */
+    /**
+     * Tick of the next pending event.
+     * @pre pending() != 0 (so the wheel is allocated)
+     */
     Tick
     nextWhen() const
     {
@@ -207,6 +215,10 @@ class EventQueue
         // instead of corrupting the wheel window.
         if (ev.when < now_)
             ev.when = now_;
+        // Allocate on the first push, near or far: a far event later
+        // migrates into a bucket.
+        if (wheel_.empty()) [[unlikely]]
+            wheel_.resize(kWheelTicks);
         if (ev.when - now_ < kWheelTicks) {
             const std::size_t b = bucketOf(ev.when);
             wheel_[b].push_back(std::move(ev));
@@ -263,6 +275,8 @@ class EventQueue
     bool
     advance()
     {
+        if (wheel_.empty())
+            return false; // never scheduled: nothing pending, drainIdx_ 0
         auto* b = &wheel_[bucketOf(now_)];
         if (drainIdx_ < b->size())
             return true;
@@ -299,11 +313,10 @@ class EventQueue
         return true;
     }
 
-    std::vector<std::vector<Event>> wheel_ =
-        std::vector<std::vector<Event>>(kWheelTicks);
+    /** kWheelTicks per-tick buckets; empty until the first push(). */
+    std::vector<std::vector<Event>> wheel_;
     /** One occupancy bit per bucket (cleared only on bucket retire). */
-    std::vector<std::uint64_t> occ_ =
-        std::vector<std::uint64_t>(kWheelTicks / 64, 0);
+    std::array<std::uint64_t, kWheelTicks / 64> occ_{};
     /** Events scheduled >= kWheelTicks ahead wait here. */
     std::priority_queue<Event, std::vector<Event>, std::greater<>> far_;
     /** Next un-fired slot in the current tick's bucket. */

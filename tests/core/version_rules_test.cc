@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <random>
+#include <vector>
+
 #include "core/version_rules.hh"
 
 namespace hmtx
@@ -284,6 +288,132 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range(0, 4),
                        ::testing::Values<Vid>(0, 1, 3, 7),
                        ::testing::Values<Vid>(0, 1, 3, 7)));
+
+// --- responder rule (CacheSystem::checkInvariants) -------------------
+
+/** The per-VID scan the endpoint evaluation replaces. */
+std::optional<Vid>
+bruteForceResponderConflict(const std::vector<LineVersion>& live,
+                            Vid maxVid)
+{
+    for (Vid a = 0; a <= maxVid; ++a) {
+        Vid mods[2] = {};
+        int n = 0;
+        for (const LineVersion& v : live) {
+            if (!isSpecResponder(v.state))
+                continue;
+            if (versionHits(v.state, v.tag, a)) {
+                if (n < 2)
+                    mods[n] = v.tag.mod;
+                ++n;
+            }
+        }
+        if (n > 1 && mods[0] != mods[1])
+            return a;
+    }
+    return std::nullopt;
+}
+
+TEST(ResponderRule, EndpointsMatchPerVidScanOnRandomLiveSets)
+{
+    const State states[] = {
+        State::Invalid,      State::Shared,        State::Exclusive,
+        State::Owned,        State::Modified,      State::SpecShared,
+        State::SpecExclusive, State::SpecOwned,    State::SpecModified,
+    };
+    std::mt19937_64 rng(0x5eed);
+    for (unsigned bits : {4u, 6u, 8u}) {
+        const Vid maxVid = (Vid{1} << bits) - 1;
+        std::uniform_int_distribution<Vid> vid(0, maxVid);
+        std::uniform_int_distribution<std::size_t> pick(0, 8);
+        std::uniform_int_distribution<std::size_t> size(0, 6);
+        int conflicts = 0, clean = 0, threePlus = 0;
+        for (int trial = 0; trial < 4000; ++trial) {
+            std::vector<LineVersion> live(size(rng));
+            std::size_t responders = 0;
+            for (LineVersion& v : live) {
+                v.state = states[pick(rng)];
+                // Narrow the tags on half the trials so versions
+                // overlap (and share mods) often.
+                const Vid m = vid(rng), h = vid(rng);
+                v.tag = trial % 2 ? VersionTag{m % 4, h % 6}
+                                  : VersionTag{m, h};
+                responders += isSpecResponder(v.state) ? 1 : 0;
+            }
+            const auto want = bruteForceResponderConflict(live, maxVid);
+            ASSERT_EQ(firstResponderConflict(live, maxVid), want)
+                << "vidBits " << bits << " trial " << trial;
+            (want ? conflicts : clean) += 1;
+            threePlus += responders >= 3 ? 1 : 0;
+        }
+        // The sample must exercise both verdicts and the
+        // first-two-mods rule.
+        EXPECT_GT(conflicts, 100) << bits;
+        EXPECT_GT(clean, 100) << bits;
+        EXPECT_GT(threePlus, 100) << bits;
+    }
+}
+
+TEST(ResponderRule, LegalVersionChainsHold)
+{
+    const Vid maxVid = 15;
+    using V = std::vector<LineVersion>;
+    // Superseded S-O(2,5) answers [2,5), its successor S-M(5,5) [5,..].
+    EXPECT_FALSE(firstResponderConflict(
+        V{{State::SpecOwned, {2, 5}}, {State::SpecModified, {5, 5}}},
+        maxVid));
+    // Peer copies of one version agree on their mod.
+    EXPECT_FALSE(firstResponderConflict(
+        V{{State::SpecOwned, {2, 5}}, {State::SpecOwned, {2, 5}},
+          {State::SpecModified, {5, 9}}},
+        maxVid));
+    // S-S copies are not responders.
+    EXPECT_FALSE(firstResponderConflict(
+        V{{State::SpecShared, {1, 9}}, {State::SpecModified, {3, 3}}},
+        maxVid));
+    // Only the first two hits are compared: the differing third
+    // version never trips the rule.
+    EXPECT_FALSE(firstResponderConflict(
+        V{{State::SpecModified, {3, 3}}, {State::SpecModified, {3, 3}},
+          {State::SpecModified, {4, 4}}},
+        maxVid));
+    // An overlap that starts beyond maxVid is never requested.
+    EXPECT_FALSE(firstResponderConflict(
+        V{{State::SpecModified, {2, 2}}, {State::SpecModified, {20, 20}}},
+        maxVid));
+    EXPECT_FALSE(firstResponderConflict(V{}, maxVid));
+}
+
+TEST(ResponderRule, OverlappingDistinctVersionsViolate)
+{
+    const Vid maxVid = 15;
+    using V = std::vector<LineVersion>;
+    // Two latest versions: both answer every VID from 5 up.
+    EXPECT_EQ(firstResponderConflict(
+                  V{{State::SpecModified, {2, 2}},
+                    {State::SpecModified, {5, 5}}},
+                  maxVid),
+              Vid{5});
+    // A superseded version whose range runs past its successor's mod.
+    EXPECT_EQ(firstResponderConflict(
+                  V{{State::SpecOwned, {2, 7}},
+                    {State::SpecModified, {5, 5}}},
+                  maxVid),
+              Vid{5});
+    // The differing version listed first makes the first two disagree.
+    EXPECT_EQ(firstResponderConflict(
+                  V{{State::SpecModified, {4, 4}},
+                    {State::SpecModified, {3, 3}},
+                    {State::SpecModified, {3, 3}}},
+                  maxVid),
+              Vid{4});
+    // The overlap reaches exactly maxVid.
+    EXPECT_EQ(firstResponderConflict(
+                  V{{State::SpecExclusive, {0, 3}},
+                    {State::SpecModified, {15, 15}}},
+                  maxVid),
+              Vid{15});
+}
 
 } // namespace
 } // namespace hmtx

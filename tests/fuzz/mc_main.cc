@@ -17,6 +17,7 @@
  * directory delivery decisions of every interleaving.
  */
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -179,6 +180,7 @@ main(int argc, char** argv)
 
     ExploreStats total;
     std::uint64_t exhausted = 0;
+    const auto t0 = std::chrono::steady_clock::now();
     for (std::uint64_t seed = seed0; seed < seed0 + programs; ++seed) {
         Schedule prog = generateProgram(seed, cores, ops);
         ExploreResult r;
@@ -203,10 +205,16 @@ main(int argc, char** argv)
                       << " programs clean\n";
     }
 
+    // Replay throughput, so CI logs show what a campaign costs.
+    const double hostS = std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - t0).count();
     std::cout << "mc campaign clean: " << programs << " programs ("
               << cores << " cores x " << ops << " ops)\n"
               << "  interleavings explored=" << total.explored
               << " pruned=" << total.pruned << "\n"
+              << "  host seconds=" << hostS << " interleavings/s="
+              << (hostS > 0 ? double(total.explored) / hostS : 0.0)
+              << "\n"
               << "  deliveryRuns=" << total.deliveryRuns
               << " deliveryPointsSeen=" << total.deliveryPointsSeen
               << "\n"

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -65,6 +66,150 @@ TEST(EventQueue, StepReturnsFalseWhenEmpty)
     EventQueue eq;
     EXPECT_FALSE(eq.step());
     EXPECT_TRUE(eq.empty());
+}
+
+// --- a queue that never scheduled an event --------------------------
+//
+// The wheel's buckets are allocated by the first push, so each case
+// below runs on a fresh queue and on one that already scheduled and
+// drained an event at tick 0 (wheel allocated, current bucket drained
+// but not yet retired). Both must behave identically.
+
+/** (tick, id) of every fired event, in firing order. */
+using Firings = std::vector<std::pair<Tick, int>>;
+
+/** Schedules one event at tick 0 and drains it. */
+void
+warmUp(EventQueue& eq)
+{
+    eq.schedule(0, [] {});
+    eq.run();
+    ASSERT_EQ(eq.curTick(), 0u);
+    ASSERT_TRUE(eq.empty());
+}
+
+/**
+ * Runs @p scenario on a fresh and on a warmed-up queue, checks they
+ * fire the same events in the same order and end at the same tick,
+ * and returns the firings.
+ */
+template <class Scenario>
+Firings
+sameAsWarm(Scenario scenario)
+{
+    EventQueue fresh, warm;
+    warmUp(warm);
+    Firings a = scenario(fresh);
+    Firings b = scenario(warm);
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(fresh.curTick(), warm.curTick());
+    EXPECT_EQ(fresh.pending(), warm.pending());
+    EXPECT_EQ(fresh.executed() + 1, warm.executed());
+    return a;
+}
+
+/** Schedules event @p id at @p when, recording its firing. */
+void
+at(EventQueue& eq, Firings& out, Tick when, int id)
+{
+    eq.schedule(when, [&eq, &out, id] {
+        out.emplace_back(eq.curTick(), id);
+    });
+}
+
+TEST(EventQueueUnscheduled, IsEmptyAndStepsNothing)
+{
+    sameAsWarm([](EventQueue& eq) {
+        EXPECT_TRUE(eq.empty());
+        EXPECT_EQ(eq.pending(), 0u);
+        EXPECT_FALSE(eq.step());
+        eq.run();
+        EXPECT_EQ(eq.curTick(), 0u);
+        return Firings{};
+    });
+}
+
+TEST(EventQueueUnscheduled, RunUntilMovesTimeToLimit)
+{
+    sameAsWarm([](EventQueue& eq) {
+        eq.runUntil(50);
+        EXPECT_EQ(eq.curTick(), 50u);
+        EXPECT_TRUE(eq.empty());
+        EXPECT_FALSE(eq.step());
+        return Firings{};
+    });
+}
+
+TEST(EventQueueUnscheduled, TryBypassJumpsWithoutEvents)
+{
+    sameAsWarm([](EventQueue& eq) {
+        EXPECT_TRUE(eq.tryBypass(100));
+        EXPECT_EQ(eq.curTick(), 100u);
+        EXPECT_FALSE(eq.tryBypass(99)); // the past
+        EXPECT_TRUE(eq.tryBypass(100)); // the present
+        EXPECT_TRUE(eq.empty());
+        EXPECT_FALSE(eq.step());
+        EXPECT_EQ(eq.curTick(), 100u);
+        return Firings{};
+    });
+}
+
+TEST(EventQueueUnscheduled, FirstEventAfterBypass)
+{
+    const Firings f = sameAsWarm([](EventQueue& eq) {
+        Firings out;
+        EXPECT_TRUE(eq.tryBypass(100));
+        at(eq, out, 105, 0);
+        at(eq, out, 100, 1); // delay 0
+        at(eq, out, 105, 2);
+        at(eq, out, 100 + 4095, 3); // last wheel tick
+        at(eq, out, 100 + 4096, 4); // first far tick
+        eq.run();
+        return out;
+    });
+    EXPECT_EQ(f, (Firings{{100, 1}, {105, 0}, {105, 2}, {4195, 3},
+                          {4196, 4}}));
+}
+
+TEST(EventQueueUnscheduled, FirstEventFarAheadMigratesIntoWheel)
+{
+    const Firings f = sameAsWarm([](EventQueue& eq) {
+        Firings out;
+        // Only far-heap events: the first push must still allocate
+        // the wheel they migrate into.
+        eq.schedule(5000, [&eq, &out] {
+            out.emplace_back(eq.curTick(), 0);
+            at(eq, out, 5000, 2); // delay 0, behind #1 in the bucket
+            at(eq, out, 5100, 3);
+        });
+        at(eq, out, 5000, 1);
+        at(eq, out, 4096, 4); // exactly the first far tick
+        eq.run();
+        return out;
+    });
+    EXPECT_EQ(f, (Firings{{4096, 4}, {5000, 0}, {5000, 1}, {5000, 2},
+                          {5100, 3}}));
+}
+
+TEST(EventQueueUnscheduled, FarAndNearFirstEventsKeepScheduleOrder)
+{
+    const Firings f = sameAsWarm([](EventQueue& eq) {
+        Firings out;
+        at(eq, out, 5000, 0); // >= 4096 ahead: far heap
+        at(eq, out, 10, 1);
+        at(eq, out, 5000, 2); // far heap, after #0
+        eq.schedule(1000, [&eq, &out] {
+            out.emplace_back(eq.curTick(), 3);
+            at(eq, out, 5000, 4); // now near: straight into the wheel
+        });
+        at(eq, out, 9000, 5); // still far after #0/#2 migrate
+        eq.run();
+        return out;
+    });
+    // The wheel-resident #4 was scheduled after the far #0/#2, so it
+    // fires after them once they migrate into its bucket.
+    EXPECT_EQ(f, (Firings{{10, 1}, {1000, 3}, {5000, 0}, {5000, 2},
+                          {5000, 4}, {9000, 5}}));
 }
 
 } // namespace
