@@ -116,6 +116,31 @@ if printf '%s\n' "${PRESETS[@]}" | grep -qx release; then
     fi
 fi
 
+# Host-speed benchmark harness (perfbench/, BENCHMARK.json): its unit
+# tests, then every workload end to end for a short window on the
+# default seed and on the held-out seed. run.py exits non-zero on a
+# wrong output, a sim_digest that does not repeat across passes, or a
+# layer-split violation. No timing is gated here.
+if printf '%s\n' "${PRESETS[@]}" | grep -qx release; then
+    echo "==== perfbench: harness unit tests ===="
+    if ! PYTHONDONTWRITEBYTECODE=1 \
+        python3 -m unittest discover -s perfbench/tests; then
+        echo "FATAL: perfbench unit tests failed" >&2
+        exit 1
+    fi
+    for seed in 1 7919; do
+        echo "==== perfbench: all workloads, seed $seed, 2 s each ===="
+        if ! CARGO_TARGET_DIR="$ROOT/build-release/perfbench" \
+            PYTHONDONTWRITEBYTECODE=1 \
+            python3 perfbench/run.py --seconds 2 --trace 0 \
+                --seed "$seed"; then
+            echo "FATAL: perfbench run (seed $seed) reported a wrong" \
+                 "output or failed to run" >&2
+            exit 1
+        fi
+    done
+fi
+
 # Bench smoke + hot-path regression gate (Release timings only; the
 # sanitizer build's numbers are meaningless). Compares the indexed
 # Table-2-geometry bulk ops against the committed baseline and fails

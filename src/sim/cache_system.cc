@@ -30,15 +30,6 @@ CacheSystem::CacheSystem(EventQueue& eq, const MachineConfig& cfg)
     // The presence mask is one bit per cache; fall back to full snoops
     // beyond 64 caches (far above any modeled configuration).
     filterEnabled_ = caches_.size() <= 64;
-    if (filterEnabled_) {
-        // Pre-size for the L1 working sets so steady-state traffic
-        // does not rehash; larger footprints grow amortized.
-        const std::size_t l1Slots = std::size_t{cfg.numCores} *
-            cfg.l1Sets() * cfg.l1Assoc;
-        const std::size_t total = std::min<std::size_t>(
-            std::max<std::size_t>(l1Slots, 1024), 1u << 16);
-        presence_.reserve(total);
-    }
     net_ = makeInterconnect(cfg_, stats_);
     // Fast path only under the plain HMTX policies: best-effort and
     // limited-set interpose per-access policy state (fallback lock,
@@ -60,8 +51,8 @@ CacheSystem::presenceAdd(std::uint32_t ci, Addr la)
 void
 CacheSystem::presenceRemove(std::uint32_t ci, Addr la)
 {
-    auto it = presence_.find(la);
-    if (it == presence_.end())
+    std::uint64_t* mask = presence_.find(la);
+    if (!mask)
         return; // unreachable while bookkeeping is sound
     // The mask carries no per-cache counts: rescan the (tiny) owning
     // set to learn whether another version of la keeps the bit alive.
@@ -69,9 +60,9 @@ CacheSystem::presenceRemove(std::uint32_t ci, Addr la)
     for (const auto& l : caches_[ci].set(la).lines)
         if (l.bk.present && l.bk.presentAddr == la)
             return;
-    it->second &= ~(std::uint64_t{1} << ci);
-    if (it->second == 0)
-        presence_.erase(it);
+    *mask &= ~(std::uint64_t{1} << ci);
+    if (*mask == 0)
+        presence_.erase(la);
 }
 
 void
@@ -115,11 +106,9 @@ CacheSystem::maybeCrossCheck()
 std::vector<Addr>
 CacheSystem::readSetOf(Vid vid) const
 {
-    auto it = rw_.find(vid);
-    if (it == rw_.end())
-        return {};
-    std::vector<Addr> out(it->second.reads.begin(),
-                          it->second.reads.end());
+    std::vector<Addr> out;
+    if (const RwSets* s = rwFind(vid))
+        s->reads.forEach([&](Addr la) { out.push_back(la); });
     std::sort(out.begin(), out.end());
     return out;
 }
@@ -127,11 +116,9 @@ CacheSystem::readSetOf(Vid vid) const
 std::vector<Addr>
 CacheSystem::writeSetOf(Vid vid) const
 {
-    auto it = rw_.find(vid);
-    if (it == rw_.end())
-        return {};
-    std::vector<Addr> out(it->second.writes.begin(),
-                          it->second.writes.end());
+    std::vector<Addr> out;
+    if (const RwSets* s = rwFind(vid))
+        s->writes.forEach([&](Addr la) { out.push_back(la); });
     std::sort(out.begin(), out.end());
     return out;
 }
@@ -152,8 +139,8 @@ CacheSystem::checkInvariants()
     auto& addrs = checkAddrs_;
     addrs.clear();
     if (filterEnabled_) {
-        for (const auto& [la, p] : presence_)
-            addrs.insert(la);
+        presence_.forEach(
+            [&](Addr la, std::uint64_t) { addrs.insert(la); });
     } else {
         for (auto& c : caches_) {
             c.forEachLine([&](Line& l) {
@@ -172,7 +159,7 @@ CacheSystem::checkInvariants()
             addrs.insert(l.base);
     });
     const Vid maxV = cfg_.maxVid();
-    for (Addr la : addrs) {
+    addrs.forEach([&](Addr la) {
         // The check judges lines as of the current LC VID, so fold the
         // lazy-commit transitions into *snapshots* — the cached state
         // itself stays untouched (this check is read-only).
@@ -188,14 +175,16 @@ CacheSystem::checkInvariants()
                     live.push_back({s.state, s.tag});
             }
         }
-        overflow_.forEachConst([&](const Line& l, const LineData&) {
-            if (l.state == State::Invalid || l.base != la)
-                return;
-            Line s = l;
-            applyReconcile(s);
-            if (s.state != State::Invalid)
-                live.push_back({s.state, s.tag});
-        });
+        if (const LineSet* vs = overflow_.versionsOf(la)) {
+            for (const Line& l : vs->lines) {
+                if (l.state == State::Invalid)
+                    continue;
+                Line s = l;
+                applyReconcile(s);
+                if (s.state != State::Invalid)
+                    live.push_back({s.state, s.tag});
+            }
+        }
         bool anySpec = false, anyNonSpec = false, responder = false;
         for (const LineVersion& s : live) {
             (isSpec(s.state) ? anySpec : anyNonSpec) = true;
@@ -214,7 +203,7 @@ CacheSystem::checkInvariants()
                 "protocol invariant violated: multiple distinct "
                 "responder versions hit one VID");
         }
-    }
+    });
 }
 
 void
@@ -268,18 +257,18 @@ CacheSystem::verifyIndexes()
                 std::to_string(tracked) + " addresses, scan found " +
                 std::to_string(want.size()));
         }
-        for (const auto& [la, mask] : want) {
-            auto it = presence_.find(la);
-            if (it == presence_.end()) {
+        want.forEach([&](Addr la, std::uint64_t mask) {
+            const std::uint64_t* got = presence_.find(la);
+            if (!got) {
                 throw std::logic_error(
                     "index check: cached address missing from the "
                     "presence filter");
             }
-            if (it->second != mask) {
+            if (*got != mask) {
                 throw std::logic_error(
                     "index check: presence mask mismatch");
             }
-        }
+        });
     }
     // Registries may hold stale (no longer in-class) entries, but
     // every entry must be flagged and unique within its class so lazy

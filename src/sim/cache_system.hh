@@ -36,6 +36,7 @@
 #include "sim/cache.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_index.hh"
 #include "sim/interconnect.hh"
 #include "sim/memory.hh"
 #include "sim/overflow_table.hh"
@@ -386,10 +387,10 @@ class CacheSystem
                 fn(ci);
             return;
         }
-        auto it = presence_.find(la);
         // Snapshot the holder mask: fn may invalidate lines and
         // thereby shrink (or erase) the filter entry while we iterate.
-        const std::uint64_t mask = it == presence_.end() ? 0 : it->second;
+        const std::uint64_t* held = presence_.find(la);
+        const std::uint64_t mask = held ? *held : 0;
         const auto holders =
             static_cast<std::uint64_t>(std::popcount(mask));
         idxStats_.snoopsVisited += holders;
@@ -479,7 +480,7 @@ class CacheSystem
      * given, is a cache-resident line of address @p la: its rw marks
      * (Line::rwReadVid/rwWriteVid/rwGen) let the common re-touch of an
      * already-recorded line skip the hash-set insert entirely. Marks
-     * are validated against rwGen_, which bumps whenever rw_ is
+     * are validated against rwGen_, which bumps whenever the sets are
      * cleared wholesale (abort, VID reset).
      */
     void recordRead(Vid vid, Addr la, Line* l = nullptr);
@@ -593,9 +594,10 @@ class CacheSystem
      * set is rescanned to decide whether the bit survives (sets are
      * tiny, and removals are far rarer than the adds/probes the
      * per-cache count vectors used to tax). Empty-masked entries are
-     * erased eagerly.
+     * erased eagerly. A flat table: an insert allocates nothing once
+     * the table has grown to the working set.
      */
-    std::unordered_map<Addr, std::uint64_t> presence_;
+    FlatAddrMap<std::uint64_t> presence_;
     /** False when caches_.size() > 64 bits of mask; filter disabled. */
     bool filterEnabled_ = true;
     IndexStats idxStats_;
@@ -604,21 +606,49 @@ class CacheSystem
      *  "aborts avoided via SLA" accounting). */
     std::unordered_map<Addr, Vid> shadow_;
 
-    /** Per-live-VID read/write line sets (Figure 9 accounting). */
+    /** One live VID's read/write line sets (Figure 9 accounting). */
     struct RwSets
     {
-        std::unordered_set<Addr> reads;
-        std::unordered_set<Addr> writes;
+        Vid vid = kNonSpecVid;
+        FlatAddrSet reads;
+        FlatAddrSet writes;
+
+        /** Lines in reads ∪ writes (the limited-set K bound and the
+         *  combined-set statistics count these). */
+        std::size_t
+        combinedLines() const
+        {
+            std::size_t n = reads.size();
+            writes.forEach([&](Addr w) { n += !reads.contains(w); });
+            return n;
+        }
     };
-    std::unordered_map<Vid, RwSets> rw_;
-    /** Returns rw_[vid] through a one-entry cache. */
-    RwSets& rwFor(Vid vid);
-    /** Last VID whose sets were looked up (see rwFor). */
-    Vid rwCachedVid_ = 0;
-    RwSets* rwCached_ = nullptr;
     /**
-     * Generation validating Line rw marks; bumped whenever rw_ is
-     * cleared wholesale (abort, VID reset) so stale marks from a
+     * rwSets_[0, rwLive_) are the live VIDs' sets, in no particular
+     * order; the slots beyond are cleared spares. Commit and abort
+     * clear sets without freeing them, so a steady stream of
+     * transactions reuses the same storage.
+     */
+    std::vector<RwSets> rwSets_;
+    std::size_t rwLive_ = 0;
+    /** Live VID -> its index in rwSets_. */
+    FlatAddrMap<std::uint32_t> rwSlot_;
+    /** Live sets of @p vid, or nullptr when it recorded nothing. */
+    const RwSets* rwFind(Vid vid) const;
+    /** Live sets of @p vid, taking a spare slot on first use; cached
+     *  for the last VID looked up. */
+    RwSets& rwFor(Vid vid);
+    /** Retires @p vid's sets (commit), keeping their capacity. */
+    void rwRelease(Vid vid);
+    /** Retires every live VID's sets (abort). */
+    void rwReleaseAll();
+    /** rwSets_ index of the last VID rwFor() returned, if still live. */
+    static constexpr std::size_t kNoRwSlot = ~std::size_t{0};
+    Vid rwCachedVid_ = 0;
+    std::size_t rwCachedSlot_ = kNoRwSlot;
+    /**
+     * Generation validating Line rw marks; bumped whenever the rw sets
+     * are cleared wholesale (abort, VID reset) so stale marks from a
      * previous transaction era can never suppress a fresh insert.
      * Starts at 1: default-initialized lines (rwGen = 0) are stale.
      */
@@ -642,9 +672,9 @@ class CacheSystem
     // Scratch of checkInvariants()/verifyIndexes(): cleared on each
     // call, kept so the self-checks the differ runs every 32 ops do
     // not reallocate.
-    std::unordered_set<Addr> checkAddrs_;
+    FlatAddrSet checkAddrs_;
     std::vector<LineVersion> checkLive_;
-    std::unordered_map<Addr, std::uint64_t> checkWant_;
+    FlatAddrMap<std::uint64_t> checkWant_;
     std::unordered_set<const Line*> checkSeenSpec_;
     std::unordered_set<const Line*> checkSeenDirty_;
 };

@@ -190,17 +190,68 @@ CacheSystem::triggerAbort(const Line* offender)
 
 // --- bookkeeping ----------------------------------------------------------
 
+const CacheSystem::RwSets*
+CacheSystem::rwFind(Vid vid) const
+{
+    const std::uint32_t* slot = rwSlot_.find(vid);
+    return slot ? &rwSets_[*slot] : nullptr;
+}
+
 CacheSystem::RwSets&
 CacheSystem::rwFor(Vid vid)
 {
     // Accesses cluster heavily by VID (each core works through one
-    // transaction at a time), so cache the last node instead of
-    // re-hashing per access. Node pointers are stable across inserts.
-    if (rwCached_ && rwCachedVid_ == vid)
-        return *rwCached_;
-    rwCached_ = &rw_[vid];
+    // transaction at a time), so cache the last slot instead of
+    // probing per access. Slots only move on commit/abort, which
+    // drop the cache.
+    if (rwCachedSlot_ != kNoRwSlot && rwCachedVid_ == vid)
+        return rwSets_[rwCachedSlot_];
+    std::uint32_t slot;
+    if (const std::uint32_t* found = rwSlot_.find(vid)) {
+        slot = *found;
+    } else {
+        // New VID: take the first spare slot (or grow the pool).
+        if (rwLive_ == rwSets_.size())
+            rwSets_.emplace_back();
+        slot = static_cast<std::uint32_t>(rwLive_++);
+        rwSets_[slot].vid = vid;
+        rwSlot_[vid] = slot;
+    }
     rwCachedVid_ = vid;
-    return *rwCached_;
+    rwCachedSlot_ = slot;
+    return rwSets_[slot];
+}
+
+void
+CacheSystem::rwRelease(Vid vid)
+{
+    const std::uint32_t* found = rwSlot_.find(vid);
+    if (!found)
+        return;
+    const std::size_t slot = *found;
+    rwSlot_.erase(vid);
+    RwSets& gone = rwSets_[slot];
+    gone.reads.clear();
+    gone.writes.clear();
+    // Keep the live slots dense: the last live VID moves into the hole.
+    const std::size_t last = --rwLive_;
+    if (slot != last) {
+        std::swap(gone, rwSets_[last]);
+        rwSlot_[gone.vid] = static_cast<std::uint32_t>(slot);
+    }
+    rwCachedSlot_ = kNoRwSlot;
+}
+
+void
+CacheSystem::rwReleaseAll()
+{
+    for (std::size_t i = 0; i < rwLive_; ++i) {
+        rwSets_[i].reads.clear();
+        rwSets_[i].writes.clear();
+    }
+    rwLive_ = 0;
+    rwSlot_.clear();
+    rwCachedSlot_ = kNoRwSlot;
 }
 
 void
@@ -270,18 +321,13 @@ CacheSystem::limitedSetBlocks(Vid vid, Addr la)
 {
     if (!policy_.limitsSpecSets())
         return false;
-    auto it = rw_.find(vid);
-    if (it == rw_.end())
+    const RwSets* s = rwFind(vid);
+    if (!s)
         return policy_.limitedSetExceeded(0);
-    const RwSets& s = it->second;
     // Re-touching a line already in the sets never costs a new entry.
-    if (s.reads.count(la) || s.writes.count(la))
+    if (s->reads.contains(la) || s->writes.contains(la))
         return false;
-    std::size_t combined = s.reads.size();
-    for (Addr w : s.writes)
-        if (!s.reads.count(w))
-            ++combined;
-    return policy_.limitedSetExceeded(combined);
+    return policy_.limitedSetExceeded(s->combinedLines());
 }
 
 AccessResult

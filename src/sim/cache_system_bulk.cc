@@ -35,21 +35,14 @@ CacheSystem::commit(Vid vid)
     ++stats_.committedTxs;
     trace_.event(TraceCommit, eq_.curTick(), "commit VID %u", vid);
 
-    auto it = rw_.find(vid);
-    if (it != rw_.end()) {
-        std::size_t rl = it->second.reads.size();
-        std::size_t wl = it->second.writes.size();
-        std::size_t comb = rl;
-        for (Addr w : it->second.writes)
-            if (!it->second.reads.count(w))
-                ++comb;
-        stats_.readSetLines += rl;
-        stats_.writeSetLines += wl;
+    if (const RwSets* s = rwFind(vid)) {
+        const std::size_t comb = s->combinedLines();
+        stats_.readSetLines += s->reads.size();
+        stats_.writeSetLines += s->writes.size();
         stats_.combinedSetLines += comb;
         stats_.maxCombinedSetLines =
             std::max<std::uint64_t>(stats_.maxCombinedSetLines, comb);
-        rwCached_ = nullptr;
-        rw_.erase(it);
+        rwRelease(vid);
     }
 
     policy_.onCommit(vid);
@@ -114,8 +107,7 @@ CacheSystem::abortAll()
             l.state = State::Invalid;
             l.tag = {};
         });
-    rwCached_ = nullptr;
-    rw_.clear();
+    rwReleaseAll();
     ++rwGen_; // stale Line rw marks must not suppress future inserts
     shadow_.clear();
     policy_.onAbort();
@@ -138,7 +130,7 @@ CacheSystem::vidReset()
     // would leave the machine reset in all but name — exactly the
     // stale-tag hazard §4.6 warns about.
     ++fastGen_; // VID recycling / bulk rewrite: retire all fast tags
-    if (!rw_.empty()) {
+    if (rwLive_ != 0) {
         throw std::logic_error(
             "vidReset with outstanding uncommitted transactions");
     }

@@ -11,10 +11,11 @@
 #define HMTX_SIM_OVERFLOW_TABLE_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "core/types.hh"
 #include "sim/cache.hh"
+#include "sim/flat_index.hh"
 
 namespace hmtx::sim
 {
@@ -23,9 +24,10 @@ namespace hmtx::sim
  * Holds speculative line versions that fell out of the last-level
  * cache, instead of aborting their transaction (§5.4's fallback).
  * Conceptually this is a hash table in main memory walked by a
- * hardware engine; the simulator keeps the entries host-side and the
- * cache system charges the table-walk latency on every spill and
- * refill.
+ * hardware engine; the simulator keeps the entries host-side (a flat
+ * address index over recycled per-address version lists, so steady
+ * spill/refill churn allocates nothing) and the cache system charges
+ * the table-walk latency on every spill and refill.
  *
  * Entries keep their full protocol identity (state, VID tags, data,
  * dirtiness), so a refilled line continues exactly where it left off;
@@ -43,19 +45,29 @@ class OverflowTable
     void
     spill(const Line& line, const LineData& data)
     {
-        auto& v = entries_[line.base];
+        LineSet& v = listFor(line.base);
         v.lines.push_back(line);
         v.data.push_back(data);
         ++spills_;
     }
 
-    /** All spilled versions of @p la (mutable for reconciliation);
-     *  `lines[i]`'s payload is `data[i]`. */
+    /**
+     * All spilled versions of @p la (mutable for reconciliation);
+     * `lines[i]`'s payload is `data[i]`. The pointer is valid until
+     * the next spill().
+     */
     LineSet*
     versionsOf(Addr la)
     {
-        auto it = entries_.find(la);
-        return it == entries_.end() ? nullptr : &it->second;
+        const std::uint32_t* slot = index_.find(la);
+        return slot ? &lists_[*slot].versions : nullptr;
+    }
+
+    const LineSet*
+    versionsOf(Addr la) const
+    {
+        const std::uint32_t* slot = index_.find(la);
+        return slot ? &lists_[*slot].versions : nullptr;
     }
 
     /**
@@ -65,14 +77,14 @@ class OverflowTable
     void
     remove(Addr la, std::size_t idx)
     {
-        auto it = entries_.find(la);
-        if (it == entries_.end())
+        const std::uint32_t* slot = index_.find(la);
+        if (!slot)
             return;
-        auto& v = it->second;
+        auto& v = lists_[*slot].versions;
         v.lines.erase(v.lines.begin() + static_cast<std::ptrdiff_t>(idx));
         v.data.erase(v.data.begin() + static_cast<std::ptrdiff_t>(idx));
         if (v.lines.empty())
-            entries_.erase(it);
+            release(*slot);
         ++refills_;
     }
 
@@ -82,8 +94,10 @@ class OverflowTable
     void
     forEach(Fn&& fn)
     {
-        for (auto it = entries_.begin(); it != entries_.end();) {
-            auto& v = it->second;
+        for (std::uint32_t s = 0; s < lists_.size(); ++s) {
+            if (lists_[s].addr == kFree)
+                continue;
+            auto& v = lists_[s].versions;
             for (std::size_t i = 0; i < v.lines.size(); ++i)
                 fn(v.lines[i], v.data[i]);
             for (std::size_t i = v.lines.size(); i-- > 0;) {
@@ -95,9 +109,7 @@ class OverflowTable
                 }
             }
             if (v.lines.empty())
-                it = entries_.erase(it);
-            else
-                ++it;
+                release(s);
         }
     }
 
@@ -111,9 +123,9 @@ class OverflowTable
     void
     forEachConst(Fn&& fn) const
     {
-        for (const auto& [a, v] : entries_)
-            for (std::size_t i = 0; i < v.lines.size(); ++i)
-                fn(v.lines[i], v.data[i]);
+        for (const AddrList& list : lists_)
+            for (std::size_t i = 0; i < list.versions.lines.size(); ++i)
+                fn(list.versions.lines[i], list.versions.data[i]);
     }
 
     /**
@@ -121,15 +133,15 @@ class OverflowTable
      * before probing versionsOf() so runs that never overflow pay no
      * hash lookup at all.
      */
-    bool empty() const { return entries_.empty(); }
+    bool empty() const { return index_.empty(); }
 
     /** Entries currently held. */
     std::size_t
     size() const
     {
         std::size_t n = 0;
-        for (const auto& [a, v] : entries_)
-            n += v.lines.size();
+        for (const AddrList& list : lists_)
+            n += list.versions.lines.size();
         return n;
     }
 
@@ -143,7 +155,49 @@ class OverflowTable
     static constexpr Cycles kWalkCycles = 60;
 
   private:
-    std::unordered_map<Addr, LineSet> entries_;
+    static constexpr Addr kFree = FlatAddrMap<std::uint32_t>::kEmptyKey;
+
+    /** One address's versions, in spill order. A released list stays
+     *  in lists_ with its vectors' capacity for the next address. */
+    struct AddrList
+    {
+        Addr addr = kFree;
+        LineSet versions;
+    };
+
+    /** The version list of @p la, taking a free one when absent. */
+    LineSet&
+    listFor(Addr la)
+    {
+        if (const std::uint32_t* slot = index_.find(la))
+            return lists_[*slot].versions;
+        std::uint32_t slot;
+        if (!free_.empty()) {
+            slot = free_.back();
+            free_.pop_back();
+        } else {
+            slot = static_cast<std::uint32_t>(lists_.size());
+            lists_.emplace_back();
+        }
+        lists_[slot].addr = la;
+        index_[la] = slot;
+        return lists_[slot].versions;
+    }
+
+    /** Unmaps the (empty) list in @p slot and files it as free. */
+    void
+    release(std::uint32_t slot)
+    {
+        index_.erase(lists_[slot].addr);
+        lists_[slot].addr = kFree;
+        free_.push_back(slot);
+    }
+
+    /** Spilled address -> its list in lists_. */
+    FlatAddrMap<std::uint32_t> index_;
+    std::vector<AddrList> lists_;
+    /** Indices of released lists, reused last-in first-out. */
+    std::vector<std::uint32_t> free_;
     std::uint64_t spills_ = 0;
     std::uint64_t refills_ = 0;
 };

@@ -58,12 +58,17 @@ class Rng
  * P(k) = (k+1)^-theta / H(n, theta), the key-popularity law of
  * OLTP/KV serving traces (theta ~0.99 in YCSB; theta = 0 degenerates
  * to uniform). Implemented as an exact inverse-CDF table — O(n)
- * doubles at construction, O(log n) per draw — rather than the
- * YCSB-style rejection trick, because the table is exact for *any*
- * theta >= 0 (including the theta > 1 high-skew cells the serving
- * sweep measures, where the closed-form approximation breaks down)
- * and the generator runs off the simulation hot path. Draws consume
- * exactly one Rng value, so seeded runs are reproducible.
+ * doubles at construction — rather than the YCSB-style rejection
+ * trick, because the table is exact for *any* theta >= 0 (including
+ * the theta > 1 high-skew cells the serving sweep measures, where the
+ * closed-form approximation breaks down). Draws consume exactly one
+ * Rng value, so seeded runs are reproducible.
+ *
+ * A draw is a guide-table (cut-point) lookup: n equal-width buckets
+ * over [0, total) each remember the rank at their lower edge, and a
+ * short walk in either direction corrects the guess. The result is
+ * exactly the rank a bisection of the CDF returns, in O(1) expected
+ * steps instead of O(log n).
  */
 class ZipfSampler
 {
@@ -71,7 +76,7 @@ class ZipfSampler
     ZipfSampler(std::uint64_t n, double theta)
         : theta_(theta)
     {
-        assert(n > 0 && theta >= 0.0);
+        assert(n > 0 && n <= UINT32_MAX && theta >= 0.0);
         cdf_.reserve(n);
         double cum = 0.0;
         for (std::uint64_t k = 0; k < n; ++k) {
@@ -79,20 +84,50 @@ class ZipfSampler
             cdf_.push_back(cum);
         }
         total_ = cum;
+        guideScale_ = static_cast<double>(n) / total_;
+        // Bucket edges rise with j, so one merge-style sweep finds
+        // every edge's rank (first k with cdf[k] > edge) in O(n).
+        guide_.resize(n);
+        std::size_t k = 0;
+        for (std::uint64_t j = 0; j < n; ++j) {
+            const double edge = static_cast<double>(j) / guideScale_;
+            while (k < n - 1 && cdf_[k] <= edge)
+                ++k;
+            guide_[j] = static_cast<std::uint32_t>(k);
+        }
     }
 
     /** Number of ranks. */
     std::uint64_t n() const { return cdf_.size(); }
 
+    /** Sum of all weights: the CDF's last knot. */
+    double total() const { return total_; }
+
     /** Draws a rank in [0, n) with Zipfian popularity. */
     std::uint64_t
     operator()(Rng& rng) const
     {
-        const double u = rng.uniform() * total_;
-        auto it = std::upper_bound(cdf_.begin(), cdf_.end(), u);
-        const auto k =
-            static_cast<std::uint64_t>(it - cdf_.begin());
-        return k >= cdf_.size() ? cdf_.size() - 1 : k;
+        return rank(rng.uniform() * total_);
+    }
+
+    /**
+     * Rank of the scaled uniform @p u in [0, total()]: the first k
+     * with cdf[k] > u, clamped to n - 1 (std::upper_bound's answer).
+     */
+    std::uint64_t
+    rank(double u) const
+    {
+        const std::size_t last = cdf_.size() - 1;
+        const auto bucket = static_cast<std::size_t>(u * guideScale_);
+        std::size_t k = guide_[std::min(bucket, last)];
+        // The guess is the rank at the bucket's lower edge, usually a
+        // knot or two low; rounding in u * scale can also put it one
+        // bucket high. Walk until cdf[k-1] <= u < cdf[k].
+        while (k > 0 && cdf_[k - 1] > u)
+            --k;
+        while (k < last && cdf_[k] <= u)
+            ++k;
+        return k;
     }
 
     /** Closed-form P(rank k) — what the unit test pins draws to. */
@@ -112,6 +147,10 @@ class ZipfSampler
     double theta_;
     double total_ = 0.0;
     std::vector<double> cdf_;
+    /** guide_[j]: rank at the lower edge of bucket j. */
+    std::vector<std::uint32_t> guide_;
+    /** Buckets per unit of cumulative weight (n / total). */
+    double guideScale_ = 0.0;
 };
 
 /**

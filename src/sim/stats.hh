@@ -331,6 +331,9 @@ class LatencyHistogram
     std::uint64_t sum_ = 0;
     std::uint64_t max_ = 0;
     std::uint64_t min_ = ~std::uint64_t{0};
+
+  public:
+    bool operator==(const LatencyHistogram&) const = default;
 };
 
 /**
@@ -380,6 +383,8 @@ struct ServeStats
     {
         return committed + aborted == issued && committed == requests;
     }
+
+    bool operator==(const ServeStats&) const = default;
 };
 
 } // namespace hmtx::sim

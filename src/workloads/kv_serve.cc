@@ -16,7 +16,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <unordered_map>
 
 #include "runtime/alloc.hh"
 #include "sim/cache_system.hh"
@@ -64,6 +63,9 @@ struct TxInstr
     Addr addr;
     std::uint64_t value;
 };
+
+/** 8-byte words per bucket line (the oracle's granularity). */
+constexpr std::size_t kWordsPerLine = kLineBytes / 8;
 
 /** Longest body: a scan reads two words of each scanned bucket. */
 constexpr unsigned kMaxBody = 2 * 12 + 4;
@@ -159,6 +161,10 @@ class Engine
         }
         runtime::SimAllocator salloc;
         tableBase_ = salloc.allocLines(p_.tableBuckets);
+        if (p_.oracleCheck) {
+            oracle_.resize(p_.tableBuckets * kWordsPerLine);
+            oracleWritten_.resize(oracle_.size());
+        }
     }
 
     KvServeResult run();
@@ -210,7 +216,10 @@ class Engine
     std::vector<sim::Rng> rngs_;
     std::uint32_t nextRid_ = 0;
     KvServeResult res_;
-    std::unordered_map<Addr, std::uint64_t> oracle_;
+    /** Oracle image: the last committed store to each table word,
+     *  indexed by word; oracleWritten_ marks the words ever stored. */
+    std::vector<std::uint64_t> oracle_;
+    std::vector<std::uint8_t> oracleWritten_;
 };
 
 void
@@ -366,10 +375,15 @@ Engine::commitFlight(Flight& f)
     res_.serve.latency.record(lat);
     if (p_.recordLatencies)
         res_.recordedLatencies.push_back(lat);
-    if (p_.oracleCheck)
-        for (unsigned i = 0; i < f.len; ++i)
-            if (f.body[i].isStore)
-                oracle_[f.body[i].addr] = f.body[i].value;
+    if (p_.oracleCheck) {
+        for (unsigned i = 0; i < f.len; ++i) {
+            if (f.body[i].isStore) {
+                const std::size_t w = (f.body[i].addr - tableBase_) / 8;
+                oracle_[w] = f.body[i].value;
+                oracleWritten_[w] = 1;
+            }
+        }
+    }
 }
 
 /**
@@ -548,7 +562,11 @@ Engine::run()
 
     if (p_.oracleCheck) {
         sys_.flushDirtyToMemory();
-        for (const auto& [addr, want] : oracle_) {
+        for (std::size_t w = 0; w < oracle_.size(); ++w) {
+            if (!oracleWritten_[w])
+                continue;
+            const Addr addr = tableBase_ + w * 8;
+            const std::uint64_t want = oracle_[w];
             const std::uint64_t got = sys_.memory().read(addr, 8);
             if (got != want) {
                 std::fprintf(

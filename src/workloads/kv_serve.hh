@@ -22,7 +22,8 @@
  * the fixed-bucket log-scale histogram of sim::ServeStats (exact
  * nearest-rank p50/p99/p999, O(1) per retire), so memory footprint is
  * independent of the request count — the smoke test pins
- * scratchHighWater across run lengths to prove it.
+ * scratchHighWater across run lengths to prove it, and
+ * kv_serve_alloc_test counts operator new calls across run lengths.
  */
 
 #ifndef HMTX_WORKLOADS_KV_SERVE_HH

@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "sim/rng.hh"
@@ -102,6 +104,61 @@ TEST(Zipf, SeededDrawsReproduce)
     Rng a(31337), b(31337);
     for (int i = 0; i < 1000; ++i)
         ASSERT_EQ(zipf(a), zipf(b));
+}
+
+// The guide table only picks where the search starts: rank(u) must
+// return exactly the clamped std::upper_bound rank over the CDF, on
+// seeded draws and on the exact knots and bucket edges where an
+// off-by-one in either correction walk would show.
+TEST(Zipf, GuideTableMatchesBisection)
+{
+    constexpr int kDraws = 100000;
+    for (const double theta : {0.0, 0.99, 1.2, 4.0}) {
+        for (const std::uint64_t n : {1u, 2u, 7u, 8192u}) {
+            SCOPED_TRACE(testing::Message()
+                         << "theta " << theta << " n " << n);
+            const ZipfSampler zipf(n, theta);
+            // Same summation order as the sampler, so the knots and
+            // the total are bit-identical.
+            std::vector<double> cdf;
+            double cum = 0.0;
+            for (std::uint64_t k = 0; k < n; ++k) {
+                cum += std::pow(static_cast<double>(k + 1), -theta);
+                cdf.push_back(cum);
+            }
+            ASSERT_EQ(zipf.total(), cum);
+            auto bisect = [&](double u) {
+                const auto k = static_cast<std::uint64_t>(
+                    std::upper_bound(cdf.begin(), cdf.end(), u) -
+                    cdf.begin());
+                return std::min<std::uint64_t>(k, n - 1);
+            };
+            auto check = [&](double u) {
+                u = std::clamp(u, 0.0, cum);
+                ASSERT_EQ(zipf.rank(u), bisect(u)) << "u " << u;
+            };
+            const double inf = std::numeric_limits<double>::infinity();
+            for (const double knot : cdf) {
+                check(knot);
+                check(std::nextafter(knot, 0.0));
+                check(std::nextafter(knot, inf));
+            }
+            const double scale = static_cast<double>(n) / cum;
+            for (std::uint64_t j = 0; j <= n; ++j) {
+                const double edge = static_cast<double>(j) / scale;
+                check(edge);
+                check(std::nextafter(edge, 0.0));
+                check(std::nextafter(edge, inf));
+            }
+            Rng draws(n * 131 + static_cast<std::uint64_t>(theta * 100));
+            Rng mirror = draws;
+            for (int i = 0; i < kDraws; ++i) {
+                const std::uint64_t want =
+                    bisect(mirror.uniform() * cum);
+                ASSERT_EQ(zipf(draws), want) << "draw " << i;
+            }
+        }
+    }
 }
 
 TEST(BoundedPareto, SamplesStayInBounds)

@@ -3,7 +3,8 @@
  * Deterministic smoke tests for the KV/OLTP serving engine
  * (src/workloads/kv_serve.hh): streaming-percentile exactness against
  * a full sort recompute, oracle + accounting invariants across commit
- * modes, and the O(1)-memory discipline of the request path.
+ * modes (also under the index cross-check and forced full scans), and
+ * the O(1)-memory discipline of the request path.
  */
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 
 #include "sim/config.hh"
 #include "sim/stats.hh"
+#include "kv_serve_smoke.hh"
 #include "workloads/kv_serve.hh"
 
 namespace
@@ -22,61 +24,9 @@ using namespace hmtx;
 using workloads::KvServeParams;
 using workloads::KvServeResult;
 using workloads::runKvServe;
-
-/** The bench's serving geometry (bench/ext_kv_serving.cc): a tiny
- *  hierarchy so the strided scans genuinely overflow it. */
-sim::MachineConfig
-smokeConfig(TxMode mode)
-{
-    sim::MachineConfig cfg;
-    cfg.numCores = 4;
-    cfg.l1SizeKB = 1;
-    cfg.l1Assoc = 2;
-    cfg.l2SizeKB = 8;
-    cfg.l2Assoc = 8;
-    cfg.vidBits = 8;
-    cfg.txMode = mode;
-    if (mode == TxMode::BestEffort) {
-        cfg.btxMaxRetries = 2;
-        cfg.btxAbortThreshold = 8;
-        cfg.unboundedSpecSets = false;
-    } else if (mode == TxMode::LimitedSet) {
-        cfg.limitedSetK = 4;
-        cfg.unboundedSpecSets = false;
-    } else {
-        cfg.unboundedSpecSets = true;
-    }
-    cfg.validate();
-    return cfg;
-}
-
-KvServeParams
-smokeParams(std::uint64_t requests)
-{
-    KvServeParams p;
-    p.requests = requests;
-    p.tableBuckets = 2048;
-    p.keys = 8192;
-    p.zipfTheta = 0.9;
-    p.writeRatio = 0.5;
-    p.transferShare = 0.15;
-    p.scanShare = 0.05;
-    p.arrivalMeanGap = 1500;
-    p.burstDuty = 1.0;
-    p.seed = 7;
-    return p;
-}
-
-/** consistent() plus the oracle verdict, with a readable message. */
-void
-expectClean(const KvServeResult& r, const char* what)
-{
-    EXPECT_TRUE(r.oracleOk)
-        << what << ": final table diverged from the oracle";
-    EXPECT_TRUE(r.serve.consistent())
-        << what << ": issued " << r.serve.issued << " != committed "
-        << r.serve.committed << " + aborted " << r.serve.aborted;
-}
+using kv_smoke::expectClean;
+using kv_smoke::smokeConfig;
+using kv_smoke::smokeParams;
 
 // The streaming histogram must agree with a full sort of the same
 // samples at every reported percentile: nearest-rank, quantized to
@@ -111,23 +61,54 @@ TEST(KvServe, StreamingPercentilesMatchSortRecompute)
     EXPECT_EQ(r.serve.latency.min(), lat.front());
 }
 
+/**
+ * Runs one smoke cell plain, then twice more: with the index
+ * cross-check after every bulk operation and with the indexes bypassed
+ * by full scans. The serving path churns the presence filter, the rw
+ * sets and the overflow table harder than any other workload; both
+ * variants must reproduce the plain run exactly.
+ */
+KvServeResult
+runCrossChecked(TxMode mode, std::uint64_t requests, const char* what)
+{
+    const KvServeResult plain =
+        runKvServe(smokeConfig(mode), smokeParams(requests));
+    for (const bool fullScan : {false, true}) {
+        sim::MachineConfig cfg = smokeConfig(mode);
+        (fullScan ? cfg.forceFullScan : cfg.indexCrossCheck) = true;
+        const char* knob = fullScan ? "forceFullScan" : "indexCrossCheck";
+        const KvServeResult r = runKvServe(cfg, smokeParams(requests));
+        expectClean(r, what);
+        EXPECT_TRUE(r.sys == plain.sys) << what << " with " << knob;
+        EXPECT_TRUE(r.serve == plain.serve) << what << " with " << knob;
+        EXPECT_EQ(r.makespan, plain.makespan) << what << " with " << knob;
+    }
+    return plain;
+}
+
 // Oracle + accounting across the commit-mode axis, including both
 // bounded machines actually exercising their bounds on this workload:
 // best-effort must capacity-abort into the fallback lock (scans
 // overflow the hierarchy) and limited-set must route over-K scans
-// onto the non-speculative path.
+// onto the non-speculative path. Every mode is also replayed under
+// the index cross-check and under forced full scans.
 TEST(KvServe, OracleAndAccountingAcrossModes)
 {
     const KvServeResult lazy =
-        runKvServe(smokeConfig(TxMode::LazyHmtx), smokeParams(3000));
+        runCrossChecked(TxMode::LazyHmtx, 3000, "lazy");
     expectClean(lazy, "lazy");
     EXPECT_EQ(lazy.serve.requests, 3000u);
     EXPECT_EQ(lazy.serve.committed, 3000u);
     EXPECT_GT(lazy.sys.specSpills, 0u)
         << "unbounded HMTX should absorb scan overflow by spilling";
 
+    const KvServeResult eager =
+        runCrossChecked(TxMode::EagerHmtx, 3000, "eager");
+    expectClean(eager, "eager");
+    EXPECT_EQ(eager.serve.committed, 3000u);
+
     const KvServeResult btx =
-        runKvServe(smokeConfig(TxMode::BestEffort), smokeParams(3000));
+        runCrossChecked(TxMode::BestEffort, 3000, "best-effort");
     expectClean(btx, "best-effort");
     EXPECT_EQ(btx.serve.committed, 3000u);
     EXPECT_GT(btx.sys.capacityAborts, 0u);
@@ -138,7 +119,7 @@ TEST(KvServe, OracleAndAccountingAcrossModes)
            "stores would be silently lost)";
 
     const KvServeResult ltd =
-        runKvServe(smokeConfig(TxMode::LimitedSet), smokeParams(3000));
+        runCrossChecked(TxMode::LimitedSet, 3000, "limited-set");
     expectClean(ltd, "limited-set");
     EXPECT_EQ(ltd.serve.committed, 3000u);
     EXPECT_GT(ltd.serve.nonSpecFallbacks, 0u)
