@@ -120,7 +120,10 @@ fi
 # tests, then every workload end to end for a short window on the
 # default seed and on the held-out seed. run.py exits non-zero on a
 # wrong output, a sim_digest that does not repeat across passes, or a
-# layer-split violation. No timing is gated here.
+# layer-split violation. Each run's sim_digest must also equal the one
+# pinned in ci/sim_digests.txt (a change that deliberately alters
+# simulated behaviour updates that file in the same commit). No timing
+# is gated here.
 if printf '%s\n' "${PRESETS[@]}" | grep -qx release; then
     echo "==== perfbench: harness unit tests ===="
     if ! PYTHONDONTWRITEBYTECODE=1 \
@@ -128,17 +131,60 @@ if printf '%s\n' "${PRESETS[@]}" | grep -qx release; then
         echo "FATAL: perfbench unit tests failed" >&2
         exit 1
     fi
+    PB_LOGS=()
     for seed in 1 7919; do
         echo "==== perfbench: all workloads, seed $seed, 2 s each ===="
+        PB_LOG=$(mktemp)
+        PB_LOGS+=("$PB_LOG")
         if ! CARGO_TARGET_DIR="$ROOT/build-release/perfbench" \
             PYTHONDONTWRITEBYTECODE=1 \
             python3 perfbench/run.py --seconds 2 --trace 0 \
-                --seed "$seed"; then
+                --seed "$seed" | tee "$PB_LOG"; then
             echo "FATAL: perfbench run (seed $seed) reported a wrong" \
                  "output or failed to run" >&2
             exit 1
         fi
     done
+    echo "==== perfbench: sim_digest vs ci/sim_digests.txt ===="
+    python3 - "$ROOT/ci/sim_digests.txt" "${PB_LOGS[@]}" <<'EOF'
+import re
+import sys
+
+pinned_path, *logs = sys.argv[1:]
+pinned = {}
+with open(pinned_path) as f:
+    for line in f:
+        fields = line.split("#", 1)[0].split()
+        if fields:
+            pinned[(fields[0], fields[1])] = fields[2]
+
+got = {}
+for log in logs:
+    key = None
+    with open(log) as f:
+        for line in f:
+            m = re.match(r"== (\S+): seed (\d+),", line)
+            if m:
+                key = m.groups()
+                continue
+            m = re.match(r"\s+sim_digest\s+(\S+)", line)
+            if m and key:
+                got[key] = m.group(1)
+
+bad = False
+for key in sorted(set(pinned) | set(got)):
+    want, have = pinned.get(key), got.get(key)
+    verdict = "ok" if want == have else "MISMATCH"
+    print(f"  {key[0]:<20} seed {key[1]:<5} pinned {want} got {have} "
+          f"{verdict}")
+    bad |= want != have
+if bad:
+    sys.exit("FATAL: sim_digest differs from ci/sim_digests.txt; "
+             "simulated behaviour changed (update the file only when "
+             "the change is meant to alter it)")
+print("sim_digest pin: ok")
+EOF
+    rm -f "${PB_LOGS[@]}"
 fi
 
 # Bench smoke + hot-path regression gate (Release timings only; the

@@ -16,7 +16,11 @@
  *   2. allocate data in setup(): shared read-only tables anywhere,
  *      per-iteration *written* data in an IterRegion so concurrent
  *      transactions never collide on a cache line;
- *   3. implement stage2() against MemIf — plain loads/stores/branches;
+ *   3. implement stage2() against MemIf — plain loads/stores/branches,
+ *      each written `co_await mem.op(...)` on the spot: the op runs,
+ *      and a transaction abort throws, at that co_await (a plain
+ *      access costs no coroutine frame, and no event when nothing
+ *      else is due);
  *   4. implement checksum() so every execution model can be verified
  *      against sequential execution.
  */

@@ -7,7 +7,6 @@
 #define HMTX_CORE_SLA_HH
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/types.hh"
@@ -73,16 +72,20 @@ class SlaUnit
         ++enqueued_;
     }
 
+    /** The buffered entries, oldest first. */
+    const std::vector<SlaEntry>& entries() const { return pending_; }
+
     /**
-     * Removes and returns every buffered entry; called when the
-     * guarding branches of the buffered loads have resolved correctly
-     * and the acknowledgments can be sent to the cache system.
+     * Sends every buffered entry; called when the guarding branches
+     * of the buffered loads have resolved correctly and the
+     * acknowledgments can go to the cache system. The buffer keeps its
+     * storage for the next batch.
      */
-    std::vector<SlaEntry>
+    void
     drain()
     {
         sent_ += pending_.size();
-        return std::exchange(pending_, {});
+        pending_.clear();
     }
 
     /**

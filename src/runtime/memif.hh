@@ -9,7 +9,9 @@
 #ifndef HMTX_RUNTIME_MEMIF_HH
 #define HMTX_RUNTIME_MEMIF_HH
 
+#include <coroutine>
 #include <cstdint>
+#include <utility>
 
 #include "core/types.hh"
 #include "runtime/thread_context.hh"
@@ -19,10 +21,55 @@ namespace hmtx::runtime
 {
 
 /**
+ * The one awaitable every MemIf operation returns. A plain access is
+ * the ThreadContext's OpAwait itself, so it costs no coroutine frame
+ * and, when nothing else is due, no event (DESIGN.md §13). An access
+ * that an execution model surrounds with simulated work of its own
+ * (SMTX barriers and logging) carries that work as a Task instead.
+ *
+ * Either way the operation's effect and its abort belong to the
+ * `co_await`: write `co_await mem.op(...)` at the call site, as every
+ * workload does. The awaited value is the loaded word, the stored
+ * word, or the branch outcome (1 taken, 0 not taken).
+ */
+class MemOp
+{
+  public:
+    MemOp(OpAwait op) : op_(op) {}
+    MemOp(sim::Task<std::uint64_t> t)
+        : task_(std::move(t)), wrapped_(true)
+    {}
+
+    bool await_ready() const { return !wrapped_ && op_.await_ready(); }
+
+    std::coroutine_handle<>
+    await_suspend(std::coroutine_handle<> h)
+    {
+        if (wrapped_)
+            return task_.await_suspend(h);
+        op_.await_suspend(h);
+        return std::noop_coroutine();
+    }
+
+    std::uint64_t
+    await_resume()
+    {
+        return wrapped_ ? task_.await_resume() : op_.await_resume();
+    }
+
+  private:
+    OpAwait op_;
+    sim::Task<std::uint64_t> task_;
+    bool wrapped_ = false;
+};
+
+/**
  * Memory operations as seen by workload code. Implementations route
  * them to the simulated core with whatever extra behaviour the
  * execution model requires (HMTX: nothing, the hardware does the
- * validation; SMTX: per-access logging and forwarding).
+ * validation; SMTX: per-access logging and forwarding). Each returns a
+ * MemOp to `co_await` on the spot; a plain pass-through hands back the
+ * core's own awaitable and allocates nothing.
  */
 class MemIf
 {
@@ -30,21 +77,19 @@ class MemIf
     virtual ~MemIf() = default;
 
     /** Loads @p size bytes at @p a. */
-    virtual sim::Task<std::uint64_t> load(Addr a, unsigned size = 8)
-        = 0;
+    virtual MemOp load(Addr a, unsigned size = 8) = 0;
 
     /** Stores @p size bytes of @p v at @p a. */
-    virtual sim::Task<void> store(Addr a, std::uint64_t v,
-                                  unsigned size = 8) = 0;
+    virtual MemOp store(Addr a, std::uint64_t v, unsigned size = 8) = 0;
 
     /** Models @p c cycles of computation. */
-    virtual sim::Task<void> compute(Cycles c) = 0;
+    virtual MemOp compute(Cycles c) = 0;
 
     /**
-     * Models a conditional branch and returns @p taken so workloads
+     * Models a conditional branch and yields @p taken so workloads
      * can branch on data they just computed.
      */
-    virtual sim::Task<bool> branch(Addr pc, bool taken) = 0;
+    virtual MemOp branch(Addr pc, bool taken) = 0;
 };
 
 /**
@@ -57,28 +102,24 @@ class DirectMem final : public MemIf
   public:
     explicit DirectMem(ThreadContext& tc) : tc_(tc) {}
 
-    sim::Task<std::uint64_t>
+    MemOp
     load(Addr a, unsigned size = 8) override
     {
-        co_return co_await tc_.load(a, size);
+        return tc_.load(a, size);
     }
 
-    sim::Task<void>
+    MemOp
     store(Addr a, std::uint64_t v, unsigned size = 8) override
     {
-        co_await tc_.store(a, v, size);
+        return tc_.store(a, v, size);
     }
 
-    sim::Task<void>
-    compute(Cycles c) override
-    {
-        co_await tc_.compute(c);
-    }
+    MemOp compute(Cycles c) override { return tc_.compute(c); }
 
-    sim::Task<bool>
+    MemOp
     branch(Addr pc, bool taken) override
     {
-        co_return co_await tc_.branch(pc, taken) != 0;
+        return tc_.branch(pc, taken);
     }
 
   private:

@@ -75,8 +75,8 @@ ThreadContext::load(Addr a, unsigned size)
         sla_.push({a, vid_, r.value, size});
     OpAwait op{&m_.eq(), m_.now() + 1 + r.latency, r.value,
                r.aborted, vid_};
-    op.fastHint = r.fastHit && !r.aborted;
-    op.fstats = &m_.sys().fastStats();
+    if (r.fastHit)
+        op.fstats = &m_.sys().fastStats();
     return op;
 }
 
@@ -90,8 +90,8 @@ ThreadContext::store(Addr a, std::uint64_t v, unsigned size)
     noteAddr(a);
     OpAwait op{&m_.eq(), m_.now() + 1 + r.latency, v, r.aborted,
                vid_};
-    op.fastHint = r.fastHit && !r.aborted;
-    op.fstats = &m_.sys().fastStats();
+    if (r.fastHit)
+        op.fstats = &m_.sys().fastStats();
     return op;
 }
 

@@ -27,7 +27,9 @@ class Machine;
 /**
  * Awaitable returned by every timed ThreadContext operation. It carries
  * the already-computed outcome (the operation executed at call time)
- * and schedules its wake-up.
+ * and schedules its wake-up — unless nothing else is due by then
+ * (DESIGN.md §13), in which case the coroutine continues inline at
+ * `wake` with zero events.
  */
 struct OpAwait
 {
@@ -36,25 +38,34 @@ struct OpAwait
     std::uint64_t value = 0;
     bool abort = false;
     Vid vid = 0;
-    /** The access retired on the zero-event fast path (DESIGN.md §13):
-     *  if nothing else can fire before `wake`, skip the event queue
-     *  entirely and continue the coroutine without suspending. */
-    bool fastHint = false;
-    /** Bypass counter sink, set alongside fastHint. */
+    /** Set only on accesses that retired on the hit fast path: their
+     *  zero-event wake-ups count in FastStats::eventBypasses. */
     sim::FastStats* fstats = nullptr;
 
-    bool await_ready() const noexcept { return false; }
-
+    /**
+     * Zero-event wake-up: when nothing else is due by `wake`, jump the
+     * clock there and continue without suspending. Legal only while
+     * the event loop is resuming this coroutine
+     * (EventQueue::dispatching()), where the rest of the step is this
+     * coroutine's own code. An aborted op always takes its event.
+     * Deciding here rather than in await_suspend() means a jump never
+     * suspends at all, so a long run of jumps cannot nest resumptions
+     * on the host stack.
+     */
     bool
+    await_ready() const
+    {
+        if (abort || !eq->dispatching() || !eq->tryBypass(wake))
+            return false;
+        if (fstats != nullptr)
+            ++fstats->eventBypasses;
+        return true;
+    }
+
+    void
     await_suspend(std::coroutine_handle<> h) const
     {
-        if (fastHint && eq->tryBypass(wake)) {
-            if (fstats != nullptr)
-                ++fstats->eventBypasses;
-            return false; // zero events: continue inline at `wake`
-        }
         eq->scheduleResume(wake, h);
-        return true;
     }
 
     std::uint64_t

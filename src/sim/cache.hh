@@ -14,6 +14,7 @@
 #ifndef HMTX_SIM_CACHE_HH
 #define HMTX_SIM_CACHE_HH
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -211,7 +212,8 @@ class Cache
     Cache(std::string name, unsigned sets, unsigned assoc,
           std::uint32_t id = kNoCacheId)
         : name_(std::move(name)), id_(id), setCount_(sets),
-          assoc_(assoc), sets_(sets)
+          pow2Sets_(std::has_single_bit(sets)), assoc_(assoc),
+          sets_(sets)
     {}
 
     const std::string& name() const { return name_; }
@@ -339,11 +341,13 @@ class Cache
             fn(l);
     }
 
-    /** Set index for an address. */
+    /** Set index for an address: a mask for power-of-two set counts
+     *  (every built-in geometry), a modulo for the rest. */
     std::size_t
     setIndex(Addr a) const
     {
-        return (a >> kLineShift) % setCount_;
+        const std::size_t n = a >> kLineShift;
+        return pow2Sets_ ? n & (setCount_ - 1) : n % setCount_;
     }
 
     /** Both planes of the set containing @p a. */
@@ -452,6 +456,7 @@ class Cache
     std::string name_;
     std::uint32_t id_;
     unsigned setCount_;
+    bool pow2Sets_;
     unsigned assoc_;
     std::vector<LineSet> sets_;
     /** Class registries of slots that were spec (resp. dirty) when

@@ -447,21 +447,13 @@ CacheSystem::allocate(Cache& c, Addr la)
 std::uint64_t
 CacheSystem::readData(const Line& l, Addr a, unsigned size) const
 {
-    const LineData& d = dataOf(l);
-    std::uint64_t v = 0;
-    unsigned off = lineOffset(a);
-    for (unsigned i = 0; i < size; ++i)
-        v |= static_cast<std::uint64_t>(d[off + i]) << (8 * i);
-    return v;
+    return readLe(dataOf(l), lineOffset(a), size);
 }
 
 void
 CacheSystem::writeData(Line& l, Addr a, std::uint64_t v, unsigned size)
 {
-    LineData& d = dataOf(l);
-    unsigned off = lineOffset(a);
-    for (unsigned i = 0; i < size; ++i)
-        d[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    writeLe(dataOf(l), lineOffset(a), v, size);
 }
 
 void

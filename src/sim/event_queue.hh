@@ -108,14 +108,17 @@ class EventQueue
      * (any wheel event aliasing it would itself be pending at or
      * before @p wake), so the jump preserves the wheel invariants.
      * executed() intentionally does not count bypassed wake-ups.
+     *
+     * The call itself does not know who is asking: a caller that sits
+     * inside a larger step (a callback event, a root's start()) must
+     * check dispatching() first, or the rest of that step runs at the
+     * later tick.
      * @return true when the jump was taken (@p wake is now curTick())
      */
     bool
     tryBypass(Tick wake)
     {
-        if (wake < now_)
-            return false;
-        if (pending() != 0 && nextWhen() <= wake)
+        if (wake < now_ || dueBy(wake))
             return false;
         // Retire the current tick's bucket exactly as advance() does
         // (drainIdx_ != 0 implies the wheel is allocated).
@@ -144,12 +147,26 @@ class EventQueue
         Event ev = std::move(b[drainIdx_++]);
         --wheelCount_;
         ++executed_;
-        if (ev.h)
+        if (ev.h) {
+            dispatching_ = true;
             ev.h.resume();
-        else
+            dispatching_ = false;
+        } else {
             (*ev.fn)();
+        }
         return true;
     }
+
+    /**
+     * True while step() is resuming a coroutine event — the only
+     * place where the resumed coroutine is the whole remainder of the
+     * step, so a zero-event wake-up (tryBypass()) taken from inside it
+     * is exactly the schedule-then-fire it replaces. False during a
+     * callback event (its code after the resume would see the jumped
+     * tick) and outside the loop (e.g. a root's first slice, run
+     * before its siblings exist).
+     */
+    bool dispatching() const { return dispatching_; }
 
     /** Runs until no events remain. */
     void
@@ -162,7 +179,7 @@ class EventQueue
     void
     runUntil(Tick limit)
     {
-        while (pending() != 0 && nextWhen() <= limit)
+        while (limit >= now_ && dueBy(limit))
             step();
         if (now_ < limit && pending() == 0)
             now_ = limit;
@@ -195,17 +212,58 @@ class EventQueue
     static std::size_t bucketOf(Tick t) { return t & kMask; }
 
     /**
-     * Tick of the next pending event.
-     * @pre pending() != 0 (so the wheel is allocated)
+     * True when some pending event is due at or before @p t. Looks
+     * only where such an event can be: the current bucket's undrained
+     * tail, the overflow heap's top, and the occupancy words covering
+     * buckets (now_, t] — masked word by word, at most
+     * (t - now_) / 64 + 2 words, never a scan of the whole wheel.
+     * @pre t >= curTick()
      */
-    Tick
-    nextWhen() const
+    bool
+    dueBy(Tick t) const
     {
+        if (wheel_.empty())
+            return false; // never scheduled: nothing pending
         if (drainIdx_ < wheel_[bucketOf(now_)].size())
-            return now_;
-        const Tick wn = nextWheelTick();
-        const Tick fn = far_.empty() ? ~Tick{0} : far_.top().when;
-        return std::min(wn, fn);
+            return true;
+        if (!far_.empty() && far_.top().when <= t)
+            return true;
+        if (wheelCount_ == 0)
+            return false;
+        // Every wheel event lies in (now_, now_ + kWheelTicks) once
+        // the current bucket is drained, so a span reaching the end of
+        // the window covers them all.
+        const Tick span = t - now_;
+        if (span >= kWheelTicks - 1)
+            return true;
+        if (span == 0)
+            return false;
+        // Buckets now_+1 .. t, wrapping at most once; the current
+        // bucket (whose bit may be stale) is never in the range.
+        const std::size_t first = bucketOf(now_ + 1);
+        const std::size_t last = bucketOf(t);
+        return first <= last ? occupied(first, last)
+                             : occupied(first, kMask) ||
+                occupied(0, last);
+    }
+
+    /** True when any bucket in [first, last] has its bit set.
+     *  @pre first <= last < kWheelTicks */
+    bool
+    occupied(std::size_t first, std::size_t last) const
+    {
+        const std::size_t fw = first >> 6;
+        const std::size_t lw = last >> 6;
+        const std::uint64_t lo = ~std::uint64_t{0} << (first & 63);
+        const std::uint64_t hi = ~std::uint64_t{0} >> (63 - (last & 63));
+        if (fw == lw)
+            return (occ_[fw] & lo & hi) != 0;
+        if ((occ_[fw] & lo) != 0 || (occ_[lw] & hi) != 0)
+            return true;
+        for (std::size_t w = fw + 1; w < lw; ++w)
+            if (occ_[w] != 0)
+                return true;
+        return false;
     }
 
     void
@@ -234,7 +292,7 @@ class EventQueue
      * bucket, or ~0 when none. The current bucket is excluded on
      * purpose: its occupancy bit may be stale (set while its events
      * have all been drained — the bit is only cleared when the bucket
-     * retires), and both callers handle in-flight current-tick events
+     * retires), and advance() handles in-flight current-tick events
      * before calling.
      */
     Tick
@@ -325,6 +383,7 @@ class EventQueue
     Tick now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t executed_ = 0;
+    bool dispatching_ = false;
 };
 
 } // namespace hmtx::sim

@@ -7,7 +7,9 @@
 #define HMTX_SIM_MEMORY_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <unordered_map>
 
 #include "core/types.hh"
@@ -17,6 +19,30 @@ namespace hmtx::sim
 
 /** One cache line's worth of backing data. */
 using LineData = std::array<std::uint8_t, kLineBytes>;
+
+// Simulated memory is little-endian; the byte copies below rely on
+// the host agreeing.
+static_assert(std::endian::native == std::endian::little);
+
+/**
+ * Reads the little-endian integer of @p size bytes at byte @p off of
+ * @p d. @pre size <= 8 and off + size <= kLineBytes
+ */
+inline std::uint64_t
+readLe(const LineData& d, unsigned off, unsigned size)
+{
+    std::uint64_t v = 0;
+    std::memcpy(&v, d.data() + off, size);
+    return v;
+}
+
+/** Writes the low @p size bytes of @p v at byte @p off of @p d,
+ *  little-endian. @pre size <= 8 and off + size <= kLineBytes */
+inline void
+writeLe(LineData& d, unsigned off, std::uint64_t v, unsigned size)
+{
+    std::memcpy(d.data() + off, &v, size);
+}
 
 /**
  * Sparse functional main memory. Lines materialize zero-filled on
@@ -49,22 +75,14 @@ class MainMemory
     std::uint64_t
     read(Addr a, unsigned size)
     {
-        const LineData& d = lines_[lineAddr(a)];
-        std::uint64_t v = 0;
-        unsigned off = lineOffset(a);
-        for (unsigned i = 0; i < size; ++i)
-            v |= static_cast<std::uint64_t>(d[off + i]) << (8 * i);
-        return v;
+        return readLe(lines_[lineAddr(a)], lineOffset(a), size);
     }
 
     /** Writes an integer of @p size bytes (little-endian) at @p a. */
     void
     write(Addr a, std::uint64_t v, unsigned size)
     {
-        LineData& d = lines_[lineAddr(a)];
-        unsigned off = lineOffset(a);
-        for (unsigned i = 0; i < size; ++i)
-            d[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
+        writeLe(lines_[lineAddr(a)], lineOffset(a), v, size);
     }
 
     /** Number of lines ever touched. */

@@ -42,9 +42,10 @@ namespace detail
 {
 
 /**
- * Size-bucketed recycler for coroutine frames. Every simulated memory
- * operation is a short-lived Task whose frame would otherwise hit the
- * global heap twice (allocate + free) — millions of times per run.
+ * Size-bucketed recycler for coroutine frames. Short-lived Tasks (SMTX
+ * barriered accesses, queue produce/consume, workload helpers) would
+ * otherwise hit the global heap twice (allocate + free) — millions of
+ * times per run.
  * Freed frames are kept in per-size free lists and handed back to the
  * next coroutine of the same size. The pool is per-thread and only
  * ever as large as the peak number of simultaneously live frames.

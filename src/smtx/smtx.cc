@@ -168,8 +168,32 @@ SmtxRuntime::commitProcess(runtime::ThreadContext& tc,
 
 // --- SmtxMem -------------------------------------------------------------
 
-sim::Task<std::uint64_t>
+runtime::MemOp
 SmtxMem::load(Addr a, unsigned size)
+{
+    return barrierLoad(a, size);
+}
+
+runtime::MemOp
+SmtxMem::store(Addr a, std::uint64_t v, unsigned size)
+{
+    return barrierStore(a, v, size);
+}
+
+runtime::MemOp
+SmtxMem::compute(Cycles c)
+{
+    return tc_.compute(c);
+}
+
+runtime::MemOp
+SmtxMem::branch(Addr pc, bool taken)
+{
+    return tc_.branch(pc, taken);
+}
+
+sim::Task<std::uint64_t>
+SmtxMem::barrierLoad(Addr a, unsigned size)
 {
     co_await tc_.compute(kStmReadBarrier);
     std::uint64_t v = co_await tc_.load(a, size);
@@ -178,8 +202,8 @@ SmtxMem::load(Addr a, unsigned size)
     co_return v;
 }
 
-sim::Task<void>
-SmtxMem::store(Addr a, std::uint64_t v, unsigned size)
+sim::Task<std::uint64_t>
+SmtxMem::barrierStore(Addr a, std::uint64_t v, unsigned size)
 {
     co_await tc_.compute(kStmWriteBarrier);
     co_await tc_.store(a, v, size);
@@ -188,18 +212,7 @@ SmtxMem::store(Addr a, std::uint64_t v, unsigned size)
         if (pendingForwards_)
             pendingForwards_->push_back(a);
     }
-}
-
-sim::Task<void>
-SmtxMem::compute(Cycles c)
-{
-    co_await tc_.compute(c);
-}
-
-sim::Task<bool>
-SmtxMem::branch(Addr pc, bool taken)
-{
-    co_return co_await tc_.branch(pc, taken) != 0;
+    co_return v;
 }
 
 // --- SmtxRunner -----------------------------------------------------------

@@ -160,13 +160,18 @@ class SmtxMem final : public runtime::MemIf
           pendingForwards_(pendingForwards)
     {}
 
-    sim::Task<std::uint64_t> load(Addr a, unsigned size = 8) override;
-    sim::Task<void> store(Addr a, std::uint64_t v,
-                          unsigned size = 8) override;
-    sim::Task<void> compute(Cycles c) override;
-    sim::Task<bool> branch(Addr pc, bool taken) override;
+    runtime::MemOp load(Addr a, unsigned size = 8) override;
+    runtime::MemOp store(Addr a, std::uint64_t v,
+                         unsigned size = 8) override;
+    runtime::MemOp compute(Cycles c) override;
+    runtime::MemOp branch(Addr pc, bool taken) override;
 
   private:
+    /** The access inside its STM barrier, logged in Maximal mode. */
+    sim::Task<std::uint64_t> barrierLoad(Addr a, unsigned size);
+    sim::Task<std::uint64_t> barrierStore(Addr a, std::uint64_t v,
+                                          unsigned size);
+
     runtime::ThreadContext& tc_;
     SmtxRuntime& rt_;
     unsigned producer_;

@@ -19,11 +19,12 @@ TEST(SlaUnit, BuffersAndDrains)
     u.push({0x140, 2, 7, 4});
     EXPECT_EQ(u.size(), 2u);
 
-    auto drained = u.drain();
-    ASSERT_EQ(drained.size(), 2u);
-    EXPECT_EQ(drained[0].addr, 0x100u);
-    EXPECT_EQ(drained[0].value, 42u);
-    EXPECT_EQ(drained[1].vid, 2u);
+    const auto& buffered = u.entries();
+    ASSERT_EQ(buffered.size(), 2u);
+    EXPECT_EQ(buffered[0].addr, 0x100u);
+    EXPECT_EQ(buffered[0].value, 42u);
+    EXPECT_EQ(buffered[1].vid, 2u);
+    u.drain();
     EXPECT_EQ(u.size(), 0u);
     EXPECT_EQ(u.sent(), 2u);
 }

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <utility>
 #include <vector>
 
@@ -210,6 +212,153 @@ TEST(EventQueueUnscheduled, FarAndNearFirstEventsKeepScheduleOrder)
     // fires after them once they migrate into its bucket.
     EXPECT_EQ(f, (Firings{{10, 1}, {1000, 3}, {5000, 0}, {5000, 2},
                           {5000, 4}, {9000, 5}}));
+}
+
+// --- the bounded due check behind tryBypass() -----------------------
+//
+// A bypass to `wake` is refused exactly when some pending event is due
+// at or before `wake`, wherever it sits: the current bucket's
+// undrained tail, a wheel bucket in (now, wake], or the far heap.
+
+/** Wheel span of the queue (EventQueue::kWheelTicks). */
+constexpr Tick kWheel = 4096;
+
+TEST(EventQueueDue, EventExactlyAtWakeRefuses)
+{
+    EventQueue eq;
+    eq.schedule(10, [] {});
+    EXPECT_FALSE(eq.tryBypass(10));
+    EXPECT_EQ(eq.curTick(), 0u);
+}
+
+TEST(EventQueueDue, EventOneTickLaterAccepts)
+{
+    EventQueue eq;
+    Firings out;
+    at(eq, out, 11, 0);
+    EXPECT_TRUE(eq.tryBypass(10));
+    EXPECT_EQ(eq.curTick(), 10u);
+    eq.run();
+    EXPECT_EQ(out, (Firings{{11, 0}}));
+}
+
+TEST(EventQueueDue, SpanAcrossManyOccupancyWords)
+{
+    EventQueue eq;
+    eq.schedule(500, [] {}); // an inner word of the range [1, 1000]
+    EXPECT_FALSE(eq.tryBypass(1000));
+    EXPECT_TRUE(eq.tryBypass(499));
+    EXPECT_FALSE(eq.tryBypass(500));
+}
+
+TEST(EventQueueDue, WakeAtLeastAWheelAhead)
+{
+    EventQueue eq;
+    eq.schedule(kWheel - 1, [] {}); // the last wheel tick
+    EXPECT_FALSE(eq.tryBypass(kWheel + 5));
+    EXPECT_FALSE(eq.tryBypass(kWheel - 1));
+    EXPECT_TRUE(eq.tryBypass(kWheel - 2));
+    eq.run();
+    EXPECT_EQ(eq.curTick(), kWheel - 1);
+    // Nothing pending: any distance is fine.
+    EXPECT_TRUE(eq.tryBypass(eq.curTick() + 3 * kWheel));
+}
+
+TEST(EventQueueDue, FarHeapEventAtOrBeforeWakeRefuses)
+{
+    EventQueue eq;
+    Firings out;
+    at(eq, out, kWheel + 904, 0); // >= a wheel ahead: far heap
+    EXPECT_FALSE(eq.tryBypass(kWheel + 904));
+    EXPECT_FALSE(eq.tryBypass(2 * kWheel));
+    EXPECT_TRUE(eq.tryBypass(kWheel + 903));
+    eq.run();
+    EXPECT_EQ(out, (Firings{{kWheel + 904, 0}}));
+}
+
+TEST(EventQueueDue, RangeWrappingPastTheWheelEnd)
+{
+    EventQueue eq;
+    EXPECT_TRUE(eq.tryBypass(4000));
+    eq.schedule(4100, [] {}); // bucket 4, after the wrap
+    EXPECT_FALSE(eq.tryBypass(4200));
+    EXPECT_FALSE(eq.tryBypass(4100));
+    EXPECT_TRUE(eq.tryBypass(4099));
+}
+
+TEST(EventQueueDue, UndrainedCurrentTickRefuses)
+{
+    EventQueue eq;
+    eq.schedule(5, [] {});
+    eq.schedule(5, [] {});
+    ASSERT_TRUE(eq.step()); // one of the two tick-5 events left
+    EXPECT_FALSE(eq.tryBypass(5));
+    EXPECT_FALSE(eq.tryBypass(6));
+}
+
+TEST(EventQueueDue, StaleOccupancyBitOnCurrentBucketIsIgnored)
+{
+    EventQueue eq;
+    Firings out;
+    eq.schedule(5, [] {});
+    at(eq, out, 5 + kWheel - 1, 0); // bucket 4: one behind bucket 5
+    ASSERT_TRUE(eq.step());
+    // Bucket 5 is drained but its bit stays set until it retires; the
+    // range (5, 5 + kWheel - 2] wraps around every other bucket but 4.
+    EXPECT_FALSE(eq.tryBypass(5 + kWheel - 1));
+    EXPECT_TRUE(eq.tryBypass(5 + kWheel - 2));
+    eq.run();
+    EXPECT_EQ(out, (Firings{{5 + kWheel - 1, 0}}));
+}
+
+TEST(EventQueueDue, NeverScheduledQueueAlwaysBypasses)
+{
+    // kv_serve's direct drive: the queue only keeps the clock.
+    EventQueue eq;
+    EXPECT_TRUE(eq.tryBypass(7));
+    EXPECT_TRUE(eq.tryBypass(7 + 5 * kWheel));
+    EXPECT_FALSE(eq.tryBypass(6));
+    EXPECT_EQ(eq.executed(), 0u);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueueDue, MatchesEarliestPendingTickOnRandomSchedules)
+{
+    std::mt19937_64 rng(12345);
+    for (int round = 0; round < 20; ++round) {
+        EventQueue eq;
+        std::vector<Tick> pending; // ticks of scheduled, unfired events
+        for (int op = 0; op < 2000; ++op) {
+            const Tick now = eq.curTick();
+            const unsigned pick = rng() % 8;
+            if (pick < 3) {
+                const Tick d = rng() % 2 ? rng() % 300 : rng() % 9000;
+                const Tick when = now + d;
+                eq.schedule(when, [&pending, &eq] {
+                    auto it = std::find(pending.begin(), pending.end(),
+                                        eq.curTick());
+                    ASSERT_NE(it, pending.end());
+                    pending.erase(it);
+                });
+                pending.push_back(when);
+            } else if (pick < 5) {
+                eq.step();
+            } else {
+                const Tick wake =
+                    now + (rng() % 2 ? rng() % 200 : rng() % 10000);
+                const bool due =
+                    !pending.empty() &&
+                    *std::min_element(pending.begin(),
+                                      pending.end()) <= wake;
+                ASSERT_EQ(eq.tryBypass(wake), !due)
+                    << "round " << round << " op " << op << " now "
+                    << now << " wake " << wake;
+                EXPECT_EQ(eq.curTick(), due ? now : wake);
+            }
+        }
+        eq.run();
+        EXPECT_TRUE(pending.empty());
+    }
 }
 
 } // namespace

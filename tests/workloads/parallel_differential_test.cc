@@ -251,9 +251,8 @@ TEST(FastPathGate, BoundedPoliciesDisableFastPath)
 }
 
 /** On a quiet queue (single-lane sequential schedule, snoopy bus) the
- *  fast path must retire hits with literally zero events: the
- *  event-queue bypass fires and executed() stays behind the
- *  fast-path-off run's count. */
+ *  fast path must retire hits with literally zero events: their
+ *  wake-ups bypass the event queue and count in eventBypasses. */
 TEST(FastPathBypass, SequentialHitsScheduleNoEvents)
 {
     LinkedListWorkload::Params p;
