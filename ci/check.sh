@@ -81,13 +81,16 @@ if printf '%s\n' "${PRESETS[@]}" | grep -qx release \
         echo "FATAL: $MC_BIN missing after the release build" >&2
         exit 1
     fi
+    MC_LOGS=()
     mc_batch() { # <label> <cells> <seed0> <extra args...>
-        local label=$1 cells=$2 seed0=$3
+        local label=$1 cells=$2 seed0=$3 log
         shift 3
         echo "==== model check ($label cells): $MC_BUDGET programs ===="
+        log=$(mktemp)
+        MC_LOGS+=("$label=$log")
         if ! "$MC_BIN" --programs "$MC_BUDGET" --cells "$cells" \
             --seed0 "$seed0" --corpus-out "$ROOT/tests/fuzz/corpus" \
-            "$@"; then
+            "$@" | tee "$log"; then
             echo "FATAL: bounded-exhaustive model checking ($label" \
                  "cells) diverged; shrunken replay written to" \
                  "tests/fuzz/corpus (rerun with hmtx_fuzz --replay" \
@@ -99,6 +102,57 @@ if printf '%s\n' "${PRESETS[@]}" | grep -qx release \
     mc_batch best-effort btx 100001 --ops 7
     mc_batch limited-set ltd 200001 --ops 7
     mc_batch delivery-order all 300001 --ops 5 --delivery 3
+    # Every batch's summary must equal its line in ci/mc_counts.txt
+    # (pinned at the default MC_BUDGET; other budgets are reported,
+    # not compared).
+    echo "==== model check: summaries vs ci/mc_counts.txt ===="
+    python3 - "$ROOT/ci/mc_counts.txt" "$MC_BUDGET" "${MC_LOGS[@]}" <<'EOF'
+import re
+import sys
+
+pinned_path, budget, *logs = sys.argv[1:]
+FIELDS = ("explored", "pruned", "deliveryRuns", "deliveryPointsSeen",
+          "envAborts", "budgetExhausted")
+pinned = {}
+with open(pinned_path) as f:
+    for line in f:
+        fields = line.split("#", 1)[0].split()
+        if fields:
+            pinned[fields[0]] = (fields[1], dict(zip(FIELDS, fields[2:])))
+
+bad = False
+for arg in logs:
+    label, log = arg.split("=", 1)
+    with open(log) as f:
+        text = f.read()
+    got = {}
+    for k in FIELDS:
+        m = re.search(rf"\b{k}=(\d+)\b", text)
+        if m:
+            got[k] = m.group(1)
+    if label not in pinned:
+        print(f"  {label:<15} not pinned MISMATCH")
+        bad = True
+        continue
+    programs, want = pinned[label]
+    if programs != budget:
+        print(f"  {label:<15} pinned for {programs} programs, ran "
+              f"{budget}: NOT COMPARED")
+        continue
+    shown = " ".join(f"{k}={got.get(k)}" for k in FIELDS)
+    if got == want:
+        print(f"  {label:<15} {shown} ok")
+        continue
+    print(f"  {label:<15} {shown} MISMATCH, pinned "
+          + " ".join(f"{k}={want.get(k)}" for k in FIELDS))
+    bad = True
+if bad:
+    sys.exit("FATAL: model-checking counts differ from ci/mc_counts.txt; "
+             "exploration changed (update the file only when the change "
+             "is meant to alter it)")
+print("mc counts pin: ok")
+EOF
+    rm -f "${MC_LOGS[@]#*=}"
 fi
 
 # Whole-simulation parallelism: host threads run independent schedules

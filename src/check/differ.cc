@@ -7,11 +7,13 @@
  * meaningful within a group.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <deque>
-#include <map>
 #include <memory>
-#include <set>
+#include <optional>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "check/differ.hh"
@@ -26,7 +28,7 @@ namespace
 {
 
 /** Full-HMTX group: {bus, dir} × {lazy, eager}. */
-constexpr int kCells = 4;
+constexpr int kCells = kHmtxCells;
 
 const char* const kCellNames[kCells] = {"bus/lazy", "bus/eager",
                                         "dir/lazy", "dir/eager"};
@@ -57,6 +59,8 @@ groupPolicy(const FuzzConfig& c, unsigned g)
     }
     return pc;
 }
+
+} // namespace
 
 sim::MachineConfig
 cellConfig(const FuzzConfig& c, int i)
@@ -114,6 +118,9 @@ modeCellConfig(const FuzzConfig& c, unsigned g, sim::Fabric f)
     return mc;
 }
 
+namespace
+{
+
 bool
 usesAddr(OpKind k)
 {
@@ -153,6 +160,14 @@ struct Cell
 
     Cell(const char* n, const sim::MachineConfig& mc) : name(n), sys(eq, mc)
     {}
+
+    /** Back to the just-built state, queue at tick 0. */
+    void
+    reset()
+    {
+        eq.reset();
+        sys.reset();
+    }
 };
 
 /** One pending deferred-mark acknowledgment (§5.1). */
@@ -162,37 +177,52 @@ struct PendingSla
     SlaEntry e;
 };
 
-class Runner
+} // namespace
+
+/**
+ * One cell group of the matrix: its cells, built once for the
+ * FuzzConfig, and the per-run state (golden model, pending SLAs,
+ * divergence), rebuilt at the start of every run.
+ */
+class CellMatrix::Group
 {
   public:
-    Runner(const Schedule& s, unsigned group,
-           const RunHooks* hooks = nullptr)
-        : s_(s), gold_(s.cfg.slaEnabled, groupPolicy(s.cfg, group))
+    Group(const FuzzConfig& cfg, unsigned group) : cfg_(cfg), group_(group)
     {
         if (group == kGroupHmtx) {
             for (int i = 0; i < kCells; ++i)
                 cells_.push_back(std::make_unique<Cell>(
-                    kCellNames[i], cellConfig(s.cfg, i)));
+                    kCellNames[i], cellConfig(cfg, i)));
         } else {
             const bool btx = group == kGroupBtx;
             cells_.push_back(std::make_unique<Cell>(
                 btx ? "bus/btx" : "bus/ltd",
-                modeCellConfig(s.cfg, group, sim::Fabric::SnoopBus)));
+                modeCellConfig(cfg, group, sim::Fabric::SnoopBus)));
             cells_.push_back(std::make_unique<Cell>(
                 btx ? "dir/btx" : "dir/ltd",
-                modeCellConfig(s.cfg, group, sim::Fabric::Directory)));
+                modeCellConfig(cfg, group, sim::Fabric::Directory)));
         }
         maxVid_ = cells_[0]->sys.config().maxVid();
+    }
+
+    unsigned group() const { return group_; }
+
+    Divergence
+    run(const Schedule& s, Coverage* cov, bool primary,
+        const RunHooks* hooks)
+    {
+        s_ = &s;
+        gold_.emplace(cfg_.slaEnabled, groupPolicy(cfg_, group_));
+        pending_.clear();
+        executed_ = 0;
+        div_ = {};
+        for (auto& c : cells_)
+            c->reset();
         if (hooks != nullptr && hooks->onCell)
             for (auto& c : cells_)
                 hooks->onCell(c->name, c->sys);
         seedMemory();
-    }
-
-    Divergence
-    run(Coverage* cov, bool primary)
-    {
-        for (std::size_t i = 0; i < s_.ops.size() && !div_.found; ++i) {
+        for (std::size_t i = 0; i < s_->ops.size() && !div_.found; ++i) {
             step(i);
             if (!div_.found && (i + 1) % 32 == 0)
                 checkInvariants(i);
@@ -215,7 +245,7 @@ class Runner
         div_.found = true;
         div_.opIndex = idx;
         if (idx != static_cast<std::size_t>(-1)) {
-            const Op& op = s_.ops[idx];
+            const Op& op = s_->ops[idx];
             what = "op#" + std::to_string(idx) + " " + describe(op) +
                    ": " + what;
         }
@@ -227,14 +257,17 @@ class Runner
     void
     seedMemory()
     {
-        std::set<Addr> words;
-        for (const Op& op : s_.ops)
+        words_.clear();
+        for (const Op& op : s_->ops)
             if (usesAddr(op.kind))
-                words.insert(op.addr & ~Addr{7});
-        for (Addr w : words) {
+                words_.push_back(op.addr & ~Addr{7});
+        std::sort(words_.begin(), words_.end());
+        words_.erase(std::unique(words_.begin(), words_.end()),
+                     words_.end());
+        for (Addr w : words_) {
             sim::Rng r(w ^ 0x5bd1e995a967f2d3ull);
             std::uint64_t v = r.next();
-            gold_.seed(w, v);
+            gold_->seed(w, v);
             for (auto& c : cells_)
                 c->sys.memory().write(w, v, 8);
         }
@@ -324,7 +357,7 @@ class Runner
     syncAbort(std::uint64_t n = 1)
     {
         for (std::uint64_t i = 0; i < n; ++i)
-            gold_.abortAll();
+            gold_->abortAll();
         pending_.clear();
     }
 
@@ -352,7 +385,7 @@ class Runner
     void
     step(std::size_t idx)
     {
-        const Op& op = s_.ops[idx];
+        const Op& op = s_->ops[idx];
         switch (op.kind) {
         case OpKind::Load:
         case OpKind::WrongPathLoad:
@@ -405,13 +438,13 @@ class Runner
         // passively, exactly as CacheSystem::load does.
         bool serialized = false;
         if (vid != kNonSpecVid)
-            serialized = wrongPath ? gold_.policy().serializes(vid)
-                                   : gold_.beginSpecAccess(vid);
+            serialized = wrongPath ? gold_->policy().serializes(vid)
+                                   : gold_->beginSpecAccess(vid);
         const bool ltdAbort = !serialized && !wrongPath &&
             vid != kNonSpecVid &&
-            gold_.limitedSetWouldAbort(op.addr, vid);
+            gold_->limitedSetWouldAbort(op.addr, vid);
         const Vid effVid = serialized ? kNonSpecVid : vid;
-        std::uint64_t want = gold_.valueAt(op.addr, op.size, effVid);
+        std::uint64_t want = gold_->valueAt(op.addr, op.size, effVid);
         sim::AccessResult r;
         std::uint64_t gen = 0;
         bool capacity = false;
@@ -447,7 +480,7 @@ class Runner
             // against the post-abort state and became the first read
             // of the restarted transaction. Mirror it in the golden
             // model and re-derive the expected value post-flush.
-            want = gold_.valueAt(op.addr, op.size, effVid);
+            want = gold_->valueAt(op.addr, op.size, effVid);
         }
         if (r.value != want) {
             fail(idx, "load value " + hex(r.value) +
@@ -456,9 +489,9 @@ class Runner
                           (serialized ? ", serialized)" : ")"));
             return;
         }
-        gold_.applyLoad(op.addr, effVid, wrongPath);
+        gold_->applyLoad(op.addr, effVid, wrongPath);
         if (r.needSla && !wrongPath && vid != kNonSpecVid &&
-            s_.cfg.slaEnabled) {
+            cfg_.slaEnabled) {
             pending_.push_back(
                 {op.core, {op.addr, vid, r.value, op.size}});
         }
@@ -472,12 +505,12 @@ class Runner
             return;
         ++executed_;
         const bool serialized =
-            vid != kNonSpecVid && gold_.beginSpecAccess(vid);
+            vid != kNonSpecVid && gold_->beginSpecAccess(vid);
         const bool ltdAbort = !serialized && vid != kNonSpecVid &&
-            gold_.limitedSetWouldAbort(op.addr, vid);
+            gold_->limitedSetWouldAbort(op.addr, vid);
         const Vid effVid = serialized ? kNonSpecVid : vid;
         const bool predictAbort =
-            !ltdAbort && gold_.storeAborts(op.addr, effVid);
+            !ltdAbort && gold_->storeAborts(op.addr, effVid);
         sim::AccessResult r;
         std::uint64_t gen = 0;
         bool capacity = false;
@@ -530,7 +563,7 @@ class Runner
                       "), store succeeded");
             return;
         }
-        gold_.applyStore(op.addr, op.value & sizeMask(op.size),
+        gold_->applyStore(op.addr, op.value & sizeMask(op.size),
                          op.size, effVid);
     }
 
@@ -548,7 +581,7 @@ class Runner
         if (perturb)
             e.value = (e.value + perturb) & sizeMask(e.size);
         const std::uint64_t want =
-            gold_.valueAt(e.addr, e.size, e.vid);
+            gold_->valueAt(e.addr, e.size, e.vid);
         const bool predictMismatch = want != e.value;
         ++executed_;
 
@@ -598,7 +631,7 @@ class Runner
             fail(idx, "slaConfirm returned false without aborting");
             return false;
         }
-        gold_.applyConfirm(e.addr, e.vid);
+        gold_->applyConfirm(e.addr, e.vid);
         return true;
     }
 
@@ -634,8 +667,8 @@ class Runner
         ++executed_;
         // Maximal validation sets (Figure 9): all cells and the golden
         // model must agree on the committing VID's R/W sets.
-        const std::vector<Addr> wantR = gold_.readSet(v);
-        const std::vector<Addr> wantW = gold_.writeSet(v);
+        const std::vector<Addr> wantR = gold_->readSet(v);
+        const std::vector<Addr> wantW = gold_->writeSet(v);
         for (auto& c : cells_) {
             if (c->sys.readSetOf(v) != wantR ||
                 c->sys.writeSetOf(v) != wantW) {
@@ -663,7 +696,7 @@ class Runner
                 return;
             }
         }
-        gold_.commit(v);
+        gold_->commit(v);
     }
 
     void
@@ -685,7 +718,7 @@ class Runner
     void
     doVidReset(std::size_t idx)
     {
-        if (!gold_.vidResetLegal())
+        if (!gold_->vidResetLegal())
             return; // transactions outstanding (§4.6); skip
         ++executed_;
         for (auto& c : cells_) {
@@ -697,7 +730,7 @@ class Runner
                 return;
             }
         }
-        gold_.vidReset();
+        gold_->vidReset();
         pending_.clear();
     }
 
@@ -721,7 +754,7 @@ class Runner
     finalChecks()
     {
         const std::size_t end = static_cast<std::size_t>(-1);
-        checkInvariants(s_.ops.empty() ? end : s_.ops.size() - 1);
+        checkInvariants(s_->ops.empty() ? end : s_->ops.size() - 1);
         if (div_.found)
             return;
         // Quiesce: flush all speculative state, fold the committed
@@ -737,11 +770,11 @@ class Runner
                 return;
             }
         }
-        gold_.abortAll();
-        gold_.vidReset();
+        gold_->abortAll();
+        gold_->vidReset();
         // Golden vs. real committed image, word by word.
-        for (Addr w : gold_.touchedWords()) {
-            const std::uint64_t want = gold_.valueAt(w, 8, 0);
+        for (Addr w : gold_->touchedWords()) {
+            const std::uint64_t want = gold_->valueAt(w, 8, 0);
             for (auto& c : cells_) {
                 const std::uint64_t got = c->sys.memory().read(w, 8);
                 if (got != want) {
@@ -754,25 +787,33 @@ class Runner
         }
         // Full image equality across cells (catches stray writes to
         // addresses the golden never tracked).
-        auto image = [](Cell& c) {
-            std::map<Addr, sim::LineData> m;
-            c.sys.memory().forEachLine(
-                [&](Addr a, const sim::LineData& d) {
-                    static const sim::LineData zero{};
-                    if (d != zero)
-                        m[a] = d;
-                });
-            return m;
-        };
-        const auto img0 = image(*cells_[0]);
+        image(*cells_[0], img0_);
         for (std::size_t ci = 1; ci < cells_.size(); ++ci) {
-            if (image(*cells_[ci]) != img0) {
+            image(*cells_[ci], img_);
+            if (img_ != img0_) {
                 fail(end,
                      std::string("final memory image differs: ") +
                          cells_[ci]->name + " vs " + cells_[0]->name);
                 return;
             }
         }
+    }
+
+    /** @p c's non-zero memory lines, sorted by address, into @p out
+     *  (reused scratch: equal vectors <=> equal images). */
+    static void
+    image(Cell& c, std::vector<std::pair<Addr, sim::LineData>>& out)
+    {
+        static const sim::LineData zero{};
+        out.clear();
+        c.sys.memory().forEachLine([&](Addr a, const sim::LineData& d) {
+            if (d != zero)
+                out.emplace_back(a, d);
+        });
+        std::sort(out.begin(), out.end(),
+                  [](const auto& x, const auto& y) {
+                      return x.first < y.first;
+                  });
     }
 
     void
@@ -811,35 +852,57 @@ class Runner
         }
     }
 
-    const Schedule& s_;
-    GoldenModel gold_;
+    const FuzzConfig cfg_;
+    const unsigned group_;
     std::vector<std::unique_ptr<Cell>> cells_;
     Vid maxVid_ = 63;
+    // Per-run state.
+    const Schedule* s_ = nullptr;
+    std::optional<GoldenModel> gold_;
     std::deque<PendingSla> pending_;
     std::uint64_t executed_ = 0;
     Divergence div_;
+    // Scratch kept across runs so replays do not reallocate.
+    std::vector<Addr> words_;
+    std::vector<std::pair<Addr, sim::LineData>> img0_, img_;
 };
 
-} // namespace
+CellMatrix::CellMatrix(const FuzzConfig& cfg, unsigned groupMask)
+    : cfg_(cfg)
+{
+    for (unsigned g : {unsigned(kGroupHmtx), unsigned(kGroupBtx),
+                       unsigned(kGroupLtd)})
+        if (groupMask & g)
+            groups_.push_back(std::make_unique<Group>(cfg, g));
+}
+
+CellMatrix::~CellMatrix() = default;
+
+Divergence
+CellMatrix::run(const Schedule& s, Coverage* cov, const RunHooks* hooks)
+{
+    if (s.cfg != cfg_)
+        throw std::invalid_argument(
+            "CellMatrix::run: schedule config differs from the "
+            "matrix's");
+    bool primary = true;
+    for (auto& g : groups_) {
+        Divergence d = g->run(s, cov, primary, hooks);
+        primary = false;
+        if (d.found) {
+            d.what = std::string(groupName(g->group())) + " group: " +
+                d.what;
+            return d;
+        }
+    }
+    return {};
+}
 
 Divergence
 runSchedule(const Schedule& s, Coverage* cov, unsigned groupMask,
             const RunHooks* hooks)
 {
-    bool primary = true;
-    for (unsigned g : {unsigned(kGroupHmtx), unsigned(kGroupBtx),
-                       unsigned(kGroupLtd)}) {
-        if (!(groupMask & g))
-            continue;
-        Runner r(s, g, hooks);
-        Divergence d = r.run(cov, primary);
-        primary = false;
-        if (d.found) {
-            d.what = std::string(groupName(g)) + " group: " + d.what;
-            return d;
-        }
-    }
-    return {};
+    return CellMatrix(s.cfg, groupMask).run(s, cov, hooks);
 }
 
 Schedule

@@ -27,9 +27,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "check/schedule.hh"
+#include "sim/config.hh"
 
 namespace hmtx::sim
 {
@@ -74,6 +77,8 @@ struct Coverage
     std::uint64_t fastAttempts = 0;
     std::uint64_t fastHits = 0;
     std::uint64_t fastGenRejections = 0;
+
+    bool operator==(const Coverage&) const = default;
 };
 
 /**
@@ -94,6 +99,20 @@ enum GroupSet : unsigned
     kGroupAll = kGroupHmtx | kGroupBtx | kGroupLtd,
 };
 
+/** Cells of the full-HMTX group (the btx and ltd groups have two). */
+constexpr int kHmtxCells = 4;
+
+/**
+ * MachineConfig of full-HMTX cell @p i (0..kHmtxCells-1: bus/lazy,
+ * bus/eager, dir/lazy, dir/eager) for fuzz config @p c.
+ */
+sim::MachineConfig cellConfig(const FuzzConfig& c, int i);
+
+/** MachineConfig of the @p f cell of mode group @p g (kGroupBtx or
+ *  kGroupLtd) for fuzz config @p c. */
+sim::MachineConfig modeCellConfig(const FuzzConfig& c, unsigned g,
+                                  sim::Fabric f);
+
 /**
  * Optional per-run instrumentation. The model checker
  * (check/explorer.hh) uses onCell to install a DeliveryChooser on
@@ -102,11 +121,47 @@ enum GroupSet : unsigned
  */
 struct RunHooks
 {
-    /** Called once per constructed matrix cell, before any op runs. */
+    /**
+     * Called for every cell of a run, after the cell was reset and
+     * before any op runs — once per run of the cell, not once per
+     * constructed cell. A reset uninstalls any DeliveryChooser, so a
+     * hook that installs one must do so on every run.
+     */
     std::function<void(const char* cellName, sim::CacheSystem&)> onCell;
 };
 
-/** Runs @p s against the golden model and the selected cell groups. */
+/**
+ * The differential matrix of one FuzzConfig: the cells of every group
+ * in a group mask, built once and reset (CacheSystem::reset()) before
+ * each run, so a caller replaying many schedules of the same config
+ * pays for building them once. A run on a reused matrix returns
+ * exactly what a run on a fresh one does.
+ */
+class CellMatrix
+{
+  public:
+    explicit CellMatrix(const FuzzConfig& cfg,
+                        unsigned groupMask = kGroupAll);
+    ~CellMatrix();
+    CellMatrix(const CellMatrix&) = delete;
+    CellMatrix& operator=(const CellMatrix&) = delete;
+
+    /**
+     * Runs @p s against the golden model and the matrix's groups, in
+     * hmtx, btx, ltd order, stopping at the first divergence. Throws
+     * std::invalid_argument if s.cfg differs from the matrix's config.
+     */
+    Divergence run(const Schedule& s, Coverage* cov = nullptr,
+                   const RunHooks* hooks = nullptr);
+
+  private:
+    class Group;
+    FuzzConfig cfg_;
+    std::vector<std::unique_ptr<Group>> groups_;
+};
+
+/** Runs @p s against the golden model and the selected cell groups:
+ *  the one-shot use of a CellMatrix. */
 Divergence runSchedule(const Schedule& s, Coverage* cov = nullptr,
                        unsigned groupMask = kGroupAll,
                        const RunHooks* hooks = nullptr);

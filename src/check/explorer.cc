@@ -43,23 +43,27 @@ isAccess(OpKind k)
 class RecordingChooser final : public sim::DeliveryChooser
 {
   public:
-    explicit RecordingChooser(const std::vector<unsigned>& forced)
-        : forced_(forced)
-    {}
+    /** Starts a replay: forced vector @p forced, no decisions yet. */
+    void
+    restart(const std::vector<unsigned>& forced)
+    {
+        forced_ = &forced;
+        count_ = 0;
+    }
 
     unsigned
     choose(Addr, unsigned n) override
     {
         const std::size_t i = count_++;
-        if (i < forced_.size())
-            return std::min(forced_[i], n - 1);
+        if (i < forced_->size())
+            return std::min((*forced_)[i], n - 1);
         return 0;
     }
 
     std::size_t decisions() const { return count_; }
 
   private:
-    const std::vector<unsigned>& forced_;
+    const std::vector<unsigned>* forced_ = nullptr;
     std::size_t count_ = 0;
 };
 
@@ -67,7 +71,7 @@ class Explorer
 {
   public:
     Explorer(const Schedule& prog, const ExploreConfig& cfg)
-        : prog_(prog), cfg_(cfg)
+        : cfg_(cfg), matrix_(prog.cfg, cfg.groupMask)
     {
         unsigned maxCore = 0;
         for (const Op& op : prog.ops)
@@ -81,10 +85,20 @@ class Explorer
         for (const Op& op : prog.ops)
             threads_[op.core].push_back(op);
         pos_.assign(threads_.size(), 0);
-        prefix_.reserve(prog.ops.size());
+        leaf_.cfg = prog.cfg;
+        leaf_.ops.reserve(prog.ops.size());
         for (const Op& op : prog.ops)
             hasSlaOps_ = hasSlaOps_ || op.kind == OpKind::SlaConfirm ||
                 op.kind == OpKind::SlaMismatch;
+        // Each cell of a delivery-order replay gets its own chooser;
+        // the matrix resets (uninstalling them) before every run.
+        hooks_.onCell = [this](const char*, sim::CacheSystem& sys) {
+            if (nextChooser_ == choosers_.size())
+                choosers_.push_back(std::make_unique<RecordingChooser>());
+            RecordingChooser& ch = *choosers_[nextChooser_++];
+            ch.restart(*forced_);
+            sys.interconnect().setDeliveryChooser(&ch);
+        };
     }
 
     ExploreResult
@@ -127,11 +141,11 @@ class Explorer
                         opsIndependent(threads_[d][pos_[d]], next,
                                        hasSlaOps_, cfg_.groupMask))
                         childSleep[d] = true;
-            prefix_.push_back(next);
+            leaf_.ops.push_back(next);
             ++pos_[c];
             dfs(childSleep);
             --pos_[c];
-            prefix_.pop_back();
+            leaf_.ops.pop_back();
             if (stop_)
                 return;
             sl[c] = true;
@@ -147,11 +161,8 @@ class Explorer
             return;
         }
         ++res_.stats.explored;
-        Schedule leaf;
-        leaf.cfg = prog_.cfg;
-        leaf.ops = prefix_;
         if (cfg_.deliveryPoints == 0) {
-            replay(leaf, {}, nullptr);
+            replay({}, nullptr);
             return;
         }
         // Branch over the first deliveryPoints directory delivery
@@ -161,14 +172,13 @@ class Explorer
         // all-FIFO extension of its forced prefix, so this visits
         // every choice vector of the bounded tree exactly once.
         std::size_t seen = 0;
-        replay(leaf, {}, &seen);
+        replay({}, &seen);
         res_.stats.deliveryPointsSeen += seen;
-        deliveryDfs(leaf, {}, seen);
+        deliveryDfs({}, seen);
     }
 
     void
-    deliveryDfs(const Schedule& leaf,
-                const std::vector<unsigned>& forced, std::size_t seen)
+    deliveryDfs(const std::vector<unsigned>& forced, std::size_t seen)
     {
         const std::size_t depth =
             std::min<std::size_t>(seen, cfg_.deliveryPoints);
@@ -178,33 +188,28 @@ class Explorer
             f2[i] = 1;
             std::size_t subSeen = 0;
             ++res_.stats.deliveryRuns;
-            replay(leaf, f2, &subSeen);
+            replay(f2, &subSeen);
             if (stop_)
                 return;
-            deliveryDfs(leaf, f2, subSeen);
+            deliveryDfs(f2, subSeen);
         }
     }
 
+    /** Replays the current leaf_ through the matrix; with
+     *  @p decisionsOut, under choosers forcing @p forced. */
     void
-    replay(const Schedule& leaf, const std::vector<unsigned>& forced,
+    replay(const std::vector<unsigned>& forced,
            std::size_t* decisionsOut)
     {
-        std::vector<std::unique_ptr<RecordingChooser>> choosers;
-        RunHooks hooks;
-        hooks.onCell = [&](const char*, sim::CacheSystem& sys) {
-            choosers.push_back(
-                std::make_unique<RecordingChooser>(forced));
-            sys.interconnect().setDeliveryChooser(
-                choosers.back().get());
-        };
+        forced_ = &forced;
+        nextChooser_ = 0;
         Coverage cov;
-        Divergence d =
-            runSchedule(leaf, &cov, cfg_.groupMask,
-                        decisionsOut != nullptr ? &hooks : nullptr);
+        Divergence d = matrix_.run(
+            leaf_, &cov, decisionsOut != nullptr ? &hooks_ : nullptr);
         if (decisionsOut != nullptr)
-            for (const auto& ch : choosers)
+            for (std::size_t i = 0; i < nextChooser_; ++i)
                 *decisionsOut =
-                    std::max(*decisionsOut, ch->decisions());
+                    std::max(*decisionsOut, choosers_[i]->decisions());
         // Environmental-abort tripwire for the pruning argument: in a
         // limited-set-only pass the mandatory K-th-line aborts are
         // predicted (and accounted by the same cell), so only the
@@ -218,16 +223,25 @@ class Explorer
             ++res_.stats.envAborts;
         if (d.found) {
             res_.div = d;
-            res_.witness = leaf;
+            res_.witness = leaf_;
             stop_ = true;
         }
     }
 
-    const Schedule& prog_;
     const ExploreConfig& cfg_;
     std::vector<std::vector<Op>> threads_;
     std::vector<unsigned> pos_;
-    std::vector<Op> prefix_;
+    /** The interleaving under construction: the DFS pushes and pops
+     *  its ops, and at a leaf it is the complete schedule replayed. */
+    Schedule leaf_;
+    /** Delivery choosers, reused across replays (declared before the
+     *  matrix, whose cells point at them, so they outlive it). */
+    std::vector<std::unique_ptr<RecordingChooser>> choosers_;
+    std::size_t nextChooser_ = 0;
+    const std::vector<unsigned>* forced_ = nullptr;
+    RunHooks hooks_;
+    /** One matrix for every replay of this exploration. */
+    CellMatrix matrix_;
     bool hasSlaOps_ = false;
     bool stop_ = false;
     ExploreResult res_;

@@ -82,6 +82,8 @@ struct FuzzConfig
      *  fast-on vs fast-off differential. Older replay files omit the
      *  `fastpath` line (all cells off). */
     unsigned fastPathMask = 0;
+
+    bool operator==(const FuzzConfig&) const = default;
 };
 
 /** Bits of Schedule::omittedKnobs: optional config lines a replay

@@ -122,6 +122,10 @@ class TxPolicy
     explicit TxPolicy(const TxPolicyConfig& cfg = {}) : cfg_(cfg) {}
 
     TxMode mode() const { return cfg_.mode; }
+
+    /** Back to the just-constructed state under the same config:
+     *  lock free and unarmed, abort counts and stats zero. */
+    void reset() { *this = TxPolicy(cfg_); }
     const TxPolicyConfig& config() const { return cfg_; }
     const TxModeStats& stats() const { return stats_; }
 

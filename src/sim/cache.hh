@@ -380,6 +380,25 @@ class Cache
                 fn(l);
     }
 
+    /**
+     * Returns the cache to its just-constructed state: every set
+     * empty, both registries empty. Keeps the capacity of every
+     * vector, so refilling a reset cache allocates nothing. Slots are
+     * dropped rather than invalidated: a fresh cache grows its sets
+     * from default-constructed lines, and a reused slot would carry
+     * stale rw/fast-path marks and LRU stamps into the next run.
+     */
+    void
+    reset()
+    {
+        for (auto& s : sets_) {
+            s.lines.clear();
+            s.data.clear();
+        }
+        specReg_.clear();
+        dirtyReg_.clear();
+    }
+
     /** Number of valid slots currently held. */
     std::size_t
     validLines() const

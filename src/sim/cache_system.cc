@@ -40,6 +40,31 @@ CacheSystem::CacheSystem(EventQueue& eq, const MachineConfig& cfg)
          cfg_.txMode == TxMode::EagerHmtx);
 }
 
+void
+CacheSystem::reset()
+{
+    useClock_ = 0;
+    mem_.clear();
+    for (Cache& c : caches_)
+        c.reset();
+    lcVid_ = 0;
+    abortGen_ = 0;
+    cmp_.clear();
+    stats_ = {};
+    policy_.reset();
+    net_->reset();
+    trace_.reset(cfg_.traceFlags);
+    overflow_.reset();
+    presence_.clear();
+    idxStats_ = {};
+    shadow_.clear();
+    rwReleaseAll();
+    rwCachedVid_ = 0;
+    rwGen_ = 1;
+    fastGen_ = 1;
+    fastStats_ = {};
+}
+
 // --- index maintenance --------------------------------------------------
 
 void
@@ -275,6 +300,9 @@ CacheSystem::verifyIndexes()
     // purging stays linear.
     auto& seenSpec = checkSeenSpec_;
     auto& seenDirty = checkSeenDirty_;
+    auto key = [](const Line* l) {
+        return static_cast<Addr>(reinterpret_cast<std::uintptr_t>(l));
+    };
     for (auto& c : caches_) {
         seenSpec.clear();
         seenDirty.clear();
@@ -284,7 +312,7 @@ CacheSystem::verifyIndexes()
                     "index check: unflagged spec-registry entry in " +
                     c.name());
             }
-            if (!seenSpec.insert(l).second) {
+            if (!seenSpec.insert(key(l))) {
                 throw std::logic_error(
                     "index check: duplicate spec-registry entry in " +
                     c.name());
@@ -296,7 +324,7 @@ CacheSystem::verifyIndexes()
                     "index check: unflagged dirty-registry entry "
                     "in " + c.name());
             }
-            if (!seenDirty.insert(l).second) {
+            if (!seenDirty.insert(key(l))) {
                 throw std::logic_error(
                     "index check: duplicate dirty-registry entry "
                     "in " + c.name());

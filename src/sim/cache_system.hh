@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/comparator.hh"
@@ -94,6 +93,26 @@ class CacheSystem
      *  object; moving would dangle them. */
     CacheSystem(const CacheSystem&) = delete;
     CacheSystem& operator=(const CacheSystem&) = delete;
+
+    /**
+     * Returns the system to exactly its just-constructed state under
+     * the same MachineConfig, so a run on a reset system is
+     * indistinguishable from a run on a freshly built one: same
+     * AccessResults (latencies included), same SysStats, IndexStats,
+     * FastStats and TxModeStats, same lcVid/abortGen, same memory
+     * image. Covers the caches (lines, payloads, LRU, registries),
+     * the presence filter, the read/write sets, the wrong-path shadow
+     * marks, the overflow table, every counter and generation, the
+     * TxPolicy state, the fabric's occupancy and its DeliveryChooser
+     * (uninstalled), main memory and the trace.
+     *
+     * Every container keeps its capacity (the node-based main memory
+     * and shadow map keep their bucket arrays), so re-running a
+     * workload of the same footprint allocates little. The EventQueue is
+     * not owned by the system: its owner resets it separately. Must
+     * not be called while an access or bulk operation is in flight.
+     */
+    void reset();
 
     /**
      * Performs a load.
@@ -675,8 +694,9 @@ class CacheSystem
     FlatAddrSet checkAddrs_;
     std::vector<LineVersion> checkLive_;
     FlatAddrMap<std::uint64_t> checkWant_;
-    std::unordered_set<const Line*> checkSeenSpec_;
-    std::unordered_set<const Line*> checkSeenDirty_;
+    /** Registry entries already seen, keyed by slot address. */
+    FlatAddrSet checkSeenSpec_;
+    FlatAddrSet checkSeenDirty_;
 };
 
 } // namespace hmtx::sim

@@ -168,6 +168,32 @@ class EventQueue
      */
     bool dispatching() const { return dispatching_; }
 
+    /**
+     * Returns the queue to its just-constructed state: tick 0, no
+     * pending events, sequence and executed counts zero. Pending
+     * events are dropped unrun, exactly as destroying the queue drops
+     * them (a coroutine waiting on one is not resumed or destroyed).
+     * An allocated wheel keeps its buckets and their capacity. Must
+     * not be called from inside step().
+     */
+    void
+    reset()
+    {
+        // Every bucket holding events, pending or drained, has its
+        // occupancy bit set: bits clear only when a bucket retires.
+        for (std::size_t w = 0; w < occ_.size(); ++w)
+            for (std::uint64_t m = occ_[w]; m != 0; m &= m - 1)
+                wheel_[(w << 6) | std::size_t(std::countr_zero(m))]
+                    .clear();
+        occ_.fill(0);
+        far_ = {};
+        drainIdx_ = 0;
+        wheelCount_ = 0;
+        now_ = 0;
+        seq_ = 0;
+        executed_ = 0;
+    }
+
     /** Runs until no events remain. */
     void
     run()

@@ -66,6 +66,8 @@ class SnoopBus final : public Interconnect
     }
 
   private:
+    void resetOccupancy() override { free_ = 0; }
+
     /** Bus occupancy per snoop transaction (grows with core count). */
     Cycles
     occupancy() const
@@ -147,6 +149,12 @@ class DirectoryFabric final : public Interconnect
     }
 
   private:
+    void
+    resetOccupancy() override
+    {
+        std::fill(bankFree_.begin(), bankFree_.end(), 0);
+    }
+
     Tick&
     bankOf(Addr la)
     {

@@ -134,7 +134,21 @@ class Interconnect
      */
     void setDeliveryChooser(DeliveryChooser* c) { chooser_ = c; }
 
+    /**
+     * Returns the fabric to its just-built state: every ordering
+     * point idle at tick 0 and no DeliveryChooser installed.
+     */
+    void
+    reset()
+    {
+        chooser_ = nullptr;
+        resetOccupancy();
+    }
+
   protected:
+    /** Frees every ordering point (next-free tick 0). */
+    virtual void resetOccupancy() = 0;
+
     /** Resolves one delivery decision: FIFO without a chooser. */
     unsigned
     chooseDelivery(Addr la, unsigned n)

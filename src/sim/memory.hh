@@ -85,6 +85,10 @@ class MainMemory
         writeLe(lines_[lineAddr(a)], lineOffset(a), v, size);
     }
 
+    /** Drops every line (all memory reads zero again), keeping the
+     *  table's bucket array. */
+    void clear() { lines_.clear(); }
+
     /** Number of lines ever touched. */
     std::size_t touchedLines() const { return lines_.size(); }
 

@@ -145,6 +145,29 @@ class OverflowTable
         return n;
     }
 
+    /**
+     * Empties the table and zeroes its counters, keeping every
+     * version list's capacity. The free list is rebuilt so lists are
+     * taken in slot order 0, 1, 2, ... — the order a fresh table
+     * appends them — which keeps forEach() order, and with it every
+     * bulk walk, identical to a just-constructed table's.
+     */
+    void
+    reset()
+    {
+        index_.clear();
+        free_.clear();
+        for (std::uint32_t s = static_cast<std::uint32_t>(lists_.size());
+             s-- > 0;) {
+            lists_[s].addr = kFree;
+            lists_[s].versions.lines.clear();
+            lists_[s].versions.data.clear();
+            free_.push_back(s);
+        }
+        spills_ = 0;
+        refills_ = 0;
+    }
+
     /** Lines ever spilled. */
     std::uint64_t spills() const { return spills_; }
 

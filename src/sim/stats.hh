@@ -168,6 +168,8 @@ struct IndexStats
             : static_cast<double>(snoopsFiltered) /
                 static_cast<double>(total);
     }
+
+    bool operator==(const IndexStats&) const = default;
 };
 
 /**
@@ -204,6 +206,8 @@ struct FastStats
             : static_cast<double>(hits()) /
                 static_cast<double>(attempts);
     }
+
+    bool operator==(const FastStats&) const = default;
 };
 
 /**

@@ -113,6 +113,17 @@ class Trace
     /** Clears the retained entries (counters persist). */
     void clear() { entries_.clear(); }
 
+    /** Clears the entries and zeroes the counters; @p flags become
+     *  the enabled categories. */
+    void
+    reset(std::uint32_t flags)
+    {
+        flags_ = flags;
+        entries_.clear();
+        recorded_ = 0;
+        dropped_ = 0;
+    }
+
   private:
     std::uint32_t flags_;
     std::size_t capacity_;

@@ -13,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "check/differ.hh"
 #include "check/schedule.hh"
 
@@ -58,6 +61,49 @@ TEST(FuzzSmoke, ScheduleRoundTrips)
         ASSERT_EQ(back.ops.size(), s.ops.size());
         EXPECT_EQ(serialize(back), text);
     }
+}
+
+/**
+ * A CellMatrix reused across a sequence of same-config schedules
+ * (reset between runs, as the model checker drives it) must return
+ * exactly the Divergence and Coverage a fresh runSchedule() returns
+ * for each schedule.
+ */
+TEST(FuzzSmoke, ReusedMatrixMatchesFreshRuns)
+{
+    for (std::uint64_t cfgSeed : {3u, 4u, 7u}) {
+        const FuzzConfig cfg = generate(cfgSeed, 1).cfg;
+        for (unsigned mask : {unsigned(kGroupAll), unsigned(kGroupBtx),
+                              unsigned(kGroupLtd)}) {
+            CellMatrix m(cfg, mask);
+            for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+                SCOPED_TRACE("config seed " + std::to_string(cfgSeed) +
+                             ", mask " + std::to_string(mask) +
+                             ", schedule seed " + std::to_string(seed));
+                Schedule s = generate(1000 * cfgSeed + seed, 120);
+                s.cfg = cfg;
+                for (Op& op : s.ops)
+                    op.core %= cfg.numCores;
+                Coverage fresh, reused;
+                const Divergence df = runSchedule(s, &fresh, mask);
+                const Divergence dr = m.run(s, &reused);
+                EXPECT_EQ(df.found, dr.found);
+                EXPECT_EQ(df.opIndex, dr.opIndex);
+                EXPECT_EQ(df.what, dr.what);
+                EXPECT_TRUE(fresh == reused) << "Coverage differs";
+                EXPECT_EQ(reused.schedules, 1u);
+            }
+        }
+    }
+}
+
+TEST(FuzzSmoke, MatrixRejectsForeignConfig)
+{
+    Schedule s = generate(1, 20);
+    FuzzConfig other = s.cfg;
+    other.vidBits = s.cfg.vidBits == 4 ? 6 : 4;
+    CellMatrix m(other);
+    EXPECT_THROW(m.run(s), std::invalid_argument);
 }
 
 } // namespace

@@ -112,7 +112,10 @@ TEST(McBounded, PrunedMatchesUnprunedVerdict)
 }
 
 /** Delivery-order branching on the directory cells stays clean and
- *  actually reruns interleavings when decision points exist. */
+ *  actually reruns interleavings when decision points exist. The
+ *  counts are pinned: every replay runs on the explorer's reused
+ *  matrix, so each cell's chooser must restart its decision count
+ *  on every replay, exactly as a freshly installed one would. */
 TEST(McBounded, DeliveryOrderExploration)
 {
     ExploreConfig ec;
@@ -131,6 +134,9 @@ TEST(McBounded, DeliveryOrderExploration)
     std::cout << "[mc] delivery: explored=" << total.explored
               << " deliveryRuns=" << total.deliveryRuns
               << " pointsSeen=" << total.deliveryPointsSeen << "\n";
+    EXPECT_EQ(total.explored, 44u);
+    EXPECT_EQ(total.deliveryRuns, 69u);
+    EXPECT_EQ(total.deliveryPointsSeen, 56u);
 }
 
 Op
