@@ -133,6 +133,46 @@ applyFastPathEnv(sim::MachineConfig& cfg)
 }
 
 /**
+ * The crossover and serving benches' machine: 4 cores, 1 KB/2-way L1,
+ * 8 KB/8-way L2, 8 directory banks, btx retries 2 / threshold 8,
+ * limited-set K = 4, unbounded sets for the HMTX modes.
+ */
+inline sim::MachineConfig
+smallMachine(TxMode mode, sim::Fabric fabric)
+{
+    sim::MachineConfig cfg;
+    applyFastPathEnv(cfg);
+    cfg.numCores = 4;
+    cfg.l1SizeKB = 1;
+    cfg.l1Assoc = 2;
+    cfg.l2SizeKB = 8;
+    cfg.l2Assoc = 8;
+    cfg.fabric = fabric;
+    if (fabric == sim::Fabric::Directory)
+        cfg.dirBanks = 8;
+    cfg.txMode = mode;
+    if (mode == TxMode::BestEffort) {
+        cfg.btxMaxRetries = 2;
+        cfg.btxAbortThreshold = 8;
+        cfg.unboundedSpecSets = false;
+    } else if (mode == TxMode::LimitedSet) {
+        cfg.limitedSetK = 4;
+        cfg.unboundedSpecSets = false;
+    } else {
+        cfg.unboundedSpecSets = true;
+    }
+    cfg.validate();
+    return cfg;
+}
+
+/** Name of @p f as the bench reports print it. */
+inline const char*
+fabricName(sim::Fabric f)
+{
+    return f == sim::Fabric::Directory ? "directory" : "snoop-bus";
+}
+
+/**
  * Serving-bench knobs (HMTX_SERVE_*). Unset fields keep the bench
  * defaults: theta/writeRatio/burstDuty stay negative and ops stays 0,
  * so callers test `>= 0` / `> 0` before overriding. HMTX_SERVE_THETA

@@ -58,37 +58,17 @@ constexpr unsigned kCores = 4;
 sim::MachineConfig
 servingConfig(TxMode mode, sim::Fabric fabric)
 {
-    sim::MachineConfig cfg;
-    bench::applyFastPathEnv(cfg);
-    cfg.numCores = kCores;
-    // Small hierarchy (the crossover bench's geometry): the serving
-    // footprints are per-request tiny, but the hot Zipfian working
-    // set plus four in-flight speculative sets is what pressures the
-    // bounded machines — best-effort burns capacity aborts into its
-    // fallback lock and limited-set trips its K bound, while full
-    // HMTX spills to the overflow table and keeps pipelining.
-    cfg.l1SizeKB = 1;
-    cfg.l1Assoc = 2;
-    cfg.l2SizeKB = 8;
-    cfg.l2Assoc = 8;
+    // The crossover bench's small machine: the serving footprints are
+    // per-request tiny, but the hot Zipfian working set plus four
+    // in-flight speculative sets is what pressures the bounded
+    // machines — best-effort burns capacity aborts into its fallback
+    // lock and limited-set trips its K bound, while full HMTX spills
+    // to the overflow table and keeps pipelining.
+    sim::MachineConfig cfg = bench::smallMachine(mode, fabric);
     // A wider VID window (256) amortizes window rollovers across more
     // requests; the registry split keeps each vidReset O(spec lines)
     // regardless of how much committed dirty state the table built up.
     cfg.vidBits = 8;
-    cfg.fabric = fabric;
-    if (fabric == sim::Fabric::Directory)
-        cfg.dirBanks = 8;
-    cfg.txMode = mode;
-    if (mode == TxMode::BestEffort) {
-        cfg.btxMaxRetries = 2;
-        cfg.btxAbortThreshold = 8;
-        cfg.unboundedSpecSets = false;
-    } else if (mode == TxMode::LimitedSet) {
-        cfg.limitedSetK = 4;
-        cfg.unboundedSpecSets = false;
-    } else {
-        cfg.unboundedSpecSets = true; // full HMTX: overflow table
-    }
     // Host-perf only (bit-identical results); the serving engine runs
     // hit-dominated once the table is warm, so keep the fast path on.
     if (!std::getenv("HMTX_FASTPATH"))
@@ -122,12 +102,6 @@ servingParams(const bench::ServeEnv& env, double theta, double write,
     p.burstDuty = env.burstDuty >= 0 ? env.burstDuty : 1.0;
     p.seed = seed;
     return p;
-}
-
-const char*
-fabricName(sim::Fabric f)
-{
-    return f == sim::Fabric::Directory ? "directory" : "snoop-bus";
 }
 
 void
@@ -274,7 +248,7 @@ main(int argc, char** argv)
         for (const double theta : thetas) {
             for (const double write : writes) {
                 std::printf("\n%s theta=%.2f write=%.2f\n",
-                            fabricName(fabric), theta, write);
+                            bench::fabricName(fabric), theta, write);
                 std::printf("%-13s | %10s %8s | %8s %8s %8s | %7s "
                             "%7s\n",
                             "mode", "cyc/req", "req/s", "p50", "p99",
@@ -314,7 +288,7 @@ main(int argc, char** argv)
 
                     char key[96];
                     std::snprintf(key, sizeof key, "%s|%.2f|%.2f|%s",
-                                  fabricName(fabric), theta, write,
+                                  bench::fabricName(fabric), theta, write,
                                   txModeName(mode));
                     p999[key] = q999;
 
@@ -334,7 +308,7 @@ main(int argc, char** argv)
                         "\"fallback_cycles\": %llu, "
                         "\"limited_set_aborts\": %llu, "
                         "\"non_spec_fallbacks\": %llu}%s\n",
-                        txModeName(mode), fabricName(fabric), theta,
+                        txModeName(mode), bench::fabricName(fabric), theta,
                         write,
                         static_cast<unsigned long long>(
                             r.serve.committed),
@@ -377,7 +351,7 @@ main(int argc, char** argv)
             for (const double write : writes) {
                 char base[96];
                 std::snprintf(base, sizeof base, "%s|%.2f|%.2f",
-                              fabricName(fabric), theta, write);
+                              bench::fabricName(fabric), theta, write);
                 const std::uint64_t lazy =
                     p999[std::string(base) + "|" +
                          txModeName(TxMode::LazyHmtx)];

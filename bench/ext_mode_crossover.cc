@@ -5,15 +5,13 @@
  * serialized global-lock fallback, under a rising per-transaction
  * write-set sweep on both interconnect fabrics.
  *
- * The experiment drives CacheSystem directly (no runtime executors)
- * with a pipeline of transactions striped across 4 cores: every
- * transaction stores W distinct lines of a private region, reads a
- * couple of them back, and occasionally collides on a shared line so
- * the retry budget is exercised too. Cost is tracked with per-core
- * lane clocks: an access charges its own lane, while commits, aborts,
- * and serialized fallback accesses synchronize every lane (they hold
- * the global bus/lock). The makespan of a cell is the maximum lane
- * clock once every transaction has committed.
+ * A pipeline of transactions striped across 4 cores runs on
+ * runtime::LaneDriver: every transaction stores W distinct lines of a
+ * private region, reads a couple of them back, and occasionally
+ * collides on a shared line so the retry budget is exercised too. A
+ * cell's makespan is the slowest lane clock once everything
+ * committed, and its final memory image must hold exactly what the
+ * committed bodies stored (the run exits 1 otherwise).
  *
  * Small caches make the capacity axis bite: while W fits, best-effort
  * tracks sets for free and matches (or beats) the overflow-table
@@ -25,15 +23,13 @@
  * in BENCH_modes.json (path overridable as argv[1]).
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <vector>
 
 #include "bench/common.hh"
-#include "sim/cache_system.hh"
-#include "sim/event_queue.hh"
-#include "sim/stats_report.hh"
+#include "runtime/lane_driver.hh"
 
 using namespace hmtx;
 
@@ -42,34 +38,6 @@ namespace
 
 constexpr unsigned kCores = 4;
 constexpr unsigned kBatches = 12; // 48 transactions, inside one window
-constexpr unsigned kMaxAttempts = 64;
-
-sim::MachineConfig
-cellConfig(TxMode mode, sim::Fabric fabric)
-{
-    sim::MachineConfig cfg;
-    bench::applyFastPathEnv(cfg);
-    cfg.numCores = kCores;
-    // Tiny hierarchy so the write-set sweep crosses the capacity
-    // boundary mid-sweep instead of at absurd W.
-    cfg.l1SizeKB = 1;
-    cfg.l1Assoc = 2;
-    cfg.l2SizeKB = 8;
-    cfg.l2Assoc = 8;
-    cfg.fabric = fabric;
-    if (fabric == sim::Fabric::Directory)
-        cfg.dirBanks = 8;
-    cfg.txMode = mode;
-    if (mode == TxMode::BestEffort) {
-        cfg.btxMaxRetries = 2;
-        cfg.btxAbortThreshold = 8; // early fallback once aborts pile up
-        cfg.unboundedSpecSets = false;
-    } else {
-        cfg.unboundedSpecSets = true; // full HMTX: overflow table
-    }
-    cfg.validate();
-    return cfg;
-}
 
 /** Result of one (mode, fabric, W) cell. */
 struct CellResult
@@ -80,184 +48,81 @@ struct CellResult
     TxModeStats tx;
 };
 
-/** One straight-line transaction body. */
-struct TxInstr
-{
-    bool isStore;
-    Addr addr;
-    std::uint64_t value;
-};
-
-/** Per-core lane clocks with global synchronization points. */
-struct LaneClock
-{
-    std::uint64_t t[kCores] = {};
-
-    std::uint64_t
-    maxT() const
-    {
-        std::uint64_t m = 0;
-        for (std::uint64_t v : t)
-            m = std::max(m, v);
-        return m;
-    }
-
-    void
-    local(unsigned core, std::uint64_t cycles)
-    {
-        t[core] += cycles;
-    }
-
-    /** Global event (commit, abort, serialized access): every lane
-     *  waits for the slowest, then all advance together. */
-    void
-    global(std::uint64_t cycles)
-    {
-        const std::uint64_t m = maxT() + cycles;
-        for (std::uint64_t& v : t)
-            v = m;
-    }
-};
-
-/**
- * Runs the whole transaction pipeline for one cell. Each batch puts
- * one transaction per core in flight (VIDs LC+1..LC+4), interleaves
- * their bodies round-robin, and commits a transaction the moment it
- * finishes at the head of the VID order. A global flush rewinds every
- * speculative transaction to its first instruction — but not the
- * fallback-lock holder, whose serialized progress is committed state
- * and survives the flush exactly as it does architecturally. That is
- * what makes the loop converge in best-effort mode: once the budget
- * arms, the oldest transaction serializes through any number of
- * younger capacity aborts, commits, and shrinks the batch.
- */
+/** Runs one cell: kBatches batches of one transaction per core. */
 CellResult
 runCell(const sim::MachineConfig& cfg, unsigned W)
 {
-    sim::EventQueue eq;
-    sim::CacheSystem sys(eq, cfg);
-    CellResult res;
-    LaneClock lanes;
-
+    runtime::LaneDriver drv(cfg, {});
+    sim::CacheSystem& sys = drv.sys();
     const Addr sharedLine = 0x80000;
-    Vid nextVid = 1;
+    // The memory image the committed bodies imply; the shared line
+    // stays 0 unless a committed body stored it.
+    std::map<Addr, std::uint64_t> image{{sharedLine, 0}};
 
     for (unsigned batch = 0; batch < kBatches; ++batch) {
-        const Vid baseVid = nextVid;
-        nextVid += kCores;
+        const Vid baseVid = drv.openBatch(kCores);
         // A sparse deterministic conflict: on its first run, every
         // fourth batch reads a shared line everywhere and then has
         // its oldest transaction store it, which must abort (§4.3).
-        // Re-executions run with the dependence resolved.
-        bool conflict = batch % 4 == 0;
-
-        auto bodyOf = [&](unsigned c) {
+        // A flush strips the conflict from every body it rewinds, so
+        // re-executions run with the dependence resolved.
+        const bool conflict = batch % 4 == 0;
+        std::vector<runtime::LaneOp> ops[kCores];
+        runtime::LaneFlight flights[kCores];
+        runtime::LaneFlight* inFlight[kCores];
+        for (unsigned c = 0; c < kCores; ++c) {
             const Vid vid = baseVid + c;
-            const Addr region =
-                0x100000 + (static_cast<Addr>(vid) << 16);
-            std::vector<TxInstr> body;
+            const Addr region = 0x100000 + (static_cast<Addr>(vid) << 16);
             if (conflict)
-                body.push_back({false, sharedLine, 0});
-            body.push_back({false, region, 0});
-            body.push_back({false, region + 64, 0});
+                ops[c].push_back({false, sharedLine, 0});
+            ops[c].push_back({false, region, 0});
+            ops[c].push_back({false, region + 64, 0});
             for (unsigned w = 0; w < W; ++w)
-                body.push_back({true,
-                                region + static_cast<Addr>(w) * 64,
-                                vid * 1000 + w});
+                ops[c].push_back({true, region + static_cast<Addr>(w) * 64,
+                                  vid * 1000 + w});
             if (conflict && c == 0)
-                body.push_back({true, sharedLine, vid});
-            return body;
-        };
-
-        std::vector<std::vector<TxInstr>> body(kCores);
-        for (unsigned c = 0; c < kCores; ++c)
-            body[c] = bodyOf(c);
-        unsigned progress[kCores] = {};
-        bool committed[kCores] = {};
-        const std::uint64_t flushCap = res.flushes + kMaxAttempts;
-
-        for (;;) {
-            bool all = true;
-            for (bool b : committed)
-                all = all && b;
-            if (all)
-                break;
-            if (res.flushes >= flushCap) {
-                std::fprintf(stderr,
-                             "FATAL: batch %u stuck after %u flushes "
-                             "(W=%u, mode=%s)\n",
-                             batch, kMaxAttempts, W,
-                             txModeName(cfg.txMode));
-                std::exit(1);
-            }
-            for (unsigned c = 0; c < kCores; ++c) {
-                if (committed[c] || progress[c] >= body[c].size())
-                    continue;
-                const Vid vid = baseVid + c;
-                const TxInstr& in = body[c][progress[c]];
-                const std::uint64_t fbBefore =
-                    sys.txPolicy().stats().fallbackAccesses;
-                const std::uint64_t abortsBefore = sys.stats().aborts;
-                sim::AccessResult r = in.isStore
-                    ? sys.store(c, in.addr, in.value, 8, vid)
-                    : sys.load(c, in.addr, 8, vid);
-                const bool serialized =
-                    sys.txPolicy().stats().fallbackAccesses > fbBefore;
-                if (serialized)
-                    lanes.global(r.latency);
-                else
-                    lanes.local(c, r.latency);
-                if (sys.stats().aborts > abortsBefore) {
-                    // Global flush: every speculative transaction of
-                    // the batch rewinds; the serialized lock holder
-                    // (if any) keeps its committed progress, and its
-                    // own collisions flush+retry internally without
-                    // surfacing as an aborted access. The conflict
-                    // dependence is consumed by whichever abort it
-                    // raised.
-                    ++res.flushes;
-                    lanes.global(0);
-                    const bool held = sys.txPolicy().fallbackHeld();
-                    const Vid holder = sys.txPolicy().fallbackVid();
-                    if (conflict) {
-                        conflict = false;
-                        for (unsigned k = 0; k < kCores; ++k)
-                            if (!(held && baseVid + k == holder))
-                                body[k] = bodyOf(k);
-                    }
-                    for (unsigned k = 0; k < kCores; ++k)
-                        if (!committed[k] &&
-                            !(held && baseVid + k == holder))
-                            progress[k] = 0;
-                    if (!r.aborted)
-                        ++progress[c]; // serialized access completed
-                    break;
-                }
-                ++progress[c];
-            }
-            // Commit every head-of-order transaction that finished;
-            // commits broadcast, so they synchronize the lanes.
-            for (unsigned c = 0; c < kCores; ++c) {
-                if (committed[c] || progress[c] < body[c].size() ||
-                    baseVid + c != sys.lcVid() + 1)
-                    continue;
-                lanes.global(sys.commit(baseVid + c));
-                committed[c] = true;
-            }
+                ops[c].push_back({true, sharedLine, vid});
+            flights[c].body = ops[c].data();
+            flights[c].len = static_cast<unsigned>(ops[c].size());
+            flights[c].core = c;
+            inFlight[c] = &flights[c];
         }
+        drv.runBatch(
+            inFlight,
+            [&](runtime::LaneFlight& f) {
+                for (unsigned i = 0; i < f.len; ++i)
+                    if (f.body[i].isStore)
+                        image[f.body[i].addr] = f.body[i].value;
+            },
+            [&](runtime::LaneFlight& f) {
+                f.body = ops[f.core].data() + conflict;
+                f.len = W + 2;
+            });
     }
 
-    res.makespan = lanes.maxT();
+    CellResult res;
+    res.makespan = drv.now();
+    res.flushes = drv.stats().flushes;
     res.stats = sys.stats();
     res.tx = sys.txPolicy().stats();
     sys.checkInvariants();
-    return res;
-}
 
-const char*
-fabricName(sim::Fabric f)
-{
-    return f == sim::Fabric::Directory ? "directory" : "snoop-bus";
+    sys.flushDirtyToMemory();
+    for (const auto& [addr, want] : image) {
+        const std::uint64_t got = sys.memory().read(addr, 8);
+        if (got != want) {
+            std::fprintf(stderr,
+                         "FATAL: W=%u mode=%s %s: memory at %llx holds "
+                         "%llu, the committed bodies stored %llu\n",
+                         W, txModeName(cfg.txMode),
+                         bench::fabricName(cfg.fabric),
+                         static_cast<unsigned long long>(addr),
+                         static_cast<unsigned long long>(got),
+                         static_cast<unsigned long long>(want));
+            std::exit(1);
+        }
+    }
+    return res;
 }
 
 void
@@ -306,7 +171,7 @@ main(int argc, char** argv)
     // Echo the commit-mode axis of the best-effort cell so the report
     // is self-describing (the full-HMTX cell is the lazy default).
     const sim::MachineConfig echo =
-        cellConfig(TxMode::BestEffort, sim::Fabric::SnoopBus);
+        bench::smallMachine(TxMode::BestEffort, sim::Fabric::SnoopBus);
     std::fprintf(
         js,
         "{\n \"config\": {\n"
@@ -328,7 +193,7 @@ main(int argc, char** argv)
 
     for (unsigned fi = 0; fi < 2; ++fi) {
         const sim::Fabric fabric = fabrics[fi];
-        std::printf("\n%s fabric\n", fabricName(fabric));
+        std::printf("\n%s fabric\n", bench::fabricName(fabric));
         std::printf("%-6s | %-12s | %-12s %-7s | %-8s %-9s %-9s %-8s\n",
                     "W", "hmtx cyc", "btx cyc", "ratio", "aborts",
                     "fbEntry", "fbCycles", "spills");
@@ -338,9 +203,9 @@ main(int argc, char** argv)
 
         for (unsigned W : sweep) {
             CellResult hm =
-                runCell(cellConfig(TxMode::LazyHmtx, fabric), W);
+                runCell(bench::smallMachine(TxMode::LazyHmtx, fabric), W);
             CellResult be =
-                runCell(cellConfig(TxMode::BestEffort, fabric), W);
+                runCell(bench::smallMachine(TxMode::BestEffort, fabric), W);
             const double ratio = static_cast<double>(be.makespan) /
                 static_cast<double>(hm.makespan);
             std::printf("%-6u | %12llu | %12llu %6.2fx | %8llu "
@@ -373,7 +238,7 @@ main(int argc, char** argv)
                 "   \"btx\": {\"cycles\": %llu, \"flushes\": %llu, "
                 "\"aborts\": %llu, \"capacityAborts\": %llu, "
                 "\"fallback_cycle_share\": %.4f,\n",
-                fabricName(fabric), W,
+                bench::fabricName(fabric), W,
                 static_cast<unsigned long long>(hm.makespan),
                 static_cast<unsigned long long>(hm.flushes),
                 static_cast<unsigned long long>(hm.stats.aborts),
@@ -396,11 +261,11 @@ main(int argc, char** argv)
             crossoverEverywhere = false;
             std::printf("\n%s: NO crossover — best-effort never lost "
                         "within the sweep\n",
-                        fabricName(fabrics[fi]));
+                        bench::fabricName(fabrics[fi]));
         } else {
             std::printf("\n%s: full HMTX overtakes best-effort at "
                         "W=%u stores/tx\n",
-                        fabricName(fabrics[fi]), crossover[fi]);
+                        bench::fabricName(fabrics[fi]), crossover[fi]);
         }
     }
 

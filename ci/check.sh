@@ -255,17 +255,52 @@ if printf '%s\n' "${PRESETS[@]}" | grep -qx release; then
              "hot-path regression gate" >&2
         exit 1
     fi
-    echo "==== bench: commit-mode crossover smoke ===="
+    # Every field of the crossover report is simulated, so a fresh run
+    # must reproduce the committed BENCH_modes.json exactly.
+    echo "==== bench: commit-mode crossover smoke + pin ===="
     cmake --build --preset release -j "$JOBS" \
         --target ext_mode_crossover
     CI_MODES_JSON=$(mktemp)
     if ! "$ROOT/build-release/bench/ext_mode_crossover" \
         "$CI_MODES_JSON" > /dev/null; then
         echo "FATAL: ext_mode_crossover found no HMTX/best-effort" \
-             "crossover (or failed to converge) — the bounded-mode" \
-             "capacity behaviour regressed" >&2
+             "crossover, failed to converge, or left a memory image" \
+             "its committed bodies do not explain" >&2
         exit 1
     fi
+    python3 - "$CI_MODES_JSON" "$ROOT/BENCH_modes.json" <<'EOF'
+import json
+import sys
+
+cur_path, base_path = sys.argv[1:]
+with open(cur_path) as f:
+    cur = json.load(f)
+with open(base_path) as f:
+    base = json.load(f)
+
+def flat(node, path=""):
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from flat(v, f"{path}.{k}" if path else k)
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from flat(v, f"{path}[{i}]")
+    else:
+        yield path, node
+
+cur_f, base_f = dict(flat(cur)), dict(flat(base))
+bad = [k for k in sorted(set(cur_f) | set(base_f))
+       if cur_f.get(k) != base_f.get(k)]
+for k in bad:
+    print(f"  {k}: got {cur_f.get(k)} pinned {base_f.get(k)} MISMATCH")
+if bad:
+    sys.exit("FATAL: ext_mode_crossover differs from BENCH_modes.json; "
+             "simulated behaviour changed (regenerate it with "
+             "bench/run_bench.sh only when the change is meant to "
+             "alter it)")
+print(f"  {len(cur_f)} fields equal BENCH_modes.json")
+print("crossover pin: ok")
+EOF
     rm -f "$CI_MODES_JSON"
 
     echo "==== bench: hot-path regression gate ===="
@@ -354,8 +389,60 @@ if printf '%s\n' "${PRESETS[@]}" | grep -qx release; then
              "throughput gate" >&2
         exit 1
     fi
-    echo "==== bench: serving smoke + throughput floor ===="
+    # Every simulated field of a full sweep (each cell's fields except
+    # host_requests_per_sec, the p999 ratios and the headline) must
+    # equal the committed BENCH_serving.json. HMTX_* variables reshape
+    # the sweep, so the run clears them.
+    echo "==== bench: serving sweep pin ===="
     cmake --build --preset release -j "$JOBS" --target ext_kv_serving
+    CI_SERVE_JSON=$(mktemp)
+    CI_SERVE_ENV=()
+    for v in $(compgen -e | grep '^HMTX_' || true); do
+        CI_SERVE_ENV+=(-u "$v")
+    done
+    if ! env "${CI_SERVE_ENV[@]}" \
+        "$ROOT/build-release/bench/ext_kv_serving" \
+        "$CI_SERVE_JSON" > /dev/null; then
+        echo "FATAL: ext_kv_serving sweep failed (oracle, accounting," \
+             "or no p999 divergence)" >&2
+        exit 1
+    fi
+    python3 - "$CI_SERVE_JSON" "$ROOT/BENCH_serving.json" <<'EOF'
+import json
+import sys
+
+cur_path, base_path = sys.argv[1:]
+with open(cur_path) as f:
+    cur = json.load(f)
+with open(base_path) as f:
+    base = json.load(f)
+
+HOST = {"host_requests_per_sec"}
+bad = []
+if len(cur["sweep"]) != len(base["sweep"]):
+    bad.append(f"sweep has {len(cur['sweep'])} cells, pinned "
+               f"{len(base['sweep'])}")
+for i, (c, b) in enumerate(zip(cur["sweep"], base["sweep"])):
+    for k in sorted((set(c) | set(b)) - HOST):
+        if c.get(k) != b.get(k):
+            bad.append(f"sweep[{i}] {b.get('mode')}/{b.get('fabric')} "
+                       f"theta={b.get('theta')} "
+                       f"write={b.get('write_ratio')} {k}: got "
+                       f"{c.get(k)} pinned {b.get(k)}")
+for k in ("p999_btx_over_lazy", "headline"):
+    if cur.get(k) != base.get(k):
+        bad.append(f"{k}: got {cur.get(k)} pinned {base.get(k)}")
+for line in bad:
+    print(f"  {line} MISMATCH")
+if bad:
+    sys.exit("FATAL: ext_kv_serving differs from BENCH_serving.json; "
+             "simulated behaviour changed")
+print(f"  {len(cur['sweep'])} cells equal BENCH_serving.json")
+print("serving pin: ok")
+EOF
+    rm -f "$CI_SERVE_JSON"
+
+    echo "==== bench: serving smoke + throughput floor ===="
     CI_SERVE_LINE=$("$ROOT/build-release/bench/ext_kv_serving" --gate)
     echo "  $CI_SERVE_LINE"
     python3 - "$ROOT/BENCH_serving.json" "${CI_SERVE_LINE##* }" <<'EOF'

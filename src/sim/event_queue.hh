@@ -41,7 +41,7 @@ namespace hmtx::sim
  *
  * The wheel's buckets are allocated by the first push(): a queue that
  * only tracks the clock (curTick()/tryBypass(), as the differential
- * cells and kv_serve's direct drive do) never pays for them.
+ * cells and runtime::LaneDriver do) never pays for them.
  */
 class EventQueue
 {

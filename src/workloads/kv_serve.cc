@@ -1,12 +1,9 @@
 /**
  * @file
  * KV/OLTP serving engine implementation. See kv_serve.hh for the
- * model; the execution loop mirrors the crossover bench's lane-clock
- * pipeline (bench/ext_mode_crossover.cc) with three additions: open-
- * loop arrivals, a drain-oldest recovery mode that guarantees forward
- * progress without the best-effort fallback lock, and a
- * non-speculative path for transactions whose footprint can never fit
- * the limited-set bound.
+ * model. This file generates requests, builds their bodies, checks
+ * committed stores against the oracle and records latencies;
+ * runtime::LaneDriver runs the batches.
  */
 
 #include "workloads/kv_serve.hh"
@@ -18,8 +15,7 @@
 #include <cstdlib>
 
 #include "runtime/alloc.hh"
-#include "sim/cache_system.hh"
-#include "sim/event_queue.hh"
+#include "runtime/lane_driver.hh"
 #include "sim/rng.hh"
 
 namespace hmtx::workloads
@@ -56,14 +52,6 @@ struct Request
     ReqKind kind = ReqKind::PointGet;
 };
 
-/** One straight-line transaction instruction. */
-struct TxInstr
-{
-    bool isStore;
-    Addr addr;
-    std::uint64_t value;
-};
-
 /** 8-byte words per bucket line (the oracle's granularity). */
 constexpr std::size_t kWordsPerLine = kLineBytes / 8;
 
@@ -71,20 +59,11 @@ constexpr std::size_t kWordsPerLine = kLineBytes / 8;
 constexpr unsigned kMaxBody = 2 * 12 + 4;
 
 /** One in-flight transaction on a core (arena-carved POD). */
-struct Flight
+struct Flight : runtime::LaneFlight
 {
     Request req;
-    TxInstr body[kMaxBody];
-    unsigned len = 0;
-    unsigned progress = 0;
+    runtime::LaneOp ops[kMaxBody];
     unsigned footprintLines = 0;
-    Vid vid = 0;
-    bool active = false;
-    bool committed = false;
-    /** Runs non-speculatively (limited-set footprint overflow). */
-    bool nonSpec = false;
-    /** Holds the best-effort fallback lock (accesses serialized). */
-    bool underLock = false;
 };
 
 /** Per-core ring + bursty open-loop generator state. */
@@ -102,55 +81,11 @@ struct CoreLane
     std::uint64_t onLeft = 0;
 };
 
-/** Per-core lane clocks with global synchronization points. */
-class LaneClock
-{
-  public:
-    explicit LaneClock(unsigned cores) : t_(cores, 0) {}
-
-    std::uint64_t
-    maxT() const
-    {
-        std::uint64_t m = 0;
-        for (std::uint64_t v : t_)
-            m = std::max(m, v);
-        return m;
-    }
-
-    std::uint64_t at(unsigned core) const { return t_[core]; }
-
-    void local(unsigned core, std::uint64_t cyc) { t_[core] += cyc; }
-
-    /** Waits the core out until @p when (idle gap returned). */
-    std::uint64_t
-    waitUntil(unsigned core, std::uint64_t when)
-    {
-        if (t_[core] >= when)
-            return 0;
-        const std::uint64_t idle = when - t_[core];
-        t_[core] = when;
-        return idle;
-    }
-
-    /** Global event (commit, abort, serialized access): every lane
-     *  waits for the slowest, then all advance together. */
-    void
-    global(std::uint64_t cyc)
-    {
-        const std::uint64_t m = maxT() + cyc;
-        for (std::uint64_t& v : t_)
-            v = m;
-    }
-
-  private:
-    std::vector<std::uint64_t> t_;
-};
-
 class Engine
 {
   public:
     Engine(const sim::MachineConfig& cfg, const KvServeParams& p)
-        : cfg_(cfg), p_(p), sys_(eq_, cfg), lanes_(cfg.numCores),
+        : cfg_(cfg), p_(p), drv_(cfg, {p.maxAttempts, p.drainAfter}),
           zipf_(p.keys, p.zipfTheta),
           onLen_(2.0, 512.0, p.burstAlpha <= 1e-3 ? 1.5 : p.burstAlpha)
     {
@@ -199,15 +134,11 @@ class Engine
 
     void buildBody(Flight& f) const;
     void refillRing(unsigned c);
-    bool activate(unsigned c, Vid vid);
-    void runBatch(const std::vector<unsigned>& active);
-    void commitFlight(Flight& f);
+    bool activate(unsigned c);
 
     const sim::MachineConfig cfg_;
     const KvServeParams p_;
-    sim::EventQueue eq_;
-    sim::CacheSystem sys_;
-    LaneClock lanes_;
+    runtime::LaneDriver drv_;
     sim::ZipfSampler zipf_;
     sim::BoundedParetoSampler onLen_;
     Addr tableBase_ = 0;
@@ -227,9 +158,9 @@ Engine::buildBody(Flight& f) const
 {
     const Request& r = f.req;
     unsigned n = 0;
-    auto load = [&](Addr a) { f.body[n++] = {false, a, 0}; };
+    auto load = [&](Addr a) { f.ops[n++] = {false, a, 0}; };
     auto store = [&](Addr a, std::uint64_t v) {
-        f.body[n++] = {true, a, v};
+        f.ops[n++] = {true, a, v};
     };
     switch (r.kind) {
     case ReqKind::PointGet:
@@ -267,12 +198,14 @@ Engine::buildBody(Flight& f) const
         break;
     }
     }
+    f.body = f.ops;
     f.len = n;
     // Distinct-line footprint: decides the limited-set non-spec path.
     Addr lines[kMaxBody];
     unsigned nl = 0;
     for (unsigned i = 0; i < n; ++i) {
-        const Addr la = f.body[i].addr & ~static_cast<Addr>(kLineBytes - 1);
+        const Addr la =
+            f.ops[i].addr & ~static_cast<Addr>(kLineBytes - 1);
         bool seen = false;
         for (unsigned j = 0; j < nl; ++j)
             seen = seen || lines[j] == la;
@@ -335,7 +268,7 @@ Engine::refillRing(unsigned c)
 /** Dequeues the next request of core @p c into its flight. Returns
  *  false when the core is out of work. */
 bool
-Engine::activate(unsigned c, Vid vid)
+Engine::activate(unsigned c)
 {
     CoreLane& cl = cores_[c];
     if (cl.ringCount == 0)
@@ -345,11 +278,6 @@ Engine::activate(unsigned c, Vid vid)
     Flight& f = *cl.fl;
     f.req = cl.ring[cl.ringHead++];
     --cl.ringCount;
-    f.progress = 0;
-    f.vid = vid;
-    f.active = true;
-    f.committed = false;
-    f.underLock = false;
     buildBody(f);
     f.nonSpec = cfg_.txMode == TxMode::LimitedSet &&
         f.footprintLines > cfg_.limitedSetK;
@@ -360,151 +288,8 @@ Engine::activate(unsigned c, Vid vid)
     // Open loop: a request cannot start before it arrives. The queue
     // delay (arrival long before the lane got free) is what shows up
     // in the tail percentiles under bursts.
-    res_.serve.idleCycles += lanes_.waitUntil(c, f.req.arrival);
+    res_.serve.idleCycles += drv_.waitUntil(c, f.req.arrival);
     return true;
-}
-
-void
-Engine::commitFlight(Flight& f)
-{
-    eq_.tryBypass(lanes_.maxT());
-    lanes_.global(sys_.commit(f.vid));
-    f.committed = true;
-    ++res_.serve.committed;
-    const std::uint64_t lat = lanes_.maxT() - f.req.arrival;
-    res_.serve.latency.record(lat);
-    if (p_.recordLatencies)
-        res_.recordedLatencies.push_back(lat);
-    if (p_.oracleCheck) {
-        for (unsigned i = 0; i < f.len; ++i) {
-            if (f.body[i].isStore) {
-                const std::size_t w = (f.body[i].addr - tableBase_) / 8;
-                oracle_[w] = f.body[i].value;
-                oracleWritten_[w] = 1;
-            }
-        }
-    }
-}
-
-/**
- * Runs one batch (one transaction per active core, consecutive VIDs)
- * to full commitment. Round-robins the bodies; a global flush rewinds
- * every speculative transaction except the best-effort fallback-lock
- * holder and non-speculative limited-set overflows (their progress is
- * committed state). After drainAfter flushes, non-best-effort modes
- * switch to draining the oldest transaction alone, which cannot lose
- * a conflict and therefore guarantees forward progress.
- */
-void
-Engine::runBatch(const std::vector<unsigned>& active)
-{
-    std::uint64_t flushes = 0;
-    bool drain = false;
-
-    for (;;) {
-        bool all = true;
-        for (unsigned c : active)
-            all = all && cores_[c].fl->committed;
-        if (all)
-            break;
-        if (flushes >= p_.maxAttempts) {
-            std::fprintf(stderr,
-                         "FATAL: kv_serve batch stuck after %llu "
-                         "flushes (mode=%s)\n",
-                         static_cast<unsigned long long>(flushes),
-                         txModeName(cfg_.txMode));
-            std::abort();
-        }
-        if (!drain && flushes >= p_.drainAfter &&
-            cfg_.txMode != TxMode::BestEffort) {
-            drain = true;
-            ++res_.serve.drains;
-        }
-
-        for (unsigned c : active) {
-            Flight& f = *cores_[c].fl;
-            if (f.committed || f.progress >= f.len)
-                continue;
-            // Drain mode and the non-spec overflow path both execute
-            // only at the head of the VID order: drained transactions
-            // so they run alone, non-spec ones so their immediately
-            // visible writes land in commit order.
-            if ((drain || f.nonSpec) && f.vid != sys_.lcVid() + 1)
-                continue;
-            const TxInstr& in = f.body[f.progress];
-            const Vid accessVid = f.nonSpec ? kNonSpecVid : f.vid;
-            // The interconnect stamps fabric contention from the
-            // event-queue clock; this engine schedules no events, so
-            // jump the clock to the issuing lane's time (a zero-event
-            // bypass — the queue is empty). Without this, `now` never
-            // moves and every bus acquire queues behind the whole
-            // run's accumulated occupancy: makespan goes quadratic in
-            // the request count.
-            eq_.tryBypass(lanes_.at(c));
-            const std::uint64_t fbBefore =
-                sys_.txPolicy().stats().fallbackAccesses;
-            const std::uint64_t abortsBefore = sys_.stats().aborts;
-            sim::AccessResult r = in.isStore
-                ? sys_.store(c, in.addr, in.value, 8, accessVid)
-                : sys_.load(c, in.addr, 8, accessVid);
-            const bool serialized =
-                sys_.txPolicy().stats().fallbackAccesses > fbBefore;
-            if (serialized)
-                lanes_.global(r.latency);
-            else
-                lanes_.local(c, r.latency);
-            // First serialized access: the fallback lock engaged. If
-            // the body already made speculative progress, that prefix
-            // is ordinary flushable state — the protocol requires the
-            // holder to own no speculative lines (any other VID's
-            // abort would silently discard the prefix while the
-            // serialized suffix commits) — so re-execute the whole
-            // request under the lock. Store values are precomputed
-            // per request, so the re-run is idempotent.
-            bool restarted = false;
-            if (serialized && !f.underLock) {
-                f.underLock = true;
-                if (f.progress > 0) {
-                    f.progress = 0;
-                    restarted = true;
-                    ++res_.serve.lockRestarts;
-                }
-            }
-            if (sys_.stats().aborts > abortsBefore) {
-                ++flushes;
-                lanes_.global(0);
-                const bool held = sys_.txPolicy().fallbackHeld();
-                const Vid holder = sys_.txPolicy().fallbackVid();
-                for (unsigned k : active) {
-                    Flight& g = *cores_[k].fl;
-                    if (g.committed || g.nonSpec ||
-                        (held && g.vid == holder))
-                        continue;
-                    if (g.progress > 0 || &g == &f) {
-                        g.progress = 0;
-                        ++res_.serve.aborted;
-                        ++res_.serve.issued;
-                    }
-                }
-                if (!r.aborted && !restarted)
-                    ++f.progress; // serialized/non-spec access landed
-                break;
-            }
-            if (!restarted)
-                ++f.progress;
-        }
-
-        // Commit every head-of-order transaction that finished;
-        // commits broadcast, so they synchronize the lanes. The empty
-        // commit of a non-spec overflow still advances the window.
-        for (unsigned c : active) {
-            Flight& f = *cores_[c].fl;
-            if (f.committed || f.progress < f.len ||
-                f.vid != sys_.lcVid() + 1)
-                continue;
-            commitFlight(f);
-        }
-    }
 }
 
 KvServeResult
@@ -520,54 +305,68 @@ Engine::run()
         CoreLane& cl = cores_[c];
         cl.ring = arenas_.back().alloc<Request>(p_.ringCap);
         cl.fl = arenas_.back().alloc<Flight>();
+        cl.fl->core = c;
         cl.toGenerate = p_.requests / n + (c < p_.requests % n);
         rngs_.emplace_back(p_.seed * 0x9e3779b97f4a7c15ull + c + 1);
     }
     if (p_.recordLatencies)
         res_.recordedLatencies.reserve(p_.requests);
 
-    const Vid maxVid = cfg_.maxVid();
-    Vid nextVid = 1;
-    std::vector<unsigned> active;
-    active.reserve(n);
-
+    std::vector<runtime::LaneFlight*> batch;
+    batch.reserve(n);
     for (;;) {
-        // Between batches everything is committed, so a window
-        // rollover is always legal here (§4.6).
-        if (nextVid + n - 1 > maxVid) {
-            eq_.tryBypass(lanes_.maxT());
-            lanes_.global(sys_.vidReset());
-            ++res_.serve.windowResets;
-            nextVid = 1;
-        }
-        active.clear();
-        Vid vid = nextVid;
+        drv_.openBatch(n);
+        batch.clear();
         for (unsigned c = 0; c < n; ++c)
-            if (activate(c, vid)) {
-                active.push_back(c);
-                ++vid;
-            }
-        if (active.empty())
+            if (activate(c))
+                batch.push_back(cores_[c].fl);
+        if (batch.empty())
             break;
-        runBatch(active);
-        nextVid = vid;
+        drv_.runBatch(
+            batch,
+            [this](runtime::LaneFlight& lf) {
+                const Flight& f = static_cast<const Flight&>(lf);
+                ++res_.serve.committed;
+                const std::uint64_t lat = drv_.now() - f.req.arrival;
+                res_.serve.latency.record(lat);
+                if (p_.recordLatencies)
+                    res_.recordedLatencies.push_back(lat);
+                if (!p_.oracleCheck)
+                    return;
+                for (unsigned i = 0; i < f.len; ++i) {
+                    if (f.ops[i].isStore) {
+                        const std::size_t w =
+                            (f.ops[i].addr - tableBase_) / 8;
+                        oracle_[w] = f.ops[i].value;
+                        oracleWritten_[w] = 1;
+                    }
+                }
+            },
+            [](runtime::LaneFlight&) {});
     }
 
-    res_.makespan = lanes_.maxT();
-    res_.sys = sys_.stats();
-    res_.tx = sys_.txPolicy().stats();
+    sim::CacheSystem& sys = drv_.sys();
+    const runtime::LaneDriverStats& ds = drv_.stats();
+    res_.serve.aborted = ds.rewinds;
+    res_.serve.issued += ds.rewinds;
+    res_.serve.drains = ds.drains;
+    res_.serve.lockRestarts = ds.lockRestarts;
+    res_.serve.windowResets = ds.windowResets;
+    res_.makespan = drv_.now();
+    res_.sys = sys.stats();
+    res_.tx = sys.txPolicy().stats();
     for (const runtime::ScratchArena& a : arenas_)
         res_.scratchHighWater += a.highWater();
-    sys_.checkInvariants();
+    sys.checkInvariants();
 
     if (p_.oracleCheck) {
-        sys_.flushDirtyToMemory();
+        sys.flushDirtyToMemory();
         for (std::size_t w = 0; w < oracle_.size(); ++w) {
             if (!oracleWritten_[w])
                 continue;
             const Addr addr = tableBase_ + w * 8;
             const std::uint64_t want = oracle_[w];
-            const std::uint64_t got = sys_.memory().read(addr, 8);
+            const std::uint64_t got = sys.memory().read(addr, 8);
             if (got != want) {
                 std::fprintf(
                     stderr,

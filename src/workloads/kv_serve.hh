@@ -10,10 +10,10 @@
  * arrival processes draw keys from a Zipfian popularity law and issue
  * point-gets, read-modify-writes, two-key transfers, and small scans
  * as MTXs against a shared hash table in simulated memory. The engine
- * drives CacheSystem directly with the lane-clock cost model of the
- * crossover bench (an access charges its own lane; commits, aborts and
- * serialized fallback accesses synchronize every lane), so the four
- * commit modes and both fabrics are directly comparable under load.
+ * runs on runtime::LaneDriver, the crossover bench's drive loop (an
+ * access charges its own lane; commits, aborts and serialized fallback
+ * accesses synchronize every lane), so the four commit modes and both
+ * fabrics are directly comparable under load.
  *
  * Throughput discipline (DESIGN.md §15): the request path performs no
  * host heap allocation and keeps no per-request state after commit.

@@ -313,7 +313,7 @@ TEST(EventQueueDue, StaleOccupancyBitOnCurrentBucketIsIgnored)
 
 TEST(EventQueueDue, NeverScheduledQueueAlwaysBypasses)
 {
-    // kv_serve's direct drive: the queue only keeps the clock.
+    // The lane driver's use: the queue only keeps the clock.
     EventQueue eq;
     EXPECT_TRUE(eq.tryBypass(7));
     EXPECT_TRUE(eq.tryBypass(7 + 5 * kWheel));
