@@ -28,7 +28,6 @@ main()
          {"052.alvinn", "456.hmmer", "ispell", "164.gzip",
           "186.crafty"}) {
         sim::MachineConfig on; // SLA enabled (default)
-        applyFastPathEnv(on);
         auto wlOn = workloads::makeByName(name);
         runtime::ExecResult rOn = runtime::Runner::runHmtx(*wlOn, on);
 

@@ -20,7 +20,6 @@ main()
     for (const char* name : {"164.gzip", "ispell"}) {
         auto seqWl = workloads::makeByName(name);
         sim::MachineConfig base;
-        applyFastPathEnv(base);
         runtime::ExecResult seq =
             runtime::Runner::runSequential(*seqWl, base);
 
@@ -34,7 +33,6 @@ main()
         rule(84);
         for (unsigned bits : {3u, 4u, 6u, 8u}) {
             sim::MachineConfig cfg;
-            applyFastPathEnv(cfg);
             cfg.vidBits = bits;
             auto wl = workloads::makeByName(name);
             runtime::ExecResult r = runtime::Runner::runHmtx(*wl, cfg);

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -109,30 +108,6 @@ rule(unsigned width = 78)
 }
 
 /**
- * Applies the HMTX_FASTPATH environment knob ("on"/"off") to @p cfg:
- * it toggles the zero-event hit fast path (DESIGN.md §13). Results are
- * bit-identical either way — only host time and the sim.fastpath.*
- * counters change. Every bench applies this to each config it builds,
- * so one environment variable flips a whole run onto the fast path.
- */
-inline void
-applyFastPathEnv(sim::MachineConfig& cfg)
-{
-    const char* f = std::getenv("HMTX_FASTPATH");
-    if (!f)
-        return;
-    if (std::strcmp(f, "on") == 0 || std::strcmp(f, "1") == 0) {
-        cfg.fastPath = true;
-    } else if (std::strcmp(f, "off") == 0 || std::strcmp(f, "0") == 0) {
-        cfg.fastPath = false;
-    } else {
-        std::fprintf(stderr, "FATAL: HMTX_FASTPATH=%s (want on or off)\n",
-                     f);
-        std::abort();
-    }
-}
-
-/**
  * The crossover and serving benches' machine: 4 cores, 1 KB/2-way L1,
  * 8 KB/8-way L2, 8 directory banks, btx retries 2 / threshold 8,
  * limited-set K = 4, unbounded sets for the HMTX modes.
@@ -141,7 +116,6 @@ inline sim::MachineConfig
 smallMachine(TxMode mode, sim::Fabric fabric)
 {
     sim::MachineConfig cfg;
-    applyFastPathEnv(cfg);
     cfg.numCores = 4;
     cfg.l1SizeKB = 1;
     cfg.l1Assoc = 2;

@@ -35,8 +35,7 @@ int
 main(int argc, char** argv)
 {
     const char* outPath = argc > 1 ? argv[1] : "BENCH_scaling.json";
-    sim::MachineConfig envProbe;
-    applyFastPathEnv(envProbe);
+    sim::MachineConfig defaults;
     std::printf("Extension §8: PS-DSWP scaling, snoopy bus vs "
                 "directory fabric\n");
 
@@ -54,16 +53,15 @@ main(int argc, char** argv)
                  "{\n \"config\": {\"txMode\": \"%s\", "
                  "\"btxMaxRetries\": %u, \"btxAbortThreshold\": %u, "
                  "\"limitedSetK\": %u},\n \"workloads\": {\n",
-                 txModeName(envProbe.txMode),
-                 envProbe.btxMaxRetries, envProbe.btxAbortThreshold,
-                 envProbe.limitedSetK);
+                 txModeName(defaults.txMode),
+                 defaults.btxMaxRetries, defaults.btxAbortThreshold,
+                 defaults.limitedSetK);
 
     bool dirWinsAtScale = true;
     for (std::size_t w = 0; w < benches.size(); ++w) {
         const char* name = benches[w];
         auto seqWl = workloads::makeByName(name);
         sim::MachineConfig base;
-        applyFastPathEnv(base);
         runtime::ExecResult seq =
             runtime::Runner::runSequential(*seqWl, base);
 
@@ -79,7 +77,6 @@ main(int argc, char** argv)
         for (unsigned cores : coreCounts) {
             sim::MachineConfig snoop;
             snoop.numCores = cores;
-            applyFastPathEnv(snoop);
             auto a = workloads::makeByName(name);
             runtime::ExecResult rs = runtime::Runner::runHmtx(*a, snoop);
             requireChecksum(name, seq, rs);

@@ -69,10 +69,6 @@ servingConfig(TxMode mode, sim::Fabric fabric)
     // requests; the registry split keeps each vidReset O(spec lines)
     // regardless of how much committed dirty state the table built up.
     cfg.vidBits = 8;
-    // Host-perf only (bit-identical results); the serving engine runs
-    // hit-dominated once the table is warm, so keep the fast path on.
-    if (!std::getenv("HMTX_FASTPATH"))
-        cfg.fastPath = true;
     cfg.validate();
     return cfg;
 }

@@ -40,7 +40,6 @@ int
 main()
 {
     sim::MachineConfig base; // Table 2: cache-to-cache = 40 cycles
-    applyFastPathEnv(base);
     sim::MachineConfig slow = base;
     slow.l2Latency = 120; // a high-latency interconnect
 

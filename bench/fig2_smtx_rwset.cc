@@ -17,7 +17,6 @@ int
 main()
 {
     sim::MachineConfig cfg;
-    applyFastPathEnv(cfg);
 
     std::printf("Figure 2: SMTX whole-program speedup over "
                 "sequential (4 cores)\n");

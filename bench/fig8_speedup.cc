@@ -16,7 +16,6 @@ int
 main()
 {
     sim::MachineConfig cfg; // Table 2 defaults, 4 cores
-    applyFastPathEnv(cfg);
 
     std::printf("Figure 8: Hot loop speedup over sequential, "
                 "4 cores\n");

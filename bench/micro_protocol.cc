@@ -80,7 +80,6 @@ BM_CacheL1Hit(benchmark::State& state)
 {
     sim::EventQueue eq;
     sim::MachineConfig cfg;
-    bench::applyFastPathEnv(cfg);
     cfg.l2SizeKB = 256;
     sim::CacheSystem sys(eq, cfg);
     sys.store(0, 0x1000, 1, 8, 0);
@@ -96,7 +95,6 @@ BM_SpeculativeStoreChain(benchmark::State& state)
     // the full NewVersion + group-commit path.
     sim::EventQueue eq;
     sim::MachineConfig cfg;
-    bench::applyFastPathEnv(cfg);
     cfg.l2SizeKB = 256;
     sim::CacheSystem sys(eq, cfg);
     for (auto _ : state) {
@@ -115,7 +113,6 @@ BM_UncommittedForwarding(benchmark::State& state)
 {
     sim::EventQueue eq;
     sim::MachineConfig cfg;
-    bench::applyFastPathEnv(cfg);
     cfg.l2SizeKB = 256;
     sim::CacheSystem sys(eq, cfg);
     for (auto _ : state) {
@@ -134,7 +131,6 @@ BM_AbortFlush(benchmark::State& state)
 {
     sim::EventQueue eq;
     sim::MachineConfig cfg;
-    bench::applyFastPathEnv(cfg);
     cfg.l2SizeKB = 256;
     sim::CacheSystem sys(eq, cfg);
     for (auto _ : state) {

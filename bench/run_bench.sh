@@ -3,9 +3,8 @@
 #
 #   BENCH_hotpath.json  micro_hotpath google-benchmark results
 #                       (indexed vs forced full scan, seed and Table 2
-#                       geometries; zero-event fast path off vs on on
-#                       the hit-dominated stream) plus end-to-end
-#                       fig8_speedup timings.
+#                       geometries) plus end-to-end fig8_speedup
+#                       timings.
 #   BENCH_scaling.json  ext_directory_scaling cores x fabric sweep
 #                       (snoop bus vs directory, 2-32 cores); the run
 #                       fails if the directory fabric is not at least
@@ -112,18 +111,10 @@ for op in ("BM_AbortAll", "BM_VidReset", "BM_EagerCommit"):
     if idx and full:
         ratios[op] = round(full / idx, 1)
 
-# Zero-event fast path (DESIGN.md section 13): per-access speedup of
-# the hit-dominated stream with the fast path on vs off. ci/check.sh
-# gates this at >= 1.20x on every release run.
-fp_off = by_name.get("BM_HitFastPath/0")
-fp_on = by_name.get("BM_HitFastPath/1")
-fastpath = round(fp_off / fp_on, 2) if fp_off and fp_on else None
-
 out = {
     "fig8_wall_ms": [int(t) for t in times],
     "fig8_best_ms": min(int(t) for t in times),
     "table2_index_speedups": ratios,
-    "fastpath_hit_speedup": fastpath,
     "micro_hotpath": micro,
 }
 with open(out_path, "w") as f:

@@ -311,7 +311,7 @@ EOF
     fi
     CI_MICRO_JSON=$(mktemp)
     if ! "$ROOT/build-release/bench/micro_hotpath" \
-        --benchmark_filter='BM_(EagerCommit|AbortAll)/1/0|BM_HitFastPath' \
+        --benchmark_filter='BM_(EagerCommit|AbortAll)/1/0' \
         --benchmark_out="$CI_MICRO_JSON" \
         --benchmark_out_format=json --benchmark_min_time=0.2; then
         echo "FATAL: micro_hotpath benchmark run failed" >&2
@@ -355,24 +355,6 @@ if failed:
     sys.exit("FATAL: hot-path benchmarks regressed >25% vs "
              "BENCH_hotpath.json")
 print("bench regression gate: ok")
-
-# Fast-path speedup gate (DESIGN.md section 13): the zero-event hit
-# fast path must keep the hit-dominated stream >= 20% faster than the
-# full per-access walk. Both cells run in this same process, so the
-# gate needs no baseline and stays active on a 1-CPU host.
-off, on = cur_t.get("BM_HitFastPath/0"), cur_t.get("BM_HitFastPath/1")
-if off is None or on is None:
-    sys.exit("FATAL: BM_HitFastPath cells missing from the gated run")
-if off[1] != on[1]:
-    sys.exit(f"FATAL: BM_HitFastPath time units differ "
-             f"({off[1]} vs {on[1]})")
-fp_speedup = off[0] / on[0]
-print(f"  BM_HitFastPath: off {off[0]:.1f}{off[1]}, on "
-      f"{on[0]:.1f}{on[1]} ({fp_speedup:.2f}x)")
-if fp_speedup < 1.20:
-    sys.exit(f"FATAL: fast path only {fp_speedup:.2f}x faster on the "
-             "hit-dominated stream (gate: >= 1.20x)")
-print("fast-path speedup gate: ok")
 EOF
 fi
 

@@ -74,10 +74,6 @@ cellConfig(const FuzzConfig& c, int i)
     mc.vidBits = c.vidBits;
     mc.unboundedSpecSets = c.unboundedSpecSets;
     mc.slaEnabled = c.slaEnabled;
-    // Per-cell zero-event fast-path toggle (DESIGN.md §13): cells with
-    // the bit clear run the classic event path, so cross-cell
-    // comparison doubles as a fast-on vs fast-off differential.
-    mc.fastPath = (c.fastPathMask >> i) & 1;
     mc.fabric = i < 2 ? sim::Fabric::SnoopBus : sim::Fabric::Directory;
     mc.txMode = (i % 2) == 0 ? TxMode::LazyHmtx
                              : TxMode::EagerHmtx;
@@ -110,11 +106,6 @@ modeCellConfig(const FuzzConfig& c, unsigned g, sim::Fabric f)
     mc.btxMaxRetries = pc.btxMaxRetries;
     mc.btxAbortThreshold = pc.btxAbortThreshold;
     mc.limitedSetK = pc.limitedSetK;
-    // Bits 4-7 of the mask: the bounded modes gate the knob off again
-    // internally, so this fuzzes that the gate really holds.
-    const unsigned bit = kCells + (g == kGroupLtd ? 2 : 0) +
-        (f == sim::Fabric::Directory ? 1 : 0);
-    mc.fastPath = (c.fastPathMask >> bit) & 1;
     return mc;
 }
 
@@ -842,14 +833,6 @@ class CellMatrix::Group
         cov.fallbackCommits += ts.fallbackCommits;
         cov.fallbackWrapRemaps += ts.fallbackWrapRemaps;
         cov.limitedSetAborts += ts.limitedSetAborts;
-        // Fast-path exposure: summed over all cells (zero where the
-        // mask bit is clear or the mode gates the knob off).
-        for (auto& c : cells_) {
-            const sim::FastStats& fs = c->sys.fastStats();
-            cov.fastAttempts += fs.attempts;
-            cov.fastHits += fs.hits();
-            cov.fastGenRejections += fs.genRejections;
-        }
     }
 
     const FuzzConfig cfg_;

@@ -72,11 +72,6 @@ struct Coverage
     std::uint64_t fallbackWrapRemaps = 0;
     /** From the limited-set group's cells. */
     std::uint64_t limitedSetAborts = 0;
-    /** Zero-event fast path (DESIGN.md §13), summed over every cell
-     *  whose fastPathMask bit was set. */
-    std::uint64_t fastAttempts = 0;
-    std::uint64_t fastHits = 0;
-    std::uint64_t fastGenRejections = 0;
 
     bool operator==(const Coverage&) const = default;
 };

@@ -317,8 +317,7 @@ generateProgram(std::uint64_t seed, unsigned cores, unsigned numOps)
     c.btxThreshold = 0;
     // Tiny K so the K-th-line boundary is inside a 4-8 op program.
     c.limitedK = 1 + static_cast<unsigned>(rng.range(3));
-    c.fastPathMask =
-        rng.chance(0.5) ? (1u << 8) - 1 : 0u;
+    (void)rng.chance(0.5); // a removed knob's draw: seeds keep their programs
     // The address pool is the opposite of the fuzzer's: 2-3 lines in
     // *distinct* L1 and L2 sets, far under every capacity bound, so
     // no environmental capacity abort can fire and the sleep-set

@@ -96,9 +96,7 @@ generate(std::uint64_t seed, unsigned numOps)
     // Limited-set group: tiny K so the K-th-line boundary and the
     // capacity-abort path fire on nearly every transaction.
     s.cfg.limitedK = 1 + static_cast<unsigned>(rng.range(6));
-    // Zero-event fast path: random per-cell toggles, so each schedule
-    // doubles as a fast-on vs fast-off differential across cells.
-    s.cfg.fastPathMask = static_cast<unsigned>(rng.range(1u << 8));
+    (void)rng.range(1u << 8); // a removed knob's draw: seeds keep schedules
 
     // Address pool: a clutch of lines that all collide in one set of
     // the tiny L1 *and* L2 (stride = max set span), plus a few
@@ -220,8 +218,7 @@ serialize(const Schedule& s)
        << "unbounded " << (c.unboundedSpecSets ? 1 : 0) << "\n"
        << "sla " << (c.slaEnabled ? 1 : 0) << "\n";
     os << "btx " << c.btxRetries << ' ' << c.btxThreshold << "\n"
-       << "limitedk " << c.limitedK << "\n"
-       << "fastpath " << c.fastPathMask << "\n";
+       << "limitedk " << c.limitedK << "\n";
     if (s.isProgram)
         os << "program 1\n";
     for (const Op& op : s.ops) {
@@ -243,7 +240,7 @@ parse(const std::string& text, Schedule& out, std::string& err)
     std::istringstream is(text);
     std::string line;
     out = Schedule{};
-    out.omittedKnobs = kOmitBtx | kOmitLimitedK | kOmitFastPath;
+    out.omittedKnobs = kOmitBtx | kOmitLimitedK;
     bool sawVersion = false, sawEnd = false;
     unsigned lineNo = 0;
     // Hand-edited witnesses must fail loudly, not replay the wrong
@@ -354,13 +351,6 @@ parse(const std::string& text, Schedule& out, std::string& err)
             if (!(ls >> c.limitedK) || c.limitedK == 0)
                 return fail("bad limitedk");
             out.omittedKnobs &= ~kOmitLimitedK;
-        } else if (tok == "fastpath") {
-            if (!(ls >> c.fastPathMask))
-                return fail("bad fastpath");
-            if (c.fastPathMask >= (1u << 8))
-                return fail("fastpath mask out of range (8 cell "
-                            "bits)");
-            out.omittedKnobs &= ~kOmitFastPath;
         } else if (tok == "program") {
             unsigned v;
             if (!(ls >> v) || v > 1)

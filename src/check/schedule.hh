@@ -74,14 +74,6 @@ struct FuzzConfig
     /** Limited-set group policy: speculative lines tracked per VID.
      *  Older replay files omit the `limitedk` line. */
     unsigned limitedK = 4;
-    /** Zero-event fast-path toggle, one bit per matrix cell (bits 0-3:
-     *  the hmtx cells in kCellNames order; bits 4-5: btx bus/dir;
-     *  bits 6-7: ltd bus/dir, where the config layer gates the knob
-     *  off again — fuzzing that the gate holds). Cells with the bit
-     *  clear run the classic event path, so every schedule is also a
-     *  fast-on vs fast-off differential. Older replay files omit the
-     *  `fastpath` line (all cells off). */
-    unsigned fastPathMask = 0;
 
     bool operator==(const FuzzConfig&) const = default;
 };
@@ -94,7 +86,6 @@ enum OmittedKnob : unsigned
 {
     kOmitBtx = 1u << 0,
     kOmitLimitedK = 1u << 1,
-    kOmitFastPath = 1u << 2,
 };
 
 struct Schedule

@@ -332,7 +332,6 @@ collect(Machine& m, LoopWorkload& wl, Shared* sh, std::string model)
     r.stats = m.sys().stats();
     r.txStats = m.sys().txPolicy().stats();
     r.indexStats = m.sys().indexStats();
-    r.fastStats = m.sys().fastStats();
     r.transactions = r.stats.committedTxs;
     for (CoreId c = 0; c < m.config().numCores; ++c) {
         r.instructions += m.ctx(c).instructions();

@@ -47,9 +47,6 @@ struct ExecResult
     TxModeStats txStats;
     /** Simulator-side index diagnostics (not architectural). */
     sim::IndexStats indexStats;
-    /** Zero-event fast-path diagnostics (simulator-side, like
-     *  indexStats; excluded from differential equality). */
-    sim::FastStats fastStats;
     /** SMTX runs only: value-validation failures detected by the
      *  commit process (0 for every abort-free run). */
     std::uint64_t smtxMisspeculations = 0;

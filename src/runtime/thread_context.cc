@@ -73,11 +73,8 @@ ThreadContext::load(Addr a, unsigned size)
     noteAddr(a);
     if (r.needSla && !sla_.full())
         sla_.push({a, vid_, r.value, size});
-    OpAwait op{&m_.eq(), m_.now() + 1 + r.latency, r.value,
-               r.aborted, vid_};
-    if (r.fastHit)
-        op.fstats = &m_.sys().fastStats();
-    return op;
+    return OpAwait{&m_.eq(), m_.now() + 1 + r.latency, r.value,
+                   r.aborted, vid_};
 }
 
 OpAwait
@@ -88,11 +85,8 @@ ThreadContext::store(Addr a, std::uint64_t v, unsigned size)
         return abortedOp();
     sim::AccessResult r = m_.sys().store(core_, a, v, size, vid_);
     noteAddr(a);
-    OpAwait op{&m_.eq(), m_.now() + 1 + r.latency, v, r.aborted,
-               vid_};
-    if (r.fastHit)
-        op.fstats = &m_.sys().fastStats();
-    return op;
+    return OpAwait{&m_.eq(), m_.now() + 1 + r.latency, v, r.aborted,
+                   vid_};
 }
 
 OpAwait

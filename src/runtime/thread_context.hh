@@ -38,9 +38,6 @@ struct OpAwait
     std::uint64_t value = 0;
     bool abort = false;
     Vid vid = 0;
-    /** Set only on accesses that retired on the hit fast path: their
-     *  zero-event wake-ups count in FastStats::eventBypasses. */
-    sim::FastStats* fstats = nullptr;
 
     /**
      * Zero-event wake-up: when nothing else is due by `wake`, jump the
@@ -55,11 +52,7 @@ struct OpAwait
     bool
     await_ready() const
     {
-        if (abort || !eq->dispatching() || !eq->tryBypass(wake))
-            return false;
-        if (fstats != nullptr)
-            ++fstats->eventBypasses;
-        return true;
+        return !abort && eq->dispatching() && eq->tryBypass(wake);
     }
 
     void

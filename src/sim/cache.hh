@@ -31,13 +31,6 @@ namespace hmtx::sim
 constexpr std::uint32_t kNoCacheId = 0xffffffffu;
 
 /**
- * "No fast-path tag" sentinel for Line::fpLoadVid/fpStoreVid. Outside
- * the architectural VID range (VIDs are at most 2^vidBits - 1 and
- * vidBits is far below 32), so it can never equal a request VID.
- */
-constexpr Vid kFpNoVid = ~Vid{0};
-
-/**
  * Simulator-internal bookkeeping attached to each cache slot so the
  * index structures (CacheSystem's presence filter and the per-cache
  * spec/dirty registry) can be maintained incrementally. This is not
@@ -117,22 +110,6 @@ struct Line
     Vid rwReadVid = kNonSpecVid;
     Vid rwWriteVid = kNonSpecVid;
     std::uint32_t rwGen = 0;
-    /**
-     * Zero-event fast-path tags (simulator-side, DESIGN.md §13): the
-     * VIDs whose last load (resp. store) of this line went through the
-     * full protocol path and left the line in a state where an
-     * identical re-access is a pure L1 hit with no protocol side
-     * effects. Valid only while `fpGen` matches CacheSystem's fast-path
-     * generation; any protocol mutation of the line clears fpGen, and
-     * every bulk operation bumps the global generation, so a stale tag
-     * can never satisfy an access the slow path would treat
-     * differently. kFpNoVid means "no tag": VID 0 is a legitimate
-     * (non-speculative) request VID, so the absent-tag sentinel must
-     * live outside the architectural VID range.
-     */
-    Vid fpLoadVid = kFpNoVid;
-    Vid fpStoreVid = kFpNoVid;
-    std::uint64_t fpGen = 0;
     /** LRU timestamp. */
     Tick lastUse = 0;
     /** Index bookkeeping; slot identity, excluded from copies. */
@@ -172,16 +149,13 @@ struct Line
         rwReadVid = o.rwReadVid;
         rwWriteVid = o.rwWriteVid;
         rwGen = o.rwGen;
-        // Fast-path tags stay with the *protocol action* that planted
-        // them, never with the bytes: a copied/moved line (allocation,
-        // eviction migration, spill refill) starts untagged, so slot
-        // reuse can never resurrect a stale tag.
-        fpLoadVid = kFpNoVid;
-        fpStoreVid = kFpNoVid;
-        fpGen = 0;
         lastUse = o.lastUse;
     }
 };
+
+// One host cache line per slot: the 32-way L2 set scan streams these
+// records, and fig8's resident set holds one per cached line.
+static_assert(sizeof(Line) <= 64, "sim::Line must fit one 64-byte host line");
 
 /**
  * One set's two storage planes. `lines[i]`'s payload is `data[i]`;
@@ -386,7 +360,7 @@ class Cache
      * vector, so refilling a reset cache allocates nothing. Slots are
      * dropped rather than invalidated: a fresh cache grows its sets
      * from default-constructed lines, and a reused slot would carry
-     * stale rw/fast-path marks and LRU stamps into the next run.
+     * stale rw marks and LRU stamps into the next run.
      */
     void
     reset()

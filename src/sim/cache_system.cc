@@ -31,13 +31,6 @@ CacheSystem::CacheSystem(EventQueue& eq, const MachineConfig& cfg)
     // beyond 64 caches (far above any modeled configuration).
     filterEnabled_ = caches_.size() <= 64;
     net_ = makeInterconnect(cfg_, stats_);
-    // Fast path only under the plain HMTX policies: best-effort and
-    // limited-set interpose per-access policy state (fallback lock,
-    // K bound) the tag cannot vouch for, and copy-on-read makes every
-    // new-VID read allocate (never a pure hit).
-    fastEnabled_ = cfg_.fastPath && !cfg_.copyOnRead &&
-        (cfg_.txMode == TxMode::LazyHmtx ||
-         cfg_.txMode == TxMode::EagerHmtx);
 }
 
 void
@@ -61,8 +54,6 @@ CacheSystem::reset()
     rwReleaseAll();
     rwCachedVid_ = 0;
     rwGen_ = 1;
-    fastGen_ = 1;
-    fastStats_ = {};
 }
 
 // --- index maintenance --------------------------------------------------
@@ -93,11 +84,6 @@ CacheSystem::presenceRemove(std::uint32_t ci, Addr la)
 void
 CacheSystem::syncLine(Line& l)
 {
-    // Every protocol mutation funnels through here; the fast-path tags
-    // vouch for the line's exact state, so any such mutation retires
-    // them. (Sites that mutate tag/state without calling syncLine
-    // carry their own explicit fpClear.)
-    fpClear(l);
     const std::uint32_t ci = l.bk.cacheId;
     if (ci == kNoCacheId)
         return; // overflow-table entries and snapshots are unindexed

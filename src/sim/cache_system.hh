@@ -61,12 +61,6 @@ struct AccessResult
     bool aborted = false;
     /** True when the request was satisfied by the local L1. */
     bool l1Hit = false;
-    /**
-     * True when the zero-event fast path retired the access
-     * (simulator-side: architectural effects are identical to the full
-     * path; the runtime uses this as the event-bypass hint).
-     */
-    bool fastHit = false;
 };
 
 /**
@@ -98,8 +92,8 @@ class CacheSystem
      * Returns the system to exactly its just-constructed state under
      * the same MachineConfig, so a run on a reset system is
      * indistinguishable from a run on a freshly built one: same
-     * AccessResults (latencies included), same SysStats, IndexStats,
-     * FastStats and TxModeStats, same lcVid/abortGen, same memory
+     * AccessResults (latencies included), same SysStats, IndexStats
+     * and TxModeStats, same lcVid/abortGen, same memory
      * image. Covers the caches (lines, payloads, LRU, registries),
      * the presence filter, the read/write sets, the wrong-path shadow
      * marks, the overflow table, every counter and generation, the
@@ -236,10 +230,6 @@ class CacheSystem
 
     /** Index diagnostics (simulator-side, not architectural). */
     const IndexStats& indexStats() const { return idxStats_; }
-
-    /** Fast-path diagnostics (simulator-side, DESIGN.md §13). */
-    const FastStats& fastStats() const { return fastStats_; }
-    FastStats& fastStats() { return fastStats_; }
 
   private:
     // --- protocol-engine bridge ---------------------------------------
@@ -527,55 +517,6 @@ class CacheSystem
      */
     bool limitedSetBlocks(Vid vid, Addr la);
 
-    // --- zero-event fast path internals --------------------------------
-    /** Request VID as the fast path keys it: non-speculative accesses
-     *  (VID 0, or any VID with HMTX disabled) share one tag slot. */
-    Vid
-    fastEffVid(Vid vid) const
-    {
-        return cfg_.hmtxEnabled && vid != kNonSpecVid ? vid
-                                                      : kNonSpecVid;
-    }
-
-    /**
-     * Retires the access entirely on the zero-event fast path when the
-     * local L1 copy carries a currently-valid tag for it. Returns false
-     * (leaving @p r untouched) when the access must take the full path.
-     */
-    bool fastAccess(CoreId core, Addr a, std::uint64_t value,
-                    unsigned size, Vid vid, bool isStore,
-                    AccessResult& r);
-
-    /**
-     * Plants a fast-path tag on @p l for direction @p isStore under
-     * the current generation. Called at the slow-path exits whose
-     * post-state makes an identical re-access a pure hit; entering the
-     * current generation invalidates whatever the other direction's
-     * tag said in a previous one (same discipline as the rw marks).
-     */
-    void
-    fpTag(Line& l, Vid vid, bool isStore)
-    {
-        if (!fastEnabled_)
-            return;
-        if (l.fpGen != fastGen_) {
-            l.fpGen = fastGen_;
-            l.fpLoadVid = kFpNoVid;
-            l.fpStoreVid = kFpNoVid;
-        }
-        (isStore ? l.fpStoreVid : l.fpLoadVid) = vid;
-    }
-
-    /**
-     * Invalidates @p l's fast-path tags. syncLine() calls this for
-     * every indexed mutation; the handful of protocol actions that
-     * mutate a line's tag/flags *without* going through syncLine
-     * (read-mark raises, sharer-bit sets, mark folds) must call it
-     * explicitly — a stale tag there would let a fast store silently
-     * succeed where the slow path aborts on a dependence.
-     */
-    static void fpClear(Line& l) { l.fpGen = 0; }
-
     EventQueue& eq_;
     /**
      * Logical access clock for replacement recency. Line::lastUse is
@@ -672,21 +613,6 @@ class CacheSystem
      * Starts at 1: default-initialized lines (rwGen = 0) are stale.
      */
     std::uint32_t rwGen_ = 1;
-
-    /**
-     * Generation validating Line fast-path tags (DESIGN.md §13);
-     * bumped by every bulk protocol operation (commit, abortAll,
-     * vidReset, flushDirtyToMemory) — i.e. whenever lcVid_, rwGen_, or
-     * a bulk walk could change what an access observes — so every
-     * valid tag was planted at the current LC VID with the current
-     * read/write-set era. Starts at 1: default-initialized lines
-     * (fpGen = 0) are stale.
-     */
-    std::uint64_t fastGen_ = 1;
-    /** fastPath knob resolved against the gates that disable it
-     *  (copy-on-read ablation, non-plain TxPolicy). */
-    bool fastEnabled_ = false;
-    FastStats fastStats_;
 
     // Scratch of checkInvariants()/verifyIndexes(): cleared on each
     // call, kept so the self-checks the differ runs every 32 ops do

@@ -27,11 +27,6 @@ CacheSystem::applyReadMark(CoreId core, Line& l, Vid vid, AccessResult& r)
         return;
     if (act == ReadMarkAction::RaiseHigh) {
         r.needSla = true;
-        // Mark raise without syncLine: invalidate fast-path tags
-        // explicitly (a stale fast-store tag would silently succeed
-        // where the slow path aborts on the dependence this mark
-        // records).
-        fpClear(l);
         l.tag.high = vid;
         l.highFromWrongPath = false;
         return;
@@ -334,17 +329,6 @@ AccessResult
 CacheSystem::load(CoreId core, Addr a, unsigned size, Vid vid,
                   bool wrongPath)
 {
-    // Zero-event fast path (DESIGN.md §13): a tagged pure L1 hit
-    // skips the policy preamble, findLocal's reconcile pass, and the
-    // mark machinery. Wrong-path loads are excluded — they feed the
-    // shadow map. The plain-policy gate inside fastEnabled_ makes the
-    // skipped preamble a guaranteed no-op.
-    if (fastEnabled_ && !wrongPath) {
-        AccessResult fr;
-        if (fastAccess(core, a, 0, size, vid, false, fr))
-            return fr;
-    }
-
     const bool spec = cfg_.hmtxEnabled && vid != kNonSpecVid;
     bool serialized = false;
     if (spec) {
@@ -452,7 +436,6 @@ CacheSystem::loadImpl(CoreId core, Addr a, unsigned size, Vid vid,
                 // aggregate these distributed marks.
                 if (vid > v->tag.high) {
                     r.needSla = true;
-                    fpClear(*v); // mark raise without syncLine
                     v->tag.high = vid;
                 }
             } else {
@@ -475,10 +458,7 @@ CacheSystem::loadImpl(CoreId core, Addr a, unsigned size, Vid vid,
             r.value = readData(o, a, size);
             if (isSpec(o.state)) {
                 // The speculative owner responds; requester keeps a
-                // silent S-S copy covering VIDs <= the request's. The
-                // owner's mark/sharer mutations below bypass syncLine,
-                // so its fast-path tags go explicitly.
-                fpClear(o);
+                // silent S-S copy covering VIDs <= the request's.
                 if (mark && reqVid > o.tag.high) {
                     r.needSla = true;
                     o.tag.high = reqVid;
@@ -576,7 +556,6 @@ CacheSystem::loadImpl(CoreId core, Addr a, unsigned size, Vid vid,
                     }
                 }
                 if (exist) {
-                    fpClear(*exist); // coverage raise without syncLine
                     exist->tag.high =
                         std::max(exist->tag.high, reqVid + 1);
                     exist->lastUse = ++useClock_;
@@ -620,7 +599,7 @@ CacheSystem::loadImpl(CoreId core, Addr a, unsigned size, Vid vid,
 
     if (spec && !wrongPath) {
         // The local L1 hit is the only path hot enough to warrant the
-        // rw-mark fast path; misses always pay the set insert.
+        // rw-mark short-circuit; misses always pay the set insert.
         recordRead(vid, la, r.l1Hit ? v : nullptr);
         if (r.needSla) {
             // SLA sent once the load retires; occupies the fabric but
@@ -649,32 +628,6 @@ CacheSystem::loadImpl(CoreId core, Addr a, unsigned size, Vid vid,
             ++stats_.corDuplicates;
         }
     }
-
-    // Plant the fast-path load tag when an identical re-access would
-    // be a pure hit: local hit, and the mark logic is a guaranteed
-    // no-op on the line's *post*-access state (this access may itself
-    // have planted the mark that makes the next one free). The probe
-    // re-validates the rw-mark short-circuit dynamically, so recording
-    // state needs no freezing here.
-    // ...and the line must keep serving this prober across commits
-    // (commit() does not bump fastGen_). A nonspec probe re-binds to
-    // the moving lcVid_ watermark, so a speculative version — whose
-    // nonspec visibility ends when its bounding VID commits (the
-    // reconcile the probe skips would retire it) — must never carry a
-    // nonspec tag; only plain MOESI lines qualify. A spec prober is
-    // fenced by the probe's own-commit watermark, and its live read
-    // mark pins tag.high above lcVid_, so no commit of another VID
-    // can fold the line out from under the tag.
-    if (fastEnabled_ && r.l1Hit && !wrongPath && !serialized) {
-        const bool pure = spec
-            ? (v->state == State::SpecShared && v->latestCopy
-                   ? vid <= v->tag.high
-                   : classifyReadMark(v->state, v->tag, vid) ==
-                         ReadMarkAction::None)
-            : !isSpec(v->state);
-        if (pure)
-            fpTag(*v, fastEffVid(vid), false);
-    }
     return r;
 }
 
@@ -684,15 +637,6 @@ AccessResult
 CacheSystem::store(CoreId core, Addr a, std::uint64_t value,
                    unsigned size, Vid vid)
 {
-    // Zero-event fast path (DESIGN.md §13): a tagged silent in-place
-    // write skips the policy preamble, the limited-set check (a no-op
-    // under the plain-policy gate), and findLocal's reconcile pass.
-    if (fastEnabled_) {
-        AccessResult fr;
-        if (fastAccess(core, a, value, size, vid, true, fr))
-            return fr;
-    }
-
     ++stats_.stores;
     if (!cfg_.hmtxEnabled || vid == kNonSpecVid)
         return nonSpecStore(core, a, value, size);
@@ -749,10 +693,6 @@ CacheSystem::store(CoreId core, Addr a, std::uint64_t value,
         ++stats_.l1Hits;
         recordWrite(vid, la, v);
         checkShadowAvoided(la, vid);
-        // Re-running this store is a pure in-place hit from here on
-        // (state/tags final, rw mark planted); tag it for the fast
-        // path. Planted after syncLine, so the tag survives.
-        fpTag(*v, vid, true);
         return r;
     }
 
@@ -817,7 +757,6 @@ CacheSystem::store(CoreId core, Addr a, std::uint64_t value,
                     eff.high = std::max(eff.high, l.tag.high);
                     if (l.highFromWrongPath &&
                         l.tag.high > owner->tag.high) {
-                        fpClear(*owner); // flag set without syncLine
                         owner->highFromWrongPath = true;
                     }
                 }
@@ -915,11 +854,6 @@ CacheSystem::nonSpecStore(CoreId core, Addr a, std::uint64_t value,
         v->lastUse = ++useClock_;
         r.l1Hit = true;
         ++stats_.l1Hits;
-        // The line is now M and dirty: re-running this store is a pure
-        // in-place write. fpTag is a no-op when the caller is the
-        // serialized-fallback path (fastEnabled_ is false for the
-        // bounded policies), so the tag never lies about a lock hold.
-        fpTag(*v, kNonSpecVid, true);
         return r;
     }
 
@@ -1034,86 +968,6 @@ CacheSystem::slaConfirm(CoreId core, const SlaEntry& e)
     }
     ++stats_.slaConfirms;
     return true;
-}
-
-// --- zero-event hit fast path (DESIGN.md §13) --------------------------------
-
-/**
- * Retires the access on the fast path when the local L1 holds a
- * currently-valid tag for it: returns true and fills @p r, or false
- * (leaving @p r untouched) when the access must take the full path.
- *
- * The probe scans the L1 set directly — no reconcile, no VidComparator
- * counts: the comparator diagnostics are not part of SysStats or any
- * differential comparison, and the tag's validity already proves
- * reconcile would be a no-op (lcVid_ unchanged since the tag was
- * planted). A tag for the right VID whose generation is stale counts as
- * a rejection but keeps scanning: two versions of the same line address
- * may coexist in a set, and the protocol's uniqueness invariant only
- * guarantees at most one *currently-valid* tag per (address, VID,
- * direction). A retirement mutates only the payload bytes and the LRU
- * stamp, and bumps exactly the SysStats counters the full path bumps on
- * the corresponding pure hit.
- */
-bool
-CacheSystem::fastAccess(CoreId core, Addr a, std::uint64_t value,
-                        unsigned size, Vid vid, bool isStore,
-                        AccessResult& r)
-{
-    ++fastStats_.attempts;
-    const Addr la = lineAddr(a);
-    const Vid eff = fastEffVid(vid);
-    const bool spec = eff != kNonSpecVid;
-    for (Line& l : caches_[core].set(la).lines) {
-        if (l.base != la || l.state == State::Invalid)
-            continue;
-        if ((isStore ? l.fpStoreVid : l.fpLoadVid) != eff)
-            continue;
-        if (l.fpGen != fastGen_) {
-            ++fastStats_.genRejections;
-            continue;
-        }
-        if (spec) {
-            // Commit watermark: tags planted by now-committed VIDs are
-            // dead (commit() does not bump fastGen_ — see the comment
-            // there), and a committed line's pending reconcile is real
-            // work the fast path must not skip.
-            if (vid <= lcVid_)
-                return false;
-            // Dynamic guards for state the tag cannot vouch for:
-            // shadow_ can be populated by a wrong-path load that never
-            // touched this line (checkShadowAvoided's side effects
-            // would then diverge), and another VID's slow-path access
-            // can steal the line's rw mark without invalidating the
-            // fast tags. The current rw mark proves the
-            // recordRead/recordWrite hash insert is a no-op.
-            if (isStore && !shadow_.empty())
-                return false;
-            if (l.rwGen != rwGen_ ||
-                (isStore ? l.rwWriteVid : l.rwReadVid) != vid)
-                return false;
-        }
-        l.lastUse = ++useClock_;
-        if (isStore) {
-            writeData(l, a, value, size);
-            ++stats_.stores;
-            if (spec)
-                ++stats_.specStores;
-            ++fastStats_.storeHits;
-        } else {
-            r.value = readData(l, a, size);
-            ++stats_.loads;
-            if (spec)
-                ++stats_.specLoads;
-            ++fastStats_.loadHits;
-        }
-        ++stats_.l1Hits;
-        r.latency = cfg_.l1Latency;
-        r.l1Hit = true;
-        r.fastHit = true;
-        return true;
-    }
-    return false;
 }
 
 } // namespace hmtx::sim

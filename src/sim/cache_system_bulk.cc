@@ -25,12 +25,6 @@ CacheSystem::commit(Vid vid)
             std::to_string(vid));
     }
     lcVid_ = vid;
-    // Fast-path tags survive commits: a tag only ever matches a probe
-    // with its own (VID, direction), VIDs advance monotonically until
-    // vidReset, and the fast path rejects VIDs at or below the watermark —
-    // so tags whose reconcile the commit un-no-ops are unreachable,
-    // and for live VIDs the fold is deferred exactly as lazy commit
-    // already defers it (every slow access reconciles first).
     ++stats_.commits;
     ++stats_.committedTxs;
     trace_.event(TraceCommit, eq_.curTick(), "commit VID %u", vid);
@@ -78,10 +72,6 @@ Cycles
 CacheSystem::abortAll()
 {
     ++abortGen_;
-    // No fastGen_ bump: the walk below syncLines (and thereby
-    // fp-clears) every speculative line, rwGen_ retires all rw marks,
-    // and committed lines — the only other tag carriers — are exactly
-    // the lines an abort leaves untouched.
     ++stats_.aborts;
     std::uint64_t touched = 0;
     bulkWalk(
@@ -129,7 +119,6 @@ CacheSystem::vidReset()
     // walk folds versions and rewrites memory, so throwing after it
     // would leave the machine reset in all but name — exactly the
     // stale-tag hazard §4.6 warns about.
-    ++fastGen_; // VID recycling / bulk rewrite: retire all fast tags
     if (rwLive_ != 0) {
         throw std::logic_error(
             "vidReset with outstanding uncommitted transactions");
@@ -172,7 +161,6 @@ CacheSystem::vidReset()
 void
 CacheSystem::flushDirtyToMemory()
 {
-    ++fastGen_; // VID recycling / bulk rewrite: retire all fast tags
     bulkWalk(
         OvPhase::BeforeLines, WalkClass::SpecAndDirty,
         [&](Line& l) {

@@ -203,7 +203,6 @@ CacheSystem::foldCopyMark(Addr la, const Line& victim)
     }
     if (Line* dst = owner ? owner : peer) {
         if (victim.tag.high > dst->tag.high) {
-            fpClear(*dst); // mark fold without syncLine
             dst->tag.high = victim.tag.high;
             dst->highFromWrongPath = victim.highFromWrongPath;
         }

@@ -161,20 +161,6 @@ struct MachineConfig
      */
     bool indexCrossCheck = false;
 
-    /**
-     * Zero-event hit fast path (DESIGN.md §13, simulator-side): a
-     * guarded inline path retires an access without probing the full
-     * protocol machinery — and, under the runtime, without scheduling
-     * an event — when the local L1 copy is already in the exact
-     * required state for the requesting VID. Eligibility is validated
-     * by per-line generation tags that every protocol action on the
-     * line (and every bulk operation) invalidates, so simulated
-     * behaviour (stats, timings, memory images) is bit-identical with
-     * the fast path on or off. Off by default; benches and tests
-     * enable it explicitly.
-     */
-    bool fastPath = false;
-
     /** Largest usable VID for this configuration. */
     Vid maxVid() const { return (Vid{1} << vidBits) - 1; }
 

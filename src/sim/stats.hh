@@ -173,44 +173,6 @@ struct IndexStats
 };
 
 /**
- * Diagnostics for the zero-event hit fast path (DESIGN.md §13). Like
- * IndexStats these are simulator-side: the fast path retires an access
- * with identical architectural effects to the full path, so runs with
- * the fast path on and off are bit-identical in SysStats but differ
- * here.
- */
-struct FastStats
-{
-    /** Fast probes attempted (every load/store when enabled). */
-    std::uint64_t attempts = 0;
-    /** Loads retired by the fast path. */
-    std::uint64_t loadHits = 0;
-    /** Stores retired by the fast path. */
-    std::uint64_t storeHits = 0;
-    /** Probes that found a tag for the right VID but rejected it
-     *  because the generation was stale (the line or the system was
-     *  touched by a protocol action since the tag was planted). */
-    std::uint64_t genRejections = 0;
-    /** Event-queue schedules bypassed entirely (access retired with
-     *  no event allocated; runtime-driven runs only). */
-    std::uint64_t eventBypasses = 0;
-
-    /** Total fast-path retirements. */
-    std::uint64_t hits() const { return loadHits + storeHits; }
-
-    /** Fraction of fast probes that retired on the fast path. */
-    double
-    hitRate() const
-    {
-        return attempts == 0 ? 0.0
-            : static_cast<double>(hits()) /
-                static_cast<double>(attempts);
-    }
-
-    bool operator==(const FastStats&) const = default;
-};
-
-/**
  * Streaming log-linear latency histogram (HDR style): each power-of-
  * two octave is split into 2^kSubBits linear sub-buckets, so the
  * relative quantization error is bounded by 1/2^kSubBits (~6%) at any
@@ -342,7 +304,7 @@ class LatencyHistogram
 
 /**
  * Counters of the KV/OLTP serving engine (src/workloads/kv_serve.*).
- * Simulator-side like FastStats — they describe the request pipeline
+ * Simulator-side like IndexStats — they describe the request pipeline
  * the driver ran, not the simulated machine — but their *internal*
  * consistency is architectural truth: every issued transaction
  * attempt ends in exactly one commit or one abort, so

@@ -39,9 +39,6 @@ class StatsReport
      * @param tx    optional commit-mode policy counters (fallback
      *              serialization, limited-set aborts); printed when
      *              given
-     * @param fast  optional zero-event fast-path counters (hits,
-     *              generation-tag rejections, event bypasses);
-     *              printed when given
      * @param serve optional KV/OLTP serving-engine counters (request
      *              pipeline + latency percentiles); printed when
      *              given
@@ -50,10 +47,8 @@ class StatsReport
                          const IndexStats* idx = nullptr,
                          const MachineConfig* cfg = nullptr,
                          const TxModeStats* tx = nullptr,
-                         const FastStats* fast = nullptr,
                          const ServeStats* serve = nullptr)
-        : s_(s), idx_(idx), cfg_(cfg), tx_(tx), fast_(fast),
-          serve_(serve)
+        : s_(s), idx_(idx), cfg_(cfg), tx_(tx), serve_(serve)
     {}
 
     /** Writes the report to @p out. */
@@ -64,7 +59,6 @@ class StatsReport
         group(sink, cfg_, &printConfig);
         printSys(sink, s_);
         group(sink, idx_, &printIndex);
-        group(sink, fast_, &printFastPath);
         group(sink, tx_, &printTxMode);
         group(sink, serve_, &printServe);
     }
@@ -210,27 +204,6 @@ class StatsReport
     }
 
     static void
-    printFastPath(RowSink& k, const FastStats& fast)
-    {
-        k.row("sim.fastpath.attempts", double(fast.attempts),
-              "accesses probed for the zero-event fast path");
-        k.row("sim.fastpath.hits", double(fast.hits()),
-              "accesses retired without touching the event queue");
-        k.row("sim.fastpath.loadHits", double(fast.loadHits),
-              "fast-path load hits");
-        k.row("sim.fastpath.storeHits", double(fast.storeHits),
-              "fast-path store hits");
-        k.row("sim.fastpath.genRejections",
-              double(fast.genRejections),
-              "probes rejected by a stale generation tag");
-        k.row("sim.fastpath.eventBypasses",
-              double(fast.eventBypasses),
-              "wake-ups retired inline via the queue bypass");
-        k.rate("sim.fastpath.hitRate", fast.hitRate(),
-               "fraction of probed accesses retired fast");
-    }
-
-    static void
     printTxMode(RowSink& k, const TxModeStats& tx)
     {
         k.row("sim.txmode.retryAborts", double(tx.retryAborts),
@@ -301,7 +274,6 @@ class StatsReport
     const IndexStats* idx_;
     const MachineConfig* cfg_;
     const TxModeStats* tx_;
-    const FastStats* fast_;
     const ServeStats* serve_;
 };
 

@@ -182,9 +182,6 @@ runBatchThreaded(std::uint64_t seed0, std::uint64_t schedules,
         cov.fallbackCommits += c.fallbackCommits;
         cov.fallbackWrapRemaps += c.fallbackWrapRemaps;
         cov.limitedSetAborts += c.limitedSetAborts;
-        cov.fastAttempts += c.fastAttempts;
-        cov.fastHits += c.fastHits;
-        cov.fastGenRejections += c.fastGenRejections;
     }
     return kNone;
 }
@@ -271,8 +268,6 @@ main(int argc, char **argv)
                           << " btxThreshold=" << s.cfg.btxThreshold;
             if (s.omittedKnobs & kOmitLimitedK)
                 std::cerr << " limitedK=" << s.cfg.limitedK;
-            if (s.omittedKnobs & kOmitFastPath)
-                std::cerr << " fastPathMask=" << s.cfg.fastPathMask;
             std::cerr << "\n";
         }
         Coverage rcov;
@@ -285,10 +280,6 @@ main(int argc, char **argv)
                       << " fallbackCommits=" << rcov.fallbackCommits
                       << " wrapRemaps=" << rcov.fallbackWrapRemaps
                       << " limitedSetAborts=" << rcov.limitedSetAborts
-                      << "\n"
-                      << "  fastAttempts=" << rcov.fastAttempts
-                      << " fastHits=" << rcov.fastHits
-                      << " fastGenRejections=" << rcov.fastGenRejections
                       << "\n";
             return 0;
         }
@@ -337,9 +328,6 @@ main(int argc, char **argv)
               << " fallbackAccesses=" << cov.fallbackAccesses
               << " fallbackCommits=" << cov.fallbackCommits
               << " wrapRemaps=" << cov.fallbackWrapRemaps
-              << " limitedSetAborts=" << cov.limitedSetAborts << "\n"
-              << "  fastAttempts=" << cov.fastAttempts
-              << " fastHits=" << cov.fastHits
-              << " fastGenRejections=" << cov.fastGenRejections << "\n";
+              << " limitedSetAborts=" << cov.limitedSetAborts << "\n";
     return 0;
 }

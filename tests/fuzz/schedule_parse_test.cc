@@ -55,8 +55,7 @@ minimalText(const std::string& extraHeader = "",
            "unbounded 0\n"
            "sla 1\n"
            "btx 2 0\n"
-           "limitedk 4\n"
-           "fastpath 0\n" +
+           "limitedk 4\n" +
         extraHeader + opLines + "end\n";
 }
 
@@ -88,8 +87,8 @@ TEST(ScheduleParse, DuplicateHeaderLine)
     EXPECT_NE(parseErr(minimalText("cores 2\n"))
                   .find("duplicate 'cores'"),
               std::string::npos);
-    EXPECT_NE(parseErr(minimalText("fastpath 1\n"))
-                  .find("duplicate 'fastpath'"),
+    EXPECT_NE(parseErr(minimalText("limitedk 2\n"))
+                  .find("duplicate 'limitedk'"),
               std::string::npos);
 }
 
@@ -121,11 +120,6 @@ TEST(ScheduleParse, OutOfRangeEncodings)
               std::string::npos);
     EXPECT_NE(swap("limitedk 4", "limitedk 0").find("limitedk"),
               std::string::npos);
-    EXPECT_NE(swap("fastpath 0", "fastpath 256").find("8 cell bits"),
-              std::string::npos);
-    std::string top = minimalText();
-    top.replace(top.find("fastpath 0"), 10, "fastpath 255");
-    EXPECT_EQ(parseOk(top).cfg.fastPathMask, 255u);
 }
 
 TEST(ScheduleParse, TruncatedOpLine)
@@ -167,10 +161,11 @@ TEST(ScheduleParse, UnknownTokenAndMissingEnd)
     EXPECT_NE(parseErr(minimalText("wibble 3\n"))
                   .find("unknown token"),
               std::string::npos);
-    // The host-engine knobs are gone from the format: a witness that
-    // still names them must fail instead of replaying silently.
+    // Removed knobs (the host engines, the hit fast path) are gone
+    // from the format: a witness that still names them must fail
+    // instead of replaying silently.
     for (const char* line : {"shards 1 1 1 1\n", "shardthreads 1 1 1 1\n",
-                             "enginethreads 1 1\n"}) {
+                             "enginethreads 1 1\n", "fastpath 0\n"}) {
         EXPECT_NE(parseErr(minimalText(line)).find("unknown token"),
                   std::string::npos)
             << line;
@@ -192,15 +187,11 @@ TEST(ScheduleParse, OmittedKnobProvenance)
         return text;
     };
     EXPECT_EQ(parseOk(t).omittedKnobs, 0u);
-    Schedule s = parseOk(drop(t, "fastpath"));
-    EXPECT_EQ(s.omittedKnobs, unsigned(kOmitFastPath));
-    EXPECT_EQ(s.cfg.fastPathMask, 0u);
-    std::string old = drop(drop(drop(t, "btx"), "limitedk"), "fastpath");
+    std::string old = drop(drop(t, "btx"), "limitedk");
     Schedule v1 = parseOk(old);
-    EXPECT_EQ(v1.omittedKnobs, kOmitBtx | kOmitLimitedK | kOmitFastPath);
+    EXPECT_EQ(v1.omittedKnobs, kOmitBtx | kOmitLimitedK);
     EXPECT_EQ(v1.cfg.btxRetries, 2u);
     EXPECT_EQ(v1.cfg.limitedK, 4u);
-    EXPECT_EQ(v1.cfg.fastPathMask, 0u);
 }
 
 TEST(ScheduleParse, ProgramFlag)

@@ -5,10 +5,10 @@
  * exactly as a freshly constructed cell does — every AccessResult
  * (latency included), every stats struct, lcVid, abortGen, the queue
  * tick and the memory image. Covers all 8 differential-matrix cell
- * configs (check::cellConfig / check::modeCellConfig), fast path on
- * and off, with A left in the states a reset must undo: mid-abort, a
- * DeliveryChooser installed, spilled lines in the overflow table,
- * wrong-path shadow marks, and events still pending on the queue.
+ * configs (check::cellConfig / check::modeCellConfig), with A left
+ * in the states a reset must undo: mid-abort, a DeliveryChooser
+ * installed, spilled lines in the overflow table, wrong-path shadow
+ * marks, and events still pending on the queue.
  */
 
 #include <gtest/gtest.h>
@@ -49,7 +49,6 @@ struct Outcome
     std::vector<std::uint64_t> log;
     SysStats sys;
     IndexStats idx;
-    FastStats fast;
     TxModeStats mode;
     Vid lcVid = 0;
     std::uint64_t abortGen = 0;
@@ -106,8 +105,7 @@ drive(Cell& c, const Schedule& s, Outcome& out, Stop stop = Stop::End)
     auto logResult = [&](const AccessResult& r) {
         out.log.insert(out.log.end(),
                        {r.value, r.latency, std::uint64_t(r.needSla),
-                        std::uint64_t(r.aborted), std::uint64_t(r.l1Hit),
-                        std::uint64_t(r.fastHit)});
+                        std::uint64_t(r.aborted), std::uint64_t(r.l1Hit)});
     };
     for (std::size_t i = 0; i < s.ops.size(); ++i) {
         const check::Op& op = s.ops[i];
@@ -193,7 +191,6 @@ observe(Cell& c, Outcome out)
     sys.checkInvariants();
     out.sys = sys.stats();
     out.idx = sys.indexStats();
-    out.fast = sys.fastStats();
     out.mode = sys.txPolicy().stats();
     out.lcVid = sys.lcVid();
     out.abortGen = sys.abortGen();
@@ -228,7 +225,6 @@ expectSame(const Outcome& fresh, const Outcome& reused)
         << "/" << reused.log.size();
     EXPECT_TRUE(fresh.sys == reused.sys) << "SysStats differ";
     EXPECT_TRUE(fresh.idx == reused.idx) << "IndexStats differ";
-    EXPECT_TRUE(fresh.fast == reused.fast) << "FastStats differ";
     EXPECT_TRUE(fresh.mode == reused.mode) << "TxModeStats differ";
     EXPECT_EQ(fresh.lcVid, reused.lcVid);
     EXPECT_EQ(fresh.abortGen, reused.abortGen);
@@ -247,13 +243,12 @@ expectSame(const Outcome& fresh, const Outcome& reused)
 /** Fuzz config every cell is built from: the generator's machine,
  *  unbounded spec sets so the hmtx cells can spill. */
 check::FuzzConfig
-baseConfig(bool fast)
+baseConfig()
 {
     check::FuzzConfig c = check::generate(1, 1).cfg;
     c.numCores = 2;
     c.unboundedSpecSets = true;
     c.slaEnabled = true;
-    c.fastPathMask = fast ? 0xffu : 0u;
     return c;
 }
 
@@ -312,7 +307,6 @@ struct CellParam
     const char* name;
     /** 0-3: check::cellConfig index; 4-7: btx bus/dir, ltd bus/dir. */
     int cell;
-    bool fast;
 };
 
 void
@@ -324,7 +318,7 @@ PrintTo(const CellParam& p, std::ostream* os)
 MachineConfig
 configOf(const CellParam& p)
 {
-    const check::FuzzConfig c = baseConfig(p.fast);
+    const check::FuzzConfig c = baseConfig();
     MachineConfig mc = p.cell < check::kHmtxCells
         ? check::cellConfig(c, p.cell)
         : check::modeCellConfig(
@@ -361,7 +355,7 @@ class ResetMatchesFresh : public ::testing::TestWithParam<CellParam>
         expectSame(fresh(b), observe(c, std::move(out)));
     }
 
-    const check::FuzzConfig cfg_ = baseConfig(GetParam().fast);
+    const check::FuzzConfig cfg_ = baseConfig();
     const Schedule a_ = schedule(11, 300, cfg_);
     const Schedule b_ = schedule(12, 300, cfg_);
 };
@@ -444,14 +438,8 @@ TEST_P(ResetMatchesFresh, RepeatedResets)
 }
 
 const CellParam kCells[] = {
-    {"bus_lazy", 0, false},  {"bus_eager", 1, false},
-    {"dir_lazy", 2, false},  {"dir_eager", 3, false},
-    {"bus_btx", 4, false},   {"dir_btx", 5, false},
-    {"bus_ltd", 6, false},   {"dir_ltd", 7, false},
-    {"bus_lazy_fast", 0, true}, {"bus_eager_fast", 1, true},
-    {"dir_lazy_fast", 2, true}, {"dir_eager_fast", 3, true},
-    {"bus_btx_fast", 4, true},  {"dir_btx_fast", 5, true},
-    {"bus_ltd_fast", 6, true},  {"dir_ltd_fast", 7, true},
+    {"bus_lazy", 0}, {"bus_eager", 1}, {"dir_lazy", 2}, {"dir_eager", 3},
+    {"bus_btx", 4},  {"dir_btx", 5},   {"bus_ltd", 6},  {"dir_ltd", 7},
 };
 
 INSTANTIATE_TEST_SUITE_P(

@@ -79,7 +79,6 @@ TEST(StatsReport, PrintsEveryStatGroup)
     // Optional groups stay absent unless their stats are supplied.
     EXPECT_EQ(out.find("config.txMode"), std::string::npos);
     EXPECT_EQ(out.find("sim.txmode."), std::string::npos);
-    EXPECT_EQ(out.find("sim.fastpath."), std::string::npos);
     EXPECT_EQ(out.find("sim.serve."), std::string::npos);
 }
 
@@ -120,42 +119,6 @@ TEST(StatsReport, EchoesTxModeConfigAndCounters)
     }
 }
 
-TEST(StatsReport, PrintsFastPathGroupWhenGiven)
-{
-    SysStats s;
-    FastStats f;
-    f.attempts = 200;
-    f.loadHits = 40;
-    f.storeHits = 10;
-    f.genRejections = 6;
-    f.eventBypasses = 30;
-
-    char buf[16384];
-    std::memset(buf, 0, sizeof(buf));
-    std::FILE* out_f = fmemopen(buf, sizeof(buf) - 1, "w");
-    ASSERT_NE(out_f, nullptr);
-    StatsReport(s, nullptr, nullptr, nullptr, &f).print(out_f);
-    std::fclose(out_f);
-
-    std::string out(buf);
-    for (const char* key :
-         {"sim.fastpath.attempts", "sim.fastpath.hits",
-          "sim.fastpath.loadHits", "sim.fastpath.storeHits",
-          "sim.fastpath.genRejections", "sim.fastpath.eventBypasses",
-          "sim.fastpath.hitRate"}) {
-        EXPECT_NE(out.find(key), std::string::npos) << key;
-    }
-    EXPECT_EQ(f.hits(), 50u);
-    EXPECT_DOUBLE_EQ(f.hitRate(), 0.25);
-}
-
-TEST(FastStats, HitRateHandlesZeroAttempts)
-{
-    FastStats f;
-    EXPECT_EQ(f.hits(), 0u);
-    EXPECT_EQ(f.hitRate(), 0.0);
-}
-
 TEST(StatsReport, PrintsServeGroupWhenGiven)
 {
     SysStats s;
@@ -174,7 +137,7 @@ TEST(StatsReport, PrintsServeGroupWhenGiven)
     std::memset(buf, 0, sizeof(buf));
     std::FILE* out_f = fmemopen(buf, sizeof(buf) - 1, "w");
     ASSERT_NE(out_f, nullptr);
-    StatsReport(s, nullptr, nullptr, nullptr, nullptr, &sv).print(out_f);
+    StatsReport(s, nullptr, nullptr, nullptr, &sv).print(out_f);
     std::fclose(out_f);
 
     std::string out(buf);
