@@ -12,6 +12,10 @@
  * value (`VersionView`) with no machine attached. The simulator's
  * CacheSystem is thereby reduced to orchestration: it converts lines
  * to views, asks this engine, and applies the returned image.
+ *
+ * Header-only: reconciliation and victim selection run per line on
+ * every probe, eviction and allocation, so the bodies must be visible
+ * to the simulator's compiler to inline (DESIGN.md §8).
  */
 
 #ifndef HMTX_CORE_PROTOCOL_HH
@@ -48,6 +52,28 @@ struct VersionView
     bool operator==(const VersionView&) const = default;
 };
 
+namespace detail
+{
+
+/**
+ * A retiring owner may have handed out S-S copies; it must land in a
+ * shareable state or a later silent write to an M/E line would leave
+ * those copies stale.
+ */
+constexpr LineTransition
+shareIfSharers(LineTransition t, bool mayHaveSharers)
+{
+    if (mayHaveSharers) {
+        if (t.state == State::Modified)
+            t.state = State::Owned;
+        else if (t.state == State::Exclusive)
+            t.state = State::Shared;
+    }
+    return t;
+}
+
+} // namespace detail
+
 /**
  * Lazy-commit reconciliation (§5.3): folds every commit at or below
  * the LC VID watermark @p lc into the version. Latest-version S-S
@@ -56,7 +82,38 @@ struct VersionView
  * retiring owners that handed out S-S copies landing in a shareable
  * state (M->O, E->S). Idempotent for a fixed @p lc.
  */
-VersionView reconcileVersion(VersionView v, Vid lc);
+constexpr VersionView
+reconcileVersion(VersionView v, Vid lc)
+{
+    if (v.state == State::Invalid || !isSpec(v.state))
+        return v;
+    if (v.state == State::SpecShared && v.latestCopy) {
+        // Latest-version copy: highVID is a local read mark, not a
+        // coverage bound. The copy must never turn into a plain
+        // non-speculative line (that would create a second apparent
+        // owner of the version); it lives until superseded,
+        // invalidated by a write, evicted, aborted or VID-reset.
+        if (v.tag.mod != kNonSpecVid && v.tag.mod <= lc)
+            v.tag.mod = kNonSpecVid;
+        if (v.tag.high <= lc)
+            v.highFromWrongPath = false;
+        return v;
+    }
+    LineTransition t = commitLine(v.state, v.tag, lc, v.dirty);
+    if (t.state != v.state || !(t.tag == v.tag)) {
+        t = detail::shareIfSharers(t, v.mayHaveSharers);
+        v.state = t.state;
+        v.tag = t.tag;
+        if (!isSpec(v.state)) {
+            v.mayHaveSharers = false;
+            v.highFromWrongPath = false;
+            v.latestCopy = false;
+            if (v.state == State::Invalid)
+                v.dirty = false;
+        }
+    }
+    return v;
+}
 
 /**
  * Global-abort transition for one version (§4.4, Figure 7): commits
@@ -64,7 +121,28 @@ VersionView reconcileVersion(VersionView v, Vid lc);
  * state is flushed. Latest-version S-S copies are dropped (they are
  * refetchable and keeping them could orphan a version's ownership).
  */
-VersionView abortVersion(VersionView v, Vid lc);
+constexpr VersionView
+abortVersion(VersionView v, Vid lc)
+{
+    if (!isSpec(v.state))
+        return v;
+    if (v.state == State::SpecShared && v.latestCopy) {
+        // Copies are refetchable; dropping them keeps every version
+        // with exactly one apparent owner.
+        v.state = State::Invalid;
+        v.tag = {};
+    } else {
+        LineTransition t = commitLine(v.state, v.tag, lc, v.dirty);
+        t = abortLine(t.state, t.tag, lc, v.dirty);
+        t = detail::shareIfSharers(t, v.mayHaveSharers);
+        v.state = t.state;
+        v.tag = t.tag;
+    }
+    v.latestCopy = false;
+    v.mayHaveSharers = false;
+    v.highFromWrongPath = false;
+    return v;
+}
 
 /**
  * VID-reset transition (§4.6). Only legal once every outstanding
@@ -72,7 +150,24 @@ VersionView abortVersion(VersionView v, Vid lc);
  * versions retire to committed non-speculative states, superseded
  * versions and copies die.
  */
-VersionView resetVersion(VersionView v);
+constexpr VersionView
+resetVersion(VersionView v)
+{
+    if (!isSpec(v.state))
+        return v;
+    if (v.state == State::SpecShared && v.latestCopy) {
+        v.state = State::Invalid;
+        v.tag = {};
+    } else {
+        LineTransition t = resetLine(v.state, v.tag, v.dirty);
+        t = detail::shareIfSharers(t, v.mayHaveSharers);
+        v.state = t.state;
+        v.tag = t.tag;
+    }
+    v.latestCopy = false;
+    v.mayHaveSharers = false;
+    return v;
+}
 
 /**
  * Hit predicate for a request with VID @p a (§4.1), extended with the
@@ -81,7 +176,15 @@ VersionView resetVersion(VersionView v);
  * request (tag match is the cache's job; callers pass the LC VID for
  * non-speculative requests).
  */
-bool versionServes(const VersionView& v, Vid a);
+constexpr bool
+versionServes(const VersionView& v, Vid a)
+{
+    if (v.state == State::Invalid)
+        return false;
+    if (v.state == State::SpecShared && v.latestCopy)
+        return a >= v.tag.mod; // serves all later VIDs (§4.1)
+    return versionHits(v.state, v.tag, a);
+}
 
 /**
  * Eviction preference class (§5.4); lower evicts first.
@@ -91,7 +194,34 @@ bool versionServes(const VersionView& v, Vid a);
  *  3 pristine S-O versions (may overflow to memory), 4 responder-class
  *  speculative state (loss aborts).
  */
-int victimClass(const VersionView& v);
+constexpr int
+victimClass(const VersionView& v)
+{
+    switch (v.state) {
+      case State::Invalid:
+        return 0;
+      case State::SpecShared:
+        // Superseded copies are nearly dead; latest-version copies
+        // are live working set (shared read-only data) and compete
+        // via LRU like any other resident line.
+        return v.latestCopy ? 2 : 1;
+      case State::Shared:
+      case State::Exclusive:
+      case State::Modified:
+      case State::Owned:
+        // Plain LRU among non-speculative lines: preferring clean
+        // victims would evict the current (still-clean) working set
+        // in favour of stale dirty data.
+        return 2;
+      case State::SpecOwned:
+        // §5.4: prefer overflowing non-speculative S-O versions.
+        return v.tag.mod == kNonSpecVid ? 3 : 4;
+      case State::SpecExclusive:
+      case State::SpecModified:
+        return 4;
+    }
+    return 5;
+}
 
 /**
  * Store classification against the *effective* tag of the hitting
@@ -100,7 +230,16 @@ int victimClass(const VersionView& v);
  * store below the aggregated highVID violates a flow dependence and
  * aborts, even when the owner itself never logged that reader.
  */
-StoreAction classifyStoreWithMarks(State st, VersionTag eff, Vid y);
+constexpr StoreAction
+classifyStoreWithMarks(State st, VersionTag eff, Vid y)
+{
+    if (y < eff.high) {
+        // A later VID already read this version — possibly recorded
+        // on a peer copy rather than the owner (§4.3).
+        return StoreAction::Abort;
+    }
+    return classifyStore(st, eff, y);
+}
 
 /** What a speculative read must do to mark the version it hit. */
 enum class ReadMarkAction : std::uint8_t
@@ -128,7 +267,20 @@ enum class ReadMarkAction : std::uint8_t
  * owner (or the copy's own local mark, for latest copies) carries the
  * log.
  */
-ReadMarkAction classifyReadMark(State st, VersionTag t, Vid vid);
+constexpr ReadMarkAction
+classifyReadMark(State st, VersionTag t, Vid vid)
+{
+    if (isSpecResponder(st))
+        return vid > t.high ? ReadMarkAction::RaiseHigh
+                            : ReadMarkAction::None;
+    if (st == State::SpecShared)
+        return ReadMarkAction::None; // owner already logged >= this
+    // First speculative access to a non-speculative line: gain
+    // writable access if shared (§4.2), then go speculative.
+    if (st == State::Shared || st == State::Owned)
+        return ReadMarkAction::UpgradeWithBus;
+    return ReadMarkAction::Upgrade;
+}
 
 /** Speculative state a non-speculative line upgrades into (§4.2). */
 constexpr State

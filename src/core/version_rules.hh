@@ -7,12 +7,15 @@
  * speculative store must do, and how the line transitions on commit
  * (Figure 6) and abort (Figure 7). They contain no simulator state so
  * they can be tested exhaustively; the cache model in src/sim drives
- * them.
+ * them. They are defined here, in the header, because lazy commit runs
+ * them on every line a probe, eviction or allocation touches: the
+ * simulator must be able to inline them (DESIGN.md §8).
  */
 
 #ifndef HMTX_CORE_VERSION_RULES_HH
 #define HMTX_CORE_VERSION_RULES_HH
 
+#include <cassert>
 #include <optional>
 #include <span>
 
@@ -52,7 +55,28 @@ struct VersionTag
  * @param a  VID of the request (LC VID for non-speculative requests)
  * @return true if the request hits this version
  */
-bool versionHits(State st, VersionTag t, Vid a);
+constexpr bool
+versionHits(State st, VersionTag t, Vid a)
+{
+    switch (st) {
+      case State::Invalid:
+        return false;
+      case State::Shared:
+      case State::Exclusive:
+      case State::Owned:
+      case State::Modified:
+        // Tag comparison is done by the cache; every valid
+        // non-speculative version is a candidate for any VID.
+        return true;
+      case State::SpecModified:
+      case State::SpecExclusive:
+        return a >= t.mod;
+      case State::SpecOwned:
+      case State::SpecShared:
+        return a >= t.mod && a < t.high;
+    }
+    return false;
+}
 
 /** What a speculative store must do once its hitting version is known. */
 enum class StoreAction : std::uint8_t
@@ -80,7 +104,33 @@ enum class StoreAction : std::uint8_t
  * speculative write to a line keeps the pristine copy in S-O and builds
  * the S-M version next to it).
  */
-StoreAction classifyStore(State st, VersionTag t, Vid y);
+constexpr StoreAction
+classifyStore(State st, VersionTag t, Vid y)
+{
+    assert(y != kNonSpecVid);
+    assert(versionHits(st, t, y));
+
+    if (isSpecSuperseded(st)) {
+        // A later access already superseded this version; the store
+        // arrives out of order (§4.3, output/flow dependence cases).
+        return StoreAction::Abort;
+    }
+    if (isSpecLatest(st)) {
+        if (y < t.high) {
+            // A higher VID already read (or, conservatively, accessed)
+            // this version; the store would violate a flow dependence.
+            return StoreAction::Abort;
+        }
+        if (y == t.mod) {
+            // Our own transaction already owns this version.
+            return StoreAction::InPlace;
+        }
+        return StoreAction::NewVersion;
+    }
+    // First speculative write to a non-speculative line: keep the
+    // pristine copy and build a new version.
+    return StoreAction::NewVersion;
+}
 
 /** Result of applying a commit or abort rule to one line version. */
 struct LineTransition
@@ -89,6 +139,31 @@ struct LineTransition
     VersionTag tag{};
     bool operator==(const LineTransition&) const = default;
 };
+
+namespace detail
+{
+
+/** Retire a fully committed line to its non-speculative state. */
+constexpr LineTransition
+retire(State st, bool dirty)
+{
+    switch (st) {
+      case State::SpecModified:
+        return {State::Modified, {}};
+      case State::SpecExclusive:
+        // S-E is clean by construction; return to a clean state and
+        // avoid an unnecessary writeback (§4.1).
+        return {dirty ? State::Modified : State::Exclusive, {}};
+      case State::SpecOwned:
+      case State::SpecShared:
+        // Superseded versions are dead once every accessor committed.
+        return {State::Invalid, {}};
+      default:
+        return {st, {}};
+    }
+}
+
+} // namespace detail
 
 /**
  * Commit transition for one line version (Figure 6, §4.4).
@@ -104,7 +179,28 @@ struct LineTransition
  * @param c     highest committed VID (the cache's LC VID)
  * @param dirty whether the data differs from memory
  */
-LineTransition commitLine(State st, VersionTag t, Vid c, bool dirty);
+constexpr LineTransition
+commitLine(State st, VersionTag t, Vid c, bool dirty)
+{
+    if (!isSpec(st))
+        return {st, t};
+    if (st == State::SpecShared && t.high <= c + 1) {
+        // An S-S copy covers VIDs < high, so its highest possible
+        // accessor is high - 1; once that commits the copy is dead.
+        // (Owner-class S-O versions must instead survive until `high`
+        // itself commits: they feed non-speculative reads while the
+        // superseding write is still uncommitted.)
+        return detail::retire(st, dirty);
+    }
+    if (t.high <= c)
+        return detail::retire(st, dirty);
+    if (t.mod != kNonSpecVid && t.mod <= c) {
+        // The creating transaction committed but later accessors are
+        // still outstanding: only the modVID clears (Figure 6).
+        return {st, {kNonSpecVid, t.high}};
+    }
+    return {st, t};
+}
 
 /**
  * Abort transition for one line version (Figure 7, §4.4 and §5.3).
@@ -121,7 +217,38 @@ LineTransition commitLine(State st, VersionTag t, Vid c, bool dirty);
  * @param c     highest committed VID at the time of the abort
  * @param dirty whether the data differs from memory
  */
-LineTransition abortLine(State st, VersionTag t, Vid c, bool dirty);
+constexpr LineTransition
+abortLine(State st, VersionTag t, Vid c, bool dirty)
+{
+    if (!isSpec(st))
+        return {st, t};
+    if (t.mod > c) {
+        // Uncommitted speculative modification: flush (Figure 7).
+        return {State::Invalid, {}};
+    }
+    if (t.high <= c) {
+        // The line had fully retired before the abort but was not yet
+        // reconciled; apply the commit outcome.
+        return detail::retire(st, dirty);
+    }
+    // Committed (or never-modified) data read by an aborted
+    // transaction: the data survives, the speculative marking clears.
+    switch (st) {
+      case State::SpecModified:
+        return {State::Modified, {}};
+      case State::SpecExclusive:
+        return {dirty ? State::Modified : State::Exclusive, {}};
+      case State::SpecOwned:
+        // The superseding version was flushed; this copy is the live
+        // one again. Peer S-S copies may exist, so land in a
+        // shareable state.
+        return {dirty ? State::Owned : State::Shared, {}};
+      case State::SpecShared:
+        return {State::Shared, {}};
+      default:
+        return {st, t};
+    }
+}
 
 /**
  * VID-reset transition (§4.6). After the software has drained all
@@ -129,7 +256,26 @@ LineTransition abortLine(State st, VersionTag t, Vid c, bool dirty);
  * (S-M / S-E) thereby become committed non-speculative lines and
  * superseded versions (S-O / S-S) can never hit again and are dropped.
  */
-LineTransition resetLine(State st, VersionTag t, bool dirty);
+constexpr LineTransition
+resetLine(State st, VersionTag t, bool dirty)
+{
+    if (!isSpec(st))
+        return {st, t};
+    // A VID reset is only legal once every outstanding transaction has
+    // committed (§4.6), so latest versions hold committed data and
+    // superseded versions can never hit again.
+    switch (st) {
+      case State::SpecModified:
+        return {State::Modified, {}};
+      case State::SpecExclusive:
+        return {dirty ? State::Modified : State::Exclusive, {}};
+      case State::SpecOwned:
+      case State::SpecShared:
+        return {State::Invalid, {}};
+      default:
+        return {st, t};
+    }
+}
 
 /** One live version of a line as the responder rule sees it. */
 struct LineVersion
@@ -137,6 +283,29 @@ struct LineVersion
     State state = State::Invalid;
     VersionTag tag{};
 };
+
+namespace detail
+{
+
+/** True when the first two responders of @p live hitting @p a carry
+ *  distinct modVIDs. */
+inline bool
+respondersDisagreeAt(std::span<const LineVersion> live, Vid a)
+{
+    Vid first = kNonSpecVid;
+    bool seen = false;
+    for (const LineVersion& v : live) {
+        if (!isSpecResponder(v.state) || !versionHits(v.state, v.tag, a))
+            continue;
+        if (seen)
+            return v.tag.mod != first;
+        first = v.tag.mod;
+        seen = true;
+    }
+    return false;
+}
+
+} // namespace detail
 
 /**
  * Responder rule for the live versions of one address (the check
@@ -153,8 +322,26 @@ struct LineVersion
  *
  * @return the smallest violating VID, or nullopt when the rule holds
  */
-std::optional<Vid> firstResponderConflict(
-    std::span<const LineVersion> live, Vid maxVid);
+inline std::optional<Vid>
+firstResponderConflict(std::span<const LineVersion> live, Vid maxVid)
+{
+    // The smallest violating VID starts a run on which the responders
+    // hitting it are constant, so it is one of the probed endpoints.
+    std::optional<Vid> first;
+    auto probe = [&](Vid a) {
+        if (a <= maxVid && (!first || a < *first) &&
+            detail::respondersDisagreeAt(live, a))
+            first = a;
+    };
+    probe(0);
+    for (const LineVersion& v : live) {
+        if (!isSpecResponder(v.state))
+            continue;
+        probe(v.tag.mod);
+        probe(v.tag.high);
+    }
+    return first;
+}
 
 } // namespace hmtx
 

@@ -281,6 +281,20 @@ CacheSystem::verifyIndexes()
             }
         });
     }
+    // The O(1) combined-set counters must equal a recount of every
+    // live VID's reads ∪ writes (the limited-set K bound reads them).
+    for (std::size_t i = 0; i < rwLive_; ++i) {
+        const RwSets& rs = rwSets_[i];
+        std::size_t n = rs.reads.size();
+        rs.writes.forEach([&](Addr w) { n += !rs.reads.contains(w); });
+        if (n != rs.combinedLines()) {
+            throw std::logic_error(
+                "index check: VID " + std::to_string(rs.vid) +
+                " counts " + std::to_string(rs.combinedLines()) +
+                " combined rw-set lines, recount found " +
+                std::to_string(n));
+        }
+    }
     // Registries may hold stale (no longer in-class) entries, but
     // every entry must be flagged and unique within its class so lazy
     // purging stays linear.

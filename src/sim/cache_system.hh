@@ -212,8 +212,9 @@ class CacheSystem
 
     /**
      * Rebuilds the presence filter and registry invariants from a full
-     * scan of every cache and compares them with the incrementally
-     * maintained structures; throws std::logic_error on any mismatch.
+     * scan of every cache, and each live VID's |reads ∪ writes| from
+     * its sets, and compares them with the incrementally maintained
+     * structures; throws std::logic_error on any mismatch.
      * Runs automatically after bulk protocol actions when
      * MachineConfig::indexCrossCheck is set.
      */
@@ -282,24 +283,20 @@ class CacheSystem
         Cycles extraLatency = 0;
     };
     /** Snoops all caches except @p self's L1. */
-    RemoteHit findRemote(CoreId self, Addr la, Vid a, bool forStore);
+    RemoteHit findRemote(CoreId self, Addr la, Vid a);
 
     // --- allocation & eviction ----------------------------------------
     /**
      * Returns a slot for @p la in @p c, evicting if needed. May
      * trigger a capacity abort (§5.4), in which case nullptr is
      * returned and the caller must report the access as aborted.
+     * An @p optional fill (S-S copies, §5.4 refetches) evicts only
+     * non-speculative or copy-class victims and returns nullptr,
+     * evicting nothing, when the set holds none.
      */
-    Line* allocate(Cache& c, Addr la);
-    /**
-     * Best-effort allocation for optional fills (S-S copies, §5.4
-     * refetches): returns nullptr instead of evicting.
-     */
-    Line* allocateOpt(Cache& c, Addr la);
+    Line* allocate(Cache& c, Addr la, bool optional = false);
     /** Evicts @p victim from @p c per the §5.4 rules. */
     bool evict(Cache& c, Line& victim);
-    /** Eviction preference class; lower evicts first. */
-    int victimClass(const Line& l) const;
 
     // --- protocol actions ---------------------------------------------
     /**
@@ -308,7 +305,7 @@ class CacheSystem
      * fabric transaction). Sets r.needSla when the line had not logged
      * this VID yet.
      */
-    void applyReadMark(CoreId core, Line& l, Vid vid, AccessResult& r);
+    void applyReadMark(Line& l, Vid vid, AccessResult& r);
     /** Converts peer copies after a new version @p y of @p la. */
     void fixPeersForNewVersion(Addr la, const Line* owner, Vid y);
     /** Invalidates peer S-S copies of version @p mod of @p la. */
@@ -572,16 +569,35 @@ class CacheSystem
         Vid vid = kNonSpecVid;
         FlatAddrSet reads;
         FlatAddrSet writes;
+        /** |reads ∪ writes|, kept by addRead()/addWrite()/clear() and
+         *  recounted by verifyIndexes(). */
+        std::size_t combined = 0;
+
+        void
+        addRead(Addr la)
+        {
+            if (reads.insert(la) && !writes.contains(la))
+                ++combined;
+        }
+
+        void
+        addWrite(Addr la)
+        {
+            if (writes.insert(la) && !reads.contains(la))
+                ++combined;
+        }
+
+        void
+        clear()
+        {
+            reads.clear();
+            writes.clear();
+            combined = 0;
+        }
 
         /** Lines in reads ∪ writes (the limited-set K bound and the
-         *  combined-set statistics count these). */
-        std::size_t
-        combinedLines() const
-        {
-            std::size_t n = reads.size();
-            writes.forEach([&](Addr w) { n += !reads.contains(w); });
-            return n;
-        }
+         *  combined-set statistics count these); O(1). */
+        std::size_t combinedLines() const { return combined; }
     };
     /**
      * rwSets_[0, rwLive_) are the live VIDs' sets, in no particular

@@ -19,9 +19,8 @@ namespace hmtx::sim
 // --- protocol actions ---------------------------------------------------
 
 void
-CacheSystem::applyReadMark(CoreId core, Line& l, Vid vid, AccessResult& r)
+CacheSystem::applyReadMark(Line& l, Vid vid, AccessResult& r)
 {
-    (void)core;
     const ReadMarkAction act = classifyReadMark(l.state, l.tag, vid);
     if (act == ReadMarkAction::None)
         return;
@@ -226,8 +225,7 @@ CacheSystem::rwRelease(Vid vid)
     const std::size_t slot = *found;
     rwSlot_.erase(vid);
     RwSets& gone = rwSets_[slot];
-    gone.reads.clear();
-    gone.writes.clear();
+    gone.clear();
     // Keep the live slots dense: the last live VID moves into the hole.
     const std::size_t last = --rwLive_;
     if (slot != last) {
@@ -240,10 +238,8 @@ CacheSystem::rwRelease(Vid vid)
 void
 CacheSystem::rwReleaseAll()
 {
-    for (std::size_t i = 0; i < rwLive_; ++i) {
-        rwSets_[i].reads.clear();
-        rwSets_[i].writes.clear();
-    }
+    for (std::size_t i = 0; i < rwLive_; ++i)
+        rwSets_[i].clear();
     rwLive_ = 0;
     rwSlot_.clear();
     rwCachedSlot_ = kNoRwSlot;
@@ -254,7 +250,7 @@ CacheSystem::recordRead(Vid vid, Addr la, Line* l)
 {
     if (l && l->rwGen == rwGen_ && l->rwReadVid == vid)
         return; // this line's read is already in vid's set
-    rwFor(vid).reads.insert(la);
+    rwFor(vid).addRead(la);
     if (l) {
         if (l->rwGen != rwGen_) {
             // Entering the current generation invalidates whatever
@@ -271,7 +267,7 @@ CacheSystem::recordWrite(Vid vid, Addr la, Line* l)
 {
     if (l && l->rwGen == rwGen_ && l->rwWriteVid == vid)
         return; // this line's write is already in vid's set
-    rwFor(vid).writes.insert(la);
+    rwFor(vid).addWrite(la);
     if (l) {
         if (l->rwGen != rwGen_) {
             l->rwGen = rwGen_;
@@ -439,7 +435,7 @@ CacheSystem::loadImpl(CoreId core, Addr a, unsigned size, Vid vid,
                     v->tag.high = vid;
                 }
             } else {
-                applyReadMark(core, *v, vid, r);
+                applyReadMark(*v, vid, r);
             }
             if (wrongPath && r.needSla)
                 v->highFromWrongPath = true;
@@ -449,7 +445,7 @@ CacheSystem::loadImpl(CoreId core, Addr a, unsigned size, Vid vid,
     } else {
         ++stats_.l1Misses;
         busAcquire(r, la);
-        RemoteHit rh = findRemote(core, la, reqVid, false);
+        RemoteHit rh = findRemote(core, la, reqVid);
         if (rh.line) {
             ++stats_.snoopHits;
             r.latency += net_->transferLatency() + rh.extraLatency;
@@ -477,7 +473,7 @@ CacheSystem::loadImpl(CoreId core, Addr a, unsigned size, Vid vid,
                              latest ? (mark ? reqVid : kNonSpecVid)
                                     : reqVid + 1};
                 o.mayHaveSharers = true;
-                if (Line* nl = allocateOpt(l1, la)) {
+                if (Line* nl = allocate(l1, la, true)) {
                     nl->state = State::SpecShared;
                     nl->tag = t;
                     nl->latestCopy = latest;
@@ -559,7 +555,7 @@ CacheSystem::loadImpl(CoreId core, Addr a, unsigned size, Vid vid,
                     exist->tag.high =
                         std::max(exist->tag.high, reqVid + 1);
                     exist->lastUse = ++useClock_;
-                } else if (Line* nl = allocateOpt(l1, la)) {
+                } else if (Line* nl = allocate(l1, la, true)) {
                     // Best effort: if no slot is free the value is
                     // still served; a later conflicting store is
                     // caught conservatively by the §5.4 assertion.
@@ -701,7 +697,7 @@ CacheSystem::store(CoreId core, Addr a, std::uint64_t value,
     Cache* ownerCache = owner ? &l1 : nullptr;
     RemoteHit rh;
     if (!owner) {
-        rh = findRemote(core, la, vid, true);
+        rh = findRemote(core, la, vid);
         owner = rh.line;
         ownerCache = rh.cache;
         if (owner)
@@ -861,7 +857,7 @@ CacheSystem::nonSpecStore(CoreId core, Addr a, std::uint64_t value,
     Line* owner = v;
     RemoteHit rh;
     if (!owner) {
-        rh = findRemote(core, la, lcVid_, true);
+        rh = findRemote(core, la, lcVid_);
         owner = rh.line;
         if (owner)
             r.latency += net_->transferLatency() + rh.extraLatency;
@@ -944,7 +940,7 @@ CacheSystem::slaConfirm(CoreId core, const SlaEntry& e)
     Cache& l1 = caches_[core];
     Line* cur = findLocal(l1, la, e.vid, false);
     if (!cur) {
-        RemoteHit rh = findRemote(core, la, e.vid, false);
+        RemoteHit rh = findRemote(core, la, e.vid);
         cur = rh.line;
     }
 
@@ -964,7 +960,7 @@ CacheSystem::slaConfirm(CoreId core, const SlaEntry& e)
     }
     if (cur && cur->state != State::SpecShared) {
         AccessResult dummy;
-        applyReadMark(core, *cur, e.vid, dummy);
+        applyReadMark(*cur, e.vid, dummy);
     }
     ++stats_.slaConfirms;
     return true;

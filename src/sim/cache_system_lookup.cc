@@ -76,9 +76,8 @@ CacheSystem::findLocal(Cache& c, Addr la, Vid a, bool forStore)
 }
 
 CacheSystem::RemoteHit
-CacheSystem::findRemote(CoreId self, Addr la, Vid a, bool forStore)
+CacheSystem::findRemote(CoreId self, Addr la, Vid a)
 {
-    (void)forStore;
     RemoteHit rh;
     forEachSnoopTarget(la, [&](std::size_t ci) {
         Cache& c = caches_[ci];
@@ -153,12 +152,6 @@ CacheSystem::findRemote(CoreId self, Addr la, Vid a, bool forStore)
 }
 
 // --- allocation & eviction --------------------------------------------
-
-int
-CacheSystem::victimClass(const Line& l) const
-{
-    return hmtx::victimClass(viewOf(l));
-}
 
 bool
 CacheSystem::foldCopyMark(Addr la, const Line& victim)
@@ -360,74 +353,44 @@ CacheSystem::evict(Cache& c, Line& victim)
 }
 
 Line*
-CacheSystem::allocateOpt(Cache& c, Addr la)
+CacheSystem::allocate(Cache& c, Addr la, bool optional)
 {
-    // Best-effort allocation for optional fills (S-S sharer copies,
-    // §5.4 refetches): evict only cheap (non-speculative or copy)
-    // victims — displacing responder-class speculative state for a
-    // refetchable copy would risk capacity aborts.
     Line* slot = c.freeSlot(la);
     if (!slot) {
-        auto& s = c.set(la).lines;
-        for (auto& l : s)
+        // Full set: one pass reconciles every way (which may free
+        // one) and takes the first way left Invalid, else the cheapest
+        // victim by (class, LRU, address); exact ties keep the earlier
+        // way. The address tie-break keeps replacement a pure function
+        // of the set's contents: same-tick allocations leave lastUse
+        // ties, and physical way order varies with reconciliation
+        // timing (lazy vs. eager). An optional fill evicts only class
+        // <= 2 victims: displacing responder-class speculative state
+        // for a refetchable copy would risk capacity aborts.
+        Line* victim = nullptr;
+        int victimCls = 0;
+        for (auto& l : c.set(la).lines) {
             reconcile(l);
-        slot = c.freeSlot(la);
-        if (!slot) {
-            Line* victim = nullptr;
-            for (auto& l : s) {
-                if (victimClass(l) > 2)
-                    continue;
-                if (!victim || victimClass(l) < victimClass(*victim) ||
-                    (victimClass(l) == victimClass(*victim) &&
-                     (l.lastUse < victim->lastUse ||
-                      (l.lastUse == victim->lastUse &&
-                       l.base < victim->base)))) {
-                    victim = &l;
-                }
+            if (slot)
+                continue;
+            if (l.state == State::Invalid) {
+                slot = &l;
+                continue;
             }
+            const int vc = victimClass(viewOf(l));
+            if (optional && vc > 2)
+                continue;
+            if (!victim || vc < victimCls ||
+                (vc == victimCls &&
+                 (l.lastUse < victim->lastUse ||
+                  (l.lastUse == victim->lastUse &&
+                   l.base < victim->base)))) {
+                victim = &l;
+                victimCls = vc;
+            }
+        }
+        if (!slot) {
             if (!victim)
                 return nullptr;
-            std::uint64_t gen = abortGen_;
-            if (!evict(c, *victim) || abortGen_ != gen)
-                return nullptr;
-            slot = victim;
-        }
-    }
-    *slot = Line{};
-    slot->base = la;
-    slot->lastUse = ++useClock_;
-    c.dataOf(*slot).fill(0);
-    return slot;
-}
-
-Line*
-CacheSystem::allocate(Cache& c, Addr la)
-{
-    Line* slot = c.freeSlot(la);
-    if (!slot) {
-        auto& s = c.set(la).lines;
-        for (auto& l : s)
-            reconcile(l);
-        slot = c.freeSlot(la);
-        if (!slot) {
-            // Choose the cheapest victim (lowest class, then LRU,
-            // then lowest address). The address tie-break matters:
-            // same-tick allocations leave lastUse ties, and without it
-            // the winner would depend on physical way order — which
-            // varies with reconciliation timing (lazy vs. eager), so
-            // replacement would not be a pure function of the set's
-            // contents.
-            Line* victim = &s.front();
-            for (auto& l : s) {
-                int vc = victimClass(l);
-                int bc = victimClass(*victim);
-                if (vc < bc ||
-                    (vc == bc && (l.lastUse < victim->lastUse ||
-                                  (l.lastUse == victim->lastUse &&
-                                   l.base < victim->base)))) {
-                    victim = &l;
-                }
-            }
             std::uint64_t gen = abortGen_;
             if (!evict(c, *victim) || abortGen_ != gen)
                 return nullptr;

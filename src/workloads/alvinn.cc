@@ -109,7 +109,10 @@ AlvinnWorkload::stage2(runtime::MemIf& mem, std::uint64_t iter)
         std::int64_t err = t - y;
         co_await mem.store(deltas_.at(iter, o),
                            static_cast<std::uint64_t>(err));
-        co_await mem.branch(0x310, (err & 1) == (err & 1));
+        // Error check: always taken (its condition compared err's low
+        // bit with itself), which keeps the output loop perfectly
+        // predicted like the activation check above.
+        co_await mem.branch(0x310, true);
     }
 
     // Backward pass: per-pattern hidden deltas.

@@ -173,8 +173,9 @@ TEST(LatencyHistogram, BucketBoundsInvertAndStayOrdered)
     for (unsigned b = 0; b < LatencyHistogram::kBuckets; ++b) {
         const std::uint64_t lo = LatencyHistogram::lowerBoundOf(b);
         EXPECT_EQ(LatencyHistogram::bucketOf(lo), b) << "bucket " << b;
-        if (lo > 0)
+        if (lo > 0) {
             EXPECT_EQ(LatencyHistogram::bucketOf(lo - 1), b - 1);
+        }
     }
     EXPECT_EQ(LatencyHistogram::bucketOf(~std::uint64_t{0}),
               LatencyHistogram::kBuckets - 1);

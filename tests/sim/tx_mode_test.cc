@@ -286,6 +286,41 @@ TEST(LimitedSet, CommitClearsTheBudget)
     sys.checkInvariants();
 }
 
+TEST(LimitedSet, CombinedCountIsTheUnionAndClearsOnCommitAndAbort)
+{
+    EventQueue eq;
+    CacheSystem sys(eq, ltdConfig(3));
+    // A line read then written, and one written then read, each take
+    // one of the K entries: a third distinct line still fits.
+    ASSERT_FALSE(sys.load(0, 0x1000, 8, 1).aborted);
+    ASSERT_FALSE(sys.store(0, 0x1000, 5, 8, 1).aborted);
+    ASSERT_FALSE(sys.store(0, 0x1040, 6, 8, 1).aborted);
+    ASSERT_FALSE(sys.load(0, 0x1040, 8, 1).aborted);
+    EXPECT_NO_THROW(sys.verifyIndexes()); // recounts reads ∪ writes
+    ASSERT_FALSE(sys.load(0, 0x1080, 8, 1).aborted);
+    sys.commit(1);
+    EXPECT_EQ(sys.stats().readSetLines, 3u);
+    EXPECT_EQ(sys.stats().writeSetLines, 2u);
+    EXPECT_EQ(sys.stats().combinedSetLines, 3u);
+
+    // Commit cleared the count: VID 2 (in the recycled slot) gets all
+    // K entries again.
+    for (Addr a : {0x2000, 0x2040, 0x2080})
+        ASSERT_FALSE(sys.load(0, a, 8, 2).aborted) << a;
+    EXPECT_NO_THROW(sys.verifyIndexes());
+    sys.abortAll();
+
+    // So did the abort: the re-run of VID 2 fits K fresh lines and
+    // trips the bound on the next one.
+    for (Addr a : {0x3000, 0x3040, 0x3080})
+        ASSERT_FALSE(sys.store(0, a, 1, 8, 2).aborted) << a;
+    EXPECT_NO_THROW(sys.verifyIndexes());
+    EXPECT_EQ(sys.txPolicy().stats().limitedSetAborts, 0u);
+    EXPECT_TRUE(sys.load(0, 0x30c0, 8, 2).aborted);
+    EXPECT_EQ(sys.txPolicy().stats().limitedSetAborts, 1u);
+    sys.checkInvariants();
+}
+
 TEST(LimitedSet, BudgetsArePerVid)
 {
     EventQueue eq;

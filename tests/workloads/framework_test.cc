@@ -42,8 +42,9 @@ TEST(IterRegion, ChunksAreLineDisjointAndLineAligned)
     r.init(m, 10, 5); // 5 words = 40 bytes, rounds to one line
     for (unsigned i = 0; i < 10; ++i) {
         EXPECT_EQ(lineOffset(r.at(i)), 0u);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_NE(lineAddr(r.at(i)), lineAddr(r.at(i - 1)));
+        }
     }
     // Words within a chunk stay inside its lines.
     EXPECT_EQ(r.at(3, 4), r.at(3) + 32);

@@ -55,8 +55,9 @@ TEST_P(Chaos, PipelineSurvivesInjectedViolations)
         EXPECT_EQ(rp.checksum, rs.checksum)
             << "rate " << rate << " seed " << seed;
         EXPECT_EQ(rp.transactions, 48u);
-        if (par.conflictsInjected() > 0)
+        if (par.conflictsInjected() > 0) {
             EXPECT_GE(rp.stats.aborts, 1u) << rate;
+        }
     }
 }
 
