@@ -1,7 +1,7 @@
 /**
  * @file
  * Microbenchmarks of the simulator's protocol hot paths, comparing
- * the indexed implementation (address presence filter + speculative
+ * the indexed implementation (per-set snoop summaries + speculative
  * line registry) against the pre-index behaviour
  * (MachineConfig::forceFullScan, which walks every cache slot).
  *
@@ -16,7 +16,10 @@
  * Run with --smoke for a fast self-check (used as a ctest): it runs
  * an identical operation script in both modes, asserts the
  * architectural statistics are bit-identical, and asserts the indexed
- * bulk operations are at least 2x faster at Table 2 geometry.
+ * bulk operations are at least 2x faster at Table 2 geometry. It also
+ * runs a miss-heavy stream on the serving geometry in both modes and
+ * requires identical statistics and clean index and protocol checks
+ * (no timing bound there).
  */
 
 #include <benchmark/benchmark.h>
@@ -24,11 +27,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "bench/common.hh"
 #include "sim/cache_system.hh"
 #include "sim/event_queue.hh"
+#include "sim/rng.hh"
 
 namespace
 {
@@ -164,7 +169,7 @@ void
 BM_AccessThroughput(benchmark::State& state)
 {
     // Mixed load/store stream over a working set larger than the L1:
-    // exercises findLocal, the presence-filtered findRemote/snoop
+    // exercises findLocal, the summary-filtered findRemote/snoop
     // path, fills and evictions.
     sim::EventQueue eq;
     sim::CacheSystem sys(eq, makeCfg(state.range(0), state.range(1)));
@@ -203,9 +208,92 @@ runScript(sim::CacheSystem& sys, unsigned rounds)
         .count();
 }
 
+/** kv_serve's machine: 1 KB/2-way L1, 8 KB/8-way L2, spills on. */
+sim::MachineConfig
+servingCfg(bool fullScan)
+{
+    sim::MachineConfig cfg;
+    cfg.l1SizeKB = 1;
+    cfg.l1Assoc = 2;
+    cfg.l2SizeKB = 8;
+    cfg.l2Assoc = 8;
+    cfg.vidBits = 8;
+    cfg.unboundedSpecSets = true;
+    cfg.forceFullScan = fullScan;
+    return cfg;
+}
+
+/**
+ * A seeded miss-heavy load/store/commit stream over 512 lines, 4x the
+ * serving L2: nearly every access moves an L1 victim into the L2 and
+ * evicts (or spills) an L2 victim — the capacity path the per-set
+ * snoop summaries sit on.
+ */
+void
+servingMissStream(sim::CacheSystem& sys)
+{
+    sim::Rng rng(20);
+    const Vid maxV = sys.config().maxVid();
+    for (unsigned op = 0; op < 20000; ++op) {
+        const Addr a = kBackBase + 64 * rng.range(512);
+        const auto core = static_cast<CoreId>(rng.range(4));
+        const Vid lc = sys.lcVid();
+        const std::uint64_t r = rng.range(100);
+        if (lc + 8 > maxV) {
+            while (sys.lcVid() < maxV)
+                sys.commit(sys.lcVid() + 1);
+            sys.vidReset();
+        } else if (r < 50) {
+            sys.load(core, a, 8, rng.range(2) ? lc + 1 : kNonSpecVid);
+        } else if (r < 95) {
+            sys.store(core, a, op, 8, lc + 8);
+        } else {
+            sys.commit(lc + 1);
+        }
+    }
+}
+
+/** Serving-geometry identity check of the indexed and full-scan
+ *  snoops; returns 0 when both agree and every check passes. */
+int
+servingSmoke()
+{
+    sim::EventQueue eq1, eq2;
+    sim::CacheSystem indexed(eq1, servingCfg(false));
+    sim::CacheSystem fullScan(eq2, servingCfg(true));
+    servingMissStream(indexed);
+    servingMissStream(fullScan);
+    if (!(indexed.stats() == fullScan.stats())) {
+        std::fprintf(stderr,
+                     "FAIL: serving-geometry indexed and full-scan "
+                     "statistics diverge\n");
+        return 1;
+    }
+    try {
+        for (sim::CacheSystem* sys : {&indexed, &fullScan}) {
+            sys->verifyIndexes();
+            sys->checkInvariants();
+        }
+    } catch (const std::logic_error& e) {
+        std::fprintf(stderr, "FAIL: serving-geometry check: %s\n",
+                     e.what());
+        return 1;
+    }
+    const sim::SysStats& st = indexed.stats();
+    std::printf("smoke: serving stream OK (%llu L1 misses, %llu "
+                "spills, snoop filter rate %.2f)\n",
+                static_cast<unsigned long long>(st.l1Misses),
+                static_cast<unsigned long long>(st.specSpills),
+                indexed.indexStats().snoopFilterRate());
+    return 0;
+}
+
 int
 smoke()
 {
+    if (servingSmoke() != 0)
+        return 1;
+
     // Table 2 geometry. The cross-check itself is a full scan, so it
     // runs once after the timed section rather than per operation.
     sim::EventQueue eq1, eq2;

@@ -32,7 +32,7 @@ constexpr std::uint32_t kNoCacheId = 0xffffffffu;
 
 /**
  * Simulator-internal bookkeeping attached to each cache slot so the
- * index structures (CacheSystem's presence filter and the per-cache
+ * index structures (the per-set tag summaries and the per-cache
  * spec/dirty registry) can be maintained incrementally. This is not
  * architectural state: it never influences simulated behaviour, only
  * how fast the simulator finds lines. It is deliberately *not* copied
@@ -42,7 +42,8 @@ struct LineBookkeeping
 {
     /** Index of the owning Cache in CacheSystem::caches_. */
     std::uint32_t cacheId = kNoCacheId;
-    /** True while this slot is counted in the presence filter. */
+    /** True while this slot's tagBit(presentAddr) is ORed into its
+     *  set's LineSet::tags summary. */
     bool present = false;
     /** True while this slot sits on the owning cache's *speculative*
      *  registry (lines in a spec state). */
@@ -158,6 +159,18 @@ struct Line
 static_assert(sizeof(Line) <= 64, "sim::Line must fit one 64-byte host line");
 
 /**
+ * Summary bit of line address @p la: one of 64, picked by the top six
+ * bits of a Fibonacci hash of the line number. The set index uses the
+ * low bits, so addresses sharing a set still spread over the word.
+ */
+constexpr std::uint64_t
+tagBit(Addr la)
+{
+    return std::uint64_t{1}
+        << (((la >> kLineShift) * 0x9e3779b97f4a7c15ull) >> 58);
+}
+
+/**
  * One set's two storage planes. `lines[i]`'s payload is `data[i]`;
  * the vectors grow in lockstep (up to the associativity limit) so
  * pointers into both stay stable.
@@ -166,6 +179,14 @@ struct LineSet
 {
     std::vector<Line> lines;
     std::vector<LineData> data;
+    /**
+     * OR of tagBit(l.base) over the set's valid lines, kept by
+     * CacheSystem::syncLine(); zero in overflow-table version lists.
+     * Every version of an address lives in the same set (§4.1), so a
+     * clear bit proves the cache holds no version of that address (the
+     * snoop filter); a set bit may be another address's.
+     */
+    std::uint64_t tags = 0;
 };
 
 /**
@@ -344,6 +365,15 @@ class Cache
         return s.data[static_cast<std::size_t>(&l - s.lines.data())];
     }
 
+    /** Applies @p fn(LineSet&) to every set in the cache. */
+    template <typename Fn>
+    void
+    forEachSet(Fn&& fn)
+    {
+        for (auto& s : sets_)
+            fn(s);
+    }
+
     /** Applies @p fn to every metadata slot in the cache. */
     template <typename Fn>
     void
@@ -368,6 +398,7 @@ class Cache
         for (auto& s : sets_) {
             s.lines.clear();
             s.data.clear();
+            s.tags = 0;
         }
         specReg_.clear();
         dirtyReg_.clear();

@@ -27,9 +27,6 @@ CacheSystem::CacheSystem(EventQueue& eq, const MachineConfig& cfg)
     }
     caches_.emplace_back("L2", cfg.l2Sets(), cfg.l2Assoc,
                          cfg.numCores);
-    // The presence mask is one bit per cache; fall back to full snoops
-    // beyond 64 caches (far above any modeled configuration).
-    filterEnabled_ = caches_.size() <= 64;
     net_ = makeInterconnect(cfg_, stats_);
 }
 
@@ -48,7 +45,6 @@ CacheSystem::reset()
     net_->reset();
     trace_.reset(cfg_.traceFlags);
     overflow_.reset();
-    presence_.clear();
     idxStats_ = {};
     shadow_.clear();
     rwReleaseAll();
@@ -59,47 +55,28 @@ CacheSystem::reset()
 // --- index maintenance --------------------------------------------------
 
 void
-CacheSystem::presenceAdd(std::uint32_t ci, Addr la)
-{
-    presence_[la] |= std::uint64_t{1} << ci;
-}
-
-void
-CacheSystem::presenceRemove(std::uint32_t ci, Addr la)
-{
-    std::uint64_t* mask = presence_.find(la);
-    if (!mask)
-        return; // unreachable while bookkeeping is sound
-    // The mask carries no per-cache counts: rescan the (tiny) owning
-    // set to learn whether another version of la keeps the bit alive.
-    // The caller already cleared the departing line's `present` flag.
-    for (const auto& l : caches_[ci].set(la).lines)
-        if (l.bk.present && l.bk.presentAddr == la)
-            return;
-    *mask &= ~(std::uint64_t{1} << ci);
-    if (*mask == 0)
-        presence_.erase(la);
-}
-
-void
 CacheSystem::syncLine(Line& l)
 {
     const std::uint32_t ci = l.bk.cacheId;
     if (ci == kNoCacheId)
         return; // overflow-table entries and snapshots are unindexed
     const bool valid = l.state != State::Invalid;
-    if (filterEnabled_) {
-        if (l.bk.present && (!valid || l.bk.presentAddr != l.base)) {
-            // Clear the flag before the rescan in presenceRemove so
-            // this line no longer counts for its old address.
-            l.bk.present = false;
-            presenceRemove(ci, l.bk.presentAddr);
-        }
-        if (valid && !l.bk.present) {
-            presenceAdd(ci, l.base);
-            l.bk.present = true;
-            l.bk.presentAddr = l.base;
-        }
+    // Every address a slot can take maps to the slot's own set.
+    if (l.bk.present && (!valid || l.bk.presentAddr != l.base)) {
+        // The word keeps no counts, so rebuild it from the slots that
+        // stay present; clear the flag first so this one drops out.
+        l.bk.present = false;
+        LineSet& s = caches_[ci].set(l.bk.presentAddr);
+        std::uint64_t tags = 0;
+        for (const Line& o : s.lines)
+            if (o.bk.present)
+                tags |= tagBit(o.bk.presentAddr);
+        s.tags = tags;
+    }
+    if (valid && !l.bk.present) {
+        caches_[ci].set(l.base).tags |= tagBit(l.base);
+        l.bk.present = true;
+        l.bk.presentAddr = l.base;
     }
     if (valid && (isSpec(l.state) || l.dirty))
         caches_[ci].noteInteresting(l);
@@ -140,31 +117,24 @@ void
 CacheSystem::checkInvariants()
 {
     // Police the index structures first: every existing call site of
-    // this self-check also cross-checks the presence filter and the
+    // this self-check also cross-checks the set summaries and the
     // registries against a full scan, for free.
     verifyIndexes();
 
-    // Collect every cached address. The presence filter already keys
-    // on exactly the live addresses; fall back to a full scan when it
-    // is disabled.
+    // Collect every cached address.
     auto& addrs = checkAddrs_;
     addrs.clear();
-    if (filterEnabled_) {
-        presence_.forEach(
-            [&](Addr la, std::uint64_t) { addrs.insert(la); });
-    } else {
-        for (auto& c : caches_) {
-            c.forEachLine([&](Line& l) {
-                if (l.state != State::Invalid)
-                    addrs.insert(l.base);
-            });
-        }
+    for (auto& c : caches_) {
+        c.forEachLine([&](Line& l) {
+            if (l.state != State::Invalid)
+                addrs.insert(l.base);
+        });
     }
     // Spilled versions are live protocol state too: a responder in the
     // overflow table conflicts with cached versions exactly as if it
-    // were still in the L2. The presence filter only tracks caches, so
-    // collect their addresses separately (const walk — no lazy
-    // reconciliation, this check must stay observation-only).
+    // were still in the L2, so collect their addresses as well (const
+    // walk — no lazy reconciliation, this check must stay
+    // observation-only).
     overflow_.forEachConst([&](const Line& l, const LineData&) {
         if (l.state != State::Invalid)
             addrs.insert(l.base);
@@ -221,63 +191,49 @@ void
 CacheSystem::verifyIndexes()
 {
     ++idxStats_.crossChecks;
-    // Rebuild the expected presence masks from a full scan and check
-    // the per-slot bookkeeping along the way.
-    auto& want = checkWant_;
-    want.clear();
+    // Check the per-slot bookkeeping, and that every set's summary is
+    // exactly the OR over its valid lines: a missing bit would hide a
+    // holder from the snoops, a stale one would only cost scans, but
+    // either means syncLine() missed a transition.
     for (std::size_t ci = 0; ci < caches_.size(); ++ci) {
-        caches_[ci].forEachLine([&](Line& l) {
-            if (l.bk.cacheId != ci) {
-                throw std::logic_error(
-                    "index check: slot carries wrong cache id in " +
-                    caches_[ci].name());
-            }
-            if (l.state == State::Invalid) {
-                if (filterEnabled_ && l.bk.present) {
+        Cache& c = caches_[ci];
+        c.forEachSet([&](LineSet& s) {
+            std::uint64_t tags = 0;
+            for (const Line& l : s.lines) {
+                if (l.bk.cacheId != ci) {
                     throw std::logic_error(
-                        "index check: invalid line still counted "
-                        "present in " + caches_[ci].name());
+                        "index check: slot carries wrong cache id in " +
+                        c.name());
                 }
-                return;
+                if (l.state == State::Invalid) {
+                    if (l.bk.present) {
+                        throw std::logic_error(
+                            "index check: invalid line still counted "
+                            "present in " + c.name());
+                    }
+                    continue;
+                }
+                if (!l.bk.present || l.bk.presentAddr != l.base) {
+                    throw std::logic_error(
+                        "index check: valid line not counted under "
+                        "its address in " + c.name());
+                }
+                if (Cache::specInteresting(l) && !l.bk.onSpecReg) {
+                    throw std::logic_error(
+                        "index check: spec line missing from the spec "
+                        "registry of " + c.name());
+                }
+                if (Cache::dirtyInteresting(l) && !l.bk.onDirtyReg) {
+                    throw std::logic_error(
+                        "index check: dirty line missing from the "
+                        "dirty registry of " + c.name());
+                }
+                tags |= tagBit(l.base);
             }
-            if (filterEnabled_ &&
-                (!l.bk.present || l.bk.presentAddr != l.base)) {
+            if (s.tags != tags) {
                 throw std::logic_error(
-                    "index check: valid line not counted under its "
-                    "address in " + caches_[ci].name());
-            }
-            if (Cache::specInteresting(l) && !l.bk.onSpecReg) {
-                throw std::logic_error(
-                    "index check: spec line missing from the spec "
-                    "registry of " + caches_[ci].name());
-            }
-            if (Cache::dirtyInteresting(l) && !l.bk.onDirtyReg) {
-                throw std::logic_error(
-                    "index check: dirty line missing from the dirty "
-                    "registry of " + caches_[ci].name());
-            }
-            if (filterEnabled_)
-                want[l.base] |= std::uint64_t{1} << ci;
-        });
-    }
-    if (filterEnabled_) {
-        const std::size_t tracked = presence_.size();
-        if (want.size() != tracked) {
-            throw std::logic_error(
-                "index check: presence filter tracks " +
-                std::to_string(tracked) + " addresses, scan found " +
-                std::to_string(want.size()));
-        }
-        want.forEach([&](Addr la, std::uint64_t mask) {
-            const std::uint64_t* got = presence_.find(la);
-            if (!got) {
-                throw std::logic_error(
-                    "index check: cached address missing from the "
-                    "presence filter");
-            }
-            if (*got != mask) {
-                throw std::logic_error(
-                    "index check: presence mask mismatch");
+                    "index check: set tag summary mismatch in " +
+                    c.name());
             }
         });
     }

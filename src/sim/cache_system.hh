@@ -94,8 +94,8 @@ class CacheSystem
      * indistinguishable from a run on a freshly built one: same
      * AccessResults (latencies included), same SysStats, IndexStats
      * and TxModeStats, same lcVid/abortGen, same memory
-     * image. Covers the caches (lines, payloads, LRU, registries),
-     * the presence filter, the read/write sets, the wrong-path shadow
+     * image. Covers the caches (lines, payloads, LRU, registries,
+     * per-set tag summaries), the read/write sets, the wrong-path shadow
      * marks, the overflow table, every counter and generation, the
      * TxPolicy state, the fabric's occupancy and its DeliveryChooser
      * (uninstalled), main memory and the trace.
@@ -211,10 +211,11 @@ class CacheSystem
     void checkInvariants();
 
     /**
-     * Rebuilds the presence filter and registry invariants from a full
-     * scan of every cache, and each live VID's |reads ∪ writes| from
-     * its sets, and compares them with the incrementally maintained
-     * structures; throws std::logic_error on any mismatch.
+     * Recomputes every set's tag summary and the registry invariants
+     * from a full scan of every cache, and each live VID's
+     * |reads ∪ writes| from its sets, and compares them with the
+     * incrementally maintained structures; throws std::logic_error on
+     * any mismatch.
      * Runs automatically after bulk protocol actions when
      * MachineConfig::indexCrossCheck is set.
      */
@@ -263,8 +264,6 @@ class CacheSystem
     void applyReconcile(Line& l) const;
     /** Reconciles a line against the current LC VID (lazy commit). */
     void reconcile(Line& l);
-    /** Reconciles every version of @p la in @p c. */
-    void reconcileAddr(Cache& c, Addr la);
     /** True if this version hits request VID @p a (counts compares). */
     bool hits(const Line& l, Addr la, Vid a);
     /**
@@ -295,7 +294,11 @@ class CacheSystem
      * evicting nothing, when the set holds none.
      */
     Line* allocate(Cache& c, Addr la, bool optional = false);
-    /** Evicts @p victim from @p c per the §5.4 rules. */
+    /**
+     * Evicts @p victim from @p c per the §5.4 rules. @p victim must
+     * be valid and already reconciled against the current LC VID
+     * (allocate()'s victim pass does both).
+     */
     bool evict(Cache& c, Line& victim);
 
     // --- protocol actions ---------------------------------------------
@@ -368,35 +371,35 @@ class CacheSystem
     // --- index maintenance ----------------------------------------------
     /**
      * Single mutation funnel for the index structures: after any
-     * change to a line's state/base/dirty, re-syncs its entry in the
-     * presence filter and (if it became spec or dirty) enlists it on
-     * its cache's registry. O(1); safe to call redundantly.
+     * change to a line's state/base/dirty, re-syncs its bit in its
+     * set's tag summary and (if it became spec or dirty) enlists it
+     * on its cache's registry. A line leaving an address rebuilds the
+     * summary from its set's slots; safe to call redundantly.
      */
     void syncLine(Line& l);
-    /** Counts one copy of @p la appearing in cache @p ci. */
-    void presenceAdd(std::uint32_t ci, Addr la);
-    /** Uncounts one copy of @p la from cache @p ci. */
-    void presenceRemove(std::uint32_t ci, Addr la);
     /**
      * Applies @p fn(cacheIndex) in ascending cache order to every
      * cache that may hold a version of @p la — every cache under
-     * forceFullScan (or with >64 caches), only presence-filter hits
-     * otherwise. The holder mask is snapshotted first, so @p fn may
-     * invalidate lines (and thereby shrink the filter) safely.
+     * forceFullScan (or with more caches than the 64-bit snoop mask
+     * has bits), otherwise those whose set of @p la has tagBit(la) in
+     * its summary (a false positive is a set scan that finds nothing).
+     * The holder mask is snapshotted first, so @p fn may invalidate
+     * lines (and thereby clear summary bits) safely.
      */
     template <typename Fn>
     void
     forEachSnoopTarget(Addr la, Fn&& fn)
     {
-        if (!filterEnabled_ || cfg_.forceFullScan) {
+        if (cfg_.forceFullScan || caches_.size() > 64) {
             for (std::size_t ci = 0; ci < caches_.size(); ++ci)
                 fn(ci);
             return;
         }
-        // Snapshot the holder mask: fn may invalidate lines and
-        // thereby shrink (or erase) the filter entry while we iterate.
-        const std::uint64_t* held = presence_.find(la);
-        const std::uint64_t mask = held ? *held : 0;
+        const std::uint64_t bit = tagBit(la);
+        std::uint64_t mask = 0;
+        for (std::size_t ci = 0; ci < caches_.size(); ++ci)
+            if (caches_[ci].set(la).tags & bit)
+                mask |= std::uint64_t{1} << ci;
         const auto holders =
             static_cast<std::uint64_t>(std::popcount(mask));
         idxStats_.snoopsVisited += holders;
@@ -542,21 +545,6 @@ class CacheSystem
     /** Spilled speculative versions (unbounded-sets extension). */
     OverflowTable overflow_;
 
-    /**
-     * Address presence filter: for each cached line address, a bitmask
-     * of the caches holding a version of it. Purely a performance
-     * cache over Line state (the snoop-filter / sharer-vector analog);
-     * maintained by syncLine() and consulted by forEachSnoopTarget().
-     * Mask-only: when a cache drops its last counted copy the owning
-     * set is rescanned to decide whether the bit survives (sets are
-     * tiny, and removals are far rarer than the adds/probes the
-     * per-cache count vectors used to tax). Empty-masked entries are
-     * erased eagerly. A flat table: an insert allocates nothing once
-     * the table has grown to the working set.
-     */
-    FlatAddrMap<std::uint64_t> presence_;
-    /** False when caches_.size() > 64 bits of mask; filter disabled. */
-    bool filterEnabled_ = true;
     IndexStats idxStats_;
 
     /** Wrong-path shadow marks: line -> highest wrong-path VID (§5.1
@@ -635,7 +623,6 @@ class CacheSystem
     // not reallocate.
     FlatAddrSet checkAddrs_;
     std::vector<LineVersion> checkLive_;
-    FlatAddrMap<std::uint64_t> checkWant_;
     /** Registry entries already seen, keyed by slot address. */
     FlatAddrSet checkSeenSpec_;
     FlatAddrSet checkSeenDirty_;

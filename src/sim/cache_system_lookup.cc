@@ -32,14 +32,6 @@ CacheSystem::reconcile(Line& l)
         syncLine(l);
 }
 
-void
-CacheSystem::reconcileAddr(Cache& c, Addr la)
-{
-    for (auto& l : c.set(la).lines)
-        if (l.state != State::Invalid && l.base == la)
-            reconcile(l);
-}
-
 bool
 CacheSystem::hits(const Line& l, Addr la, Vid a)
 {
@@ -59,8 +51,8 @@ CacheSystem::findLocal(Cache& c, Addr la, Vid a, bool forStore)
 {
     // Reconcile and probe in one pass over the set: lazy-commit
     // transitions are strictly per-line, so interleaving them with the
-    // probes is equivalent to reconcileAddr() followed by a second
-    // scan, at roughly half the cost.
+    // probes is equivalent to reconciling every version of la first
+    // and probing in a second scan, at roughly half the cost.
     Line* hit = nullptr;
     for (auto& l : c.set(la).lines) {
         if (l.state != State::Invalid && l.base == la)
@@ -232,10 +224,6 @@ CacheSystem::foldCopyMark(Addr la, const Line& victim)
 bool
 CacheSystem::evict(Cache& c, Line& victim)
 {
-    reconcile(victim);
-    if (victim.state == State::Invalid)
-        return true;
-
     const bool isL2 = (&c == &caches_.back());
     const Addr la = victim.base;
 
@@ -326,12 +314,12 @@ CacheSystem::evict(Cache& c, Line& victim)
         }
         break; // move to L2
       case State::Invalid:
-        return true;
+        return true; // excluded by the precondition
     }
 
     // Move the line from an L1 into the shared L2. A committed dirty
-    // payload (plain M/O, or the mod==0 speculative encodings — after
-    // the reconcile above, committed data always tags mod==0) exists
+    // payload (plain M/O, or the mod==0 speculative encodings — the
+    // victim is reconciled, so committed data always tags mod==0) exists
     // only in the local copy once drop() runs, and the L2 allocation
     // can capacity-abort mid-move; flush it so memory stays the
     // backstop. Uncommitted payloads (mod > LC) are abort-revertible

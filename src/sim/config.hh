@@ -145,7 +145,7 @@ struct MachineConfig
 
     /**
      * Reference mode for differential tests and benchmarks: bypass the
-     * address presence filter and the per-cache spec-line registry and
+     * per-set snoop summaries and the per-cache spec-line registry and
      * run every snoop/bulk walk as a full scan, exactly like the
      * pre-index simulator. Simulated behaviour (timings, stats, memory
      * images) is identical either way; only the simulator's own

@@ -1,10 +1,11 @@
 /**
  * @file
  * Open-addressed, address-keyed hash table for the memory system's
- * indexes (presence filter, per-VID read/write sets, overflow-table
- * directory). These sit on the per-access path, so unlike a node-based
- * std::unordered_map they make no heap allocation per insert: storage
- * is two flat arrays that only grow, and clear() keeps the capacity.
+ * indexes (per-VID read/write sets, overflow-table directory, the
+ * self-checks' scratch). These sit on the per-access path, so unlike a
+ * node-based std::unordered_map they make no heap allocation per
+ * insert: storage is two flat arrays that only grow, and clear() keeps
+ * the capacity.
  */
 
 #ifndef HMTX_SIM_FLAT_INDEX_HH
@@ -30,7 +31,7 @@ struct FlatNoValue
 /**
  * Map from Addr to @p V with power-of-two capacity, linear probing and
  * backward-shift deletion (no tombstones, so probe chains never rot
- * under the insert/erase churn of the presence filter).
+ * under insert/erase churn).
  *
  * Keys may be any Addr except kEmptyKey (~0), which no line address,
  * VID or word address in the simulator can take. Storage is allocated

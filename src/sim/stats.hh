@@ -138,17 +138,18 @@ struct SysStats
 };
 
 /**
- * Diagnostics for the simulator-internal index structures (address
- * presence filter + per-cache spec-line registry). Kept separate from
+ * Diagnostics for the simulator-internal index structures (per-set
+ * snoop summaries + per-cache spec-line registry). Kept separate from
  * SysStats on purpose: these counters describe how the *simulator*
  * found lines, not what the simulated machine did, and they differ
  * between indexed and full-scan runs that are otherwise bit-identical.
  */
 struct IndexStats
 {
-    /** Caches actually visited by a filtered snoop. */
+    /** Caches visited by a filtered snoop: those whose set summary
+     *  matched the address, false positives included. */
     std::uint64_t snoopsVisited = 0;
-    /** Caches skipped because the filter proved them empty. */
+    /** Caches skipped because their set summary proved them empty. */
     std::uint64_t snoopsFiltered = 0;
     /** Bulk walks served from the spec-line registries. */
     std::uint64_t registryWalks = 0;

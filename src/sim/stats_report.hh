@@ -189,7 +189,7 @@ class StatsReport
         k.row("sim.snoopsVisited", double(idx.snoopsVisited),
               "caches visited by filtered snoops");
         k.row("sim.snoopsFiltered", double(idx.snoopsFiltered),
-              "cache snoops skipped by the presence filter");
+              "cache snoops skipped by the set summaries");
         k.rate("sim.snoopFilterRate", idx.snoopFilterRate(),
                "fraction of snoop targets filtered out");
         k.row("sim.registryWalks", double(idx.registryWalks),

@@ -84,7 +84,7 @@ TEST(FlatIndex, EmptyTableOwnsNoStorage)
     EXPECT_GT(s.capacity(), 0u);
 }
 
-// A presence-filter-shaped workload: set and clear mask bits, erase
+// A holder-mask-shaped workload: set and clear mask bits, erase
 // entries whose mask empties, erase outright, clear with capacity kept,
 // and grow from empty across several doublings.
 TEST(FlatIndex, MapMatchesUnorderedMapUnderRandomOps)
@@ -99,7 +99,7 @@ TEST(FlatIndex, MapMatchesUnorderedMapUnderRandomOps)
         const Addr k = pool[rng.range(pool.size())];
         const std::uint64_t bit = std::uint64_t{1} << rng.range(64);
         const std::uint64_t r = rng.range(100);
-        if (r < 35) { // set a bit (presenceAdd)
+        if (r < 35) { // set a bit
             got[k] |= bit;
             want[k] |= bit;
         } else if (r < 60) { // clear a bit, erase on empty

@@ -1,7 +1,7 @@
 /**
  * @file
  * Differential testing of the acceleration indexes: every run is
- * executed twice — once with the presence filter + registry serving
+ * executed twice — once with the set summaries + registry serving
  * lookups (the default) and once with MachineConfig::forceFullScan,
  * which answers every snoop and bulk walk from a full cache scan.
  * The two modes must be observably identical: same per-access

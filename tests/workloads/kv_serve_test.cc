@@ -64,7 +64,7 @@ TEST(KvServe, StreamingPercentilesMatchSortRecompute)
 /**
  * Runs one smoke cell plain, then twice more: with the index
  * cross-check after every bulk operation and with the indexes bypassed
- * by full scans. The serving path churns the presence filter, the rw
+ * by full scans. The serving path churns the set summaries, the rw
  * sets and the overflow table harder than any other workload; both
  * variants must reproduce the plain run exactly.
  */
