@@ -12,24 +12,13 @@
  * harness.
  */
 
+#include <cinttypes>
+
 #include "bench/common.hh"
+#include "bench/json.hh"
 
 using namespace hmtx;
 using namespace hmtx::bench;
-
-namespace
-{
-
-/** One cell of the cores x fabric sweep. */
-struct Sample
-{
-    unsigned cores;
-    const char* fabric;
-    runtime::ExecResult r;
-    double speedup;
-};
-
-} // namespace
 
 int
 main(int argc, char** argv)
@@ -42,46 +31,54 @@ main(int argc, char** argv)
     const std::vector<const char*> benches{"456.hmmer", "197.parser"};
     const std::vector<unsigned> coreCounts{2, 4, 8, 16, 32};
 
-    std::FILE* js = std::fopen(outPath, "w");
-    if (!js) {
-        std::fprintf(stderr, "FATAL: cannot open %s\n", outPath);
-        return 1;
-    }
     // Echo the commit-mode axis so every BENCH report is
     // self-describing even though this sweep runs the lazy default.
-    std::fprintf(js,
-                 "{\n \"config\": {\"txMode\": \"%s\", "
-                 "\"btxMaxRetries\": %u, \"btxAbortThreshold\": %u, "
-                 "\"limitedSetK\": %u},\n \"workloads\": {\n",
-                 txModeName(defaults.txMode),
-                 defaults.btxMaxRetries, defaults.btxAbortThreshold,
-                 defaults.limitedSetK);
+    JsonWriter js;
+    js.obj()
+        .obj("config", true)
+        .str("txMode", txModeName(defaults.txMode))
+        .u("btxMaxRetries", defaults.btxMaxRetries)
+        .u("btxAbortThreshold", defaults.btxAbortThreshold)
+        .u("limitedSetK", defaults.limitedSetK)
+        .end()
+        .obj("workloads");
 
     bool dirWinsAtScale = true;
-    for (std::size_t w = 0; w < benches.size(); ++w) {
-        const char* name = benches[w];
+    for (const char* name : benches) {
         auto seqWl = workloads::makeByName(name);
         sim::MachineConfig base;
         runtime::ExecResult seq =
             runtime::Runner::runSequential(*seqWl, base);
 
-        std::printf("\n%s (sequential: %llu cycles)\n", name,
-                    static_cast<unsigned long long>(seq.cycles));
+        std::printf("\n%s (sequential: %" PRIu64 " cycles)\n", name,
+                    seq.cycles);
         rule(88);
         std::printf("%-7s | %-12s %-9s | %-12s %-9s | %-12s\n",
                     "cores", "snoop cyc", "speedup", "dir cyc",
                     "speedup", "dir lookups");
         rule(88);
 
-        std::vector<Sample> samples;
+        // One sweep row per (cores, fabric) run.
+        js.obj(name).u("sequential_cycles", seq.cycles).arr("sweep");
+        auto row = [&](unsigned cores, const char* fabric,
+                       const runtime::ExecResult& r) {
+            js.obj(nullptr, true)
+                .u("cores", cores)
+                .str("fabric", fabric)
+                .u("cycles", r.cycles)
+                .num("speedup", speedup(seq, r), 4)
+                .u("busTxns", r.stats.busTxns)
+                .u("dirLookups", r.stats.dirLookups)
+                .u("idleCores", r.stats.idleCores)
+                .end();
+        };
         for (unsigned cores : coreCounts) {
             sim::MachineConfig snoop;
             snoop.numCores = cores;
             auto a = workloads::makeByName(name);
             runtime::ExecResult rs = runtime::Runner::runHmtx(*a, snoop);
             requireChecksum(name, seq, rs);
-            samples.push_back(
-                {cores, "snoop-bus", rs, speedup(seq, rs)});
+            row(cores, "snoop-bus", rs);
 
             sim::MachineConfig dir = snoop;
             dir.fabric = sim::Fabric::Directory;
@@ -95,49 +92,26 @@ main(int argc, char** argv)
             auto b = workloads::makeByName(name);
             runtime::ExecResult rd = runtime::Runner::runHmtx(*b, dir);
             requireChecksum(name, seq, rd);
-            samples.push_back(
-                {cores, "directory", rd, speedup(seq, rd)});
+            row(cores, "directory", rd);
 
             if (cores >= 8 && rd.cycles > rs.cycles)
                 dirWinsAtScale = false;
 
-            std::printf(
-                "%-7u | %12llu %8.2fx | %12llu %8.2fx | %12llu\n",
-                cores, static_cast<unsigned long long>(rs.cycles),
-                speedup(seq, rs),
-                static_cast<unsigned long long>(rd.cycles),
-                speedup(seq, rd),
-                static_cast<unsigned long long>(rd.stats.dirLookups));
+            std::printf("%-7u | %12" PRIu64 " %8.2fx | %12" PRIu64
+                        " %8.2fx | %12" PRIu64 "\n",
+                        cores, rs.cycles, speedup(seq, rs), rd.cycles,
+                        speedup(seq, rd), rd.stats.dirLookups);
         }
         rule(88);
 
-        std::fprintf(js,
-                     "  \"%s\": {\n   \"sequential_cycles\": %llu,\n"
-                     "   \"sweep\": [\n",
-                     name,
-                     static_cast<unsigned long long>(seq.cycles));
-        for (std::size_t i = 0; i < samples.size(); ++i) {
-            const Sample& s = samples[i];
-            std::fprintf(
-                js,
-                "    {\"cores\": %u, \"fabric\": \"%s\", "
-                "\"cycles\": %llu, \"speedup\": %.4f, "
-                "\"busTxns\": %llu, \"dirLookups\": %llu, "
-                "\"idleCores\": %llu}%s\n",
-                s.cores, s.fabric,
-                static_cast<unsigned long long>(s.r.cycles), s.speedup,
-                static_cast<unsigned long long>(s.r.stats.busTxns),
-                static_cast<unsigned long long>(s.r.stats.dirLookups),
-                static_cast<unsigned long long>(s.r.stats.idleCores),
-                i + 1 < samples.size() ? "," : "");
-        }
-        std::fprintf(js, "   ]\n  }%s\n",
-                     w + 1 < benches.size() ? "," : "");
+        js.end().end();
     }
 
-    std::fprintf(js, " },\n \"directory_wins_at_8plus_cores\": %s\n}\n",
-                 dirWinsAtScale ? "true" : "false");
-    std::fclose(js);
+    js.end().flag("directory_wins_at_8plus_cores", dirWinsAtScale).end();
+    if (!js.save(outPath)) {
+        std::fprintf(stderr, "FATAL: cannot write %s\n", outPath);
+        return 1;
+    }
     std::printf("\nwrote %s\n", outPath);
 
     std::printf(

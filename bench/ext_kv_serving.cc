@@ -23,11 +23,11 @@
  * degrading p999 by >= 1.2x against lazy HMTX at the same skew/mix.
  *
  * A profile section measures the streaming-histogram discipline
- * against the naive record-every-latency mode on the same cell and
- * embeds the registry-split before/after microbenchmark numbers
- * (bench/micro_hotpath.cc BM_VidResetDirtyBg) that make 1M+ requests
- * per run practical; ci/check.sh gates the streaming throughput
- * against the committed baseline via --gate.
+ * against the naive record-every-latency mode on the same cell;
+ * ci/check.sh gates the streaming throughput against the committed
+ * baseline via --gate. The registry split that keeps vidReset
+ * O(spec lines) on dirty background state is measured separately:
+ * micro_hotpath --benchmark_filter=BM_VidResetDirtyBg.
  *
  * Usage: ext_kv_serving [out.json]      full sweep -> JSON report
  *        ext_kv_serving --gate          gate cell only, prints
@@ -38,22 +38,22 @@
  * HMTX_SERVE_BURST_DUTY the arrival burstiness (bench/common.hh).
  */
 
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/common.hh"
+#include "bench/json.hh"
 #include "workloads/kv_serve.hh"
 
 using namespace hmtx;
 
 namespace
 {
-
-constexpr unsigned kCores = 4;
 
 sim::MachineConfig
 servingConfig(TxMode mode, sim::Fabric fabric)
@@ -106,12 +106,10 @@ requireClean(const workloads::KvServeResult& r, const char* what)
     if (!r.serve.consistent()) {
         std::fprintf(stderr,
                      "FATAL: %s: inconsistent serve accounting "
-                     "(issued %llu, committed %llu, aborted %llu)\n",
-                     what,
-                     static_cast<unsigned long long>(r.serve.issued),
-                     static_cast<unsigned long long>(
-                         r.serve.committed),
-                     static_cast<unsigned long long>(r.serve.aborted));
+                     "(issued %" PRIu64 ", committed %" PRIu64
+                     ", aborted %" PRIu64 ")\n",
+                     what, r.serve.issued, r.serve.committed,
+                     r.serve.aborted);
         std::exit(1);
     }
     if (!r.oracleOk) {
@@ -170,23 +168,15 @@ main(int argc, char** argv)
     const std::uint64_t kRequests = 25000;
 
     std::printf("KV/OLTP serving sweep: %zu modes x %zu fabrics x "
-                "%zu skews x %zu write mixes, %llu requests/cell\n",
+                "%zu skews x %zu write mixes, %" PRIu64
+                " requests/cell\n",
                 std::size(modes), std::size(fabrics), thetas.size(),
-                writes.size(),
-                static_cast<unsigned long long>(
-                    env.ops > 0 ? env.ops : kRequests));
-
-    std::FILE* js = std::fopen(outPath, "w");
-    if (!js) {
-        std::fprintf(stderr, "FATAL: cannot open %s\n", outPath);
-        return 1;
-    }
+                writes.size(), env.ops > 0 ? env.ops : kRequests);
 
     // Profile: streaming histogram vs naive record-every-latency on
-    // the gate cell, plus the registry-split micro numbers
-    // (micro_hotpath BM_VidResetDirtyBg, 64Ki dirty committed lines
-    // in the background) that took vidReset from O(dirty working set)
-    // to O(spec lines) — the overhaul that sustains 1M+ requests.
+    // the gate cell. (vidReset's cost on dirty background lines is a
+    // host microbenchmark: micro_hotpath
+    // --benchmark_filter=BM_VidResetDirtyBg.)
     const std::uint64_t profReq = env.ops > 0 ? env.ops : 60000;
     runGateCell(env, profReq, false); // warm the allocator/page cache
     const workloads::KvServeResult stream =
@@ -199,46 +189,48 @@ main(int argc, char** argv)
     const double naiveRps =
         static_cast<double>(naive.serve.committed) /
         naive.hostSeconds;
-    std::printf("\nprofile (%llu requests, lazy/snoop-bus): "
+    std::printf("\nprofile (%" PRIu64 " requests, lazy/snoop-bus): "
                 "streaming %.0f req/s host, naive-recorded %.0f "
                 "req/s host\n",
-                static_cast<unsigned long long>(profReq), streamRps,
-                naiveRps);
-    std::fprintf(
-        js,
-        "{\n \"config\": {\n"
-        "  \"cores\": %u,\n  \"vidBits\": 8,\n"
-        "  \"tableBuckets\": 2048,\n  \"keys\": 8192,\n"
-        "  \"requests_per_cell\": %llu,\n"
-        "  \"arrival_mean_gap\": 1500,\n"
-        "  \"burst_duty\": %.2f,\n"
-        "  \"transfer_share\": 0.15,\n  \"scan_share\": 0.05\n },\n"
-        " \"profile\": {\n"
-        "  \"gate_cell\": \"lazy-hmtx/snoop-bus theta=0.9 "
-        "write=0.5\",\n"
-        "  \"gate_requests\": %llu,\n"
-        "  \"streaming_requests_per_sec\": %.0f,\n"
-        "  \"naive_recorded_requests_per_sec\": %.0f,\n"
-        "  \"registry_split_micro\": {\n"
-        "   \"benchmark\": \"micro_hotpath BM_VidResetDirtyBg "
-        "(64Ki dirty committed background lines)\",\n"
-        "   \"vid_reset_us_before_split\": {\"clean\": 33.7, "
-        "\"dirty_bg\": 1552.0},\n"
-        "   \"vid_reset_us_after_split\": {\"clean\": 11.0, "
-        "\"dirty_bg\": 11.6}\n  }\n },\n \"sweep\": [\n",
-        kCores,
-        static_cast<unsigned long long>(env.ops > 0 ? env.ops
-                                                    : kRequests),
-        env.burstDuty >= 0 ? env.burstDuty : 1.0,
-        static_cast<unsigned long long>(profReq), streamRps,
-        naiveRps);
+                profReq, streamRps, naiveRps);
 
-    // p999 per (fabric, theta, write) for the btx-vs-lazy headline.
-    std::map<std::string, std::uint64_t> p999;
+    // The config block echoes what every cell runs: the machine knobs
+    // shared by all modes and the request mix (only theta, the write
+    // ratio and the seed vary per cell).
+    const sim::MachineConfig mc =
+        servingConfig(TxMode::LazyHmtx, sim::Fabric::SnoopBus);
+    const workloads::KvServeParams kp =
+        servingParams(env, thetas[0], writes[0], kRequests, 42);
+    bench::JsonWriter js;
+    js.obj()
+        .obj("config")
+        .u("cores", mc.numCores)
+        .u("vidBits", mc.vidBits)
+        .u("tableBuckets", kp.tableBuckets)
+        .u("keys", kp.keys)
+        .u("requests_per_cell", kp.requests)
+        .u("arrival_mean_gap", kp.arrivalMeanGap)
+        .num("burst_duty", kp.burstDuty, 2)
+        .num("transfer_share", kp.transferShare, 2)
+        .num("scan_share", kp.scanShare, 2)
+        .end()
+        .obj("profile")
+        .str("gate_cell", "lazy-hmtx/snoop-bus theta=0.9 write=0.5")
+        .u("gate_requests", profReq)
+        .num("streaming_requests_per_sec", streamRps, 0)
+        .num("naive_recorded_requests_per_sec", naiveRps, 0)
+        .end()
+        .arr("sweep");
+
+    // Headline: where does the bounded best-effort machine's tail
+    // diverge from unbounded HMTX? The btx/lazy p999 ratio of every
+    // (fabric, theta, write) cell group; the bench fails if no group
+    // degrades by >= 1.2x.
+    std::vector<std::pair<std::string, double>> ratios;
+    double worst = 0.0;
+    std::string worstKey;
     std::uint64_t total = 0;
     std::size_t cellIdx = 0;
-    const std::size_t cellCount = std::size(modes) *
-        std::size(fabrics) * thetas.size() * writes.size();
 
     for (const sim::Fabric fabric : fabrics) {
         for (const double theta : thetas) {
@@ -249,6 +241,7 @@ main(int argc, char** argv)
                             "%7s\n",
                             "mode", "cyc/req", "req/s", "p50", "p99",
                             "p999", "aborts", "fbEnt");
+                std::uint64_t lazyP999 = 0, btxP999 = 0;
                 for (const TxMode mode : modes) {
                     const std::uint64_t seed = 42 + cellIdx;
                     const workloads::KvServeResult r =
@@ -271,118 +264,75 @@ main(int argc, char** argv)
                         r.serve.latency.percentile(0.99);
                     const std::uint64_t q999 =
                         r.serve.latency.percentile(0.999);
-                    std::printf("%-13s | %10.1f %8.0f | %8llu %8llu "
-                                "%8llu | %7llu %7llu\n",
-                                txModeName(mode), cpr, rps,
-                                static_cast<unsigned long long>(q50),
-                                static_cast<unsigned long long>(q99),
-                                static_cast<unsigned long long>(q999),
-                                static_cast<unsigned long long>(
-                                    r.sys.aborts),
-                                static_cast<unsigned long long>(
-                                    r.tx.fallbackEntries));
+                    std::printf("%-13s | %10.1f %8.0f | %8" PRIu64
+                                " %8" PRIu64 " %8" PRIu64 " | %7" PRIu64
+                                " %7" PRIu64 "\n",
+                                txModeName(mode), cpr, rps, q50, q99,
+                                q999, r.sys.aborts,
+                                r.tx.fallbackEntries);
 
-                    char key[96];
-                    std::snprintf(key, sizeof key, "%s|%.2f|%.2f|%s",
-                                  bench::fabricName(fabric), theta, write,
-                                  txModeName(mode));
-                    p999[key] = q999;
+                    if (mode == TxMode::LazyHmtx)
+                        lazyP999 = q999;
+                    else if (mode == TxMode::BestEffort)
+                        btxP999 = q999;
 
-                    std::fprintf(
-                        js,
-                        "  {\"mode\": \"%s\", \"fabric\": \"%s\", "
-                        "\"theta\": %.2f, \"write_ratio\": %.2f,\n"
-                        "   \"requests\": %llu, \"makespan\": %llu, "
-                        "\"cycles_per_req\": %.1f, "
-                        "\"host_requests_per_sec\": %.0f,\n"
-                        "   \"p50\": %llu, \"p99\": %llu, "
-                        "\"p999\": %llu, \"max\": %llu, "
-                        "\"mean\": %.1f,\n"
-                        "   \"aborts\": %llu, \"drains\": %llu, "
-                        "\"window_resets\": %llu, "
-                        "\"fallback_entries\": %llu, "
-                        "\"fallback_cycles\": %llu, "
-                        "\"limited_set_aborts\": %llu, "
-                        "\"non_spec_fallbacks\": %llu}%s\n",
-                        txModeName(mode), bench::fabricName(fabric), theta,
-                        write,
-                        static_cast<unsigned long long>(
-                            r.serve.committed),
-                        static_cast<unsigned long long>(r.makespan),
-                        cpr, rps,
-                        static_cast<unsigned long long>(q50),
-                        static_cast<unsigned long long>(q99),
-                        static_cast<unsigned long long>(q999),
-                        static_cast<unsigned long long>(
-                            r.serve.latency.max()),
-                        r.serve.latency.mean(),
-                        static_cast<unsigned long long>(r.sys.aborts),
-                        static_cast<unsigned long long>(
-                            r.serve.drains),
-                        static_cast<unsigned long long>(
-                            r.serve.windowResets),
-                        static_cast<unsigned long long>(
-                            r.tx.fallbackEntries),
-                        static_cast<unsigned long long>(
-                            r.tx.fallbackCycles),
-                        static_cast<unsigned long long>(
-                            r.tx.limitedSetAborts),
-                        static_cast<unsigned long long>(
-                            r.serve.nonSpecFallbacks),
-                        ++cellIdx < cellCount ? "," : "");
+                    js.obj()
+                        .str("mode", txModeName(mode))
+                        .str("fabric", bench::fabricName(fabric))
+                        .num("theta", theta, 2)
+                        .num("write_ratio", write, 2)
+                        .u("requests", r.serve.committed)
+                        .u("makespan", r.makespan)
+                        .num("cycles_per_req", cpr, 1)
+                        .num("host_requests_per_sec", rps, 0)
+                        .u("p50", q50).u("p99", q99).u("p999", q999)
+                        .u("max", r.serve.latency.max())
+                        .num("mean", r.serve.latency.mean(), 1)
+                        .u("aborts", r.sys.aborts)
+                        .u("drains", r.serve.drains)
+                        .u("window_resets", r.serve.windowResets)
+                        .u("fallback_entries", r.tx.fallbackEntries)
+                        .u("fallback_cycles", r.tx.fallbackCycles)
+                        .u("limited_set_aborts", r.tx.limitedSetAborts)
+                        .u("non_spec_fallbacks", r.serve.nonSpecFallbacks)
+                        .end();
+                    ++cellIdx;
                 }
-            }
-        }
-    }
-
-    // Headline: where does the bounded best-effort machine's tail
-    // diverge from unbounded HMTX? Worst (and per-skew) btx/lazy
-    // p999 ratios; the bench fails if no cell degrades by >= 1.2x.
-    double worst = 0.0;
-    std::string worstKey;
-    std::fprintf(js, " ],\n \"p999_btx_over_lazy\": {\n");
-    bool first = true;
-    for (const sim::Fabric fabric : fabrics) {
-        for (const double theta : thetas) {
-            for (const double write : writes) {
                 char base[96];
                 std::snprintf(base, sizeof base, "%s|%.2f|%.2f",
                               bench::fabricName(fabric), theta, write);
-                const std::uint64_t lazy =
-                    p999[std::string(base) + "|" +
-                         txModeName(TxMode::LazyHmtx)];
-                const std::uint64_t btx =
-                    p999[std::string(base) + "|" +
-                         txModeName(TxMode::BestEffort)];
-                const double ratio = lazy
-                    ? static_cast<double>(btx) /
-                        static_cast<double>(lazy)
+                const double ratio = lazyP999
+                    ? static_cast<double>(btxP999) /
+                        static_cast<double>(lazyP999)
                     : 0.0;
                 if (ratio > worst) {
                     worst = ratio;
                     worstKey = base;
                 }
-                std::fprintf(js, "%s  \"%s\": %.3f",
-                             first ? "" : ",\n", base, ratio);
-                first = false;
+                ratios.emplace_back(base, ratio);
             }
         }
     }
-    const bool degraded = worst >= 1.2;
-    std::fprintf(js,
-                 "\n },\n \"headline\": {\"worst_btx_over_lazy_p999\":"
-                 " %.3f, \"at\": \"%s\", \"degrades\": %s},\n"
-                 " \"total_requests\": %llu\n}\n",
-                 worst, worstKey.c_str(),
-                 degraded ? "true" : "false",
-                 static_cast<unsigned long long>(total + 2 * profReq));
-    std::fclose(js);
+    js.end().obj("p999_btx_over_lazy");
+    for (const auto& [base, ratio] : ratios)
+        js.num(base.c_str(), ratio, 3);
 
-    std::printf("\n%llu transactions served across the sweep "
-                "(+%llu in the profile cells)\nwrote %s\n",
-                static_cast<unsigned long long>(total),
-                static_cast<unsigned long long>(2 * profReq),
-                outPath);
+    const bool degraded = worst >= 1.2;
+    js.end()
+        .obj("headline", true)
+        .num("worst_btx_over_lazy_p999", worst, 3)
+        .str("at", worstKey.c_str()).flag("degrades", degraded)
+        .end()
+        .u("total_requests", total + 2 * profReq)
+        .end();
+    if (!js.save(outPath)) {
+        std::fprintf(stderr, "FATAL: cannot write %s\n", outPath);
+        return 1;
+    }
+
+    std::printf("\n%" PRIu64 " transactions served across the sweep "
+                "(+%" PRIu64 " in the profile cells)\nwrote %s\n",
+                total, 2 * profReq, outPath);
     if (!degraded) {
         std::printf("NO p999 divergence: best-effort never degraded "
                     "lazy HMTX's tail by >= 1.2x\n");

@@ -23,12 +23,14 @@
  * in BENCH_modes.json (path overridable as argv[1]).
  */
 
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <vector>
 
 #include "bench/common.hh"
+#include "bench/json.hh"
 #include "runtime/lane_driver.hh"
 
 using namespace hmtx;
@@ -112,40 +114,15 @@ runCell(const sim::MachineConfig& cfg, unsigned W)
         const std::uint64_t got = sys.memory().read(addr, 8);
         if (got != want) {
             std::fprintf(stderr,
-                         "FATAL: W=%u mode=%s %s: memory at %llx holds "
-                         "%llu, the committed bodies stored %llu\n",
+                         "FATAL: W=%u mode=%s %s: memory at %" PRIx64
+                         " holds %" PRIu64 ", the committed bodies "
+                         "stored %" PRIu64 "\n",
                          W, txModeName(cfg.txMode),
-                         bench::fabricName(cfg.fabric),
-                         static_cast<unsigned long long>(addr),
-                         static_cast<unsigned long long>(got),
-                         static_cast<unsigned long long>(want));
+                         bench::fabricName(cfg.fabric), addr, got, want);
             std::exit(1);
         }
     }
     return res;
-}
-
-void
-emitTxRows(std::FILE* js, const TxModeStats& tx)
-{
-    std::fprintf(
-        js,
-        "     \"sim.txmode.retryAborts\": %llu,\n"
-        "     \"sim.txmode.fallbackEntries\": %llu,\n"
-        "     \"sim.txmode.fallbackAccesses\": %llu,\n"
-        "     \"sim.txmode.fallbackCommits\": %llu,\n"
-        "     \"sim.txmode.fallbackCycles\": %llu,\n"
-        "     \"sim.txmode.fallbackWrapRemaps\": %llu,\n"
-        "     \"sim.txmode.earlyFallbacks\": %llu,\n"
-        "     \"sim.txmode.limitedSetAborts\": %llu",
-        static_cast<unsigned long long>(tx.retryAborts),
-        static_cast<unsigned long long>(tx.fallbackEntries),
-        static_cast<unsigned long long>(tx.fallbackAccesses),
-        static_cast<unsigned long long>(tx.fallbackCommits),
-        static_cast<unsigned long long>(tx.fallbackCycles),
-        static_cast<unsigned long long>(tx.fallbackWrapRemaps),
-        static_cast<unsigned long long>(tx.earlyFallbacks),
-        static_cast<unsigned long long>(tx.limitedSetAborts));
 }
 
 } // namespace
@@ -163,33 +140,28 @@ main(int argc, char** argv)
                 "rising stores per transaction\n",
                 kCores, kCores * kBatches);
 
-    std::FILE* js = std::fopen(outPath, "w");
-    if (!js) {
-        std::fprintf(stderr, "FATAL: cannot open %s\n", outPath);
-        return 1;
-    }
-    // Echo the commit-mode axis of the best-effort cell so the report
-    // is self-describing (the full-HMTX cell is the lazy default).
+    // Echo the commit-mode axis of both cells so the report is
+    // self-describing.
+    const sim::MachineConfig hmEcho =
+        bench::smallMachine(TxMode::LazyHmtx, sim::Fabric::SnoopBus);
     const sim::MachineConfig echo =
         bench::smallMachine(TxMode::BestEffort, sim::Fabric::SnoopBus);
-    std::fprintf(
-        js,
-        "{\n \"config\": {\n"
-        "  \"cores\": %u,\n  \"transactions\": %u,\n"
-        "  \"hmtx.txMode\": \"%s\",\n"
-        "  \"hmtx.unboundedSpecSets\": true,\n"
-        "  \"btx.txMode\": \"%s\",\n"
-        "  \"btx.btxMaxRetries\": %u,\n"
-        "  \"btx.btxAbortThreshold\": %u,\n"
-        "  \"btx.limitedSetK\": %u\n },\n \"sweep\": [\n",
-        kCores, kCores * kBatches, txModeName(TxMode::LazyHmtx),
-        txModeName(echo.txMode), echo.btxMaxRetries,
-        echo.btxAbortThreshold, echo.limitedSetK);
+    bench::JsonWriter js;
+    js.obj()
+        .obj("config")
+        .u("cores", kCores)
+        .u("transactions", kCores * kBatches)
+        .str("hmtx.txMode", txModeName(hmEcho.txMode))
+        .flag("hmtx.unboundedSpecSets", hmEcho.unboundedSpecSets)
+        .str("btx.txMode", txModeName(echo.txMode))
+        .u("btx.btxMaxRetries", echo.btxMaxRetries)
+        .u("btx.btxAbortThreshold", echo.btxAbortThreshold)
+        .u("btx.limitedSetK", echo.limitedSetK)
+        .end()
+        .arr("sweep");
 
     bool crossoverEverywhere = true;
     unsigned crossover[2] = {0, 0};
-    std::size_t cellIdx = 0;
-    const std::size_t cellCount = 2 * sweep.size();
 
     for (unsigned fi = 0; fi < 2; ++fi) {
         const sim::Fabric fabric = fabrics[fi];
@@ -208,20 +180,12 @@ main(int argc, char** argv)
                 runCell(bench::smallMachine(TxMode::BestEffort, fabric), W);
             const double ratio = static_cast<double>(be.makespan) /
                 static_cast<double>(hm.makespan);
-            std::printf("%-6u | %12llu | %12llu %6.2fx | %8llu "
-                        "%9llu %9llu %8llu\n",
-                        W,
-                        static_cast<unsigned long long>(hm.makespan),
-                        static_cast<unsigned long long>(be.makespan),
-                        ratio,
-                        static_cast<unsigned long long>(
-                            be.stats.aborts),
-                        static_cast<unsigned long long>(
-                            be.tx.fallbackEntries),
-                        static_cast<unsigned long long>(
-                            be.tx.fallbackCycles),
-                        static_cast<unsigned long long>(
-                            hm.stats.specSpills));
+            std::printf("%-6u | %12" PRIu64 " | %12" PRIu64
+                        " %6.2fx | %8" PRIu64 " %9" PRIu64 " %9" PRIu64
+                        " %8" PRIu64 "\n",
+                        W, hm.makespan, be.makespan, ratio,
+                        be.stats.aborts, be.tx.fallbackEntries,
+                        be.tx.fallbackCycles, hm.stats.specSpills);
             if (crossover[fi] == 0 && hm.makespan < be.makespan)
                 crossover[fi] = W;
 
@@ -229,30 +193,24 @@ main(int argc, char** argv)
                 ? static_cast<double>(be.tx.fallbackCycles) /
                     static_cast<double>(be.makespan)
                 : 0.0;
-            std::fprintf(
-                js,
-                "  {\"fabric\": \"%s\", \"stores_per_tx\": %u,\n"
-                "   \"hmtx\": {\"cycles\": %llu, \"flushes\": %llu, "
-                "\"aborts\": %llu, \"specSpills\": %llu, "
-                "\"specRefills\": %llu},\n"
-                "   \"btx\": {\"cycles\": %llu, \"flushes\": %llu, "
-                "\"aborts\": %llu, \"capacityAborts\": %llu, "
-                "\"fallback_cycle_share\": %.4f,\n",
-                bench::fabricName(fabric), W,
-                static_cast<unsigned long long>(hm.makespan),
-                static_cast<unsigned long long>(hm.flushes),
-                static_cast<unsigned long long>(hm.stats.aborts),
-                static_cast<unsigned long long>(hm.stats.specSpills),
-                static_cast<unsigned long long>(hm.stats.specRefills),
-                static_cast<unsigned long long>(be.makespan),
-                static_cast<unsigned long long>(be.flushes),
-                static_cast<unsigned long long>(be.stats.aborts),
-                static_cast<unsigned long long>(
-                    be.stats.capacityAborts),
-                fbShare);
-            emitTxRows(js, be.tx);
-            std::fprintf(js, "}}%s\n",
-                         ++cellIdx < cellCount ? "," : "");
+            js.obj()
+                .str("fabric", bench::fabricName(fabric))
+                .u("stores_per_tx", W)
+                .obj("hmtx", true)
+                .u("cycles", hm.makespan).u("flushes", hm.flushes)
+                .u("aborts", hm.stats.aborts)
+                .u("specSpills", hm.stats.specSpills)
+                .u("specRefills", hm.stats.specRefills)
+                .end()
+                .obj("btx")
+                .u("cycles", be.makespan)
+                .u("flushes", be.flushes)
+                .u("aborts", be.stats.aborts)
+                .u("capacityAborts", be.stats.capacityAborts)
+                .num("fallback_cycle_share", fbShare, 4)
+                .fields(be.tx)
+                .end()
+                .end();
         }
     }
 
@@ -269,11 +227,15 @@ main(int argc, char** argv)
         }
     }
 
-    std::fprintf(js,
-                 " ],\n \"crossover_stores_per_tx\": "
-                 "{\"snoop-bus\": %u, \"directory\": %u}\n}\n",
-                 crossover[0], crossover[1]);
-    std::fclose(js);
+    js.end()
+        .obj("crossover_stores_per_tx", true)
+        .u("snoop-bus", crossover[0]).u("directory", crossover[1])
+        .end()
+        .end();
+    if (!js.save(outPath)) {
+        std::fprintf(stderr, "FATAL: cannot write %s\n", outPath);
+        return 1;
+    }
     std::printf("\nwrote %s\n", outPath);
 
     std::printf(

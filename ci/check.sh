@@ -20,6 +20,49 @@ fi
 JOBS=$(nproc 2>/dev/null || echo 4)
 cd "$ROOT"
 
+# pin_json <report> <fresh.json> <committed.json> [ignored key ...]
+# Flattens both reports to dotted paths (sweep[3].btx.cycles) and
+# fails unless every field of the fresh run equals the committed one.
+# An ignored key is skipped wherever it occurs, subtree included; only
+# host-time fields may be ignored.
+pin_json() {
+    python3 - "$@" <<'EOF'
+import json
+import sys
+
+report, cur_path, base_path, *ignored = sys.argv[1:]
+with open(cur_path) as f:
+    cur = json.load(f)
+with open(base_path) as f:
+    base = json.load(f)
+
+def flat(node, path=""):
+    if isinstance(node, dict):
+        for k, v in node.items():
+            if k not in ignored:
+                yield from flat(v, f"{path}.{k}" if path else k)
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from flat(v, f"{path}[{i}]")
+    else:
+        yield path, node
+
+cur_f, base_f = dict(flat(cur)), dict(flat(base))
+bad = [k for k in sorted(set(cur_f) | set(base_f))
+       if cur_f.get(k) != base_f.get(k)]
+for k in bad:
+    print(f"  {k}: got {cur_f.get(k)} pinned {base_f.get(k)} MISMATCH")
+name = base_path.rsplit("/", 1)[-1]
+if bad:
+    sys.exit(f"FATAL: {report} differs from {name}; simulated "
+             "behaviour changed (regenerate it with bench/run_bench.sh "
+             "only when the change is meant to alter it)")
+skipped = f" (ignoring {', '.join(ignored)})" if ignored else ""
+print(f"  {len(cur_f)} fields equal {name}{skipped}")
+print(f"{report} pin: ok")
+EOF
+}
+
 for preset in "${PRESETS[@]}"; do
     echo "==== preset: $preset ===="
     cmake --preset "$preset"
@@ -255,11 +298,11 @@ if printf '%s\n' "${PRESETS[@]}" | grep -qx release; then
              "hot-path regression gate" >&2
         exit 1
     fi
-    # Every field of the crossover report is simulated, so a fresh run
-    # must reproduce the committed BENCH_modes.json exactly.
+    # Every field of the crossover and scaling reports is simulated,
+    # so a fresh run must reproduce the committed file exactly.
     echo "==== bench: commit-mode crossover smoke + pin ===="
     cmake --build --preset release -j "$JOBS" \
-        --target ext_mode_crossover
+        --target ext_mode_crossover ext_directory_scaling
     CI_MODES_JSON=$(mktemp)
     if ! "$ROOT/build-release/bench/ext_mode_crossover" \
         "$CI_MODES_JSON" > /dev/null; then
@@ -268,40 +311,20 @@ if printf '%s\n' "${PRESETS[@]}" | grep -qx release; then
              "its committed bodies do not explain" >&2
         exit 1
     fi
-    python3 - "$CI_MODES_JSON" "$ROOT/BENCH_modes.json" <<'EOF'
-import json
-import sys
-
-cur_path, base_path = sys.argv[1:]
-with open(cur_path) as f:
-    cur = json.load(f)
-with open(base_path) as f:
-    base = json.load(f)
-
-def flat(node, path=""):
-    if isinstance(node, dict):
-        for k, v in node.items():
-            yield from flat(v, f"{path}.{k}" if path else k)
-    elif isinstance(node, list):
-        for i, v in enumerate(node):
-            yield from flat(v, f"{path}[{i}]")
-    else:
-        yield path, node
-
-cur_f, base_f = dict(flat(cur)), dict(flat(base))
-bad = [k for k in sorted(set(cur_f) | set(base_f))
-       if cur_f.get(k) != base_f.get(k)]
-for k in bad:
-    print(f"  {k}: got {cur_f.get(k)} pinned {base_f.get(k)} MISMATCH")
-if bad:
-    sys.exit("FATAL: ext_mode_crossover differs from BENCH_modes.json; "
-             "simulated behaviour changed (regenerate it with "
-             "bench/run_bench.sh only when the change is meant to "
-             "alter it)")
-print(f"  {len(cur_f)} fields equal BENCH_modes.json")
-print("crossover pin: ok")
-EOF
+    pin_json ext_mode_crossover "$CI_MODES_JSON" "$ROOT/BENCH_modes.json"
     rm -f "$CI_MODES_JSON"
+
+    echo "==== bench: directory-scaling smoke + pin ===="
+    CI_SCALING_JSON=$(mktemp)
+    if ! "$ROOT/build-release/bench/ext_directory_scaling" \
+        "$CI_SCALING_JSON" > /dev/null; then
+        echo "FATAL: ext_directory_scaling failed a checksum or the" \
+             "directory fabric lost to the bus at 8+ cores" >&2
+        exit 1
+    fi
+    pin_json ext_directory_scaling "$CI_SCALING_JSON" \
+        "$ROOT/BENCH_scaling.json"
+    rm -f "$CI_SCALING_JSON"
 
     echo "==== bench: hot-path regression gate ===="
     cmake --build --preset release -j "$JOBS" --target micro_hotpath
@@ -371,10 +394,10 @@ if printf '%s\n' "${PRESETS[@]}" | grep -qx release; then
              "throughput gate" >&2
         exit 1
     fi
-    # Every simulated field of a full sweep (each cell's fields except
-    # host_requests_per_sec, the p999 ratios and the headline) must
-    # equal the committed BENCH_serving.json. HMTX_* variables reshape
-    # the sweep, so the run clears them.
+    # Every simulated field of a full sweep must equal the committed
+    # BENCH_serving.json: all but the host-time profile block and each
+    # cell's host_requests_per_sec. HMTX_* variables reshape the sweep,
+    # so the run clears them.
     echo "==== bench: serving sweep pin ===="
     cmake --build --preset release -j "$JOBS" --target ext_kv_serving
     CI_SERVE_JSON=$(mktemp)
@@ -389,39 +412,8 @@ if printf '%s\n' "${PRESETS[@]}" | grep -qx release; then
              "or no p999 divergence)" >&2
         exit 1
     fi
-    python3 - "$CI_SERVE_JSON" "$ROOT/BENCH_serving.json" <<'EOF'
-import json
-import sys
-
-cur_path, base_path = sys.argv[1:]
-with open(cur_path) as f:
-    cur = json.load(f)
-with open(base_path) as f:
-    base = json.load(f)
-
-HOST = {"host_requests_per_sec"}
-bad = []
-if len(cur["sweep"]) != len(base["sweep"]):
-    bad.append(f"sweep has {len(cur['sweep'])} cells, pinned "
-               f"{len(base['sweep'])}")
-for i, (c, b) in enumerate(zip(cur["sweep"], base["sweep"])):
-    for k in sorted((set(c) | set(b)) - HOST):
-        if c.get(k) != b.get(k):
-            bad.append(f"sweep[{i}] {b.get('mode')}/{b.get('fabric')} "
-                       f"theta={b.get('theta')} "
-                       f"write={b.get('write_ratio')} {k}: got "
-                       f"{c.get(k)} pinned {b.get(k)}")
-for k in ("p999_btx_over_lazy", "headline"):
-    if cur.get(k) != base.get(k):
-        bad.append(f"{k}: got {cur.get(k)} pinned {base.get(k)}")
-for line in bad:
-    print(f"  {line} MISMATCH")
-if bad:
-    sys.exit("FATAL: ext_kv_serving differs from BENCH_serving.json; "
-             "simulated behaviour changed")
-print(f"  {len(cur['sweep'])} cells equal BENCH_serving.json")
-print("serving pin: ok")
-EOF
+    pin_json ext_kv_serving "$CI_SERVE_JSON" "$ROOT/BENCH_serving.json" \
+        host_requests_per_sec profile
     rm -f "$CI_SERVE_JSON"
 
     echo "==== bench: serving smoke + throughput floor ===="

@@ -83,8 +83,7 @@ main(int argc, char** argv)
         report(r, &seq);
         std::printf("\n--- full statistics (%s) ---\n",
                     r.model.c_str());
-        sim::StatsReport(r.stats, &r.indexStats, &cfg, &r.txStats)
-            .print();
+        sim::StatsReport(cfg, r.stats, r.indexStats, r.txStats).print();
         return 0;
     }
 

@@ -220,8 +220,13 @@ class CellMatrix::Group
         }
         if (!div_.found)
             finalChecks();
+        if (cov && primary) {
+            ++cov->schedules;
+            cov->ops += executed_;
+            accumulate(cov->sys, cells_[0]->sys.stats());
+        }
         if (cov)
-            accumulate(*cov, primary);
+            accumulate(cov->tx, cells_[0]->sys.txPolicy().stats());
         return div_;
     }
 
@@ -805,34 +810,6 @@ class CellMatrix::Group
                   [](const auto& x, const auto& y) {
                       return x.first < y.first;
                   });
-    }
-
-    void
-    accumulate(Coverage& cov, bool primary)
-    {
-        // Base counters come from the first group in the mask only, so
-        // a multi-group campaign counts each schedule once; the mode
-        // counters are zero outside their group and sum unconditionally.
-        if (primary) {
-            const auto& st = cells_[0]->sys.stats();
-            ++cov.schedules;
-            cov.ops += executed_;
-            cov.commits += st.commits;
-            cov.aborts += st.aborts;
-            cov.capacityAborts += st.capacityAborts;
-            cov.vidResets += st.vidResets;
-            cov.spills += st.specSpills;
-            cov.refills += st.specRefills;
-            cov.soRefetches += st.soRefetches;
-            cov.slaConfirms += st.slaConfirms;
-            cov.slaMismatchAborts += st.slaMismatchAborts;
-        }
-        const TxModeStats& ts = cells_[0]->sys.txPolicy().stats();
-        cov.fallbackEntries += ts.fallbackEntries;
-        cov.fallbackAccesses += ts.fallbackAccesses;
-        cov.fallbackCommits += ts.fallbackCommits;
-        cov.fallbackWrapRemaps += ts.fallbackWrapRemaps;
-        cov.limitedSetAborts += ts.limitedSetAborts;
     }
 
     const FuzzConfig cfg_;

@@ -33,6 +33,7 @@
 
 #include "check/schedule.hh"
 #include "sim/config.hh"
+#include "sim/stats.hh"
 
 namespace hmtx::sim
 {
@@ -51,27 +52,27 @@ struct Divergence
     std::string what;
 };
 
-/** Aggregated coverage counters across a batch (from cell 0). */
+/** What a batch of runs exercised, summed over its schedules. */
 struct Coverage
 {
     std::uint64_t schedules = 0;
     std::uint64_t ops = 0;
-    std::uint64_t commits = 0;
-    std::uint64_t aborts = 0;
-    std::uint64_t capacityAborts = 0;
-    std::uint64_t vidResets = 0;
-    std::uint64_t spills = 0;
-    std::uint64_t refills = 0;
-    std::uint64_t soRefetches = 0;
-    std::uint64_t slaConfirms = 0;
-    std::uint64_t slaMismatchAborts = 0;
-    /** From the best-effort group's cells (TxModeStats). */
-    std::uint64_t fallbackEntries = 0;
-    std::uint64_t fallbackAccesses = 0;
-    std::uint64_t fallbackCommits = 0;
-    std::uint64_t fallbackWrapRemaps = 0;
-    /** From the limited-set group's cells. */
-    std::uint64_t limitedSetAborts = 0;
+    /** Cell 0 of the first group in the mask, so a multi-group run
+     *  counts each schedule once. */
+    sim::SysStats sys;
+    /** Cell 0 of every group: each mode's counters stay zero outside
+     *  its own group. */
+    TxModeStats tx;
+
+    /** Adds @p o's counts (field tables: sums and high-water maxima). */
+    void
+    merge(const Coverage& o)
+    {
+        schedules += o.schedules;
+        ops += o.ops;
+        accumulate(sys, o.sys);
+        accumulate(tx, o.tx);
+    }
 
     bool operator==(const Coverage&) const = default;
 };

@@ -214,10 +214,10 @@ class Explorer
         // limited-set-only pass the mandatory K-th-line aborts are
         // predicted (and accounted by the same cell), so only the
         // excess is environmental.
-        std::uint64_t env = cov.capacityAborts;
+        std::uint64_t env = cov.sys.capacityAborts;
         if (cfg_.groupMask == kGroupLtd)
-            env = env > cov.limitedSetAborts
-                ? env - cov.limitedSetAborts
+            env = env > cov.tx.limitedSetAborts
+                ? env - cov.tx.limitedSetAborts
                 : 0;
         if (env != 0)
             ++res_.stats.envAborts;

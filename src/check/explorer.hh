@@ -29,6 +29,7 @@
 #ifndef HMTX_CHECK_EXPLORER_HH
 #define HMTX_CHECK_EXPLORER_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "check/differ.hh"
@@ -75,9 +76,28 @@ struct ExploreStats
      * pruned pass must not be read as exhaustive.
      */
     std::uint64_t envAborts = 0;
-    /** maxInterleavings was hit; the pass is a prefix, not a proof. */
+    /** Counter table; hmtx_mc prints its summary from it. */
+    static constexpr StatField<ExploreStats> kFields[] = {
+        {"explored", &ExploreStats::explored,
+         "complete interleavings replayed"},
+        {"pruned", &ExploreStats::pruned, "branch choices cut by sleep sets"},
+        {"deliveryRuns", &ExploreStats::deliveryRuns,
+         "extra replays spent on delivery-order branching"},
+        {"deliveryPointsSeen", &ExploreStats::deliveryPointsSeen,
+         "delivery decision points reported"},
+        {"envAborts", &ExploreStats::envAborts,
+         "replays in which an environmental capacity abort fired"},
+    };
+
+    /** maxInterleavings was hit; the pass is a prefix, not a proof.
+     *  Kept last and outside the field table: it is a flag, not a
+     *  counter. */
     bool budgetExhausted = false;
 };
+
+static_assert(offsetof(ExploreStats, budgetExhausted) ==
+                  std::size(ExploreStats::kFields) * sizeof(std::uint64_t),
+              "every ExploreStats counter needs a kFields entry");
 
 /** Outcome of explore(). */
 struct ExploreResult

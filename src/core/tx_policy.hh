@@ -38,6 +38,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "core/stat_table.hh"
 #include "core/types.hh"
 
 namespace hmtx
@@ -86,28 +87,44 @@ struct TxPolicyConfig
  */
 void validateTxPolicyConfig(const TxPolicyConfig& cfg);
 
-/** Counters for the mode-policy layer, reported as sim.txmode.* rows. */
+/** Mode-policy counters: the sim.txmode.* rows kFields describes. */
 struct TxModeStats
 {
-    /** Times the serialized fallback path was engaged. */
     std::uint64_t fallbackEntries = 0;
-    /** Accesses executed non-speculatively under the fallback lock. */
     std::uint64_t fallbackAccesses = 0;
-    /** Fallback transactions that committed (releasing the lock). */
     std::uint64_t fallbackCommits = 0;
-    /** VID-window wraparounds remapping a held fallback VID to 1. */
     std::uint64_t fallbackWrapRemaps = 0;
-    /** Memory-system cycles spent in serialized fallback accesses. */
     std::uint64_t fallbackCycles = 0;
-    /** Capacity aborts raised by the limited-set K bound. */
     std::uint64_t limitedSetAborts = 0;
-    /** Aborts charged against the best-effort retry budget. */
     std::uint64_t retryAborts = 0;
-    /** Fallback armings forced early by the cumulative threshold. */
     std::uint64_t earlyFallbacks = 0;
+
+    /** Field table, in report order. */
+    static constexpr StatField<TxModeStats> kFields[] = {
+        {"sim.txmode.retryAborts", &TxModeStats::retryAborts,
+         "aborts charged against the best-effort retry budget"},
+        {"sim.txmode.fallbackEntries", &TxModeStats::fallbackEntries,
+         "times the serialized fallback lock engaged"},
+        {"sim.txmode.fallbackAccesses", &TxModeStats::fallbackAccesses,
+         "accesses executed under the fallback lock"},
+        {"sim.txmode.fallbackCommits", &TxModeStats::fallbackCommits,
+         "commits that released the fallback lock"},
+        {"sim.txmode.fallbackCycles", &TxModeStats::fallbackCycles,
+         "memory-system cycles of serialized execution"},
+        {"sim.txmode.fallbackWrapRemaps", &TxModeStats::fallbackWrapRemaps,
+         "VID-window resets remapping a held fallback VID to 1"},
+        {"sim.txmode.earlyFallbacks", &TxModeStats::earlyFallbacks,
+         "fallbacks taken early via the abort threshold"},
+        {"sim.txmode.limitedSetAborts", &TxModeStats::limitedSetAborts,
+         "capacity aborts from the K-line set limit"},
+    };
 
     bool operator==(const TxModeStats&) const = default;
 };
+
+static_assert(std::size(TxModeStats::kFields) * sizeof(std::uint64_t) ==
+                  sizeof(TxModeStats),
+              "every TxModeStats counter needs a kFields entry");
 
 /**
  * The per-machine policy instance. CacheSystem consults it on every

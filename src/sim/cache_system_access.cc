@@ -171,9 +171,10 @@ CacheSystem::triggerAbort(const Line* offender)
         ++stats_.falseAbortsWrongPath;
     if (offender) {
         trace_.event(TraceCommit, eq_.curTick(),
-                     "ABORT triggered by line %#llx %s(%u,%u)",
+                     "ABORT triggered by line %#llx %.*s(%u,%u)",
                      static_cast<unsigned long long>(offender->base),
-                     std::string(stateName(offender->state)).c_str(),
+                     static_cast<int>(stateName(offender->state).size()),
+                     stateName(offender->state).data(),
                      offender->tag.mod, offender->tag.high);
     } else {
         trace_.event(TraceCommit, eq_.curTick(),

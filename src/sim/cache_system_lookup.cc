@@ -296,9 +296,10 @@ CacheSystem::evict(Cache& c, Line& victim)
                 // §8 / [27]: spill the version into the
                 // memory-resident overflow table instead of aborting.
                 trace_.event(TraceEvict, eq_.curTick(),
-                             "spill %s(%u,%u) %#llx",
-                             std::string(stateName(victim.state))
-                                 .c_str(),
+                             "spill %.*s(%u,%u) %#llx",
+                             static_cast<int>(
+                                 stateName(victim.state).size()),
+                             stateName(victim.state).data(),
                              victim.tag.mod, victim.tag.high,
                              static_cast<unsigned long long>(la));
                 overflow_.spill(victim, c.dataOf(victim));

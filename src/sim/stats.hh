@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/stat_table.hh"
 #include "core/types.hh"
 
 namespace hmtx::sim
@@ -37,7 +38,6 @@ struct SysStats
     std::uint64_t memFetches = 0;
     std::uint64_t writebacks = 0;
     std::uint64_t busTxns = 0;
-    /** Directory-fabric transactions (bank lookups). */
     std::uint64_t dirLookups = 0;
 
     // HMTX protocol events.
@@ -50,8 +50,6 @@ struct SysStats
     std::uint64_t falseAbortsWrongPath = 0;
     std::uint64_t capacityAborts = 0;
     std::uint64_t newVersions = 0;
-    /** Redundant per-VID read copies allocated under the §7.1
-     *  copy-on-read ablation policy. */
     std::uint64_t corDuplicates = 0;
     std::uint64_t vidResets = 0;
 
@@ -64,8 +62,6 @@ struct SysStats
     // §5.4 overflow handling.
     std::uint64_t soOverflowWritebacks = 0;
     std::uint64_t soRefetches = 0;
-    /** Speculative responder lines spilled to the overflow table
-     *  (unbounded-sets extension, §8). */
     std::uint64_t specSpills = 0;
     std::uint64_t specRefills = 0;
 
@@ -83,6 +79,70 @@ struct SysStats
     std::uint64_t writeSetLines = 0;
     std::uint64_t combinedSetLines = 0;
     std::uint64_t maxCombinedSetLines = 0;
+
+    /** Field table, in declaration order. */
+    static constexpr StatField<SysStats> kFields[] = {
+        {"mem.loads", &SysStats::loads, "loads issued"},
+        {"mem.stores", &SysStats::stores, "stores issued"},
+        {"mem.specLoads", &SysStats::specLoads,
+         "speculative loads (VID != 0)"},
+        {"mem.specStores", &SysStats::specStores, "speculative stores"},
+        {"mem.wrongPathLoads", &SysStats::wrongPathLoads,
+         "squashed wrong-path loads (SS 5.1)"},
+        {"cache.l1Hits", &SysStats::l1Hits, "L1 hits"},
+        {"cache.l1Misses", &SysStats::l1Misses, "L1 misses"},
+        {"cache.snoopHits", &SysStats::snoopHits,
+         "hits served by a peer cache or the L2"},
+        {"cache.memFetches", &SysStats::memFetches,
+         "lines fetched from memory"},
+        {"cache.writebacks", &SysStats::writebacks,
+         "dirty lines written back"},
+        {"fabric.busTxns", &SysStats::busTxns, "coherence transactions"},
+        {"fabric.dirLookups", &SysStats::dirLookups,
+         "directory bank lookups (SS 8 fabric)"},
+        {"hmtx.commits", &SysStats::commits, "group commits (SS 4.4)"},
+        {"hmtx.commitCycles", &SysStats::commitProcessingCycles,
+         "memory-system cycles processing commits (SS 5.3)"},
+        {"hmtx.aborts", &SysStats::aborts, "transactional aborts"},
+        {"hmtx.falseAbortsWrongPath", &SysStats::falseAbortsWrongPath,
+         "aborts triggered by a wrong-path load's mark"},
+        {"hmtx.capacityAborts", &SysStats::capacityAborts,
+         "capacity aborts (SS 5.4 and the limited-set K bound)"},
+        {"hmtx.newVersions", &SysStats::newVersions,
+         "speculative line versions created"},
+        {"hmtx.corDuplicates", &SysStats::corDuplicates,
+         "per-VID read copies (copy-on-read ablation, SS 7.1)"},
+        {"hmtx.vidResets", &SysStats::vidResets,
+         "VID window resets (SS 4.6)"},
+        {"sla.needed", &SysStats::slaNeeded,
+         "loads needing an acknowledgment (SS 5.1)"},
+        {"sla.confirms", &SysStats::slaConfirms,
+         "SLAs confirmed by the correct path"},
+        {"sla.mismatchAborts", &SysStats::slaMismatchAborts,
+         "aborts from a mismatching SLA"},
+        {"sla.avoidedAborts", &SysStats::avoidedAborts,
+         "false aborts avoided by SLAs"},
+        {"overflow.soWritebacks", &SysStats::soOverflowWritebacks,
+         "pristine versions overflowed to memory (SS 5.4)"},
+        {"overflow.soRefetches", &SysStats::soRefetches,
+         "pristine versions recovered from memory (SS 5.4)"},
+        {"overflow.specSpills", &SysStats::specSpills,
+         "speculative responder lines spilled (unbounded sets, SS 8)"},
+        {"overflow.specRefills", &SysStats::specRefills,
+         "speculative lines refilled (unbounded sets, SS 8)"},
+        {"sim.idleCores", &SysStats::idleCores,
+         "cores the execution model left idle"},
+        {"tx.committed", &SysStats::committedTxs, "committed transactions"},
+        {"tx.readSetLines", &SysStats::readSetLines,
+         "read-set lines summed over committed transactions"},
+        {"tx.writeSetLines", &SysStats::writeSetLines,
+         "write-set lines summed over committed transactions"},
+        {"tx.combinedSetLines", &SysStats::combinedSetLines,
+         "combined-set lines summed over committed transactions"},
+        {"tx.maxCombinedSetLines", &SysStats::maxCombinedSetLines,
+         "largest combined set of one transaction, lines",
+         StatKind::HighWater},
+    };
 
     /** Average read set size per committed transaction, in kB. */
     double
@@ -137,6 +197,10 @@ struct SysStats
     bool operator==(const SysStats&) const = default;
 };
 
+static_assert(std::size(SysStats::kFields) * sizeof(std::uint64_t) ==
+                  sizeof(SysStats),
+              "every SysStats counter needs a kFields entry");
+
 /**
  * Diagnostics for the simulator-internal index structures (per-set
  * snoop summaries + per-cache spec-line registry). Kept separate from
@@ -146,19 +210,29 @@ struct SysStats
  */
 struct IndexStats
 {
-    /** Caches visited by a filtered snoop: those whose set summary
-     *  matched the address, false positives included. */
     std::uint64_t snoopsVisited = 0;
-    /** Caches skipped because their set summary proved them empty. */
     std::uint64_t snoopsFiltered = 0;
-    /** Bulk walks served from the spec-line registries. */
     std::uint64_t registryWalks = 0;
-    /** Lines visited by those registry walks. */
     std::uint64_t registryWalkLines = 0;
-    /** Bulk walks that fell back to a full cache scan. */
     std::uint64_t fullScanWalks = 0;
-    /** Times verifyIndexes() rebuilt and compared the indexes. */
     std::uint64_t crossChecks = 0;
+
+    /** Field table, in declaration order. */
+    static constexpr StatField<IndexStats> kFields[] = {
+        {"sim.snoopsVisited", &IndexStats::snoopsVisited,
+         "caches visited by filtered snoops (summary matches, false "
+         "positives included)"},
+        {"sim.snoopsFiltered", &IndexStats::snoopsFiltered,
+         "cache snoops skipped by the set summaries"},
+        {"sim.registryWalks", &IndexStats::registryWalks,
+         "bulk walks served from spec-line registries"},
+        {"sim.registryWalkLines", &IndexStats::registryWalkLines,
+         "lines visited by those registry walks"},
+        {"sim.fullScanWalks", &IndexStats::fullScanWalks,
+         "bulk walks that scanned every cache slot"},
+        {"sim.indexCrossChecks", &IndexStats::crossChecks,
+         "verifyIndexes() rebuild-and-compare passes"},
+    };
 
     /** Fraction of snoop targets the filter eliminated. */
     double
@@ -172,6 +246,10 @@ struct IndexStats
 
     bool operator==(const IndexStats&) const = default;
 };
+
+static_assert(std::size(IndexStats::kFields) * sizeof(std::uint64_t) ==
+                  sizeof(IndexStats),
+              "every IndexStats counter needs a kFields entry");
 
 /**
  * Streaming log-linear latency histogram (HDR style): each power-of-
@@ -344,6 +422,30 @@ struct ServeStats
     /** Commit-time request latency (arrival to commit), in cycles. */
     LatencyHistogram latency;
 
+    /** Counter table (the histogram reports through percentiles). */
+    static constexpr StatField<ServeStats> kFields[] = {
+        {"sim.serve.requests", &ServeStats::requests,
+         "serving requests completed"},
+        {"sim.serve.issued", &ServeStats::issued,
+         "transaction attempts started"},
+        {"sim.serve.committed", &ServeStats::committed,
+         "attempts that committed"},
+        {"sim.serve.aborted", &ServeStats::aborted,
+         "attempts ended by an abort (re-issued)"},
+        {"sim.serve.drains", &ServeStats::drains,
+         "serialized oldest-alone drain passes after aborts"},
+        {"sim.serve.lockRestarts", &ServeStats::lockRestarts,
+         "bodies restarted when the fallback lock engaged"},
+        {"sim.serve.nonSpecFallbacks", &ServeStats::nonSpecFallbacks,
+         "over-K requests run non-speculatively (ltd)"},
+        {"sim.serve.windowResets", &ServeStats::windowResets,
+         "VID-window resets between request batches"},
+        {"sim.serve.batches", &ServeStats::batches,
+         "generator refill batches injected"},
+        {"sim.serve.idleCycles", &ServeStats::idleCycles,
+         "core cycles idle awaiting open-loop arrivals"},
+    };
+
     /** Every attempt ended exactly one way. */
     bool
     consistent() const
@@ -353,6 +455,11 @@ struct ServeStats
 
     bool operator==(const ServeStats&) const = default;
 };
+
+static_assert(std::size(ServeStats::kFields) * sizeof(std::uint64_t) +
+                      sizeof(LatencyHistogram) ==
+                  sizeof(ServeStats),
+              "every ServeStats counter needs a kFields entry");
 
 } // namespace hmtx::sim
 

@@ -10,16 +10,17 @@
  * each against the golden model across the 8-cell config matrix. On
  * the first divergence it ddmin-shrinks the schedule, writes the
  * minimal replay file (to --corpus-out if given, else the cwd), prints
- * it, and exits nonzero. On success it prints a coverage summary so CI
- * logs show what the campaign actually exercised.
+ * it, and exits nonzero. On success it prints a coverage summary (a
+ * StatsReport of cell 0's counters) so CI logs show what the campaign
+ * actually exercised.
  *
- * --threads N runs the batch on N worker threads. Schedules are
- * independent (generate(seed, ops) is a pure function of the seed, so
- * every thread's RNG stream derives from the base seed), workers claim
- * seeds from a shared counter, and a divergence is reported for the
- * *smallest* diverging seed — every seed below it is still checked —
- * then re-run single-threaded for a deterministic report and shrink.
- * Results are therefore identical to a single-threaded campaign.
+ * --threads N (default 1) runs the batch on N worker threads.
+ * Schedules are independent (generate(seed, ops) is a pure function of
+ * the seed, so every thread's RNG stream derives from the base seed),
+ * workers claim seeds from a shared counter, and a divergence is
+ * reported for the *smallest* diverging seed — every seed below it is
+ * still checked — then re-run alone for a deterministic report and
+ * shrink. Results are therefore identical for every thread count.
  *
  * Replay mode parses one schedule file and runs it; with --shrink it
  * first minimizes a diverging schedule before reporting.
@@ -29,7 +30,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -39,6 +39,8 @@
 
 #include "check/differ.hh"
 #include "check/schedule.hh"
+#include "driver_common.hh"
+#include "sim/stats_report.hh"
 
 using namespace hmtx;
 using namespace hmtx::check;
@@ -57,78 +59,17 @@ usage()
         "GROUPS: comma list of hmtx, btx, ltd, or all (default)\n";
 }
 
-bool
-parseCells(const std::string& arg, unsigned& mask)
-{
-    mask = 0;
-    std::size_t pos = 0;
-    while (pos <= arg.size()) {
-        std::size_t comma = arg.find(',', pos);
-        std::string tok = arg.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos);
-        if (tok == "all")
-            mask |= kGroupAll;
-        else if (tok == "hmtx")
-            mask |= kGroupHmtx;
-        else if (tok == "btx")
-            mask |= kGroupBtx;
-        else if (tok == "ltd")
-            mask |= kGroupLtd;
-        else
-            return false;
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return mask != 0;
-}
-
-int
-reportDivergence(const Schedule &sched, const Divergence &d, bool shrink,
-                 const std::string &corpusDir, std::uint64_t seed,
-                 unsigned groupMask)
-{
-    std::cerr << "DIVERGENCE (seed " << seed << ", op "
-              << d.opIndex << "): " << d.what << "\n";
-
-    Schedule minimal = sched;
-    if (shrink) {
-        std::cerr << "shrinking " << sched.ops.size() << " ops...\n";
-        minimal = shrinkSchedule(sched, 4000, groupMask);
-        std::cerr << "minimal schedule: " << minimal.ops.size()
-                  << " ops\n";
-        Divergence dmin = runSchedule(minimal, nullptr, groupMask);
-        if (dmin.found)
-            std::cerr << "minimal divergence: " << dmin.what << "\n";
-    }
-
-    std::string out = serialize(minimal);
-    std::string path = (corpusDir.empty() ? std::string(".") : corpusDir) +
-        "/div-seed" + std::to_string(seed) + ".sched";
-    std::ofstream f(path);
-    if (f.good()) {
-        f << out;
-        std::cerr << "wrote " << path << "\n";
-    } else {
-        std::cerr << "could not write " << path << "\n";
-    }
-    std::cerr << "--- replay file ---\n" << out;
-    return 1;
-}
-
 /**
- * Multi-threaded campaign over seeds [seed0, seed0 + schedules).
- * Workers claim seeds in increasing order from a shared counter and
- * record the minimum diverging seed; seeds above that minimum are
- * skipped, seeds below it always complete, so the returned seed (if
- * any) is exactly the one a single-threaded campaign would hit first.
+ * Campaign over seeds [seed0, seed0 + schedules) on @p threads
+ * workers. Workers claim seeds in increasing order from a shared
+ * counter and record the minimum diverging seed; seeds above that
+ * minimum are skipped, seeds below it always complete, so the returned
+ * seed (if any) is exactly the one a single worker would hit first.
  * Per-thread Coverage is summed into @p cov on a clean campaign.
  */
 std::uint64_t
-runBatchThreaded(std::uint64_t seed0, std::uint64_t schedules,
-                 unsigned ops, unsigned threads, unsigned groupMask,
-                 Coverage &cov)
+runBatch(std::uint64_t seed0, std::uint64_t schedules, unsigned ops,
+         unsigned threads, unsigned groupMask, Coverage &cov)
 {
     constexpr std::uint64_t kNone = ~std::uint64_t{0};
     std::atomic<std::uint64_t> nextSeed{seed0};
@@ -165,24 +106,8 @@ runBatchThreaded(std::uint64_t seed0, std::uint64_t schedules,
 
     if (firstBad.load() != kNone)
         return firstBad.load();
-    for (const Coverage &c : covs) {
-        cov.schedules += c.schedules;
-        cov.ops += c.ops;
-        cov.commits += c.commits;
-        cov.aborts += c.aborts;
-        cov.capacityAborts += c.capacityAborts;
-        cov.vidResets += c.vidResets;
-        cov.spills += c.spills;
-        cov.refills += c.refills;
-        cov.soRefetches += c.soRefetches;
-        cov.slaConfirms += c.slaConfirms;
-        cov.slaMismatchAborts += c.slaMismatchAborts;
-        cov.fallbackEntries += c.fallbackEntries;
-        cov.fallbackAccesses += c.fallbackAccesses;
-        cov.fallbackCommits += c.fallbackCommits;
-        cov.fallbackWrapRemaps += c.fallbackWrapRemaps;
-        cov.limitedSetAborts += c.limitedSetAborts;
-    }
+    for (const Coverage &c : covs)
+        cov.merge(c);
     return kNone;
 }
 
@@ -274,60 +199,29 @@ main(int argc, char **argv)
         Divergence d = runSchedule(s, &rcov, groupMask);
         if (!d.found) {
             std::cout << replayFile << ": no divergence ("
-                      << s.ops.size() << " ops)\n"
-                      << "  fallbackEntries=" << rcov.fallbackEntries
-                      << " fallbackAccesses=" << rcov.fallbackAccesses
-                      << " fallbackCommits=" << rcov.fallbackCommits
-                      << " wrapRemaps=" << rcov.fallbackWrapRemaps
-                      << " limitedSetAborts=" << rcov.limitedSetAborts
-                      << "\n";
+                      << s.ops.size() << " ops)\n";
+            sim::StatsReport(rcov.tx).print(stdout);
             return 0;
         }
-        return reportDivergence(s, d, replayShrink, corpusDir, 0,
-                                groupMask);
+        return reportDivergence("seed 0", d, s, replayShrink, corpusDir,
+                                "div-seed0.sched", groupMask);
     }
 
     Coverage cov;
-    if (threads > 1) {
-        const std::uint64_t bad = runBatchThreaded(
-            seed0, schedules, ops, threads, groupMask, cov);
-        if (bad != ~std::uint64_t{0}) {
-            // Deterministic single-threaded re-run of the minimum
-            // diverging seed for the report and the shrink.
-            Schedule s = generate(bad, ops);
-            Divergence d = runSchedule(s, nullptr, groupMask);
-            return reportDivergence(s, d, shrink, corpusDir, bad,
-                                    groupMask);
-        }
-    } else {
-        for (std::uint64_t seed = seed0; seed < seed0 + schedules;
-             ++seed) {
-            Schedule s = generate(seed, ops);
-            Divergence d = runSchedule(s, &cov, groupMask);
-            if (d.found)
-                return reportDivergence(s, d, shrink, corpusDir, seed,
-                                        groupMask);
-            if ((seed - seed0 + 1) % 500 == 0)
-                std::cerr << (seed - seed0 + 1) << "/" << schedules
-                          << " schedules clean\n";
-        }
+    const std::uint64_t bad =
+        runBatch(seed0, schedules, ops, threads, groupMask, cov);
+    if (bad != ~std::uint64_t{0}) {
+        // Deterministic re-run of the minimum diverging seed for the
+        // report and the shrink.
+        Schedule s = generate(bad, ops);
+        Divergence d = runSchedule(s, nullptr, groupMask);
+        const std::string seed = std::to_string(bad);
+        return reportDivergence("seed " + seed, d, s, shrink, corpusDir,
+                                "div-seed" + seed + ".sched", groupMask);
     }
 
     std::cout << "fuzz campaign clean: " << cov.schedules
-              << " schedules, " << cov.ops << " ops\n"
-              << "  commits=" << cov.commits
-              << " aborts=" << cov.aborts
-              << " capacityAborts=" << cov.capacityAborts
-              << " vidResets=" << cov.vidResets << "\n"
-              << "  spills=" << cov.spills
-              << " refills=" << cov.refills
-              << " soRefetches=" << cov.soRefetches << "\n"
-              << "  slaConfirms=" << cov.slaConfirms
-              << " slaMismatchAborts=" << cov.slaMismatchAborts << "\n"
-              << "  fallbackEntries=" << cov.fallbackEntries
-              << " fallbackAccesses=" << cov.fallbackAccesses
-              << " fallbackCommits=" << cov.fallbackCommits
-              << " wrapRemaps=" << cov.fallbackWrapRemaps
-              << " limitedSetAborts=" << cov.limitedSetAborts << "\n";
+              << " schedules, " << cov.ops << " ops\n";
+    sim::StatsReport(cov.sys, cov.tx).print(stdout);
     return 0;
 }

@@ -40,9 +40,9 @@ runSeedBlock(std::uint64_t first, std::uint64_t count, unsigned ops)
     // The batch must actually exercise the machinery it claims to
     // cover; these floors catch a generator regression that silently
     // stops producing commits/aborts/spills.
-    EXPECT_GT(cov.commits, count);
-    EXPECT_GT(cov.aborts, count / 4);
-    EXPECT_GT(cov.slaConfirms, count / 4);
+    EXPECT_GT(cov.sys.commits, count);
+    EXPECT_GT(cov.sys.aborts, count / 4);
+    EXPECT_GT(cov.sys.slaConfirms, count / 4);
 }
 
 TEST(FuzzSmoke, SeedsBlockA) { runSeedBlock(1, 12, 150); }

@@ -50,9 +50,7 @@ exploreBlock(std::uint64_t first, std::uint64_t count, unsigned ops,
             << "\n--- replay file (diverging interleaving) ---\n"
             << serialize(r.witness);
         EXPECT_FALSE(r.stats.budgetExhausted) << "seed " << seed;
-        total.explored += r.stats.explored;
-        total.pruned += r.stats.pruned;
-        total.envAborts += r.stats.envAborts;
+        accumulate(total, r.stats);
     }
     // The pruning soundness argument assumes no environmental
     // capacity aborts; generateProgram picks non-colliding lines
@@ -127,9 +125,7 @@ TEST(McBounded, DeliveryOrderExploration)
         EXPECT_FALSE(r.div.found)
             << "seed " << seed << ": " << r.div.what
             << "\n--- replay file ---\n" << serialize(r.witness);
-        total.explored += r.stats.explored;
-        total.deliveryRuns += r.stats.deliveryRuns;
-        total.deliveryPointsSeen += r.stats.deliveryPointsSeen;
+        accumulate(total, r.stats);
     }
     std::cout << "[mc] delivery: explored=" << total.explored
               << " deliveryRuns=" << total.deliveryRuns

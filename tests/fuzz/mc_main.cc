@@ -20,7 +20,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <string>
@@ -28,6 +27,7 @@
 #include "check/differ.hh"
 #include "check/explorer.hh"
 #include "check/schedule.hh"
+#include "driver_common.hh"
 
 using namespace hmtx;
 using namespace hmtx::check;
@@ -44,68 +44,6 @@ usage()
         "               [--delivery N] [--no-prune] [--no-shrink]\n"
         "               [--corpus-out DIR]\n"
         "GROUPS: comma list of hmtx, btx, ltd, or all (default)\n";
-}
-
-bool
-parseCells(const std::string& arg, unsigned& mask)
-{
-    mask = 0;
-    std::size_t pos = 0;
-    while (pos <= arg.size()) {
-        std::size_t comma = arg.find(',', pos);
-        std::string tok = arg.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos);
-        if (tok == "all")
-            mask |= kGroupAll;
-        else if (tok == "hmtx")
-            mask |= kGroupHmtx;
-        else if (tok == "btx")
-            mask |= kGroupBtx;
-        else if (tok == "ltd")
-            mask |= kGroupLtd;
-        else
-            return false;
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return mask != 0;
-}
-
-int
-reportDivergence(const ExploreResult& r, bool shrink,
-                 const std::string& corpusDir, std::uint64_t seed,
-                 unsigned groupMask)
-{
-    std::cerr << "DIVERGENCE (program seed " << seed
-              << ", interleaving " << r.stats.explored << ", op "
-              << r.div.opIndex << "): " << r.div.what << "\n";
-
-    Schedule minimal = r.witness;
-    if (shrink) {
-        std::cerr << "shrinking " << minimal.ops.size() << " ops...\n";
-        minimal = shrinkSchedule(minimal, 4000, groupMask);
-        std::cerr << "minimal schedule: " << minimal.ops.size()
-                  << " ops\n";
-        Divergence dmin = runSchedule(minimal, nullptr, groupMask);
-        if (dmin.found)
-            std::cerr << "minimal divergence: " << dmin.what << "\n";
-    }
-
-    std::string out = serialize(minimal);
-    std::string path =
-        (corpusDir.empty() ? std::string(".") : corpusDir) +
-        "/mc-seed" + std::to_string(seed) + ".sched";
-    std::ofstream f(path);
-    if (f.good()) {
-        f << out;
-        std::cerr << "wrote " << path << "\n";
-    } else {
-        std::cerr << "could not write " << path << "\n";
-    }
-    std::cerr << "--- replay file ---\n" << out;
-    return 1;
 }
 
 } // namespace
@@ -190,16 +128,15 @@ main(int argc, char** argv)
             std::cerr << "seed " << seed << ": " << e.what() << "\n";
             return 2;
         }
-        total.explored += r.stats.explored;
-        total.pruned += r.stats.pruned;
-        total.deliveryRuns += r.stats.deliveryRuns;
-        total.deliveryPointsSeen += r.stats.deliveryPointsSeen;
-        total.envAborts += r.stats.envAborts;
+        accumulate(total, r.stats);
         if (r.stats.budgetExhausted)
             ++exhausted;
         if (r.div.found)
-            return reportDivergence(r, shrink, corpusDir, seed,
-                                    groupMask);
+            return reportDivergence(
+                "program seed " + std::to_string(seed) +
+                    ", interleaving " + std::to_string(r.stats.explored),
+                r.div, r.witness, shrink, corpusDir,
+                "mc-seed" + std::to_string(seed) + ".sched", groupMask);
         if ((seed - seed0 + 1) % 100 == 0)
             std::cerr << (seed - seed0 + 1) << "/" << programs
                       << " programs clean\n";
@@ -210,16 +147,12 @@ main(int argc, char** argv)
         std::chrono::steady_clock::now() - t0).count();
     std::cout << "mc campaign clean: " << programs << " programs ("
               << cores << " cores x " << ops << " ops)\n"
-              << "  interleavings explored=" << total.explored
-              << " pruned=" << total.pruned << "\n"
               << "  host seconds=" << hostS << " interleavings/s="
               << (hostS > 0 ? double(total.explored) / hostS : 0.0)
-              << "\n"
-              << "  deliveryRuns=" << total.deliveryRuns
-              << " deliveryPointsSeen=" << total.deliveryPointsSeen
-              << "\n"
-              << "  envAborts=" << total.envAborts
-              << " budgetExhausted=" << exhausted << "\n";
+              << "\n ";
+    for (const auto& f : ExploreStats::kFields)
+        std::cout << ' ' << f.name << '=' << total.*f.member;
+    std::cout << " budgetExhausted=" << exhausted << "\n";
     if (total.envAborts != 0)
         std::cout << "  WARNING: environmental capacity aborts fired; "
                      "the pruned pass is not exhaustive (§14)\n";

@@ -9,6 +9,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <map>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "sim/stats.hh"
@@ -52,6 +55,28 @@ TEST(SysStats, AccessAndSlaRates)
     EXPECT_DOUBLE_EQ(s.slaNeededRate(), 0.1);
 }
 
+/** @p r printed, as row name -> value text. */
+template <typename Report>
+std::map<std::string, std::string>
+printedRows(const Report& r)
+{
+    char buf[16384];
+    std::memset(buf, 0, sizeof(buf));
+    std::FILE* f = fmemopen(buf, sizeof(buf) - 1, "w");
+    EXPECT_NE(f, nullptr);
+    r.print(f);
+    std::fclose(f);
+    std::map<std::string, std::string> rows;
+    std::istringstream in(buf);
+    std::string name, value;
+    std::string rest;
+    while (in >> name >> value) {
+        EXPECT_TRUE(rows.emplace(name, value).second) << name;
+        std::getline(in, rest);
+    }
+    return rows;
+}
+
 TEST(StatsReport, PrintsEveryStatGroup)
 {
     SysStats s;
@@ -76,10 +101,62 @@ TEST(StatsReport, PrintsEveryStatGroup)
         EXPECT_NE(out.find(key), std::string::npos) << key;
     }
     EXPECT_NE(out.find("123"), std::string::npos);
-    // Optional groups stay absent unless their stats are supplied.
+    // Groups stay absent unless they are handed to the report.
     EXPECT_EQ(out.find("config.txMode"), std::string::npos);
     EXPECT_EQ(out.find("sim.txmode."), std::string::npos);
     EXPECT_EQ(out.find("sim.serve."), std::string::npos);
+}
+
+TEST(StatsReport, RowsComeFromTheFieldTables)
+{
+    // Counters the hand-written report skipped now print too, each
+    // under its table name and with its own value.
+    SysStats s;
+    s.capacityAborts = 5;
+    s.slaConfirms = 6;
+    s.slaMismatchAborts = 7;
+    s.falseAbortsWrongPath = 8;
+    s.corDuplicates = 9;
+    s.readSetLines = 10;
+    s.writeSetLines = 11;
+    s.combinedSetLines = 12;
+    s.maxCombinedSetLines = 13;
+    s.l1Hits = 3;
+    s.l1Misses = 1;
+    IndexStats idx;
+    idx.snoopsVisited = 1;
+    idx.snoopsFiltered = 3;
+    const auto rows = printedRows(StatsReport(s, idx));
+    const std::map<std::string, std::string> want = {
+        {"hmtx.capacityAborts", "5"},
+        {"sla.confirms", "6"},
+        {"sla.mismatchAborts", "7"},
+        {"hmtx.falseAbortsWrongPath", "8"},
+        {"hmtx.corDuplicates", "9"},
+        {"tx.readSetLines", "10"},
+        {"tx.writeSetLines", "11"},
+        {"tx.combinedSetLines", "12"},
+        {"tx.maxCombinedSetLines", "13"},
+        {"cache.l1MissRate", "0.2500"},
+        {"sim.snoopFilterRate", "0.7500"},
+    };
+    for (const auto& [name, value] : want) {
+        ASSERT_TRUE(rows.count(name)) << name;
+        EXPECT_EQ(rows.at(name), value) << name;
+    }
+    // One row per table entry plus the derived rows, nothing else.
+    EXPECT_EQ(rows.size(), std::size(SysStats::kFields) + 5 +
+                               std::size(IndexStats::kFields) + 1);
+}
+
+TEST(StatsReport, PrintsExactlyTheGroupsHanded)
+{
+    TxModeStats tx;
+    tx.retryAborts = 2;
+    const auto rows = printedRows(StatsReport(tx));
+    EXPECT_EQ(rows.size(), std::size(TxModeStats::kFields));
+    EXPECT_EQ(rows.at("sim.txmode.retryAborts"), "2");
+    EXPECT_EQ(rows.count("mem.loads"), 0u);
 }
 
 TEST(StatsReport, EchoesTxModeConfigAndCounters)
@@ -103,7 +180,7 @@ TEST(StatsReport, EchoesTxModeConfigAndCounters)
     std::memset(buf, 0, sizeof(buf));
     std::FILE* f = fmemopen(buf, sizeof(buf) - 1, "w");
     ASSERT_NE(f, nullptr);
-    StatsReport(s, nullptr, &cfg, &tx).print(f);
+    StatsReport(cfg, s, tx).print(f);
     std::fclose(f);
 
     std::string out(buf);
@@ -137,7 +214,7 @@ TEST(StatsReport, PrintsServeGroupWhenGiven)
     std::memset(buf, 0, sizeof(buf));
     std::FILE* out_f = fmemopen(buf, sizeof(buf) - 1, "w");
     ASSERT_NE(out_f, nullptr);
-    StatsReport(s, nullptr, nullptr, nullptr, &sv).print(out_f);
+    StatsReport(s, sv).print(out_f);
     std::fclose(out_f);
 
     std::string out(buf);
