@@ -120,19 +120,36 @@ requireClean(const workloads::KvServeResult& r, const char* what)
     }
 }
 
-/** The fixed profile/gate cell: warm mid-skew lazy HMTX on the bus. */
+/** The fixed profile/gate cell: warm mid-skew lazy HMTX on the bus.
+ *  runGateCell() runs it and gateCellLabel() names it in the report. */
+constexpr TxMode kGateMode = TxMode::LazyHmtx;
+constexpr sim::Fabric kGateFabric = sim::Fabric::SnoopBus;
+constexpr double kGateTheta = 0.9;
+constexpr double kGateWrite = 0.5;
+constexpr std::uint64_t kGateSeed = 42;
+
 workloads::KvServeResult
 runGateCell(const bench::ServeEnv& env, std::uint64_t requests,
             bool recordLatencies)
 {
-    workloads::KvServeParams p =
-        servingParams(env, 0.9, 0.5, requests, 42);
+    workloads::KvServeParams p = servingParams(
+        env, kGateTheta, kGateWrite, requests, kGateSeed);
     p.recordLatencies = recordLatencies;
-    const workloads::KvServeResult r =
-        workloads::runKvServe(
-            servingConfig(TxMode::LazyHmtx, sim::Fabric::SnoopBus), p);
+    const workloads::KvServeResult r = workloads::runKvServe(
+        servingConfig(kGateMode, kGateFabric), p);
     requireClean(r, "gate cell");
     return r;
+}
+
+/** "lazy-hmtx/snoop-bus theta=0.9 write=0.5" */
+std::string
+gateCellLabel()
+{
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "%s/%s theta=%.1f write=%.1f",
+                  txModeName(kGateMode), bench::fabricName(kGateFabric),
+                  kGateTheta, kGateWrite);
+    return buf;
 }
 
 } // namespace
@@ -189,10 +206,11 @@ main(int argc, char** argv)
     const double naiveRps =
         static_cast<double>(naive.serve.committed) /
         naive.hostSeconds;
-    std::printf("\nprofile (%" PRIu64 " requests, lazy/snoop-bus): "
+    const std::string gateLabel = gateCellLabel();
+    std::printf("\nprofile (%" PRIu64 " requests, %s): "
                 "streaming %.0f req/s host, naive-recorded %.0f "
                 "req/s host\n",
-                profReq, streamRps, naiveRps);
+                profReq, gateLabel.c_str(), streamRps, naiveRps);
 
     // The config block echoes what every cell runs: the machine knobs
     // shared by all modes and the request mix (only theta, the write
@@ -215,7 +233,7 @@ main(int argc, char** argv)
         .num("scan_share", kp.scanShare, 2)
         .end()
         .obj("profile")
-        .str("gate_cell", "lazy-hmtx/snoop-bus theta=0.9 write=0.5")
+        .str("gate_cell", gateLabel.c_str())
         .u("gate_requests", profReq)
         .num("streaming_requests_per_sec", streamRps, 0)
         .num("naive_recorded_requests_per_sec", naiveRps, 0)

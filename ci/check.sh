@@ -198,6 +198,27 @@ EOF
     rm -f "${MC_LOGS[@]#*=}"
 fi
 
+# The model checker restores checkpointed cells in place; under the
+# sanitizers a registry pointer left dangling by a restore is a
+# use-after-free. One small batch on the asan-ubsan build, its counts
+# reported, not pinned.
+if printf '%s
+' "${PRESETS[@]}" | grep -qx asan-ubsan \
+    && [ "$MC_BUDGET" -gt 0 ]; then
+    MC_ASAN_BIN="$ROOT/build-asan/tests/fuzz/hmtx_mc"
+    if [ ! -x "$MC_ASAN_BIN" ]; then
+        echo "FATAL: $MC_ASAN_BIN missing after the asan-ubsan build" >&2
+        exit 1
+    fi
+    echo "==== model check (all cells, asan-ubsan): 40 programs ===="
+    if ! UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
+        "$MC_ASAN_BIN" --programs 40 --cells all --seed0 1 --ops 6 \
+        --corpus-out "$ROOT/tests/fuzz/corpus"; then
+        echo "FATAL: model checking under asan-ubsan failed" >&2
+        exit 1
+    fi
+fi
+
 # Whole-simulation parallelism: host threads run independent schedules
 # side by side (hmtx_fuzz --threads), each on the one sequential
 # simulation loop. A small batch from a distinct seed range exercises

@@ -9,8 +9,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
 #include <memory>
+#include <memory_resource>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -168,17 +168,47 @@ struct PendingSla
     SlaEntry e;
 };
 
+/**
+ * Everything CellMatrix::Group::save() records. The cells' snapshots
+ * allocate from one arena, so filling a fresh checkpoint costs a
+ * handful of allocations however many containers a snapshot has.
+ */
+struct Checkpoint
+{
+    explicit Checkpoint(std::size_t cellCount)
+        : arena(cellCount * kArenaBytesPerCell)
+    {
+        cells.reserve(cellCount);
+        for (std::size_t i = 0; i < cellCount; ++i)
+            cells.emplace_back(&arena);
+    }
+
+    /** First arena block per cell: a small-program cell's snapshot
+     *  fits. */
+    static constexpr std::size_t kArenaBytesPerCell = 4096;
+
+    std::pmr::monotonic_buffer_resource arena;
+    std::vector<sim::CacheSystem::Snapshot> cells;
+    std::optional<GoldenModel> gold;
+    std::vector<PendingSla> pending;
+    std::uint64_t executed = 0;
+    Divergence div;
+};
+
 } // namespace
 
 /**
  * One cell group of the matrix: its cells, built once for the
  * FuzzConfig, and the per-run state (golden model, pending SLAs,
- * divergence), rebuilt at the start of every run.
+ * divergence), rebuilt by begin() and checkpointed by save().
  */
 class CellMatrix::Group
 {
   public:
-    Group(const FuzzConfig& cfg, unsigned group) : cfg_(cfg), group_(group)
+    /** @p path is the matrix's list of the ops stepped so far. */
+    Group(const FuzzConfig& cfg, unsigned group,
+          const std::vector<Op>& path)
+        : cfg_(cfg), group_(group), path_(path)
     {
         if (group == kGroupHmtx) {
             for (int i = 0; i < kCells; ++i)
@@ -198,26 +228,73 @@ class CellMatrix::Group
 
     unsigned group() const { return group_; }
 
-    Divergence
-    run(const Schedule& s, Coverage* cov, bool primary,
-        const RunHooks* hooks)
+    /** Starts a run of a schedule with @p program's ops: fresh
+     *  golden model, cells reset, memory seeded from the word set. */
+    void
+    begin(const Schedule& program, const RunHooks* hooks)
     {
-        s_ = &s;
         gold_.emplace(cfg_.slaEnabled, groupPolicy(cfg_, group_));
         pending_.clear();
         executed_ = 0;
+        stepped_ = 0;
         div_ = {};
         for (auto& c : cells_)
             c->reset();
         if (hooks != nullptr && hooks->onCell)
             for (auto& c : cells_)
                 hooks->onCell(c->name, c->sys);
-        seedMemory();
-        for (std::size_t i = 0; i < s_->ops.size() && !div_.found; ++i) {
-            step(i);
-            if (!div_.found && (i + 1) % 32 == 0)
-                checkInvariants(i);
+        seedMemory(program);
+    }
+
+    /** Runs the path's ops this group has not run yet, each followed
+     *  by the periodic self-check, until the group diverges. */
+    void
+    catchUp()
+    {
+        for (; stepped_ < path_.size() && !div_.found; ++stepped_) {
+            stepOp(stepped_);
+            if (!div_.found && (stepped_ + 1) % 32 == 0)
+                checkInvariants(stepped_);
         }
+    }
+
+    /** Records the cells and the per-run state into checkpoint
+     *  slot @p depth. */
+    void
+    save(std::size_t depth)
+    {
+        while (saves_.size() <= depth)
+            saves_.push_back(std::make_unique<Checkpoint>(cells_.size()));
+        Checkpoint& cp = *saves_[depth];
+        for (std::size_t i = 0; i < cells_.size(); ++i)
+            cells_[i]->sys.snapshot(cp.cells[i]);
+        cp.gold = gold_;
+        cp.pending = pending_;
+        cp.executed = executed_;
+        cp.div = div_;
+    }
+
+    /** Returns to what save(@p depth) recorded. */
+    void
+    restore(std::size_t depth)
+    {
+        const Checkpoint& cp = *saves_.at(depth);
+        for (std::size_t i = 0; i < cells_.size(); ++i)
+            cells_[i]->sys.restore(cp.cells[i]);
+        gold_ = cp.gold;
+        pending_ = cp.pending;
+        executed_ = cp.executed;
+        stepped_ = depth;
+        div_ = cp.div;
+    }
+
+    /**
+     * Ends the run: the final checks unless diverged, then the
+     * coverage (run counts from the @p primary group only).
+     */
+    Divergence
+    finish(Coverage* cov, bool primary)
+    {
         if (!div_.found)
             finalChecks();
         if (cov && primary) {
@@ -230,6 +307,8 @@ class CellMatrix::Group
         return div_;
     }
 
+    std::size_t cells() const { return cells_.size(); }
+
   private:
     // --- divergence reporting ----------------------------------------
 
@@ -241,7 +320,7 @@ class CellMatrix::Group
         div_.found = true;
         div_.opIndex = idx;
         if (idx != static_cast<std::size_t>(-1)) {
-            const Op& op = s_->ops[idx];
+            const Op& op = path_[idx];
             what = "op#" + std::to_string(idx) + " " + describe(op) +
                    ": " + what;
         }
@@ -251,10 +330,10 @@ class CellMatrix::Group
     // --- setup -------------------------------------------------------
 
     void
-    seedMemory()
+    seedMemory(const Schedule& program)
     {
         words_.clear();
-        for (const Op& op : s_->ops)
+        for (const Op& op : program.ops)
             if (usesAddr(op.kind))
                 words_.push_back(op.addr & ~Addr{7});
         std::sort(words_.begin(), words_.end());
@@ -379,9 +458,9 @@ class CellMatrix::Group
     // --- op execution ------------------------------------------------
 
     void
-    step(std::size_t idx)
+    stepOp(std::size_t idx)
     {
-        const Op& op = s_->ops[idx];
+        const Op& op = path_[idx];
         switch (op.kind) {
         case OpKind::Load:
         case OpKind::WrongPathLoad:
@@ -637,7 +716,7 @@ class CellMatrix::Group
         if (pending_.empty())
             return;
         PendingSla p = pending_.front();
-        pending_.pop_front();
+        pending_.erase(pending_.begin());
         confirm(idx, p, perturb);
     }
 
@@ -750,7 +829,7 @@ class CellMatrix::Group
     finalChecks()
     {
         const std::size_t end = static_cast<std::size_t>(-1);
-        checkInvariants(s_->ops.empty() ? end : s_->ops.size() - 1);
+        checkInvariants(path_.empty() ? end : path_.size() - 1);
         if (div_.found)
             return;
         // Quiesce: flush all speculative state, fold the committed
@@ -769,7 +848,8 @@ class CellMatrix::Group
         gold_->abortAll();
         gold_->vidReset();
         // Golden vs. real committed image, word by word.
-        for (Addr w : gold_->touchedWords()) {
+        gold_->touchedWords(words_);
+        for (Addr w : words_) {
             const std::uint64_t want = gold_->valueAt(w, 8, 0);
             for (auto& c : cells_) {
                 const std::uint64_t got = c->sys.memory().read(w, 8);
@@ -814,15 +894,21 @@ class CellMatrix::Group
 
     const FuzzConfig cfg_;
     const unsigned group_;
+    const std::vector<Op>& path_;
     std::vector<std::unique_ptr<Cell>> cells_;
     Vid maxVid_ = 63;
     // Per-run state.
-    const Schedule* s_ = nullptr;
     std::optional<GoldenModel> gold_;
-    std::deque<PendingSla> pending_;
+    /** Outstanding SLAs, oldest first (a handful at most). */
+    std::vector<PendingSla> pending_;
     std::uint64_t executed_ = 0;
+    /** path_[0, stepped_) have run on this group's cells. */
+    std::size_t stepped_ = 0;
     Divergence div_;
-    // Scratch kept across runs so replays do not reallocate.
+    /** Checkpoint slots, indexed by depth. */
+    std::vector<std::unique_ptr<Checkpoint>> saves_;
+    // Scratch kept across runs so replays do not reallocate (words_:
+    // the seeded words, then the golden's touched words).
     std::vector<Addr> words_;
     std::vector<std::pair<Addr, sim::LineData>> img0_, img_;
 };
@@ -833,22 +919,65 @@ CellMatrix::CellMatrix(const FuzzConfig& cfg, unsigned groupMask)
     for (unsigned g : {unsigned(kGroupHmtx), unsigned(kGroupBtx),
                        unsigned(kGroupLtd)})
         if (groupMask & g)
-            groups_.push_back(std::make_unique<Group>(cfg, g));
+            groups_.push_back(std::make_unique<Group>(cfg, g, path_));
 }
 
 CellMatrix::~CellMatrix() = default;
 
-Divergence
-CellMatrix::run(const Schedule& s, Coverage* cov, const RunHooks* hooks)
+void
+CellMatrix::begin(const Schedule& program, const RunHooks* hooks)
 {
-    if (s.cfg != cfg_)
+    if (program.cfg != cfg_)
         throw std::invalid_argument(
-            "CellMatrix::run: schedule config differs from the "
-            "matrix's");
-    bool primary = true;
+            "CellMatrix: schedule config differs from the matrix's");
+    path_.clear();
+    for (auto& g : groups_)
+        g->begin(program, hooks);
+}
+
+void
+CellMatrix::step(const Op& op)
+{
+    path_.push_back(op);
+}
+
+void
+CellMatrix::save(std::size_t depth)
+{
+    if (depth != path_.size())
+        throw std::logic_error("CellMatrix::save: depth " +
+                               std::to_string(depth) + " but " +
+                               std::to_string(path_.size()) +
+                               " ops stepped");
+    if (savedPaths_.size() <= depth)
+        savedPaths_.resize(depth + 1);
+    savedPaths_[depth] = path_;
     for (auto& g : groups_) {
-        Divergence d = g->run(s, cov, primary, hooks);
+        g->catchUp();
+        g->save(depth);
+    }
+}
+
+void
+CellMatrix::restore(std::size_t depth)
+{
+    path_ = savedPaths_.at(depth);
+    for (auto& g : groups_)
+        g->restore(depth);
+}
+
+Divergence
+CellMatrix::finish(Coverage* cov)
+{
+    bool primary = true;
+    cellsReported_ = 0;
+    for (auto& g : groups_) {
+        // Group-major, and a group after a diverging one never runs,
+        // exactly as when the groups replayed one after another.
+        g->catchUp();
+        Divergence d = g->finish(cov, primary);
         primary = false;
+        cellsReported_ += g->cells();
         if (d.found) {
             d.what = std::string(groupName(g->group())) + " group: " +
                 d.what;
@@ -856,6 +985,15 @@ CellMatrix::run(const Schedule& s, Coverage* cov, const RunHooks* hooks)
         }
     }
     return {};
+}
+
+Divergence
+CellMatrix::run(const Schedule& s, Coverage* cov, const RunHooks* hooks)
+{
+    begin(s, hooks);
+    for (const Op& op : s.ops)
+        step(op);
+    return finish(cov);
 }
 
 Divergence

@@ -113,7 +113,7 @@ sim::MachineConfig modeCellConfig(const FuzzConfig& c, unsigned g,
  * Optional per-run instrumentation. The model checker
  * (check/explorer.hh) uses onCell to install a DeliveryChooser on
  * each cell's fabric before the schedule replays; plain fuzzing
- * passes no hooks and runs exactly as before.
+ * passes no hooks.
  */
 struct RunHooks
 {
@@ -128,10 +128,17 @@ struct RunHooks
 
 /**
  * The differential matrix of one FuzzConfig: the cells of every group
- * in a group mask, built once and reset (CacheSystem::reset()) before
- * each run, so a caller replaying many schedules of the same config
- * pays for building them once. A run on a reused matrix returns
- * exactly what a run on a fresh one does.
+ * in a group mask, built once and reset (CacheSystem::reset()) at the
+ * start of each run, so a caller replaying many schedules of the same
+ * config pays for building them once. A run on a reused matrix
+ * returns exactly what a run on a fresh one does.
+ *
+ * A run is begin(), one step() per op, then finish(); run() is that
+ * sequence over a whole schedule. Between steps, save() checkpoints
+ * the whole matrix (cells, golden models, pending SLAs, progress and
+ * divergence) and restore() returns to a checkpoint, so a caller
+ * replaying many schedules that share prefixes (the model checker's
+ * DFS, check/explorer.hh) steps each shared prefix once.
  */
 class CellMatrix
 {
@@ -143,17 +150,66 @@ class CellMatrix
     CellMatrix& operator=(const CellMatrix&) = delete;
 
     /**
-     * Runs @p s against the golden model and the matrix's groups, in
-     * hmtx, btx, ltd order, stopping at the first divergence. Throws
+     * Runs @p s against the golden model and the matrix's groups,
+     * stopping each group at its first divergence, and reports the
+     * first divergence in hmtx, btx, ltd order. Throws
      * std::invalid_argument if s.cfg differs from the matrix's config.
      */
     Divergence run(const Schedule& s, Coverage* cov = nullptr,
                    const RunHooks* hooks = nullptr);
 
+    /**
+     * Starts a run of a schedule whose ops are a reordering of
+     * @p program's: resets every cell (then calls hooks->onCell on
+     * it), builds each group's golden model, and seeds memory from the
+     * program's word set. Throws std::invalid_argument if program.cfg
+     * differs from the matrix's config.
+     */
+    void begin(const Schedule& program, const RunHooks* hooks = nullptr);
+
+    /** Appends the next op: every group that has not diverged runs
+     *  it (with the self-check every 32 ops) by the next save() or
+     *  finish(). */
+    void step(const Op& op);
+
+    /**
+     * Checkpoints the run into slot @p depth, which must equal the
+     * number of ops stepped since begin(). Slots are reused, so their
+     * storage is allocated once per depth.
+     */
+    void save(std::size_t depth);
+
+    /** Returns the run to what save(@p depth) recorded, whatever ran
+     *  since (another run() included). */
+    void restore(std::size_t depth);
+
+    /**
+     * Ends the run: the end-of-run checks (self-check, quiesce,
+     * memory images) on every group in hmtx, btx, ltd order until the
+     * first that diverged, whose divergence is returned; @p cov sums
+     * the groups checked. The cells are left quiesced: only begin(),
+     * restore() or run() may follow.
+     */
+    Divergence finish(Coverage* cov = nullptr);
+
+    /**
+     * Cells the last finish() reported on, counted in the order
+     * begin() hooks them: every cell after a clean run, else the cells
+     * of the groups up to and including the one that diverged.
+     */
+    std::size_t cellsReported() const { return cellsReported_; }
+
   private:
     class Group;
     FuzzConfig cfg_;
+    /** The ops stepped since begin(). step() only queues an op; each
+     *  group runs the queue in save() and finish(), group by group,
+     *  which keeps one group's cells hot in the host caches. */
+    std::vector<Op> path_;
+    /** path_ as each save() slot recorded it. */
+    std::vector<std::vector<Op>> savedPaths_;
     std::vector<std::unique_ptr<Group>> groups_;
+    std::size_t cellsReported_ = 0;
 };
 
 /** Runs @p s against the golden model and the selected cell groups:

@@ -1,10 +1,11 @@
 /**
  * @file
- * Sleep-set DFS over the interleavings of a small program, each leaf
- * replayed through the differential runner (DESIGN.md §14).
+ * Sleep-set DFS over the interleavings of a small program, stepped
+ * incrementally through the differential runner (DESIGN.md §14).
  */
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -43,12 +44,14 @@ isAccess(OpKind k)
 class RecordingChooser final : public sim::DeliveryChooser
 {
   public:
-    /** Starts a replay: forced vector @p forced, no decisions yet. */
+    /** Starts a replay: forced vector @p forced, @p decisions made
+     *  so far. */
     void
-    restart(const std::vector<unsigned>& forced)
+    restart(const std::vector<unsigned>& forced,
+            std::size_t decisions = 0)
     {
         forced_ = &forced;
-        count_ = 0;
+        count_ = decisions;
     }
 
     unsigned
@@ -67,20 +70,81 @@ class RecordingChooser final : public sim::DeliveryChooser
     std::size_t count_ = 0;
 };
 
+/** One chooser per cell, installed by hooks.onCell in cell order. */
+class ChooserSet
+{
+  public:
+    ChooserSet()
+    {
+        hooks.onCell = [this](const char*, sim::CacheSystem& sys) {
+            if (installed_ == choosers_.size())
+                choosers_.push_back(std::make_unique<RecordingChooser>());
+            RecordingChooser& ch = *choosers_[installed_++];
+            ch.restart(*forced_);
+            sys.interconnect().setDeliveryChooser(&ch);
+        };
+    }
+    ChooserSet(const ChooserSet&) = delete;
+    ChooserSet& operator=(const ChooserSet&) = delete;
+
+    /** Call before a run: the choosers hooks installs force
+     *  @p forced, which must outlive the run. */
+    void
+    arm(const std::vector<unsigned>& forced)
+    {
+        forced_ = &forced;
+        installed_ = 0;
+    }
+
+    /** Most decisions any of the first @p cells choosers made. */
+    std::size_t
+    maxDecisions(std::size_t cells) const
+    {
+        std::size_t m = 0;
+        for (std::size_t i = 0; i < std::min(cells, installed_); ++i)
+            m = std::max(m, choosers_[i]->decisions());
+        return m;
+    }
+
+    /** Each installed chooser's decision count, into @p out. */
+    void
+    saveCounts(std::vector<std::size_t>& out) const
+    {
+        out.resize(installed_);
+        for (std::size_t i = 0; i < installed_; ++i)
+            out[i] = choosers_[i]->decisions();
+    }
+
+    /** Rewinds the choosers to saveCounts()' @p in. */
+    void
+    restoreCounts(const std::vector<std::size_t>& in)
+    {
+        for (std::size_t i = 0; i < in.size(); ++i)
+            choosers_[i]->restart(*forced_, in[i]);
+    }
+
+    RunHooks hooks;
+
+  private:
+    std::vector<std::unique_ptr<RecordingChooser>> choosers_;
+    std::size_t installed_ = 0;
+    const std::vector<unsigned>* forced_ = nullptr;
+};
+
+/**
+ * The sleep-set DFS. The matrix steps each op once per distinct
+ * prefix: a node with two or more children to explore checkpoints
+ * the matrix (CellMatrix::save) and restores it before every child
+ * after the first, and every leaf runs the end-of-run checks
+ * (CellMatrix::finish) on the interleaving it ends.
+ */
 class Explorer
 {
   public:
+    /** @p prog must fit its machine (explore() checks). */
     Explorer(const Schedule& prog, const ExploreConfig& cfg)
-        : cfg_(cfg), matrix_(prog.cfg, cfg.groupMask)
+        : prog_(prog), cfg_(cfg), matrix_(prog.cfg, cfg.groupMask)
     {
-        unsigned maxCore = 0;
-        for (const Op& op : prog.ops)
-            maxCore = std::max(maxCore, unsigned(op.core));
-        if (maxCore >= prog.cfg.numCores)
-            throw std::invalid_argument(
-                "explore: op core " + std::to_string(maxCore) +
-                " outside the " + std::to_string(prog.cfg.numCores) +
-                "-core machine");
         threads_.resize(prog.cfg.numCores);
         for (const Op& op : prog.ops)
             threads_[op.core].push_back(op);
@@ -90,35 +154,35 @@ class Explorer
         for (const Op& op : prog.ops)
             hasSlaOps_ = hasSlaOps_ || op.kind == OpKind::SlaConfirm ||
                 op.kind == OpKind::SlaMismatch;
-        // Each cell of a delivery-order replay gets its own chooser;
-        // the matrix resets (uninstalling them) before every run.
-        hooks_.onCell = [this](const char*, sim::CacheSystem& sys) {
-            if (nextChooser_ == choosers_.size())
-                choosers_.push_back(std::make_unique<RecordingChooser>());
-            RecordingChooser& ch = *choosers_[nextChooser_++];
-            ch.restart(*forced_);
-            sys.interconnect().setDeliveryChooser(&ch);
-        };
     }
 
     ExploreResult
     run()
     {
-        dfs(std::vector<bool>(threads_.size(), false));
+        // Delivery-order exploration records every interleaving's
+        // decision points: the DFS runs under all-FIFO choosers.
+        base_.arm(fifo_);
+        matrix_.begin(prog_,
+                      cfg_.deliveryPoints != 0 ? &base_.hooks : nullptr);
+        dfs(0, 0);
         return std::move(res_);
     }
 
   private:
+    static std::uint64_t bit(unsigned c) { return std::uint64_t{1} << c; }
+
+    /** Explores every extension of the current prefix (of @p depth
+     *  ops); @p sleep holds the sleeping cores. */
     void
-    dfs(const std::vector<bool>& sleep)
+    dfs(std::uint64_t sleep, std::size_t depth)
     {
         if (stop_)
             return;
-        std::vector<unsigned> enabled;
+        std::uint64_t enabled = 0;
         for (unsigned c = 0; c < threads_.size(); ++c)
             if (pos_[c] < threads_[c].size())
-                enabled.push_back(c);
-        if (enabled.empty()) {
+                enabled |= bit(c);
+        if (enabled == 0) {
             runLeaf();
             return;
         }
@@ -126,30 +190,61 @@ class Explorer
         // subtree whose every trace is already covered through an
         // explored sibling; waking happens below, when an executed op
         // is *dependent* with the sleeper's next op.
-        std::vector<bool> sl = sleep;
-        for (unsigned c : enabled) {
-            if (cfg_.prune && sl[c]) {
+        const std::uint64_t awake = cfg_.prune ? enabled & ~sleep : enabled;
+        if (std::popcount(awake) >= 2)
+            save(depth);
+        bool first = true;
+        std::uint64_t sl = sleep;
+        for (std::uint64_t m = enabled; m != 0; m &= m - 1) {
+            const auto c = static_cast<unsigned>(std::countr_zero(m));
+            if (cfg_.prune && (sl & bit(c))) {
                 ++res_.stats.pruned;
                 continue;
             }
+            if (!first)
+                restore(depth);
+            first = false;
             const Op& next = threads_[c][pos_[c]];
-            std::vector<bool> childSleep(threads_.size(), false);
+            std::uint64_t childSleep = 0;
             if (cfg_.prune)
-                for (unsigned d = 0; d < threads_.size(); ++d)
-                    if (d != c && sl[d] &&
-                        pos_[d] < threads_[d].size() &&
-                        opsIndependent(threads_[d][pos_[d]], next,
+                for (std::uint64_t d = sl & ~bit(c); d != 0; d &= d - 1) {
+                    const auto o = static_cast<unsigned>(std::countr_zero(d));
+                    if (pos_[o] < threads_[o].size() &&
+                        opsIndependent(threads_[o][pos_[o]], next,
                                        hasSlaOps_, cfg_.groupMask))
-                        childSleep[d] = true;
+                        childSleep |= bit(o);
+                }
             leaf_.ops.push_back(next);
+            matrix_.step(next);
             ++pos_[c];
-            dfs(childSleep);
+            dfs(childSleep, depth + 1);
             --pos_[c];
             leaf_.ops.pop_back();
             if (stop_)
                 return;
-            sl[c] = true;
+            sl |= bit(c);
         }
+    }
+
+    /** Checkpoints the matrix (and the choosers' decision counts) at
+     *  branch point @p depth. */
+    void
+    save(std::size_t depth)
+    {
+        matrix_.save(depth);
+        if (cfg_.deliveryPoints == 0)
+            return;
+        if (chooserCounts_.size() <= depth)
+            chooserCounts_.resize(depth + 1);
+        base_.saveCounts(chooserCounts_[depth]);
+    }
+
+    void
+    restore(std::size_t depth)
+    {
+        matrix_.restore(depth);
+        if (cfg_.deliveryPoints != 0)
+            base_.restoreCounts(chooserCounts_[depth]);
     }
 
     void
@@ -161,18 +256,17 @@ class Explorer
             return;
         }
         ++res_.stats.explored;
-        if (cfg_.deliveryPoints == 0) {
-            replay({}, nullptr);
+        Coverage cov;
+        account(matrix_.finish(&cov), cov);
+        if (cfg_.deliveryPoints == 0)
             return;
-        }
         // Branch over the first deliveryPoints directory delivery
-        // decisions: the base replay runs all-FIFO and reports how
-        // many points exist; every deeper prefix re-runs with one
-        // decision flipped to "overtake". Each replay covers the
-        // all-FIFO extension of its forced prefix, so this visits
-        // every choice vector of the bounded tree exactly once.
-        std::size_t seen = 0;
-        replay({}, &seen);
+        // decisions: the leaf itself ran all-FIFO and reports how
+        // many points exist; every deeper prefix replays the leaf in
+        // full with one decision flipped to "overtake". Each replay
+        // covers the all-FIFO extension of its forced prefix, so this
+        // visits every choice vector of the bounded tree exactly once.
+        const std::size_t seen = base_.maxDecisions(matrix_.cellsReported());
         res_.stats.deliveryPointsSeen += seen;
         deliveryDfs({}, seen);
     }
@@ -186,30 +280,32 @@ class Explorer
             std::vector<unsigned> f2 = forced;
             f2.resize(i + 1, 0);
             f2[i] = 1;
-            std::size_t subSeen = 0;
             ++res_.stats.deliveryRuns;
-            replay(f2, &subSeen);
+            const std::size_t subSeen = replay(f2);
             if (stop_)
                 return;
             deliveryDfs(f2, subSeen);
         }
     }
 
-    /** Replays the current leaf_ through the matrix; with
-     *  @p decisionsOut, under choosers forcing @p forced. */
-    void
-    replay(const std::vector<unsigned>& forced,
-           std::size_t* decisionsOut)
+    /** Replays the current leaf_ in full under choosers forcing
+     *  @p forced; returns the decision points they met. */
+    std::size_t
+    replay(const std::vector<unsigned>& forced)
     {
-        forced_ = &forced;
-        nextChooser_ = 0;
+        replays_.arm(forced);
         Coverage cov;
-        Divergence d = matrix_.run(
-            leaf_, &cov, decisionsOut != nullptr ? &hooks_ : nullptr);
-        if (decisionsOut != nullptr)
-            for (std::size_t i = 0; i < nextChooser_; ++i)
-                *decisionsOut =
-                    std::max(*decisionsOut, choosers_[i]->decisions());
+        Divergence d = matrix_.run(leaf_, &cov, &replays_.hooks);
+        account(d, cov);
+        return replays_.maxDecisions(matrix_.cellsReported());
+    }
+
+    /** Folds one finished run into the result: the environmental-
+     *  abort tripwire, and the first divergence (which stops the
+     *  exploration). */
+    void
+    account(const Divergence& d, const Coverage& cov)
+    {
         // Environmental-abort tripwire for the pruning argument: in a
         // limited-set-only pass the mandatory K-th-line aborts are
         // predicted (and accounted by the same cell), so only the
@@ -228,19 +324,23 @@ class Explorer
         }
     }
 
+    const Schedule& prog_;
     const ExploreConfig& cfg_;
     std::vector<std::vector<Op>> threads_;
     std::vector<unsigned> pos_;
     /** The interleaving under construction: the DFS pushes and pops
-     *  its ops, and at a leaf it is the complete schedule replayed. */
+     *  its ops, and at a leaf it is the complete schedule. */
     Schedule leaf_;
-    /** Delivery choosers, reused across replays (declared before the
-     *  matrix, whose cells point at them, so they outlive it). */
-    std::vector<std::unique_ptr<RecordingChooser>> choosers_;
-    std::size_t nextChooser_ = 0;
-    const std::vector<unsigned>* forced_ = nullptr;
-    RunHooks hooks_;
-    /** One matrix for every replay of this exploration. */
+    /** The DFS's own choosers force nothing (all-FIFO). */
+    const std::vector<unsigned> fifo_;
+    /** Choosers of the DFS run and of the forced full replays
+     *  (declared before the matrix, whose cells point at them, so
+     *  they outlive it). */
+    ChooserSet base_;
+    ChooserSet replays_;
+    /** base_'s decision counts at each checkpointed depth. */
+    std::vector<std::vector<std::size_t>> chooserCounts_;
+    /** One matrix for every run of this exploration. */
     CellMatrix matrix_;
     bool hasSlaOps_ = false;
     bool stop_ = false;
@@ -291,6 +391,17 @@ opsIndependent(const Op& a, const Op& b, bool hasSlaOps,
 ExploreResult
 explore(const Schedule& program, const ExploreConfig& cfg)
 {
+    // Checked before any cell is built.
+    const unsigned cores = program.cfg.numCores;
+    if (cores > 64)
+        throw std::invalid_argument("explore: " + std::to_string(cores) +
+                                    " cores; sleep sets hold at most 64");
+    for (const Op& op : program.ops)
+        if (op.core >= cores)
+            throw std::invalid_argument(
+                "explore: op core " + std::to_string(op.core) +
+                " outside the " + std::to_string(cores) +
+                "-core machine");
     Explorer e(program, cfg);
     return e.run();
 }

@@ -8,10 +8,12 @@
  * free (Schedule::isProgram); explore() walks every merge of the
  * per-core sequences at the protocol-decision preemption points —
  * which core issues its next access, and (optionally) which way each
- * DirectoryFabric delivery decision goes — and replays each complete
+ * DirectoryFabric delivery decision goes — and runs each complete
  * interleaving through the differential runner against the
- * GoldenModel. Any divergence comes back with the flattened
- * interleaving as a replayable witness.
+ * GoldenModel, stepping every distinct prefix once and checkpointing
+ * the cells at branch points (CellMatrix::save/restore). Any
+ * divergence comes back with the flattened interleaving as a
+ * replayable witness.
  *
  * Pruning is sleep-set DPOR (landslide-style, Godefroid's algorithm)
  * keyed on line-address commutativity classes: accesses to different
@@ -114,7 +116,8 @@ struct ExploreResult
  * Exhaustively explores @p program (its ops split by core, per-core
  * order preserved). Stops at the first divergence or when the budget
  * is exhausted. Throws std::invalid_argument if an op names a core
- * outside cfg.numCores.
+ * outside cfg.numCores, or if the machine has more than 64 cores (a
+ * sleep set is a 64-bit mask).
  */
 ExploreResult explore(const Schedule& program,
                       const ExploreConfig& cfg = {});

@@ -24,10 +24,8 @@
 #ifndef HMTX_CHECK_GOLDEN_HH
 #define HMTX_CHECK_GOLDEN_HH
 
+#include <compare>
 #include <cstdint>
-#include <map>
-#include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "core/tx_policy.hh"
@@ -160,20 +158,35 @@ class GoldenModel
     /** Sorted line addresses in @p vid's write set. */
     std::vector<Addr> writeSet(Vid vid) const;
 
-    /** Words ever touched, for final-image comparison (sorted). */
-    std::vector<Addr> touchedWords() const;
+    /** Words ever touched, for final-image comparison: sorted, into
+     *  @p out (reused scratch). */
+    void touchedWords(std::vector<Addr>& out) const;
 
   private:
     /**
-     * One 8-byte word: committed base value plus the surviving
-     * speculative/committed store versions keyed by writer VID.
-     * Invariant: every version is newer than the base image, so
-     * visibility is "largest writer <= VID, else base".
+     * The state lives in four flat vectors, each sorted by its key, so
+     * that copying a model (the model checker checkpoints one at every
+     * DFS branch point) is a few array copies.
      */
+
+    /** One 8-byte word's committed base value. */
     struct Word
     {
-        std::uint64_t base = 0;
-        std::map<Vid, std::uint64_t> vers;
+        Addr addr;
+        std::uint64_t base;
+    };
+
+    /**
+     * One surviving speculative or committed store version of a word,
+     * keyed by (word, writer VID). Invariant: every version is newer
+     * than the word's base image, so visibility is "largest writer <=
+     * VID, else base".
+     */
+    struct Version
+    {
+        Addr word;
+        Vid vid;
+        std::uint64_t value;
     };
 
     /**
@@ -185,25 +198,46 @@ class GoldenModel
      */
     struct LineCtl
     {
+        Addr line;
         Vid writer = kNonSpecVid;
         Vid mark = kNonSpecVid;
     };
 
-    Word& wordOf(Addr a) { return words_[a & ~Addr{7}]; }
+    /** One line of a live VID's read (write = false) or write set,
+     *  keyed by (vid, write, line). */
+    struct RwEntry
+    {
+        Vid vid;
+        bool write;
+        Addr line;
+
+        auto operator<=>(const RwEntry&) const = default;
+    };
+
+    Word& wordOf(Addr a);
     const Word* wordIf(Addr a) const;
-    LineCtl& lineOf(Addr a) { return lines_[lineAddr(a)]; }
+    LineCtl& lineOf(Addr a);
     const LineCtl* lineIf(Addr a) const;
 
-    std::uint64_t wordValueAt(const Word* w, Vid vid) const;
+    /** Value of the word at @p word visible to @p vid. */
+    std::uint64_t wordValueAt(Addr word, std::uint64_t base,
+                              Vid vid) const;
+    /** Drops every version of the word at @p word. */
+    void dropVersions(Addr word);
+    /** Adds @p line to @p vid's read or write set. */
+    void rwInsert(Vid vid, bool write, Addr line);
+    /** @p vid's read or write set, sorted. */
+    std::vector<Addr> rwSet(Vid vid, bool write) const;
 
     bool slaEnabled_;
     TxPolicy policy_;
     Vid lc_ = kNonSpecVid;
-    std::unordered_map<Addr, Word> words_;
-    std::unordered_map<Addr, LineCtl> lines_;
-    /** Per-live-VID read/write line sets; erased on commit, cleared
-     *  on abort. Non-empty keys are always > lc_. */
-    std::map<Vid, std::pair<std::set<Addr>, std::set<Addr>>> rw_;
+    std::vector<Word> words_;
+    std::vector<Version> vers_;
+    std::vector<LineCtl> lines_;
+    /** Live VIDs' read/write line sets; a VID's entries are erased on
+     *  commit, all on abort. Every VID present is > lc_. */
+    std::vector<RwEntry> rw_;
 };
 
 } // namespace hmtx::check

@@ -140,9 +140,6 @@ class TxPolicy
 
     TxMode mode() const { return cfg_.mode; }
 
-    /** Back to the just-constructed state under the same config:
-     *  lock free and unarmed, abort counts and stats zero. */
-    void reset() { *this = TxPolicy(cfg_); }
     const TxPolicyConfig& config() const { return cfg_; }
     const TxModeStats& stats() const { return stats_; }
 

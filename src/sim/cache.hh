@@ -16,6 +16,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <functional>
+#include <memory_resource>
 #include <string>
 #include <vector>
 
@@ -187,6 +189,64 @@ struct LineSet
      * snoop filter); a set bit may be another address's.
      */
     std::uint64_t tags = 0;
+};
+
+/**
+ * The in-use sets and registries of a system's caches, in cache order:
+ * what Cache::restore() puts back. A reusable value (CacheSystem's
+ * snapshots hold one): clear() keeps every vector's capacity.
+ */
+struct CacheImage
+{
+    /** One in-use set: its index, slot count and tag summary. */
+    struct Set
+    {
+        std::uint32_t index;
+        std::uint32_t slots;
+        std::uint64_t tags;
+    };
+    /** One cache's share of sets and of regs (spec entries, then
+     *  dirty entries). */
+    struct Extent
+    {
+        std::uint32_t sets;
+        std::uint32_t specReg;
+        std::uint32_t dirtyReg;
+    };
+    /** Read position of a restore walking the caches in order. */
+    struct Cursor
+    {
+        std::size_t cache = 0;
+        std::size_t set = 0;
+        std::size_t slot = 0;
+        std::size_t reg = 0;
+    };
+
+    /** Allocates from @p mr (a checkpoint's arena). */
+    explicit CacheImage(std::pmr::memory_resource* mr =
+                            std::pmr::get_default_resource())
+        : caches(mr), sets(mr), lines(mr), bk(mr), data(mr), regs(mr)
+    {}
+
+    std::pmr::vector<Extent> caches;
+    std::pmr::vector<Set> sets;
+    /** Every set's slots in turn; lines[i]'s bookkeeping is bk[i] (a
+     *  Line copy leaves it behind) and its payload data[i]. */
+    std::pmr::vector<Line> lines;
+    std::pmr::vector<LineBookkeeping> bk;
+    std::pmr::vector<LineData> data;
+    std::pmr::vector<Line*> regs;
+
+    void
+    clear()
+    {
+        caches.clear();
+        sets.clear();
+        lines.clear();
+        bk.clear();
+        data.clear();
+        regs.clear();
+    }
 };
 
 /**
@@ -384,24 +444,104 @@ class Cache
                 fn(l);
     }
 
+    /** Adds this cache's sets in use, slots and registry entries to
+     *  the counts (sizing an image before save()). */
+    void
+    countImage(std::size_t& sets, std::size_t& slots,
+               std::size_t& regs) const
+    {
+        sets += used_.size();
+        for (std::uint32_t i : used_)
+            slots += sets_[i].lines.size();
+        regs += specReg_.size() + dirtyReg_.size();
+    }
+
+    /** Records every set in use and both registries, appended to
+     *  @p img. */
+    void
+    save(CacheImage& img) const
+    {
+        for (std::uint32_t i : used_) {
+            const LineSet& s = sets_[i];
+            img.sets.push_back(
+                {i, static_cast<std::uint32_t>(s.lines.size()), s.tags});
+            img.lines.insert(img.lines.end(), s.lines.begin(),
+                             s.lines.end());
+            for (const Line& l : s.lines)
+                img.bk.push_back(l.bk);
+            img.data.insert(img.data.end(), s.data.begin(), s.data.end());
+        }
+        img.regs.insert(img.regs.end(), specReg_.begin(), specReg_.end());
+        img.regs.insert(img.regs.end(), dirtyReg_.begin(), dirtyReg_.end());
+        img.caches.push_back({static_cast<std::uint32_t>(used_.size()),
+                              static_cast<std::uint32_t>(specReg_.size()),
+                              static_cast<std::uint32_t>(dirtyReg_.size())});
+    }
+
     /**
-     * Returns the cache to its just-constructed state: every set
-     * empty, both registries empty. Keeps the capacity of every
-     * vector, so refilling a reset cache allocates nothing. Slots are
-     * dropped rather than invalidated: a fresh cache grows its sets
-     * from default-constructed lines, and a reused slot would carry
-     * stale rw marks and LRU stamps into the next run.
+     * Returns the cache to what save() recorded as entry @p c.cache
+     * of @p img (which this cache must have saved), reading from
+     * cursor @p c and advancing it past this cache's entries. Sets in
+     * use now but not then are emptied (a fresh cache grows its sets
+     * from default-constructed slots, so a reused slot must not carry
+     * stale rw marks or LRU stamps). Every set buffer was reserved to
+     * the associativity when it first came into use and is refilled
+     * in place, so the registry entries — pointers to slots — stay
+     * valid.
      */
     void
-    reset()
+    restore(const CacheImage& img, CacheImage::Cursor& c)
     {
-        for (auto& s : sets_) {
+        const CacheImage::Extent& e = img.caches[c.cache++];
+        // Sets only come into use, so unless a reset intervened the
+        // image's sets are a prefix of used_: refill those in place
+        // and empty the rest.
+        std::size_t keep = e.sets <= used_.size() ? e.sets : 0;
+        for (std::size_t n = 0; n < keep; ++n)
+            if (used_[n] != img.sets[c.set + n].index)
+                keep = 0;
+        for (std::size_t n = keep; n < used_.size(); ++n) {
+            LineSet& s = sets_[used_[n]];
             s.lines.clear();
             s.data.clear();
             s.tags = 0;
         }
-        specReg_.clear();
-        dirtyReg_.clear();
+        used_.resize(keep);
+        for (std::uint32_t n = 0; n < e.sets; ++n) {
+            const CacheImage::Set& si = img.sets[c.set++];
+            LineSet& s = sets_[si.index];
+            const auto first = static_cast<std::ptrdiff_t>(c.slot);
+            const auto last = first + si.slots;
+            s.lines.assign(img.lines.begin() + first,
+                           img.lines.begin() + last);
+            s.data.assign(img.data.begin() + first,
+                          img.data.begin() + last);
+            for (std::uint32_t k = 0; k < si.slots; ++k)
+                s.lines[k].bk = img.bk[c.slot + k];
+            s.tags = si.tags;
+            if (n >= keep)
+                used_.push_back(si.index);
+            c.slot += si.slots;
+        }
+        const auto reg = img.regs.begin() + static_cast<std::ptrdiff_t>(c.reg);
+        specReg_.assign(reg, reg + e.specReg);
+        dirtyReg_.assign(reg + e.specReg, reg + e.specReg + e.dirtyReg);
+        c.reg += e.specReg + e.dirtyReg;
+    }
+
+    /**
+     * True when @p l is one of this cache's slots: a live element of
+     * some set (not past its end), as every registry entry must be.
+     * Checks the set the slot's last address maps to, which is the
+     * only one that can hold it.
+     */
+    bool
+    ownsSlot(const Line* l) const
+    {
+        const LineSet& s = sets_[setIndex(l->base)];
+        const std::less<const Line*> before;
+        return !before(l, s.lines.data()) &&
+            before(l, s.lines.data() + s.lines.size());
     }
 
     /** Number of valid slots currently held. */
@@ -436,6 +576,8 @@ class Cache
             if (l.state == State::Invalid)
                 return &l;
         if (s.lines.size() < assoc_) {
+            if (s.lines.empty())
+                used_.push_back(static_cast<std::uint32_t>(setIndex(a)));
             s.lines.emplace_back();
             s.data.emplace_back();
             s.lines.back().bk.cacheId = id_;
@@ -483,6 +625,9 @@ class Cache
     bool pow2Sets_;
     unsigned assoc_;
     std::vector<LineSet> sets_;
+    /** Indices of the non-empty sets, in the order they came into
+     *  use (what save() records and restore() empties). */
+    std::vector<std::uint32_t> used_;
     /** Class registries of slots that were spec (resp. dirty) when
      *  last touched (lazily purged). */
     std::vector<Line*> specReg_;

@@ -8,6 +8,7 @@
 #include "sim/cache_system.hh"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -28,28 +29,124 @@ CacheSystem::CacheSystem(EventQueue& eq, const MachineConfig& cfg)
     caches_.emplace_back("L2", cfg.l2Sets(), cfg.l2Assoc,
                          cfg.numCores);
     net_ = makeInterconnect(cfg_, stats_);
+    snapshot(initial_);
+}
+
+void
+CacheSystem::snapshot(Snapshot& s) const
+{
+    // Size every vector once, so a first snapshot allocates each
+    // exactly one time.
+    std::size_t sets = 0, slots = 0, regs = 0;
+    for (const Cache& c : caches_)
+        c.countImage(sets, slots, regs);
+    CacheImage& img = s.caches;
+    img.clear();
+    img.caches.reserve(caches_.size());
+    img.sets.reserve(sets);
+    img.lines.reserve(slots);
+    img.bk.reserve(slots);
+    img.data.reserve(slots);
+    img.regs.reserve(regs);
+    for (const Cache& c : caches_)
+        c.save(img);
+
+    // Only the live rw sets: the spares beyond rwLive_ are cleared.
+    std::size_t lines = 0;
+    for (std::size_t i = 0; i < rwLive_; ++i)
+        lines += rwSets_[i].reads.size() + rwSets_[i].writes.size();
+    s.rw.clear();
+    s.rw.reserve(rwLive_);
+    s.rwLines.clear();
+    s.rwLines.reserve(lines);
+    for (std::size_t i = 0; i < rwLive_; ++i) {
+        const RwSets& r = rwSets_[i];
+        s.rw.push_back({r.vid, static_cast<std::uint32_t>(r.reads.size()),
+                        static_cast<std::uint32_t>(r.writes.size())});
+        r.reads.forEach([&](Addr la) { s.rwLines.push_back(la); });
+        r.writes.forEach([&](Addr la) { s.rwLines.push_back(la); });
+    }
+    s.rwCachedVid = rwCachedVid_;
+    s.rwCachedSlot = rwCachedSlot_;
+    s.rwGen = rwGen_;
+
+    s.shadow.assign(shadow_.begin(), shadow_.end());
+    s.mem.clear();
+    s.mem.reserve(mem_.touchedLines());
+    mem_.forEachLine(
+        [&](Addr a, const LineData& d) { s.mem.emplace_back(a, d); });
+    // The overflow table is usually unused; skip copying one unused
+    // table over another.
+    if (!(overflow_.pristine() && s.overflow.pristine()))
+        s.overflow = overflow_;
+
+    s.stats = stats_;
+    s.idxStats = idxStats_;
+    s.useClock = useClock_;
+    s.lcVid = lcVid_;
+    s.abortGen = abortGen_;
+    s.cmp = cmp_;
+    s.policy = policy_;
+    net_->saveOccupancy(s.nextFree);
+    s.chooser = net_->deliveryChooser();
+    s.tick = eq_.curTick();
+}
+
+void
+CacheSystem::restore(const Snapshot& s)
+{
+    CacheImage::Cursor cur;
+    for (Cache& c : caches_)
+        c.restore(s.caches, cur);
+
+    // Rebuild each live VID's sets in its old slot. The hash tables
+    // may lay their keys out differently than before, but every use
+    // of them is order-free (membership, sizes, sorted listings).
+    const std::size_t live = s.rw.size();
+    if (rwSets_.size() < live)
+        rwSets_.resize(live);
+    for (std::size_t i = live; i < rwLive_; ++i)
+        rwSets_[i].clear();
+    rwSlot_.clear();
+    std::size_t at = 0;
+    for (std::size_t i = 0; i < live; ++i) {
+        const Snapshot::RwImage& ri = s.rw[i];
+        RwSets& r = rwSets_[i];
+        r.clear();
+        r.vid = ri.vid;
+        for (std::uint32_t k = 0; k < ri.reads; ++k)
+            r.addRead(s.rwLines[at++]);
+        for (std::uint32_t k = 0; k < ri.writes; ++k)
+            r.addWrite(s.rwLines[at++]);
+        rwSlot_[ri.vid] = static_cast<std::uint32_t>(i);
+    }
+    rwLive_ = live;
+    rwCachedVid_ = s.rwCachedVid;
+    rwCachedSlot_ = s.rwCachedSlot;
+    rwGen_ = s.rwGen;
+
+    assignEntries(shadow_, s.shadow);
+    mem_.assign(s.mem);
+    if (!(overflow_.pristine() && s.overflow.pristine()))
+        overflow_ = s.overflow;
+
+    stats_ = s.stats;
+    idxStats_ = s.idxStats;
+    useClock_ = s.useClock;
+    lcVid_ = s.lcVid;
+    abortGen_ = s.abortGen;
+    cmp_ = s.cmp;
+    policy_ = s.policy;
+    net_->restoreOccupancy(s.nextFree);
+    net_->setDeliveryChooser(s.chooser);
+    eq_.rewind(s.tick);
 }
 
 void
 CacheSystem::reset()
 {
-    useClock_ = 0;
-    mem_.clear();
-    for (Cache& c : caches_)
-        c.reset();
-    lcVid_ = 0;
-    abortGen_ = 0;
-    cmp_.clear();
-    stats_ = {};
-    policy_.reset();
-    net_->reset();
+    restore(initial_);
     trace_.reset(cfg_.traceFlags);
-    overflow_.reset();
-    idxStats_ = {};
-    shadow_.clear();
-    rwReleaseAll();
-    rwCachedVid_ = 0;
-    rwGen_ = 1;
 }
 
 // --- index maintenance --------------------------------------------------
@@ -80,13 +177,6 @@ CacheSystem::syncLine(Line& l)
     }
     if (valid && (isSpec(l.state) || l.dirty))
         caches_[ci].noteInteresting(l);
-}
-
-void
-CacheSystem::maybeCrossCheck()
-{
-    if (cfg_.indexCrossCheck)
-        verifyIndexes();
 }
 
 // --- validation-set accessors -------------------------------------------
@@ -121,13 +211,14 @@ CacheSystem::checkInvariants()
     // registries against a full scan, for free.
     verifyIndexes();
 
-    // Collect every cached address.
+    // Collect every cached address (a handful: sort, then drop the
+    // duplicates).
     auto& addrs = checkAddrs_;
     addrs.clear();
     for (auto& c : caches_) {
         c.forEachLine([&](Line& l) {
             if (l.state != State::Invalid)
-                addrs.insert(l.base);
+                addrs.push_back(l.base);
         });
     }
     // Spilled versions are live protocol state too: a responder in the
@@ -137,10 +228,12 @@ CacheSystem::checkInvariants()
     // observation-only).
     overflow_.forEachConst([&](const Line& l, const LineData&) {
         if (l.state != State::Invalid)
-            addrs.insert(l.base);
+            addrs.push_back(l.base);
     });
+    std::sort(addrs.begin(), addrs.end());
+    addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
     const Vid maxV = cfg_.maxVid();
-    addrs.forEach([&](Addr la) {
+    for (const Addr la : addrs) {
         // The check judges lines as of the current LC VID, so fold the
         // lazy-commit transitions into *snapshots* — the cached state
         // itself stays untouched (this check is read-only).
@@ -184,7 +277,7 @@ CacheSystem::checkInvariants()
                 "protocol invariant violated: multiple distinct "
                 "responder versions hit one VID");
         }
-    });
+    }
 }
 
 void
@@ -252,40 +345,54 @@ CacheSystem::verifyIndexes()
         }
     }
     // Registries may hold stale (no longer in-class) entries, but
-    // every entry must be flagged and unique within its class so lazy
-    // purging stays linear.
-    auto& seenSpec = checkSeenSpec_;
-    auto& seenDirty = checkSeenDirty_;
-    auto key = [](const Line* l) {
-        return static_cast<Addr>(reinterpret_cast<std::uintptr_t>(l));
+    // every entry must be one of the cache's live slots (a restore
+    // refills set buffers in place, so their pointers stay valid), and
+    // flagged and unique within its class so lazy purging stays
+    // linear. Registries are short: sort a copy to find duplicates.
+    auto& seen = checkRegs_;
+    auto unique = [&seen] {
+        std::sort(seen.begin(), seen.end(), std::less<>());
+        return std::adjacent_find(seen.begin(), seen.end()) == seen.end();
     };
     for (auto& c : caches_) {
-        seenSpec.clear();
-        seenDirty.clear();
+        seen.clear();
         c.forEachSpecRegistryEntry([&](const Line* l) {
+            if (!c.ownsSlot(l)) {
+                throw std::logic_error(
+                    "index check: spec-registry entry outside the "
+                    "slots of " + c.name());
+            }
             if (!l->bk.onSpecReg) {
                 throw std::logic_error(
                     "index check: unflagged spec-registry entry in " +
                     c.name());
             }
-            if (!seenSpec.insert(key(l))) {
-                throw std::logic_error(
-                    "index check: duplicate spec-registry entry in " +
-                    c.name());
-            }
+            seen.push_back(l);
         });
+        if (!unique()) {
+            throw std::logic_error(
+                "index check: duplicate spec-registry entry in " +
+                c.name());
+        }
+        seen.clear();
         c.forEachDirtyRegistryEntry([&](const Line* l) {
+            if (!c.ownsSlot(l)) {
+                throw std::logic_error(
+                    "index check: dirty-registry entry outside the "
+                    "slots of " + c.name());
+            }
             if (!l->bk.onDirtyReg) {
                 throw std::logic_error(
                     "index check: unflagged dirty-registry entry "
                     "in " + c.name());
             }
-            if (!seenDirty.insert(key(l))) {
-                throw std::logic_error(
-                    "index check: duplicate dirty-registry entry "
-                    "in " + c.name());
-            }
+            seen.push_back(l);
         });
+        if (!unique()) {
+            throw std::logic_error(
+                "index check: duplicate dirty-registry entry in " +
+                c.name());
+        }
     }
 }
 

@@ -24,7 +24,9 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <memory_resource>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/comparator.hh"
@@ -63,6 +65,44 @@ struct AccessResult
     bool l1Hit = false;
 };
 
+/** One live VID's read/write line sets (Figure 9 accounting), as
+ *  CacheSystem keeps them. */
+struct RwSets
+{
+    Vid vid = kNonSpecVid;
+    FlatAddrSet reads;
+    FlatAddrSet writes;
+    /** |reads ∪ writes|, kept by addRead()/addWrite()/clear() and
+     *  recounted by CacheSystem::verifyIndexes(). */
+    std::size_t combined = 0;
+
+    void
+    addRead(Addr la)
+    {
+        if (reads.insert(la) && !writes.contains(la))
+            ++combined;
+    }
+
+    void
+    addWrite(Addr la)
+    {
+        if (writes.insert(la) && !reads.contains(la))
+            ++combined;
+    }
+
+    void
+    clear()
+    {
+        reads.clear();
+        writes.clear();
+        combined = 0;
+    }
+
+    /** Lines in reads ∪ writes (the limited-set K bound and the
+     *  combined-set statistics count these); O(1). */
+    std::size_t combinedLines() const { return combined; }
+};
+
 /**
  * Functional-with-latency model of the whole coherent memory system.
  *
@@ -89,22 +129,87 @@ class CacheSystem
     CacheSystem& operator=(const CacheSystem&) = delete;
 
     /**
-     * Returns the system to exactly its just-constructed state under
-     * the same MachineConfig, so a run on a reset system is
-     * indistinguishable from a run on a freshly built one: same
-     * AccessResults (latencies included), same SysStats, IndexStats
-     * and TxModeStats, same lcVid/abortGen, same memory
-     * image. Covers the caches (lines, payloads, LRU, registries,
-     * per-set tag summaries), the read/write sets, the wrong-path shadow
-     * marks, the overflow table, every counter and generation, the
-     * TxPolicy state, the fabric's occupancy and its DeliveryChooser
-     * (uninstalled), main memory and the trace.
+     * A checkpoint of everything a run changes in a CacheSystem: the
+     * caches (each in-use set's slots, payloads and tag summary, and
+     * both registries), the read/write sets and their slot index, the
+     * wrong-path shadow marks, the overflow table, main memory, every
+     * counter and generation (SysStats, IndexStats, lcVid, abortGen,
+     * the LRU clock, the rw-mark generation, the comparator's), the
+     * TxPolicy state, the fabric's occupancy and DeliveryChooser, and
+     * the EventQueue's clock. The trace is a log, not state: it is not
+     * recorded.
      *
-     * Every container keeps its capacity (the node-based main memory
-     * and shadow map keep their bucket arrays), so re-running a
-     * workload of the same footprint allocates little. The EventQueue is
-     * not owned by the system: its owner resets it separately. Must
-     * not be called while an access or bulk operation is in flight.
+     * A reusable value: snapshot() refills it in place, keeping its
+     * containers' capacity, so checkpointing repeatedly at a similar
+     * footprint allocates little. Only the cache sets in use are
+     * stored. A snapshot restores only into the system that took it.
+     */
+    class Snapshot
+    {
+      public:
+        /** Allocates from @p mr: a checkpoint can give all its
+         *  snapshots one arena. */
+        explicit Snapshot(std::pmr::memory_resource* mr =
+                              std::pmr::get_default_resource())
+            : caches(mr), rw(mr), rwLines(mr), shadow(mr), mem(mr),
+              nextFree(mr)
+        {}
+
+      private:
+        friend class CacheSystem;
+        /** One live VID's rw sets: its lines are the next reads +
+         *  writes entries of rwLines, reads first. */
+        struct RwImage
+        {
+            Vid vid;
+            std::uint32_t reads;
+            std::uint32_t writes;
+        };
+
+        CacheImage caches;
+        /** The live VIDs' sets, in rwSets_ slot order. */
+        std::pmr::vector<RwImage> rw;
+        std::pmr::vector<Addr> rwLines;
+        Vid rwCachedVid = 0;
+        std::size_t rwCachedSlot = 0;
+        std::uint32_t rwGen = 1;
+        std::pmr::vector<std::pair<Addr, Vid>> shadow;
+        std::pmr::vector<std::pair<Addr, LineData>> mem;
+        /** Copied only once the table has been used (pristine()). */
+        OverflowTable overflow;
+        SysStats stats;
+        IndexStats idxStats;
+        Tick useClock = 0;
+        Vid lcVid = 0;
+        std::uint64_t abortGen = 0;
+        VidComparator cmp;
+        TxPolicy policy;
+        std::pmr::vector<Tick> nextFree;
+        DeliveryChooser* chooser = nullptr;
+        Tick tick = 0;
+    };
+
+    /** Records the system's whole state into @p s. */
+    void snapshot(Snapshot& s) const;
+
+    /**
+     * Returns the system to the state @p s recorded: every later
+     * access, bulk operation, statistic and memory read is then
+     * exactly what it was after snapshot(). The cache set buffers are
+     * refilled in place (they never move once in use), so the
+     * registries' slot pointers stay valid. The EventQueue must be
+     * idle (EventQueue::rewind()). Must not be called while an access
+     * or bulk operation is in flight.
+     */
+    void restore(const Snapshot& s);
+
+    /**
+     * Returns the system to exactly its just-constructed state under
+     * the same MachineConfig: restore() of the snapshot taken at
+     * construction, so a run on a reset system is indistinguishable
+     * from a run on a freshly built one (the DeliveryChooser is
+     * uninstalled, the queue's clock back at its construction tick).
+     * Also clears the trace. Containers keep their capacity.
      */
     void reset();
 
@@ -481,7 +586,12 @@ class CacheSystem
         }
     }
     /** Runs verifyIndexes() when MachineConfig::indexCrossCheck. */
-    void maybeCrossCheck();
+    void
+    maybeCrossCheck()
+    {
+        if (cfg_.indexCrossCheck)
+            verifyIndexes();
+    }
 
     // --- bookkeeping ----------------------------------------------------
     /**
@@ -551,42 +661,6 @@ class CacheSystem
      *  "aborts avoided via SLA" accounting). */
     std::unordered_map<Addr, Vid> shadow_;
 
-    /** One live VID's read/write line sets (Figure 9 accounting). */
-    struct RwSets
-    {
-        Vid vid = kNonSpecVid;
-        FlatAddrSet reads;
-        FlatAddrSet writes;
-        /** |reads ∪ writes|, kept by addRead()/addWrite()/clear() and
-         *  recounted by verifyIndexes(). */
-        std::size_t combined = 0;
-
-        void
-        addRead(Addr la)
-        {
-            if (reads.insert(la) && !writes.contains(la))
-                ++combined;
-        }
-
-        void
-        addWrite(Addr la)
-        {
-            if (writes.insert(la) && !reads.contains(la))
-                ++combined;
-        }
-
-        void
-        clear()
-        {
-            reads.clear();
-            writes.clear();
-            combined = 0;
-        }
-
-        /** Lines in reads ∪ writes (the limited-set K bound and the
-         *  combined-set statistics count these); O(1). */
-        std::size_t combinedLines() const { return combined; }
-    };
     /**
      * rwSets_[0, rwLive_) are the live VIDs' sets, in no particular
      * order; the slots beyond are cleared spares. Commit and abort
@@ -618,14 +692,16 @@ class CacheSystem
      */
     std::uint32_t rwGen_ = 1;
 
+    /** The just-constructed state reset() restores. */
+    Snapshot initial_;
+
     // Scratch of checkInvariants()/verifyIndexes(): cleared on each
     // call, kept so the self-checks the differ runs every 32 ops do
     // not reallocate.
-    FlatAddrSet checkAddrs_;
+    std::vector<Addr> checkAddrs_;
     std::vector<LineVersion> checkLive_;
-    /** Registry entries already seen, keyed by slot address. */
-    FlatAddrSet checkSeenSpec_;
-    FlatAddrSet checkSeenDirty_;
+    /** One registry's entries, sorted to find duplicates. */
+    std::vector<const Line*> checkRegs_;
 };
 
 } // namespace hmtx::sim

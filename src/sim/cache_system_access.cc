@@ -185,14 +185,14 @@ CacheSystem::triggerAbort(const Line* offender)
 
 // --- bookkeeping ----------------------------------------------------------
 
-const CacheSystem::RwSets*
+const RwSets*
 CacheSystem::rwFind(Vid vid) const
 {
     const std::uint32_t* slot = rwSlot_.find(vid);
     return slot ? &rwSets_[*slot] : nullptr;
 }
 
-CacheSystem::RwSets&
+RwSets&
 CacheSystem::rwFor(Vid vid)
 {
     // Accesses cluster heavily by VID (each core works through one

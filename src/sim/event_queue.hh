@@ -14,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -120,14 +121,7 @@ class EventQueue
     {
         if (wake < now_ || dueBy(wake))
             return false;
-        // Retire the current tick's bucket exactly as advance() does
-        // (drainIdx_ != 0 implies the wheel is allocated).
-        if (drainIdx_ != 0) {
-            wheel_[bucketOf(now_)].clear();
-            drainIdx_ = 0;
-            const std::size_t bi = bucketOf(now_);
-            occ_[bi >> 6] &= ~(std::uint64_t{1} << (bi & 63));
-        }
+        retireDrained();
         now_ = wake;
         return true;
     }
@@ -192,6 +186,22 @@ class EventQueue
         now_ = 0;
         seq_ = 0;
         executed_ = 0;
+    }
+
+    /**
+     * Sets the clock of an idle queue to @p t, earlier or later:
+     * CacheSystem::restore() moves a checkpointed system's queue back
+     * to the tick it was saved at. Throws std::logic_error while
+     * events are pending (they would fire out of order).
+     */
+    void
+    rewind(Tick t)
+    {
+        if (!empty())
+            throw std::logic_error(
+                "EventQueue::rewind: events are pending");
+        retireDrained();
+        now_ = t;
     }
 
     /** Runs until no events remain. */
@@ -350,6 +360,22 @@ class EventQueue
     }
 
     /**
+     * Retires the current tick's bucket once step() has drained
+     * events from it, so the clock may move (drainIdx_ != 0 implies
+     * the wheel is allocated).
+     */
+    void
+    retireDrained()
+    {
+        if (drainIdx_ == 0)
+            return;
+        wheel_[bucketOf(now_)].clear();
+        drainIdx_ = 0;
+        const std::size_t bi = bucketOf(now_);
+        occ_[bi >> 6] &= ~(std::uint64_t{1} << (bi & 63));
+    }
+
+    /**
      * Positions now_/drainIdx_ on the next due event: finishes the
      * current tick's bucket, otherwise retires it, advances to the
      * earliest pending tick, and folds due overflow events into that
@@ -364,12 +390,7 @@ class EventQueue
         auto* b = &wheel_[bucketOf(now_)];
         if (drainIdx_ < b->size())
             return true;
-        if (drainIdx_ != 0) {
-            b->clear();
-            drainIdx_ = 0;
-            const std::size_t bi = bucketOf(now_);
-            occ_[bi >> 6] &= ~(std::uint64_t{1} << (bi & 63));
-        }
+        retireDrained();
         const Tick wn = nextWheelTick();
         const Tick fn = far_.empty() ? ~Tick{0} : far_.top().when;
         const Tick t = std::min(wn, fn);

@@ -66,7 +66,17 @@ class SnoopBus final : public Interconnect
     }
 
   private:
-    void resetOccupancy() override { free_ = 0; }
+    void
+    saveOccupancy(std::pmr::vector<Tick>& out) const override
+    {
+        out.assign(1, free_);
+    }
+
+    void
+    restoreOccupancy(const std::pmr::vector<Tick>& in) override
+    {
+        free_ = in.front();
+    }
 
     /** Bus occupancy per snoop transaction (grows with core count). */
     Cycles
@@ -150,9 +160,15 @@ class DirectoryFabric final : public Interconnect
 
   private:
     void
-    resetOccupancy() override
+    saveOccupancy(std::pmr::vector<Tick>& out) const override
     {
-        std::fill(bankFree_.begin(), bankFree_.end(), 0);
+        out.assign(bankFree_.begin(), bankFree_.end());
+    }
+
+    void
+    restoreOccupancy(const std::pmr::vector<Tick>& in) override
+    {
+        bankFree_.assign(in.begin(), in.end());
     }
 
     Tick&

@@ -14,6 +14,8 @@
 #define HMTX_SIM_INTERCONNECT_HH
 
 #include <memory>
+#include <memory_resource>
+#include <vector>
 
 #include "core/types.hh"
 #include "sim/config.hh"
@@ -134,21 +136,18 @@ class Interconnect
      */
     void setDeliveryChooser(DeliveryChooser* c) { chooser_ = c; }
 
-    /**
-     * Returns the fabric to its just-built state: every ordering
-     * point idle at tick 0 and no DeliveryChooser installed.
-     */
-    void
-    reset()
-    {
-        chooser_ = nullptr;
-        resetOccupancy();
-    }
+    /** The installed DeliveryChooser (nullptr when none). */
+    DeliveryChooser* deliveryChooser() const { return chooser_; }
+
+    /** Copies every ordering point's next-free tick into @p out (a
+     *  checkpoint, CacheSystem::snapshot()). */
+    virtual void saveOccupancy(std::pmr::vector<Tick>& out) const = 0;
+
+    /** Sets the next-free ticks from what saveOccupancy() recorded
+     *  on this fabric. */
+    virtual void restoreOccupancy(const std::pmr::vector<Tick>& in) = 0;
 
   protected:
-    /** Frees every ordering point (next-free tick 0). */
-    virtual void resetOccupancy() = 0;
-
     /** Resolves one delivery decision: FIFO without a chooser. */
     unsigned
     chooseDelivery(Addr la, unsigned n)

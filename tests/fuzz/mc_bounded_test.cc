@@ -11,6 +11,10 @@
  * counts are printed so CI logs show how much of the space the sleep
  * sets cut.
  *
+ * IncrementalReplay pins the incremental runner the explorer uses:
+ * every leaf of a checkpointed DFS must report exactly what a full
+ * replay of that interleaving does.
+ *
  * StateSpaceCount pins the enumerator itself against closed forms:
  * the merges of two 3-op sequences number C(6,3) = 20, and sleep-set
  * pruning over a fully independent program must visit exactly one of
@@ -21,6 +25,7 @@
 
 #include <iostream>
 #include <stdexcept>
+#include <vector>
 
 #include "check/differ.hh"
 #include "check/explorer.hh"
@@ -135,6 +140,97 @@ TEST(McBounded, DeliveryOrderExploration)
     EXPECT_EQ(total.deliveryPointsSeen, 56u);
 }
 
+/**
+ * Walks every interleaving of @p prog's per-core sequences on one
+ * CellMatrix the way the explorer does — checkpointing where two or
+ * more cores can go next, restoring before each later branch — and
+ * checks each leaf's finish() against a full runSchedule() replay of
+ * the same interleaving. Returns the leaves checked.
+ */
+class IncrementalChecker
+{
+  public:
+    explicit IncrementalChecker(const Schedule& prog)
+        : prog_(prog), matrix_(prog.cfg), threads_(prog.cfg.numCores),
+          pos_(prog.cfg.numCores, 0)
+    {
+        for (const Op& op : prog.ops)
+            threads_[op.core].push_back(op);
+        leaf_.cfg = prog.cfg;
+    }
+
+    std::size_t
+    run()
+    {
+        matrix_.begin(prog_);
+        dfs(0);
+        return leaves_;
+    }
+
+  private:
+    void
+    dfs(std::size_t depth)
+    {
+        std::vector<unsigned> next;
+        for (unsigned c = 0; c < threads_.size(); ++c)
+            if (pos_[c] < threads_[c].size())
+                next.push_back(c);
+        if (next.empty()) {
+            checkLeaf();
+            return;
+        }
+        if (next.size() >= 2)
+            matrix_.save(depth);
+        for (std::size_t i = 0; i < next.size(); ++i) {
+            if (i > 0)
+                matrix_.restore(depth);
+            const unsigned c = next[i];
+            const Op& op = threads_[c][pos_[c]];
+            leaf_.ops.push_back(op);
+            matrix_.step(op);
+            ++pos_[c];
+            dfs(depth + 1);
+            --pos_[c];
+            leaf_.ops.pop_back();
+        }
+    }
+
+    void
+    checkLeaf()
+    {
+        ++leaves_;
+        Coverage inc, full;
+        const Divergence di = matrix_.finish(&inc);
+        const Divergence df = runSchedule(leaf_, &full);
+        EXPECT_EQ(di.found, df.found) << serialize(leaf_);
+        EXPECT_EQ(di.opIndex, df.opIndex) << serialize(leaf_);
+        EXPECT_EQ(di.what, df.what) << serialize(leaf_);
+        EXPECT_TRUE(inc == full) << "coverage differs\n" << serialize(leaf_);
+    }
+
+    const Schedule& prog_;
+    CellMatrix matrix_;
+    std::vector<std::vector<Op>> threads_;
+    std::vector<unsigned> pos_;
+    Schedule leaf_;
+    std::size_t leaves_ = 0;
+};
+
+TEST(IncrementalReplay, EveryLeafMatchesAFullReplay)
+{
+    for (std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{7919}}) {
+        std::size_t leaves = 0;
+        for (std::uint64_t i = 0; i < 40; ++i) {
+            SCOPED_TRACE("program seed " + std::to_string(seed + i));
+            const Schedule prog = generateProgram(seed + i, 2, 6);
+            leaves += IncrementalChecker(prog).run();
+        }
+        EXPECT_GT(leaves, 40u);
+        std::cout << "[mc] incremental vs full, seeds " << seed << "+40: "
+                  << leaves << " leaves\n";
+    }
+}
+
 Op
 makeOp(OpKind kind, unsigned core, Addr addr)
 {
@@ -244,6 +340,16 @@ TEST(StateSpaceCount, BadCoreThrows)
 {
     Schedule s = tinyProgram();
     s.ops.push_back(makeOp(OpKind::Load, 5, 0x40000));
+    EXPECT_THROW(explore(s), std::invalid_argument);
+}
+
+/** Sleep sets are 64-bit masks; the check comes before any cell is
+ *  built. */
+TEST(StateSpaceCount, MoreThan64CoresThrows)
+{
+    Schedule s = tinyProgram();
+    s.cfg.numCores = 65;
+    s.ops.push_back(makeOp(OpKind::Load, 0, 0x40000));
     EXPECT_THROW(explore(s), std::invalid_argument);
 }
 
