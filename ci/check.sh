@@ -202,8 +202,7 @@ fi
 # sanitizers a registry pointer left dangling by a restore is a
 # use-after-free. One small batch on the asan-ubsan build, its counts
 # reported, not pinned.
-if printf '%s
-' "${PRESETS[@]}" | grep -qx asan-ubsan \
+if printf '%s\n' "${PRESETS[@]}" | grep -qx asan-ubsan \
     && [ "$MC_BUDGET" -gt 0 ]; then
     MC_ASAN_BIN="$ROOT/build-asan/tests/fuzz/hmtx_mc"
     if [ ! -x "$MC_ASAN_BIN" ]; then

@@ -236,7 +236,6 @@ class CellMatrix::Group
         gold_.emplace(cfg_.slaEnabled, groupPolicy(cfg_, group_));
         pending_.clear();
         executed_ = 0;
-        stepped_ = 0;
         div_ = {};
         for (auto& c : cells_)
             c->reset();
@@ -246,16 +245,17 @@ class CellMatrix::Group
         seedMemory(program);
     }
 
-    /** Runs the path's ops this group has not run yet, each followed
-     *  by the periodic self-check, until the group diverges. */
+    /** Runs the path's last op, then the periodic self-check, unless
+     *  the group has diverged. */
     void
-    catchUp()
+    step()
     {
-        for (; stepped_ < path_.size() && !div_.found; ++stepped_) {
-            stepOp(stepped_);
-            if (!div_.found && (stepped_ + 1) % 32 == 0)
-                checkInvariants(stepped_);
-        }
+        if (div_.found)
+            return;
+        const std::size_t idx = path_.size() - 1;
+        stepOp(idx);
+        if (!div_.found && (idx + 1) % 32 == 0)
+            checkInvariants(idx);
     }
 
     /** Records the cells and the per-run state into checkpoint
@@ -284,7 +284,6 @@ class CellMatrix::Group
         gold_ = cp.gold;
         pending_ = cp.pending;
         executed_ = cp.executed;
-        stepped_ = depth;
         div_ = cp.div;
     }
 
@@ -308,6 +307,8 @@ class CellMatrix::Group
     }
 
     std::size_t cells() const { return cells_.size(); }
+
+    bool diverged() const { return div_.found; }
 
   private:
     // --- divergence reporting ----------------------------------------
@@ -902,8 +903,6 @@ class CellMatrix::Group
     /** Outstanding SLAs, oldest first (a handful at most). */
     std::vector<PendingSla> pending_;
     std::uint64_t executed_ = 0;
-    /** path_[0, stepped_) have run on this group's cells. */
-    std::size_t stepped_ = 0;
     Divergence div_;
     /** Checkpoint slots, indexed by depth. */
     std::vector<std::unique_ptr<Checkpoint>> saves_;
@@ -939,6 +938,13 @@ void
 CellMatrix::step(const Op& op)
 {
     path_.push_back(op);
+    // finish() reports no group after a diverged one, so those stop
+    // stepping too.
+    for (auto& g : groups_) {
+        g->step();
+        if (g->diverged())
+            break;
+    }
 }
 
 void
@@ -949,19 +955,19 @@ CellMatrix::save(std::size_t depth)
                                std::to_string(depth) + " but " +
                                std::to_string(path_.size()) +
                                " ops stepped");
-    if (savedPaths_.size() <= depth)
-        savedPaths_.resize(depth + 1);
-    savedPaths_[depth] = path_;
-    for (auto& g : groups_) {
-        g->catchUp();
+    for (auto& g : groups_)
         g->save(depth);
-    }
 }
 
 void
 CellMatrix::restore(std::size_t depth)
 {
-    path_ = savedPaths_.at(depth);
+    if (depth > path_.size())
+        throw std::logic_error("CellMatrix::restore: depth " +
+                               std::to_string(depth) + " but " +
+                               std::to_string(path_.size()) +
+                               " ops stepped");
+    path_.resize(depth);
     for (auto& g : groups_)
         g->restore(depth);
 }
@@ -972,9 +978,9 @@ CellMatrix::finish(Coverage* cov)
     bool primary = true;
     cellsReported_ = 0;
     for (auto& g : groups_) {
-        // Group-major, and a group after a diverging one never runs,
-        // exactly as when the groups replayed one after another.
-        g->catchUp();
+        // The groups share no state: the run's divergence is the
+        // first in group order, and no later group is checked (its
+        // cells stopped stepping there).
         Divergence d = g->finish(cov, primary);
         primary = false;
         cellsReported_ += g->cells();

@@ -167,9 +167,9 @@ class CellMatrix
      */
     void begin(const Schedule& program, const RunHooks* hooks = nullptr);
 
-    /** Appends the next op: every group that has not diverged runs
-     *  it (with the self-check every 32 ops) by the next save() or
-     *  finish(). */
+    /** Runs the next op, with the self-check every 32 ops, on each
+     *  group in hmtx, btx, ltd order until one has diverged (later
+     *  groups stop: finish() never reports them). */
     void step(const Op& op);
 
     /**
@@ -179,8 +179,14 @@ class CellMatrix
      */
     void save(std::size_t depth);
 
-    /** Returns the run to what save(@p depth) recorded, whatever ran
-     *  since (another run() included). */
+    /**
+     * Returns the run to what save(@p depth) recorded, whatever ran
+     * since (another run() included). The checkpoint keeps no copy of
+     * the ops: the first @p depth ops of the latest run must be the
+     * ones it saw, as they are when a depth-first search restores an
+     * ancestor of its current prefix (or reruns a leaf below it).
+     * Throws std::logic_error if fewer than @p depth ops ran.
+     */
     void restore(std::size_t depth);
 
     /**
@@ -202,12 +208,9 @@ class CellMatrix
   private:
     class Group;
     FuzzConfig cfg_;
-    /** The ops stepped since begin(). step() only queues an op; each
-     *  group runs the queue in save() and finish(), group by group,
-     *  which keeps one group's cells hot in the host caches. */
+    /** The ops stepped since begin() (the groups read them to name
+     *  a divergence). */
     std::vector<Op> path_;
-    /** path_ as each save() slot recorded it. */
-    std::vector<std::vector<Op>> savedPaths_;
     std::vector<std::unique_ptr<Group>> groups_;
     std::size_t cellsReported_ = 0;
 };

@@ -268,7 +268,7 @@ class Cache
           std::uint32_t id = kNoCacheId)
         : name_(std::move(name)), id_(id), setCount_(sets),
           pow2Sets_(std::has_single_bit(sets)), assoc_(assoc),
-          sets_(sets)
+          sets_(sets), reserved_((sets + 63) / 64)
     {}
 
     const std::string& name() const { return name_; }
@@ -444,25 +444,17 @@ class Cache
                 fn(l);
     }
 
-    /** Adds this cache's sets in use, slots and registry entries to
-     *  the counts (sizing an image before save()). */
-    void
-    countImage(std::size_t& sets, std::size_t& slots,
-               std::size_t& regs) const
-    {
-        sets += used_.size();
-        for (std::uint32_t i : used_)
-            slots += sets_[i].lines.size();
-        regs += specReg_.size() + dirtyReg_.size();
-    }
-
-    /** Records every set in use and both registries, appended to
-     *  @p img. */
+    /** Records every set in use (in index order) and both registries,
+     *  appended to @p img. */
     void
     save(CacheImage& img) const
     {
-        for (std::uint32_t i : used_) {
+        std::uint32_t used = 0;
+        forEachReservedSet([&](std::uint32_t i) {
             const LineSet& s = sets_[i];
+            if (s.lines.empty())
+                return;
+            ++used;
             img.sets.push_back(
                 {i, static_cast<std::uint32_t>(s.lines.size()), s.tags});
             img.lines.insert(img.lines.end(), s.lines.begin(),
@@ -470,10 +462,10 @@ class Cache
             for (const Line& l : s.lines)
                 img.bk.push_back(l.bk);
             img.data.insert(img.data.end(), s.data.begin(), s.data.end());
-        }
+        });
         img.regs.insert(img.regs.end(), specReg_.begin(), specReg_.end());
         img.regs.insert(img.regs.end(), dirtyReg_.begin(), dirtyReg_.end());
-        img.caches.push_back({static_cast<std::uint32_t>(used_.size()),
+        img.caches.push_back({used,
                               static_cast<std::uint32_t>(specReg_.size()),
                               static_cast<std::uint32_t>(dirtyReg_.size())});
     }
@@ -493,23 +485,18 @@ class Cache
     restore(const CacheImage& img, CacheImage::Cursor& c)
     {
         const CacheImage::Extent& e = img.caches[c.cache++];
-        // Sets only come into use, so unless a reset intervened the
-        // image's sets are a prefix of used_: refill those in place
-        // and empty the rest.
-        std::size_t keep = e.sets <= used_.size() ? e.sets : 0;
-        for (std::size_t n = 0; n < keep; ++n)
-            if (used_[n] != img.sets[c.set + n].index)
-                keep = 0;
-        for (std::size_t n = keep; n < used_.size(); ++n) {
-            LineSet& s = sets_[used_[n]];
-            s.lines.clear();
-            s.data.clear();
-            s.tags = 0;
-        }
-        used_.resize(keep);
-        for (std::uint32_t n = 0; n < e.sets; ++n) {
+        const std::size_t end = c.set + e.sets;
+        forEachReservedSet([&](std::uint32_t i) {
+            LineSet& s = sets_[i];
+            if (c.set == end || img.sets[c.set].index != i) {
+                if (!s.lines.empty()) {
+                    s.lines.clear();
+                    s.data.clear();
+                    s.tags = 0;
+                }
+                return;
+            }
             const CacheImage::Set& si = img.sets[c.set++];
-            LineSet& s = sets_[si.index];
             const auto first = static_cast<std::ptrdiff_t>(c.slot);
             const auto last = first + si.slots;
             s.lines.assign(img.lines.begin() + first,
@@ -519,10 +506,8 @@ class Cache
             for (std::uint32_t k = 0; k < si.slots; ++k)
                 s.lines[k].bk = img.bk[c.slot + k];
             s.tags = si.tags;
-            if (n >= keep)
-                used_.push_back(si.index);
             c.slot += si.slots;
-        }
+        });
         const auto reg = img.regs.begin() + static_cast<std::ptrdiff_t>(c.reg);
         specReg_.assign(reg, reg + e.specReg);
         dirtyReg_.assign(reg + e.specReg, reg + e.specReg + e.dirtyReg);
@@ -571,13 +556,13 @@ class Cache
         if (s.lines.capacity() < assoc_) {
             s.lines.reserve(assoc_);
             s.data.reserve(assoc_);
+            const std::size_t i = setIndex(a);
+            reserved_[i / 64] |= std::uint64_t{1} << (i % 64);
         }
         for (auto& l : s.lines)
             if (l.state == State::Invalid)
                 return &l;
         if (s.lines.size() < assoc_) {
-            if (s.lines.empty())
-                used_.push_back(static_cast<std::uint32_t>(setIndex(a)));
             s.lines.emplace_back();
             s.data.emplace_back();
             s.lines.back().bk.cacheId = id_;
@@ -587,6 +572,18 @@ class Cache
     }
 
   private:
+    /** Calls @p fn(index) for each set whose buffers were reserved,
+     *  in index order: every set that ever held a slot. */
+    template <typename Fn>
+    void
+    forEachReservedSet(Fn&& fn) const
+    {
+        for (std::size_t w = 0; w < reserved_.size(); ++w)
+            for (std::uint64_t m = reserved_[w]; m != 0; m &= m - 1)
+                fn(static_cast<std::uint32_t>(
+                    w * 64 + static_cast<unsigned>(std::countr_zero(m))));
+    }
+
     /**
      * Shared walk-and-purge body of the class registries: visits
      * every entry of @p reg still satisfying @p pred, dropping (and
@@ -625,9 +622,10 @@ class Cache
     bool pow2Sets_;
     unsigned assoc_;
     std::vector<LineSet> sets_;
-    /** Indices of the non-empty sets, in the order they came into
-     *  use (what save() records and restore() empties). */
-    std::vector<std::uint32_t> used_;
+    /** Bit i: set i's buffers are reserved (it has held a slot). Set
+     *  once per set, on its first allocation, never cleared: the sets
+     *  snapshot and restore visit. */
+    std::vector<std::uint64_t> reserved_;
     /** Class registries of slots that were spec (resp. dirty) when
      *  last touched (lazily purged). */
     std::vector<Line*> specReg_;

@@ -35,30 +35,19 @@ CacheSystem::CacheSystem(EventQueue& eq, const MachineConfig& cfg)
 void
 CacheSystem::snapshot(Snapshot& s) const
 {
-    // Size every vector once, so a first snapshot allocates each
-    // exactly one time.
-    std::size_t sets = 0, slots = 0, regs = 0;
-    for (const Cache& c : caches_)
-        c.countImage(sets, slots, regs);
+    // Every vector keeps its capacity and grows geometrically (never
+    // by an exact reserve): a Snapshot's memory resource may be a
+    // monotonic arena, which keeps every block it handed out, so
+    // re-snapshotting a slowly growing footprint must not take a new
+    // block each time.
     CacheImage& img = s.caches;
     img.clear();
-    img.caches.reserve(caches_.size());
-    img.sets.reserve(sets);
-    img.lines.reserve(slots);
-    img.bk.reserve(slots);
-    img.data.reserve(slots);
-    img.regs.reserve(regs);
     for (const Cache& c : caches_)
         c.save(img);
 
     // Only the live rw sets: the spares beyond rwLive_ are cleared.
-    std::size_t lines = 0;
-    for (std::size_t i = 0; i < rwLive_; ++i)
-        lines += rwSets_[i].reads.size() + rwSets_[i].writes.size();
     s.rw.clear();
-    s.rw.reserve(rwLive_);
     s.rwLines.clear();
-    s.rwLines.reserve(lines);
     for (std::size_t i = 0; i < rwLive_; ++i) {
         const RwSets& r = rwSets_[i];
         s.rw.push_back({r.vid, static_cast<std::uint32_t>(r.reads.size()),
@@ -70,9 +59,10 @@ CacheSystem::snapshot(Snapshot& s) const
     s.rwCachedSlot = rwCachedSlot_;
     s.rwGen = rwGen_;
 
-    s.shadow.assign(shadow_.begin(), shadow_.end());
+    s.shadow.clear();
+    for (const auto& e : shadow_)
+        s.shadow.push_back(e);
     s.mem.clear();
-    s.mem.reserve(mem_.touchedLines());
     mem_.forEachLine(
         [&](Addr a, const LineData& d) { s.mem.emplace_back(a, d); });
     // The overflow table is usually unused; skip copying one unused

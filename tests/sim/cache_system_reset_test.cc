@@ -14,12 +14,15 @@
  * that ran A, took a snapshot, ran B and restored it must run C
  * exactly as a fresh cell that ran only A and C does, from the same
  * states (the trace, a log rather than state, is not compared).
+ * Re-snapshotting a growing footprint into one Snapshot must keep
+ * the memory it ever took bounded, as a checkpoint's arena keeps it.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
+#include <memory_resource>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -44,6 +47,34 @@ class Overtake final : public DeliveryChooser
 {
   public:
     unsigned choose(Addr, unsigned n) override { return n - 1; }
+};
+
+/** Counts every byte allocated through it, freed or not: what a
+ *  monotonic arena in its place would keep. */
+class CountingResource final : public std::pmr::memory_resource
+{
+  public:
+    std::size_t allocated = 0;
+
+  private:
+    void*
+    do_allocate(std::size_t n, std::size_t align) override
+    {
+        allocated += n;
+        return std::pmr::new_delete_resource()->allocate(n, align);
+    }
+
+    void
+    do_deallocate(void* p, std::size_t n, std::size_t align) override
+    {
+        std::pmr::new_delete_resource()->deallocate(p, n, align);
+    }
+
+    bool
+    do_is_equal(const std::pmr::memory_resource& o) const noexcept override
+    {
+        return this == &o;
+    }
 };
 
 /** Everything a run can observe, for exact comparison. */
@@ -567,6 +598,33 @@ TEST_P(RestoreMatchesFresh, ResetIsTheConstructionSnapshot)
     drive(cell, c_, got);
     expectSame(observe(fresh, std::move(want)),
                observe(cell, std::move(got)), Compare::RestoredState);
+}
+
+TEST_P(RestoreMatchesFresh, ResnapshotsOfAGrowingFootprintStayBounded)
+{
+    // Non-speculative stores to 512 distinct lines, far more than the
+    // caches hold, so memory gains about a line per store. Snapshots
+    // after every store into one Snapshot take at most a few times
+    // what one snapshot of the final state takes, not a new block per
+    // re-save.
+    Cell cell(configOf(GetParam()));
+    CountingResource resaved;
+    CacheSystem::Snapshot snap(&resaved);
+    Schedule one;
+    one.cfg = cfg_;
+    one.ops.resize(1);
+    Outcome ignored;
+    for (Addr i = 0; i < 512; ++i) {
+        one.ops[0] =
+            makeOp(OpKind::NonSpecStore, 0x40000 + i * kLineBytes, 0);
+        drive(cell, one, ignored);
+        cell.sys.snapshot(snap);
+    }
+    CountingResource once;
+    CacheSystem::Snapshot last(&once);
+    cell.sys.snapshot(last);
+    ASSERT_GT(once.allocated, 256 * sizeof(LineData)) << "memory grew";
+    EXPECT_LE(resaved.allocated, 4 * once.allocated);
 }
 
 const CellParam kCells[] = {
