@@ -434,6 +434,19 @@ class Cache
             fn(s);
     }
 
+    /**
+     * Applies @p fn(const LineSet&) to every set that ever held a slot,
+     * in index order. The others hold no slot and a zero summary: only
+     * freeSlot() adds slots, after reserving the set, and syncLine()
+     * only sets bits in a slot's own set.
+     */
+    template <typename Fn>
+    void
+    forEachReservedSet(Fn&& fn) const
+    {
+        forEachReservedIndex([&](std::uint32_t i) { fn(sets_[i]); });
+    }
+
     /** Applies @p fn to every metadata slot in the cache. */
     template <typename Fn>
     void
@@ -450,7 +463,7 @@ class Cache
     save(CacheImage& img) const
     {
         std::uint32_t used = 0;
-        forEachReservedSet([&](std::uint32_t i) {
+        forEachReservedIndex([&](std::uint32_t i) {
             const LineSet& s = sets_[i];
             if (s.lines.empty())
                 return;
@@ -486,7 +499,7 @@ class Cache
     {
         const CacheImage::Extent& e = img.caches[c.cache++];
         const std::size_t end = c.set + e.sets;
-        forEachReservedSet([&](std::uint32_t i) {
+        forEachReservedIndex([&](std::uint32_t i) {
             LineSet& s = sets_[i];
             if (c.set == end || img.sets[c.set].index != i) {
                 if (!s.lines.empty()) {
@@ -576,7 +589,7 @@ class Cache
      *  in index order: every set that ever held a slot. */
     template <typename Fn>
     void
-    forEachReservedSet(Fn&& fn) const
+    forEachReservedIndex(Fn&& fn) const
     {
         for (std::size_t w = 0; w < reserved_.size(); ++w)
             for (std::uint64_t m = reserved_[w]; m != 0; m &= m - 1)
@@ -624,7 +637,7 @@ class Cache
     std::vector<LineSet> sets_;
     /** Bit i: set i's buffers are reserved (it has held a slot). Set
      *  once per set, on its first allocation, never cleared: the sets
-     *  snapshot and restore visit. */
+     *  snapshot, restore and the self-checks visit. */
     std::vector<std::uint64_t> reserved_;
     /** Class registries of slots that were spec (resp. dirty) when
      *  last touched (lazily purged). */

@@ -206,9 +206,10 @@ CacheSystem::checkInvariants()
     auto& addrs = checkAddrs_;
     addrs.clear();
     for (auto& c : caches_) {
-        c.forEachLine([&](Line& l) {
-            if (l.state != State::Invalid)
-                addrs.push_back(l.base);
+        c.forEachReservedSet([&](const LineSet& s) {
+            for (const Line& l : s.lines)
+                if (l.state != State::Invalid)
+                    addrs.push_back(l.base);
         });
     }
     // Spilled versions are live protocol state too: a responder in the
@@ -280,7 +281,7 @@ CacheSystem::verifyIndexes()
     // either means syncLine() missed a transition.
     for (std::size_t ci = 0; ci < caches_.size(); ++ci) {
         Cache& c = caches_[ci];
-        c.forEachSet([&](LineSet& s) {
+        c.forEachReservedSet([&](const LineSet& s) {
             std::uint64_t tags = 0;
             for (const Line& l : s.lines) {
                 if (l.bk.cacheId != ci) {
