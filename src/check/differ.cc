@@ -159,6 +159,14 @@ struct Cell
         eq.reset();
         sys.reset();
     }
+
+    /** As if rebuilt for @p mc, which keeps the cell's structure. */
+    void
+    reset(const sim::MachineConfig& mc)
+    {
+        eq.reset();
+        sys.reset(mc);
+    }
 };
 
 /** One pending deferred-mark acknowledgment (§5.1). */
@@ -169,28 +177,22 @@ struct PendingSla
 };
 
 /**
- * Everything CellMatrix::Group::save() records. The cells' snapshots
- * allocate from one arena, so filling a fresh checkpoint costs a
- * handful of allocations however many containers a snapshot has.
+ * Everything CellMatrix::Group::save() records. The checkpoint and its
+ * cells' snapshots allocate from @p mr, the group's arena.
  */
 struct Checkpoint
 {
-    explicit Checkpoint(std::size_t cellCount)
-        : arena(cellCount * kArenaBytesPerCell)
+    Checkpoint(std::size_t cellCount, std::pmr::memory_resource* mr)
+        : cells(mr), gold(true, {}, mr), pending(mr)
     {
         cells.reserve(cellCount);
         for (std::size_t i = 0; i < cellCount; ++i)
-            cells.emplace_back(&arena);
+            cells.emplace_back(mr);
     }
 
-    /** First arena block per cell: a small-program cell's snapshot
-     *  fits. */
-    static constexpr std::size_t kArenaBytesPerCell = 4096;
-
-    std::pmr::monotonic_buffer_resource arena;
-    std::vector<sim::CacheSystem::Snapshot> cells;
-    std::optional<GoldenModel> gold;
-    std::vector<PendingSla> pending;
+    std::pmr::vector<sim::CacheSystem::Snapshot> cells;
+    GoldenModel gold;
+    std::pmr::vector<PendingSla> pending;
     std::uint64_t executed = 0;
     Divergence div;
 };
@@ -199,8 +201,9 @@ struct Checkpoint
 
 /**
  * One cell group of the matrix: its cells, built once for the
- * FuzzConfig, and the per-run state (golden model, pending SLAs,
- * divergence), rebuilt by begin() and checkpointed by save().
+ * FuzzConfig's structure and retargeted to each config, and the
+ * per-run state (golden model, pending SLAs, divergence), rebuilt by
+ * begin() and checkpointed by save().
  */
 class CellMatrix::Group
 {
@@ -210,30 +213,84 @@ class CellMatrix::Group
           const std::vector<Op>& path)
         : cfg_(cfg), group_(group), path_(path)
     {
-        if (group == kGroupHmtx) {
-            for (int i = 0; i < kCells; ++i)
-                cells_.push_back(std::make_unique<Cell>(
-                    kCellNames[i], cellConfig(cfg, i)));
-        } else {
-            const bool btx = group == kGroupBtx;
-            cells_.push_back(std::make_unique<Cell>(
-                btx ? "bus/btx" : "bus/ltd",
-                modeCellConfig(cfg, group, sim::Fabric::SnoopBus)));
-            cells_.push_back(std::make_unique<Cell>(
-                btx ? "dir/btx" : "dir/ltd",
-                modeCellConfig(cfg, group, sim::Fabric::Directory)));
-        }
+        static const char* const kBtxNames[] = {"bus/btx", "dir/btx"};
+        static const char* const kLtdNames[] = {"bus/ltd", "dir/ltd"};
+        const char* const* names = group == kGroupHmtx ? kCellNames
+            : group == kGroupBtx                       ? kBtxNames
+                                                       : kLtdNames;
+        const std::size_t n = group == kGroupHmtx ? kCells : 2;
+        for (std::size_t i = 0; i < n; ++i)
+            cells_.push_back(
+                std::make_unique<Cell>(names[i], cellConfigOf(cfg, i)));
         maxVid_ = cells_[0]->sys.config().maxVid();
     }
 
+    ~Group() { dropSaves(); }
+
+    /** The arena's first block, per cell. The checkpoints of one
+     *  exploration of a 6-op model-checker program take 9.1 KB per
+     *  cell at the median and 11.6 KB at the 99th percentile (seeds
+     *  1-200), so most explorations allocate one block per group. */
+    static constexpr std::size_t kArenaBytesPerCell = 12 * 1024;
+
     unsigned group() const { return group_; }
+
+    /** Destroys every checkpoint and frees the arena they live in. */
+    void
+    dropSaves()
+    {
+        for (Checkpoint* cp : saves_)
+            if (cp != nullptr)
+                std::destroy_at(cp);
+        saves_.clear();
+        arena_.reset();
+    }
+
+    /** Throws std::invalid_argument if a cell of the group rejects
+     *  its config under @p cfg (MachineConfig::validate()). */
+    void
+    validate(const FuzzConfig& cfg) const
+    {
+        for (std::size_t i = 0; i < cells_.size(); ++i)
+            cellConfigOf(cfg, i).validate();
+    }
+
+    /** True when every cell can be reset to its config under @p cfg
+     *  (CacheSystem::sameStructure()). */
+    bool
+    fits(const FuzzConfig& cfg) const
+    {
+        for (std::size_t i = 0; i < cells_.size(); ++i)
+            if (!cells_[i]->sys.sameStructure(cellConfigOf(cfg, i)))
+                return false;
+        return true;
+    }
+
+    /** True when slot @p depth holds a save() since the last
+     *  dropSaves(). */
+    bool
+    saved(std::size_t depth) const
+    {
+        return depth < saves_.size() && saves_[depth] != nullptr;
+    }
+
+    /** Makes the group what Group(@p cfg, ...) builds; fits(@p cfg)
+     *  must hold. */
+    void
+    retarget(const FuzzConfig& cfg)
+    {
+        cfg_ = cfg;
+        for (std::size_t i = 0; i < cells_.size(); ++i)
+            cells_[i]->reset(cellConfigOf(cfg_, i));
+        maxVid_ = cells_[0]->sys.config().maxVid();
+    }
 
     /** Starts a run of a schedule with @p program's ops: fresh
      *  golden model, cells reset, memory seeded from the word set. */
     void
     begin(const Schedule& program, const RunHooks* hooks)
     {
-        gold_.emplace(cfg_.slaEnabled, groupPolicy(cfg_, group_));
+        gold_.reset(cfg_.slaEnabled, groupPolicy(cfg_, group_));
         pending_.clear();
         executed_ = 0;
         div_ = {};
@@ -263,26 +320,34 @@ class CellMatrix::Group
     void
     save(std::size_t depth)
     {
-        while (saves_.size() <= depth)
-            saves_.push_back(std::make_unique<Checkpoint>(cells_.size()));
+        if (saves_.size() <= depth)
+            saves_.resize(depth + 1, nullptr);
+        if (saves_[depth] == nullptr) {
+            if (!arena_)
+                arena_.emplace(cells_.size() * kArenaBytesPerCell);
+            saves_[depth] = std::pmr::polymorphic_allocator<>(&*arena_)
+                                .new_object<Checkpoint>(cells_.size(),
+                                                        &*arena_);
+        }
         Checkpoint& cp = *saves_[depth];
         for (std::size_t i = 0; i < cells_.size(); ++i)
             cells_[i]->sys.snapshot(cp.cells[i]);
         cp.gold = gold_;
-        cp.pending = pending_;
+        cp.pending.assign(pending_.begin(), pending_.end());
         cp.executed = executed_;
         cp.div = div_;
     }
 
-    /** Returns to what save(@p depth) recorded. */
+    /** Returns to what save(@p depth) recorded; saved(@p depth) must
+     *  hold. */
     void
     restore(std::size_t depth)
     {
-        const Checkpoint& cp = *saves_.at(depth);
+        const Checkpoint& cp = *saves_[depth];
         for (std::size_t i = 0; i < cells_.size(); ++i)
             cells_[i]->sys.restore(cp.cells[i]);
         gold_ = cp.gold;
-        pending_ = cp.pending;
+        pending_.assign(cp.pending.begin(), cp.pending.end());
         executed_ = cp.executed;
         div_ = cp.div;
     }
@@ -311,6 +376,17 @@ class CellMatrix::Group
     bool diverged() const { return div_.found; }
 
   private:
+    /** MachineConfig of cell @p i of this group under @p cfg. */
+    sim::MachineConfig
+    cellConfigOf(const FuzzConfig& cfg, std::size_t i) const
+    {
+        if (group_ == kGroupHmtx)
+            return cellConfig(cfg, static_cast<int>(i));
+        return modeCellConfig(cfg, group_,
+                              i == 0 ? sim::Fabric::SnoopBus
+                                     : sim::Fabric::Directory);
+    }
+
     // --- divergence reporting ----------------------------------------
 
     void
@@ -343,7 +419,7 @@ class CellMatrix::Group
         for (Addr w : words_) {
             sim::Rng r(w ^ 0x5bd1e995a967f2d3ull);
             std::uint64_t v = r.next();
-            gold_->seed(w, v);
+            gold_.seed(w, v);
             for (auto& c : cells_)
                 c->sys.memory().write(w, v, 8);
         }
@@ -433,7 +509,7 @@ class CellMatrix::Group
     syncAbort(std::uint64_t n = 1)
     {
         for (std::uint64_t i = 0; i < n; ++i)
-            gold_->abortAll();
+            gold_.abortAll();
         pending_.clear();
     }
 
@@ -514,13 +590,13 @@ class CellMatrix::Group
         // passively, exactly as CacheSystem::load does.
         bool serialized = false;
         if (vid != kNonSpecVid)
-            serialized = wrongPath ? gold_->policy().serializes(vid)
-                                   : gold_->beginSpecAccess(vid);
+            serialized = wrongPath ? gold_.policy().serializes(vid)
+                                   : gold_.beginSpecAccess(vid);
         const bool ltdAbort = !serialized && !wrongPath &&
             vid != kNonSpecVid &&
-            gold_->limitedSetWouldAbort(op.addr, vid);
+            gold_.limitedSetWouldAbort(op.addr, vid);
         const Vid effVid = serialized ? kNonSpecVid : vid;
-        std::uint64_t want = gold_->valueAt(op.addr, op.size, effVid);
+        std::uint64_t want = gold_.valueAt(op.addr, op.size, effVid);
         sim::AccessResult r;
         std::uint64_t gen = 0;
         bool capacity = false;
@@ -556,7 +632,7 @@ class CellMatrix::Group
             // against the post-abort state and became the first read
             // of the restarted transaction. Mirror it in the golden
             // model and re-derive the expected value post-flush.
-            want = gold_->valueAt(op.addr, op.size, effVid);
+            want = gold_.valueAt(op.addr, op.size, effVid);
         }
         if (r.value != want) {
             fail(idx, "load value " + hex(r.value) +
@@ -565,7 +641,7 @@ class CellMatrix::Group
                           (serialized ? ", serialized)" : ")"));
             return;
         }
-        gold_->applyLoad(op.addr, effVid, wrongPath);
+        gold_.applyLoad(op.addr, effVid, wrongPath);
         if (r.needSla && !wrongPath && vid != kNonSpecVid &&
             cfg_.slaEnabled) {
             pending_.push_back(
@@ -581,12 +657,12 @@ class CellMatrix::Group
             return;
         ++executed_;
         const bool serialized =
-            vid != kNonSpecVid && gold_->beginSpecAccess(vid);
+            vid != kNonSpecVid && gold_.beginSpecAccess(vid);
         const bool ltdAbort = !serialized && vid != kNonSpecVid &&
-            gold_->limitedSetWouldAbort(op.addr, vid);
+            gold_.limitedSetWouldAbort(op.addr, vid);
         const Vid effVid = serialized ? kNonSpecVid : vid;
         const bool predictAbort =
-            !ltdAbort && gold_->storeAborts(op.addr, effVid);
+            !ltdAbort && gold_.storeAborts(op.addr, effVid);
         sim::AccessResult r;
         std::uint64_t gen = 0;
         bool capacity = false;
@@ -639,8 +715,8 @@ class CellMatrix::Group
                       "), store succeeded");
             return;
         }
-        gold_->applyStore(op.addr, op.value & sizeMask(op.size),
-                         op.size, effVid);
+        gold_.applyStore(op.addr, op.value & sizeMask(op.size), op.size,
+                         effVid);
     }
 
     /**
@@ -657,7 +733,7 @@ class CellMatrix::Group
         if (perturb)
             e.value = (e.value + perturb) & sizeMask(e.size);
         const std::uint64_t want =
-            gold_->valueAt(e.addr, e.size, e.vid);
+            gold_.valueAt(e.addr, e.size, e.vid);
         const bool predictMismatch = want != e.value;
         ++executed_;
 
@@ -707,7 +783,7 @@ class CellMatrix::Group
             fail(idx, "slaConfirm returned false without aborting");
             return false;
         }
-        gold_->applyConfirm(e.addr, e.vid);
+        gold_.applyConfirm(e.addr, e.vid);
         return true;
     }
 
@@ -743,22 +819,19 @@ class CellMatrix::Group
         ++executed_;
         // Maximal validation sets (Figure 9): all cells and the golden
         // model must agree on the committing VID's R/W sets.
-        const std::vector<Addr> wantR = gold_->readSet(v);
-        const std::vector<Addr> wantW = gold_->writeSet(v);
+        gold_.readSet(v, wantR_);
+        gold_.writeSet(v, wantW_);
         for (auto& c : cells_) {
-            if (c->sys.readSetOf(v) != wantR ||
-                c->sys.writeSetOf(v) != wantW) {
+            c->sys.readSetOf(v, gotR_);
+            c->sys.writeSetOf(v, gotW_);
+            if (gotR_ != wantR_ || gotW_ != wantW_) {
                 fail(idx, std::string("R/W set mismatch vs golden at "
                                       "commit of VID ") +
                               std::to_string(v) + " on " + c->name +
-                              " (R " +
-                              std::to_string(
-                                  c->sys.readSetOf(v).size()) +
-                              "/" + std::to_string(wantR.size()) +
-                              " W " +
-                              std::to_string(
-                                  c->sys.writeSetOf(v).size()) +
-                              "/" + std::to_string(wantW.size()) +
+                              " (R " + std::to_string(gotR_.size()) +
+                              "/" + std::to_string(wantR_.size()) +
+                              " W " + std::to_string(gotW_.size()) +
+                              "/" + std::to_string(wantW_.size()) +
                               " lines)");
                 return;
             }
@@ -772,7 +845,7 @@ class CellMatrix::Group
                 return;
             }
         }
-        gold_->commit(v);
+        gold_.commit(v);
     }
 
     void
@@ -794,7 +867,7 @@ class CellMatrix::Group
     void
     doVidReset(std::size_t idx)
     {
-        if (!gold_->vidResetLegal())
+        if (!gold_.vidResetLegal())
             return; // transactions outstanding (§4.6); skip
         ++executed_;
         for (auto& c : cells_) {
@@ -806,7 +879,7 @@ class CellMatrix::Group
                 return;
             }
         }
-        gold_->vidReset();
+        gold_.vidReset();
         pending_.clear();
     }
 
@@ -846,12 +919,12 @@ class CellMatrix::Group
                 return;
             }
         }
-        gold_->abortAll();
-        gold_->vidReset();
+        gold_.abortAll();
+        gold_.vidReset();
         // Golden vs. real committed image, word by word.
-        gold_->touchedWords(words_);
+        gold_.touchedWords(words_);
         for (Addr w : words_) {
-            const std::uint64_t want = gold_->valueAt(w, 8, 0);
+            const std::uint64_t want = gold_.valueAt(w, 8, 0);
             for (auto& c : cells_) {
                 const std::uint64_t got = c->sys.memory().read(w, 8);
                 if (got != want) {
@@ -893,38 +966,69 @@ class CellMatrix::Group
                   });
     }
 
-    const FuzzConfig cfg_;
+    FuzzConfig cfg_;
     const unsigned group_;
     const std::vector<Op>& path_;
     std::vector<std::unique_ptr<Cell>> cells_;
     Vid maxVid_ = 63;
     // Per-run state.
-    std::optional<GoldenModel> gold_;
+    GoldenModel gold_;
     /** Outstanding SLAs, oldest first (a handful at most). */
     std::vector<PendingSla> pending_;
     std::uint64_t executed_ = 0;
     Divergence div_;
-    /** Checkpoint slots, indexed by depth. */
-    std::vector<std::unique_ptr<Checkpoint>> saves_;
+    /** Checkpoint slots, indexed by depth (nullptr: never saved since
+     *  the last dropSaves()). They all live in arena_, so one run's
+     *  checkpoints cost a few allocations, freed together. */
+    std::optional<std::pmr::monotonic_buffer_resource> arena_;
+    std::vector<Checkpoint*> saves_;
     // Scratch kept across runs so replays do not reallocate (words_:
-    // the seeded words, then the golden's touched words).
+    // the seeded words, then the golden's touched words; the rest: the
+    // committing VID's golden and cell R/W sets).
     std::vector<Addr> words_;
+    std::vector<Addr> wantR_, wantW_, gotR_, gotW_;
     std::vector<std::pair<Addr, sim::LineData>> img0_, img_;
 };
 
 CellMatrix::CellMatrix(const FuzzConfig& cfg, unsigned groupMask)
-    : cfg_(cfg)
+    : cfg_(cfg), groupMask_(groupMask)
 {
-    for (unsigned g : {unsigned(kGroupHmtx), unsigned(kGroupBtx),
-                       unsigned(kGroupLtd)})
-        if (groupMask & g)
-            groups_.push_back(std::make_unique<Group>(cfg, g, path_));
+    buildGroups();
 }
 
 CellMatrix::~CellMatrix() = default;
 
 void
-CellMatrix::begin(const Schedule& program, const RunHooks* hooks)
+CellMatrix::buildGroups()
+{
+    groups_.clear();
+    for (unsigned g : {unsigned(kGroupHmtx), unsigned(kGroupBtx),
+                       unsigned(kGroupLtd)})
+        if (groupMask_ & g)
+            groups_.push_back(std::make_unique<Group>(cfg_, g, path_));
+}
+
+void
+CellMatrix::retarget(const FuzzConfig& cfg)
+{
+    // Every cell config is checked before any cell is touched, so a
+    // config the cells reject throws with the matrix unchanged.
+    for (auto& g : groups_)
+        g->validate(cfg);
+    dropCheckpoints();
+    const bool keep = std::all_of(groups_.begin(), groups_.end(),
+                                  [&](const auto& g) { return g->fits(cfg); });
+    cfg_ = cfg;
+    if (!keep) {
+        buildGroups();
+        return;
+    }
+    for (auto& g : groups_)
+        g->retarget(cfg_);
+}
+
+void
+CellMatrix::start(const Schedule& program, const RunHooks* hooks)
 {
     if (program.cfg != cfg_)
         throw std::invalid_argument(
@@ -932,6 +1036,20 @@ CellMatrix::begin(const Schedule& program, const RunHooks* hooks)
     path_.clear();
     for (auto& g : groups_)
         g->begin(program, hooks);
+}
+
+void
+CellMatrix::begin(const Schedule& program, const RunHooks* hooks)
+{
+    start(program, hooks);
+    dropCheckpoints();
+}
+
+void
+CellMatrix::dropCheckpoints()
+{
+    for (auto& g : groups_)
+        g->dropSaves();
 }
 
 void
@@ -967,6 +1085,12 @@ CellMatrix::restore(std::size_t depth)
                                std::to_string(depth) + " but " +
                                std::to_string(path_.size()) +
                                " ops stepped");
+    for (const auto& g : groups_)
+        if (!g->saved(depth))
+            throw std::logic_error("CellMatrix::restore: slot " +
+                                   std::to_string(depth) +
+                                   " not saved since the checkpoints "
+                                   "were last dropped");
     path_.resize(depth);
     for (auto& g : groups_)
         g->restore(depth);
@@ -996,7 +1120,7 @@ CellMatrix::finish(Coverage* cov)
 Divergence
 CellMatrix::run(const Schedule& s, Coverage* cov, const RunHooks* hooks)
 {
-    begin(s, hooks);
+    start(s, hooks);
     for (const Op& op : s.ops)
         step(op);
     return finish(cov);
@@ -1012,8 +1136,10 @@ runSchedule(const Schedule& s, Coverage* cov, unsigned groupMask,
 Schedule
 shrinkSchedule(const Schedule& s, unsigned maxRuns, unsigned groupMask)
 {
+    // Every candidate keeps s.cfg: one matrix runs them all.
+    CellMatrix m(s.cfg, groupMask);
     Schedule cur = s;
-    if (!runSchedule(cur, nullptr, groupMask).found)
+    if (!m.run(cur).found)
         return cur;
     unsigned runs = 1;
     std::size_t chunk = cur.ops.size() / 2;
@@ -1028,7 +1154,7 @@ shrinkSchedule(const Schedule& s, unsigned maxRuns, unsigned groupMask)
                 cand.ops.begin() + static_cast<std::ptrdiff_t>(i),
                 cand.ops.begin() + static_cast<std::ptrdiff_t>(i + chunk));
             ++runs;
-            if (runSchedule(cand, nullptr, groupMask).found) {
+            if (m.run(cand).found) {
                 cur.ops = std::move(cand.ops);
                 removedAny = true;
             } else {

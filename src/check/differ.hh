@@ -130,15 +130,21 @@ struct RunHooks
  * The differential matrix of one FuzzConfig: the cells of every group
  * in a group mask, built once and reset (CacheSystem::reset()) at the
  * start of each run, so a caller replaying many schedules of the same
- * config pays for building them once. A run on a reused matrix
- * returns exactly what a run on a fresh one does.
+ * config pays for building them once. retarget() moves the matrix to
+ * another config, resetting the cells in place when the machine
+ * structure (cores, cache geometry) is unchanged, so a caller whose
+ * configs differ only in their knobs builds the cells once too. A run
+ * on a reused or retargeted matrix returns exactly what a run on a
+ * fresh one does.
  *
  * A run is begin(), one step() per op, then finish(); run() is that
  * sequence over a whole schedule. Between steps, save() checkpoints
  * the whole matrix (cells, golden models, pending SLAs, progress and
  * divergence) and restore() returns to a checkpoint, so a caller
  * replaying many schedules that share prefixes (the model checker's
- * DFS, check/explorer.hh) steps each shared prefix once.
+ * DFS, check/explorer.hh) steps each shared prefix once. A run's
+ * checkpoints share one arena per group; begin(), retarget() and
+ * dropCheckpoints() free them.
  */
 class CellMatrix
 {
@@ -159,11 +165,33 @@ class CellMatrix
                    const RunHooks* hooks = nullptr);
 
     /**
+     * Makes the matrix equal to CellMatrix(@p cfg, groupMask()): the
+     * cells are reset to @p cfg in place (CacheSystem::reset(const
+     * MachineConfig&)) or, if @p cfg changes the structure, rebuilt.
+     * Every checkpoint is freed. Throws std::invalid_argument,
+     * with the matrix unchanged, if a cell rejects its config.
+     */
+    void retarget(const FuzzConfig& cfg);
+
+    /**
+     * Frees every checkpoint: none can be restored until saved again.
+     * begin() and retarget() do this too; a caller keeping the matrix
+     * idle between uses calls it so that the matrix holds only its
+     * cells meanwhile.
+     */
+    void dropCheckpoints();
+
+    /** The groups the matrix was built with. */
+    unsigned groupMask() const { return groupMask_; }
+
+    /**
      * Starts a run of a schedule whose ops are a reordering of
      * @p program's: resets every cell (then calls hooks->onCell on
      * it), builds each group's golden model, and seeds memory from the
-     * program's word set. Throws std::invalid_argument if program.cfg
-     * differs from the matrix's config.
+     * program's word set. Frees every checkpoint, so none saved for an
+     * earlier program can be restored. Throws
+     * std::invalid_argument if program.cfg differs from the matrix's
+     * config.
      */
     void begin(const Schedule& program, const RunHooks* hooks = nullptr);
 
@@ -174,18 +202,21 @@ class CellMatrix
 
     /**
      * Checkpoints the run into slot @p depth, which must equal the
-     * number of ops stepped since begin(). Slots are reused, so their
-     * storage is allocated once per depth.
+     * number of ops stepped since begin(). A slot saved again reuses
+     * its storage.
      */
     void save(std::size_t depth);
 
     /**
      * Returns the run to what save(@p depth) recorded, whatever ran
-     * since (another run() included). The checkpoint keeps no copy of
-     * the ops: the first @p depth ops of the latest run must be the
-     * ones it saw, as they are when a depth-first search restores an
-     * ancestor of its current prefix (or reruns a leaf below it).
-     * Throws std::logic_error if fewer than @p depth ops ran.
+     * since (another run() included: unlike begin(), run() keeps the
+     * checkpoints). The checkpoint keeps no copy of the ops: the first
+     * @p depth ops of the latest run must be the ones it saw, as they
+     * are when a depth-first search restores an ancestor of its
+     * current prefix (or reruns a leaf below it). Throws
+     * std::logic_error if fewer than @p depth ops ran, or if slot
+     * @p depth was not saved since the last begin(), retarget() or
+     * dropCheckpoints().
      */
     void restore(std::size_t depth);
 
@@ -207,7 +238,13 @@ class CellMatrix
 
   private:
     class Group;
+    /** (Re)builds the groups of groupMask_ for cfg_. */
+    void buildGroups();
+    /** begin() without dropping the checkpoints (run()'s start). */
+    void start(const Schedule& program, const RunHooks* hooks);
+
     FuzzConfig cfg_;
+    unsigned groupMask_;
     /** The ops stepped since begin() (the groups read them to name
      *  a divergence). */
     std::vector<Op> path_;

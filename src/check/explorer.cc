@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <bit>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -141,9 +142,11 @@ class ChooserSet
 class Explorer
 {
   public:
-    /** @p prog must fit its machine (explore() checks). */
-    Explorer(const Schedule& prog, const ExploreConfig& cfg)
-        : prog_(prog), cfg_(cfg), matrix_(prog.cfg, cfg.groupMask)
+    /** @p prog must fit its machine (explore() checks); @p matrix
+     *  must be built for prog.cfg and cfg.groupMask. */
+    Explorer(const Schedule& prog, const ExploreConfig& cfg,
+             CellMatrix& matrix)
+        : prog_(prog), cfg_(cfg), matrix_(matrix)
     {
         threads_.resize(prog.cfg.numCores);
         for (const Op& op : prog.ops)
@@ -333,15 +336,16 @@ class Explorer
     Schedule leaf_;
     /** The DFS's own choosers force nothing (all-FIFO). */
     const std::vector<unsigned> fifo_;
-    /** Choosers of the DFS run and of the forced full replays
-     *  (declared before the matrix, whose cells point at them, so
-     *  they outlive it). */
+    /** Choosers of the DFS run and of the forced full replays. The
+     *  matrix outlives them: its cells keep pointers to them, which
+     *  the next retarget() or begin() resets unread (explore() frees
+     *  the checkpoints, which hold them too, before it returns). */
     ChooserSet base_;
     ChooserSet replays_;
     /** base_'s decision counts at each checkpointed depth. */
     std::vector<std::vector<std::size_t>> chooserCounts_;
     /** One matrix for every run of this exploration. */
-    CellMatrix matrix_;
+    CellMatrix& matrix_;
     bool hasSlaOps_ = false;
     bool stop_ = false;
     ExploreResult res_;
@@ -402,8 +406,20 @@ explore(const Schedule& program, const ExploreConfig& cfg)
                 "explore: op core " + std::to_string(op.core) +
                 " outside the " + std::to_string(cores) +
                 "-core machine");
-    Explorer e(program, cfg);
-    return e.run();
+    // One matrix per thread, kept across explorations: programs share
+    // their machine structure and differ only in the knobs a retarget
+    // resets in place, so the cells are not rebuilt per program. The
+    // checkpoints (about 100 KB for a 6-op program) are freed after
+    // each exploration: kept between calls, pieces of them sit amid
+    // the caller's own allocations, which then fragment around them.
+    thread_local std::optional<CellMatrix> matrix;
+    if (matrix && matrix->groupMask() == cfg.groupMask)
+        matrix->retarget(program.cfg);
+    else
+        matrix.emplace(program.cfg, cfg.groupMask);
+    ExploreResult r = Explorer(program, cfg, *matrix).run();
+    matrix->dropCheckpoints();
+    return r;
 }
 
 Schedule

@@ -118,6 +118,11 @@ struct ExploreResult
  * is exhausted. Throws std::invalid_argument if an op names a core
  * outside cfg.numCores, or if the machine has more than 64 cores (a
  * sleep set is a 64-bit mask).
+ *
+ * Each thread keeps one CellMatrix across calls and retargets it to
+ * each program's config (rebuilt only when the group mask or the
+ * machine structure changes), so a batch of programs builds its cells
+ * once. What a call returns does not depend on the calls before it.
  */
 ExploreResult explore(const Schedule& program,
                       const ExploreConfig& cfg = {});

@@ -102,15 +102,14 @@ GoldenModel::rwInsert(Vid vid, bool write, Addr line)
         rw_.insert(it, e);
 }
 
-std::vector<Addr>
-GoldenModel::rwSet(Vid vid, bool write) const
+void
+GoldenModel::rwSet(Vid vid, bool write, std::vector<Addr>& out) const
 {
-    std::vector<Addr> out;
+    out.clear();
     for (auto it = std::lower_bound(rw_.begin(), rw_.end(),
                                     RwEntry{vid, write, 0});
          it != rw_.end() && it->vid == vid && it->write == write; ++it)
         out.push_back(it->line);
-    return out;
 }
 
 std::uint64_t
@@ -281,16 +280,16 @@ GoldenModel::vidReset()
     lc_ = kNonSpecVid;
 }
 
-std::vector<Addr>
-GoldenModel::readSet(Vid vid) const
+void
+GoldenModel::readSet(Vid vid, std::vector<Addr>& out) const
 {
-    return rwSet(vid, false);
+    rwSet(vid, false, out);
 }
 
-std::vector<Addr>
-GoldenModel::writeSet(Vid vid) const
+void
+GoldenModel::writeSet(Vid vid, std::vector<Addr>& out) const
 {
-    return rwSet(vid, true);
+    rwSet(vid, true, out);
 }
 
 void

@@ -26,6 +26,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <memory_resource>
 #include <vector>
 
 #include "core/tx_policy.hh"
@@ -59,11 +60,31 @@ class GoldenModel
      *        so fallback serialization (best-effort mode) and
      *        limited-set capacity aborts are predicted, not treated as
      *        environmental noise
+     * @param mr where the state's containers allocate (a copy
+     *        assigned into the model keeps them there: the model
+     *        checker's checkpoints put theirs in one arena)
      */
     explicit GoldenModel(bool slaEnabled = true,
-                         const TxPolicyConfig& policy = {})
-        : slaEnabled_(slaEnabled), policy_(policy)
+                         const TxPolicyConfig& policy = {},
+                         std::pmr::memory_resource* mr =
+                             std::pmr::get_default_resource())
+        : slaEnabled_(slaEnabled), policy_(policy), words_(mr), vers_(mr),
+          lines_(mr), rw_(mr)
     {}
+
+    /** Becomes GoldenModel(@p slaEnabled, @p policy), keeping the
+     *  capacity of its containers. */
+    void
+    reset(bool slaEnabled, const TxPolicyConfig& policy)
+    {
+        slaEnabled_ = slaEnabled;
+        policy_ = TxPolicy(policy);
+        lc_ = kNonSpecVid;
+        words_.clear();
+        vers_.clear();
+        lines_.clear();
+        rw_.clear();
+    }
 
     /** Highest committed VID. */
     Vid lc() const { return lc_; }
@@ -153,10 +174,11 @@ class GoldenModel
 
     // --- validation sets (Figure 9) -----------------------------------
 
-    /** Sorted line addresses in @p vid's read set. */
-    std::vector<Addr> readSet(Vid vid) const;
-    /** Sorted line addresses in @p vid's write set. */
-    std::vector<Addr> writeSet(Vid vid) const;
+    /** The line addresses in @p vid's read set, sorted, into @p out
+     *  (its previous contents are dropped, its capacity kept). */
+    void readSet(Vid vid, std::vector<Addr>& out) const;
+    /** The line addresses in @p vid's write set, sorted, into @p out. */
+    void writeSet(Vid vid, std::vector<Addr>& out) const;
 
     /** Words ever touched, for final-image comparison: sorted, into
      *  @p out (reused scratch). */
@@ -226,18 +248,18 @@ class GoldenModel
     void dropVersions(Addr word);
     /** Adds @p line to @p vid's read or write set. */
     void rwInsert(Vid vid, bool write, Addr line);
-    /** @p vid's read or write set, sorted. */
-    std::vector<Addr> rwSet(Vid vid, bool write) const;
+    /** @p vid's read or write set, sorted, into @p out. */
+    void rwSet(Vid vid, bool write, std::vector<Addr>& out) const;
 
     bool slaEnabled_;
     TxPolicy policy_;
     Vid lc_ = kNonSpecVid;
-    std::vector<Word> words_;
-    std::vector<Version> vers_;
-    std::vector<LineCtl> lines_;
+    std::pmr::vector<Word> words_;
+    std::pmr::vector<Version> vers_;
+    std::pmr::vector<LineCtl> lines_;
     /** Live VIDs' read/write line sets; a VID's entries are erased on
      *  commit, all on abort. Every VID present is > lc_. */
-    std::vector<RwEntry> rw_;
+    std::pmr::vector<RwEntry> rw_;
 };
 
 } // namespace hmtx::check

@@ -132,9 +132,29 @@ CacheSystem::restore(const Snapshot& s)
     eq_.rewind(s.tick);
 }
 
-void
-CacheSystem::reset()
+bool
+CacheSystem::sameStructure(const MachineConfig& cfg) const
 {
+    return cfg.numCores == cfg_.numCores && cfg.l1SizeKB == cfg_.l1SizeKB &&
+        cfg.l1Assoc == cfg_.l1Assoc && cfg.l2SizeKB == cfg_.l2SizeKB &&
+        cfg.l2Assoc == cfg_.l2Assoc && cfg.fabric == cfg_.fabric &&
+        cfg.dirBanks == cfg_.dirBanks;
+}
+
+void
+CacheSystem::reset(const MachineConfig& cfg)
+{
+    if (!sameStructure(cfg))
+        throw std::invalid_argument(
+            "CacheSystem::reset: the config changes the machine's "
+            "structure (cores, caches, fabric); build a new system");
+    cfg.validate();
+    // Everything else the constructor derives from the config is the
+    // comparator and the policy; the rest of the construction snapshot
+    // depends on the structure alone.
+    cfg_ = cfg;
+    initial_.cmp = VidComparator(cfg_.vidBits);
+    initial_.policy = TxPolicy(cfg_.txPolicy());
     restore(initial_);
     trace_.reset(cfg_.traceFlags);
 }
@@ -171,24 +191,22 @@ CacheSystem::syncLine(Line& l)
 
 // --- validation-set accessors -------------------------------------------
 
-std::vector<Addr>
-CacheSystem::readSetOf(Vid vid) const
+void
+CacheSystem::readSetOf(Vid vid, std::vector<Addr>& out) const
 {
-    std::vector<Addr> out;
+    out.clear();
     if (const RwSets* s = rwFind(vid))
         s->reads.forEach([&](Addr la) { out.push_back(la); });
     std::sort(out.begin(), out.end());
-    return out;
 }
 
-std::vector<Addr>
-CacheSystem::writeSetOf(Vid vid) const
+void
+CacheSystem::writeSetOf(Vid vid, std::vector<Addr>& out) const
 {
-    std::vector<Addr> out;
+    out.clear();
     if (const RwSets* s = rwFind(vid))
         s->writes.forEach([&](Addr la) { out.push_back(la); });
     std::sort(out.begin(), out.end());
-    return out;
 }
 
 // --- self-checks --------------------------------------------------------

@@ -204,14 +204,27 @@ class CacheSystem
     void restore(const Snapshot& s);
 
     /**
-     * Returns the system to exactly its just-constructed state under
-     * the same MachineConfig: restore() of the snapshot taken at
-     * construction, so a run on a reset system is indistinguishable
-     * from a run on a freshly built one (the DeliveryChooser is
-     * uninstalled, the queue's clock back at its construction tick).
-     * Also clears the trace. Containers keep their capacity.
+     * Puts the system into exactly the state CacheSystem(eq, @p cfg)
+     * constructs: the config, the VID comparator, the TxPolicy and the
+     * construction snapshot are replaced, then that snapshot is
+     * restored, so a run on a reset system is indistinguishable from a
+     * run on a freshly built one (the DeliveryChooser is uninstalled,
+     * the queue's clock back at its construction tick). Also clears
+     * the trace. Containers keep their capacity. Throws
+     * std::invalid_argument, leaving the system untouched, if @p cfg
+     * fails MachineConfig::validate() or !sameStructure(@p cfg).
      */
-    void reset();
+    void reset(const MachineConfig& cfg);
+
+    /**
+     * True when @p cfg builds the caches and fabric config() built
+     * (core count, cache sizes and associativities, fabric, directory
+     * banks), so reset(@p cfg) can reuse them.
+     */
+    bool sameStructure(const MachineConfig& cfg) const;
+
+    /** reset(config()): back to the just-constructed state. */
+    void reset() { reset(cfg_); }
 
     /**
      * Performs a load.
@@ -327,13 +340,14 @@ class CacheSystem
     void verifyIndexes();
 
     /**
-     * Sorted line addresses currently recorded in @p vid's read set
-     * (Figure 9 validation sets). Exposed for the golden-model
-     * differential checker and tests.
+     * The line addresses currently recorded in @p vid's read set
+     * (Figure 9 validation sets), sorted, into @p out (its previous
+     * contents are dropped, its capacity kept). Exposed for the
+     * golden-model differential checker.
      */
-    std::vector<Addr> readSetOf(Vid vid) const;
-    /** Sorted line addresses in @p vid's write set. */
-    std::vector<Addr> writeSetOf(Vid vid) const;
+    void readSetOf(Vid vid, std::vector<Addr>& out) const;
+    /** The line addresses in @p vid's write set, sorted, into @p out. */
+    void writeSetOf(Vid vid, std::vector<Addr>& out) const;
 
     /** Index diagnostics (simulator-side, not architectural). */
     const IndexStats& indexStats() const { return idxStats_; }

@@ -13,7 +13,12 @@
  *
  * IncrementalReplay pins the incremental runner the explorer uses:
  * every leaf of a checkpointed DFS must report exactly what a full
- * replay of that interleaving does.
+ * replay of that interleaving does, also on one matrix retargeted
+ * across programs, and a checkpoint from before the last begin(),
+ * retarget() or dropCheckpoints() must never be restored.
+ *
+ * ExploreReuseIsInvisible pins explore()'s per-thread matrix: the
+ * order of the programs a thread explores must not change any result.
  *
  * StateSpaceCount pins the enumerator itself against closed forms:
  * the merges of two 3-op sequences number C(6,3) = 20, and sleep-set
@@ -24,7 +29,10 @@
 #include <gtest/gtest.h>
 
 #include <iostream>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "check/differ.hh"
@@ -141,6 +149,63 @@ TEST(McBounded, DeliveryOrderExploration)
 }
 
 /**
+ * explore() keeps one matrix per thread and retargets it to each
+ * program (rebuilding it when the group mask changes). Seeds 1-60
+ * under three explore configs, explored forward, in reverse, and each
+ * on a new thread (a fresh matrix), must give identical stats and
+ * verdicts.
+ */
+TEST(McBounded, ExploreReuseIsInvisible)
+{
+    std::vector<ExploreConfig> ecs(3);
+    ecs[1].deliveryPoints = 3;
+    ecs[2].groupMask = kGroupBtx | kGroupLtd;
+    constexpr std::uint64_t kSeeds = 60;
+    using Results = std::vector<std::vector<ExploreResult>>;
+    auto program = [](std::uint64_t i) {
+        return generateProgram(i + 1, 2, 5);
+    };
+    Results fwd(kSeeds, std::vector<ExploreResult>(ecs.size()));
+    Results rev = fwd, own = fwd;
+    for (std::uint64_t i = 0; i < kSeeds; ++i)
+        for (std::size_t e = 0; e < ecs.size(); ++e)
+            fwd[i][e] = explore(program(i), ecs[e]);
+    for (std::uint64_t i = kSeeds; i-- > 0;)
+        for (std::size_t e = ecs.size(); e-- > 0;)
+            rev[i][e] = explore(program(i), ecs[e]);
+    for (std::uint64_t i = 0; i < kSeeds; ++i)
+        for (std::size_t e = 0; e < ecs.size(); ++e)
+            std::thread([&, i, e] {
+                own[i][e] = explore(program(i), ecs[e]);
+            }).join();
+    std::uint64_t explored = 0;
+    for (std::uint64_t i = 0; i < kSeeds; ++i) {
+        for (std::size_t e = 0; e < ecs.size(); ++e) {
+            SCOPED_TRACE("seed " + std::to_string(i + 1) + ", config " +
+                         std::to_string(e));
+            const ExploreResult& want = own[i][e];
+            for (const ExploreResult* got : {&fwd[i][e], &rev[i][e]}) {
+                for (const auto& f : ExploreStats::kFields)
+                    EXPECT_EQ(got->stats.*f.member, want.stats.*f.member)
+                        << f.name;
+                EXPECT_EQ(got->stats.budgetExhausted,
+                          want.stats.budgetExhausted);
+                EXPECT_EQ(got->div.found, want.div.found);
+                EXPECT_EQ(got->div.opIndex, want.div.opIndex);
+                EXPECT_EQ(got->div.what, want.div.what);
+            }
+            EXPECT_FALSE(want.div.found) << want.div.what;
+            explored += want.stats.explored;
+        }
+    }
+    EXPECT_GT(explored, 3 * kSeeds);
+    EXPECT_GT(own[0][1].stats.deliveryPointsSeen +
+                  own[1][1].stats.deliveryPointsSeen +
+                  own[2][1].stats.deliveryPointsSeen,
+              0u);
+}
+
+/**
  * Walks every interleaving of @p prog's per-core sequences on one
  * CellMatrix the way the explorer does — checkpointing where two or
  * more cores can go next, restoring before each later branch — and
@@ -150,8 +215,9 @@ TEST(McBounded, DeliveryOrderExploration)
 class IncrementalChecker
 {
   public:
-    explicit IncrementalChecker(const Schedule& prog)
-        : prog_(prog), matrix_(prog.cfg), threads_(prog.cfg.numCores),
+    /** @p matrix must be built or retargeted for prog.cfg. */
+    IncrementalChecker(const Schedule& prog, CellMatrix& matrix)
+        : prog_(prog), matrix_(matrix), threads_(prog.cfg.numCores),
           pos_(prog.cfg.numCores, 0)
     {
         for (const Op& op : prog.ops)
@@ -209,7 +275,7 @@ class IncrementalChecker
     }
 
     const Schedule& prog_;
-    CellMatrix matrix_;
+    CellMatrix& matrix_;
     std::vector<std::vector<Op>> threads_;
     std::vector<unsigned> pos_;
     Schedule leaf_;
@@ -223,12 +289,73 @@ TEST(IncrementalReplay, EveryLeafMatchesAFullReplay)
         for (std::uint64_t i = 0; i < 40; ++i) {
             SCOPED_TRACE("program seed " + std::to_string(seed + i));
             const Schedule prog = generateProgram(seed + i, 2, 6);
-            leaves += IncrementalChecker(prog).run();
+            CellMatrix matrix(prog.cfg);
+            leaves += IncrementalChecker(prog, matrix).run();
         }
         EXPECT_GT(leaves, 40u);
         std::cout << "[mc] incremental vs full, seeds " << seed << "+40: "
                   << leaves << " leaves\n";
     }
+}
+
+/** The same on one matrix retargeted to each program, as explore()
+ *  keeps it: its checkpoint slots carry over between programs. */
+TEST(IncrementalReplay, OneRetargetedMatrixAcrossPrograms)
+{
+    std::optional<CellMatrix> matrix;
+    std::size_t leaves = 0;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        SCOPED_TRACE("program seed " + std::to_string(seed));
+        const Schedule prog = generateProgram(seed, 2, 6);
+        if (matrix)
+            matrix->retarget(prog.cfg);
+        else
+            matrix.emplace(prog.cfg);
+        leaves += IncrementalChecker(prog, *matrix).run();
+    }
+    EXPECT_GT(leaves, 40u);
+}
+
+TEST(IncrementalReplay, StaleCheckpointThrows)
+{
+    const Schedule prog = generateProgram(1, 2, 6);
+    CellMatrix m(prog.cfg);
+    m.begin(prog);
+    EXPECT_THROW(m.restore(0), std::logic_error) << "never saved";
+    m.save(0);
+    m.step(prog.ops[0]);
+    m.save(1);
+    m.restore(0);
+    m.step(prog.ops[0]);
+    m.restore(1);
+    // A complete run in between keeps the checkpoints: the explorer's
+    // delivery-order replays run between a save and its restores.
+    m.run(prog);
+    m.restore(1);
+    m.restore(0);
+    // A new begin() drops them, even under the same prefix.
+    m.begin(prog);
+    EXPECT_THROW(m.restore(0), std::logic_error);
+    m.step(prog.ops[0]);
+    EXPECT_THROW(m.restore(1), std::logic_error);
+    m.save(1);
+    m.restore(1);
+    // So does a retarget(), to the same config or another.
+    m.retarget(prog.cfg);
+    EXPECT_THROW(m.restore(0), std::logic_error);
+    m.begin(prog);
+    m.save(0);
+    FuzzConfig other = prog.cfg;
+    other.vidBits = prog.cfg.vidBits == 4 ? 6 : 4;
+    m.retarget(other);
+    EXPECT_THROW(m.restore(0), std::logic_error);
+    EXPECT_THROW(m.begin(prog), std::invalid_argument) << "foreign config";
+    // And dropCheckpoints(), which explore() calls after each program.
+    m.retarget(prog.cfg);
+    m.begin(prog);
+    m.save(0);
+    m.dropCheckpoints();
+    EXPECT_THROW(m.restore(0), std::logic_error);
 }
 
 Op

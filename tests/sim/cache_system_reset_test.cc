@@ -8,7 +8,10 @@
  * configs (check::cellConfig / check::modeCellConfig), with A left
  * in the states a reset must undo: mid-abort, a DeliveryChooser
  * installed, spilled lines in the overflow table, wrong-path shadow
- * marks, and events still pending on the queue.
+ * marks, and events still pending on the queue. reset(cfg) to another
+ * config of the same machine structure (VID width, SLAs, best-effort
+ * retries, limited-set K) must run B as a fresh cell of that config
+ * does; a structure change must throw and leave the cell as it was.
  *
  * The same comparison pins CacheSystem::snapshot()/restore(): a cell
  * that ran A, took a snapshot, ran B and restored it must run C
@@ -24,6 +27,7 @@
 #include <deque>
 #include <memory_resource>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -363,9 +367,8 @@ PrintTo(const CellParam& p, std::ostream* os)
 }
 
 MachineConfig
-configOf(const CellParam& p)
+configOf(const CellParam& p, const check::FuzzConfig& c = baseConfig())
 {
-    const check::FuzzConfig c = baseConfig();
     MachineConfig mc = p.cell < check::kHmtxCells
         ? check::cellConfig(c, p.cell)
         : check::modeCellConfig(
@@ -482,6 +485,93 @@ TEST_P(ResetMatchesFresh, RepeatedResets)
         drive(c, i == 1 ? a_ : b_, ignored);
         resetAndCompare(c, b_);
     }
+}
+
+/** One reset(cfg) case: the fuzz knobs before and after. */
+struct Retarget
+{
+    const char* what;
+    check::FuzzConfig from;
+    check::FuzzConfig to;
+};
+
+/** The knob changes a model-checker program's config can make. */
+std::vector<Retarget>
+retargets()
+{
+    const check::FuzzConfig base = baseConfig();
+    std::vector<Retarget> out;
+    auto add = [&](const char* what, auto set, auto a, auto b) {
+        check::FuzzConfig from = base, to = base;
+        set(from, a);
+        set(to, b);
+        out.push_back({what, from, to});
+    };
+    auto vidBits = [](check::FuzzConfig& c, unsigned v) { c.vidBits = v; };
+    auto sla = [](check::FuzzConfig& c, bool v) { c.slaEnabled = v; };
+    auto retries = [](check::FuzzConfig& c, unsigned v) {
+        c.btxRetries = v;
+    };
+    auto k = [](check::FuzzConfig& c, unsigned v) { c.limitedK = v; };
+    add("vidBits 6->4", vidBits, 6u, 4u);
+    add("vidBits 4->6", vidBits, 4u, 6u);
+    add("sla on->off", sla, true, false);
+    add("sla off->on", sla, false, true);
+    add("btxRetries 1->2", retries, 1u, 2u);
+    add("btxRetries 2->1", retries, 2u, 1u);
+    add("limitedK 1->2", k, 1u, 2u);
+    add("limitedK 2->3", k, 2u, 3u);
+    add("limitedK 3->1", k, 3u, 1u);
+    return out;
+}
+
+TEST_P(ResetMatchesFresh, ResetToAnotherConfig)
+{
+    for (const Retarget& r : retargets()) {
+        SCOPED_TRACE(r.what);
+        Cell c(configOf(GetParam(), r.from));
+        Outcome ignored;
+        drive(c, a_, ignored);
+        c.eq.scheduleIn(5, [&c] { ++c.fired; });
+        c.eq.reset();
+        const MachineConfig to = configOf(GetParam(), r.to);
+        c.sys.reset(to);
+        EXPECT_EQ(c.sys.config().vidBits, to.vidBits);
+        EXPECT_EQ(c.sys.config().slaEnabled, to.slaEnabled);
+        EXPECT_EQ(c.sys.txPolicy().config().btxMaxRetries,
+                  to.btxMaxRetries);
+        EXPECT_EQ(c.sys.txPolicy().config().limitedSetK, to.limitedSetK);
+        Schedule b = b_;
+        b.cfg = r.to;
+        Outcome got;
+        drive(c, b, got);
+        Cell fresh(to);
+        Outcome want;
+        drive(fresh, b, want);
+        expectSame(observe(fresh, std::move(want)),
+                   observe(c, std::move(got)));
+    }
+}
+
+TEST_P(ResetMatchesFresh, ResetToAnotherStructureThrows)
+{
+    const MachineConfig mc = configOf(GetParam());
+    std::vector<MachineConfig> bad(7, mc);
+    bad[0].numCores = 4;
+    bad[1].l1SizeKB *= 2;
+    bad[2].l1Assoc *= 2;
+    bad[3].l2SizeKB *= 2;
+    bad[4].l2Assoc *= 2;
+    bad[5].fabric = mc.fabric == Fabric::SnoopBus ? Fabric::Directory
+                                                  : Fabric::SnoopBus;
+    bad[6].dirBanks *= 2;
+    Cell c(mc);
+    for (const MachineConfig& b : bad)
+        EXPECT_THROW(c.sys.reset(b), std::invalid_argument);
+    // The cell is untouched: B runs as on a fresh cell.
+    Outcome out;
+    drive(c, b_, out);
+    expectSame(fresh(b_), observe(c, std::move(out)));
 }
 
 /**
