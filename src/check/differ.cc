@@ -60,10 +60,9 @@ groupPolicy(const FuzzConfig& c, unsigned g)
     return pc;
 }
 
-} // namespace
-
+/** The fields every cell takes from @p c, on fabric @p f. */
 sim::MachineConfig
-cellConfig(const FuzzConfig& c, int i)
+sharedCellConfig(const FuzzConfig& c, sim::Fabric f)
 {
     sim::MachineConfig mc;
     mc.numCores = c.numCores;
@@ -72,9 +71,19 @@ cellConfig(const FuzzConfig& c, int i)
     mc.l2SizeKB = c.l2KB;
     mc.l2Assoc = c.l2Assoc;
     mc.vidBits = c.vidBits;
-    mc.unboundedSpecSets = c.unboundedSpecSets;
     mc.slaEnabled = c.slaEnabled;
-    mc.fabric = i < 2 ? sim::Fabric::SnoopBus : sim::Fabric::Directory;
+    mc.fabric = f;
+    return mc;
+}
+
+} // namespace
+
+sim::MachineConfig
+cellConfig(const FuzzConfig& c, int i)
+{
+    sim::MachineConfig mc = sharedCellConfig(
+        c, i < 2 ? sim::Fabric::SnoopBus : sim::Fabric::Directory);
+    mc.unboundedSpecSets = c.unboundedSpecSets;
     mc.txMode = (i % 2) == 0 ? TxMode::LazyHmtx
                              : TxMode::EagerHmtx;
     // One cell polices the incremental indexes after every bulk op;
@@ -89,18 +98,10 @@ cellConfig(const FuzzConfig& c, int i)
 sim::MachineConfig
 modeCellConfig(const FuzzConfig& c, unsigned g, sim::Fabric f)
 {
-    sim::MachineConfig mc;
-    mc.numCores = c.numCores;
-    mc.l1SizeKB = c.l1KB;
-    mc.l1Assoc = c.l1Assoc;
-    mc.l2SizeKB = c.l2KB;
-    mc.l2Assoc = c.l2Assoc;
-    mc.vidBits = c.vidBits;
+    sim::MachineConfig mc = sharedCellConfig(c, f);
     // Bounded modes exist to cap speculative footprints; the config
     // layer rejects them with unbounded spec sets.
     mc.unboundedSpecSets = false;
-    mc.slaEnabled = c.slaEnabled;
-    mc.fabric = f;
     const TxPolicyConfig pc = groupPolicy(c, g);
     mc.txMode = pc.mode;
     mc.btxMaxRetries = pc.btxMaxRetries;
@@ -111,21 +112,6 @@ modeCellConfig(const FuzzConfig& c, unsigned g, sim::Fabric f)
 
 namespace
 {
-
-bool
-usesAddr(OpKind k)
-{
-    switch (k) {
-    case OpKind::Load:
-    case OpKind::Store:
-    case OpKind::NonSpecLoad:
-    case OpKind::NonSpecStore:
-    case OpKind::WrongPathLoad:
-        return true;
-    default:
-        return false;
-    }
-}
 
 std::uint64_t
 sizeMask(unsigned size)
@@ -152,15 +138,8 @@ struct Cell
     Cell(const char* n, const sim::MachineConfig& mc) : name(n), sys(eq, mc)
     {}
 
-    /** Back to the just-built state, queue at tick 0. */
-    void
-    reset()
-    {
-        eq.reset();
-        sys.reset();
-    }
-
-    /** As if rebuilt for @p mc, which keeps the cell's structure. */
+    /** As if rebuilt for @p mc, which keeps the cell's structure:
+     *  the just-built state, queue at tick 0. */
     void
     reset(const sim::MachineConfig& mc)
     {
@@ -295,7 +274,7 @@ class CellMatrix::Group
         executed_ = 0;
         div_ = {};
         for (auto& c : cells_)
-            c->reset();
+            c->reset(c->sys.config());
         if (hooks != nullptr && hooks->onCell)
             for (auto& c : cells_)
                 hooks->onCell(c->name, c->sys);
@@ -411,7 +390,7 @@ class CellMatrix::Group
     {
         words_.clear();
         for (const Op& op : program.ops)
-            if (usesAddr(op.kind))
+            if (isMemoryAccess(op.kind))
                 words_.push_back(op.addr & ~Addr{7});
         std::sort(words_.begin(), words_.end());
         words_.erase(std::unique(words_.begin(), words_.end()),

@@ -21,21 +21,6 @@ namespace hmtx::check
 namespace
 {
 
-bool
-isAccess(OpKind k)
-{
-    switch (k) {
-    case OpKind::Load:
-    case OpKind::Store:
-    case OpKind::NonSpecLoad:
-    case OpKind::NonSpecStore:
-    case OpKind::WrongPathLoad:
-        return true;
-    default:
-        return false;
-    }
-}
-
 /**
  * Replays forced delivery decisions and records how many decision
  * points the fabric consulted. Each matrix cell gets its own instance
@@ -361,7 +346,7 @@ opsIndependent(const Op& a, const Op& b, bool hasSlaOps,
         return false; // program order is binding
     // Bulk/global ops (commit, abort, VID reset, SLA acks) touch the
     // whole machine; never reorder around them.
-    if (!isAccess(a.kind) || !isAccess(b.kind))
+    if (!isMemoryAccess(a.kind) || !isMemoryAccess(b.kind))
         return false;
     // Same line: the §4.1 tags, marks, and versions live per line.
     if (lineAddr(a.addr) == lineAddr(b.addr))

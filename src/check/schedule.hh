@@ -40,6 +40,24 @@ enum class OpKind : std::uint8_t
     SlaMismatch,  ///< ack the oldest pending SLA with a perturbed value
 };
 
+/** True for the ops that access an address (the five before Commit).
+ *  Not named isAccess: hmtx_perfbench.cc has a file-local one, and
+ *  argument-dependent lookup would make its calls ambiguous. */
+constexpr bool
+isMemoryAccess(OpKind k)
+{
+    switch (k) {
+    case OpKind::Load:
+    case OpKind::Store:
+    case OpKind::NonSpecLoad:
+    case OpKind::NonSpecStore:
+    case OpKind::WrongPathLoad:
+        return true;
+    default:
+        return false;
+    }
+}
+
 struct Op
 {
     OpKind kind = OpKind::Load;

@@ -395,7 +395,7 @@ class ResetMatchesFresh : public ::testing::TestWithParam<CellParam>
     void
     resetAndCompare(Cell& c, const Schedule& b)
     {
-        // Leave events on the wheel and in the far heap.
+        // Leave events pending, one near and one far ahead.
         c.eq.scheduleIn(5, [&c] { ++c.fired; });
         c.eq.scheduleIn(100000, [&c] { ++c.fired; });
         c.eq.reset();

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <coroutine>
+#include <exception>
+#include <map>
 #include <random>
 #include <utility>
 #include <vector>
@@ -72,10 +75,9 @@ TEST(EventQueue, StepReturnsFalseWhenEmpty)
 
 // --- a queue that never scheduled an event --------------------------
 //
-// The wheel's buckets are allocated by the first push, so each case
-// below runs on a fresh queue and on one that already scheduled and
-// drained an event at tick 0 (wheel allocated, current bucket drained
-// but not yet retired). Both must behave identically.
+// Each case below runs on a fresh queue and on one that already
+// scheduled and drained an event at tick 0 (its heap storage
+// allocated, now empty). Both must behave identically.
 
 /** (tick, id) of every fired event, in firing order. */
 using Firings = std::vector<std::pair<Tick, int>>;
@@ -164,8 +166,8 @@ TEST(EventQueueUnscheduled, FirstEventAfterBypass)
         at(eq, out, 105, 0);
         at(eq, out, 100, 1); // delay 0
         at(eq, out, 105, 2);
-        at(eq, out, 100 + 4095, 3); // last wheel tick
-        at(eq, out, 100 + 4096, 4); // first far tick
+        at(eq, out, 100 + 4095, 3); // just under kSpan ahead
+        at(eq, out, 100 + 4096, 4); // exactly kSpan ahead
         eq.run();
         return out;
     });
@@ -177,15 +179,15 @@ TEST(EventQueueUnscheduled, FirstEventFarAheadMigratesIntoWheel)
 {
     const Firings f = sameAsWarm([](EventQueue& eq) {
         Firings out;
-        // Only far-heap events: the first push must still allocate
-        // the wheel they migrate into.
+        // Only events at least kSpan ahead, one of them scheduling
+        // at its own tick.
         eq.schedule(5000, [&eq, &out] {
             out.emplace_back(eq.curTick(), 0);
-            at(eq, out, 5000, 2); // delay 0, behind #1 in the bucket
+            at(eq, out, 5000, 2); // delay 0, after #1 (scheduled earlier)
             at(eq, out, 5100, 3);
         });
         at(eq, out, 5000, 1);
-        at(eq, out, 4096, 4); // exactly the first far tick
+        at(eq, out, 4096, 4); // exactly kSpan ahead
         eq.run();
         return out;
     });
@@ -197,31 +199,32 @@ TEST(EventQueueUnscheduled, FarAndNearFirstEventsKeepScheduleOrder)
 {
     const Firings f = sameAsWarm([](EventQueue& eq) {
         Firings out;
-        at(eq, out, 5000, 0); // >= 4096 ahead: far heap
+        at(eq, out, 5000, 0); // >= kSpan ahead
         at(eq, out, 10, 1);
-        at(eq, out, 5000, 2); // far heap, after #0
+        at(eq, out, 5000, 2); // >= kSpan ahead, after #0
         eq.schedule(1000, [&eq, &out] {
             out.emplace_back(eq.curTick(), 3);
-            at(eq, out, 5000, 4); // now near: straight into the wheel
+            at(eq, out, 5000, 4); // now < kSpan ahead
         });
-        at(eq, out, 9000, 5); // still far after #0/#2 migrate
+        at(eq, out, 9000, 5); // >= kSpan ahead
         eq.run();
         return out;
     });
-    // The wheel-resident #4 was scheduled after the far #0/#2, so it
-    // fires after them once they migrate into its bucket.
+    // #4 was scheduled after #0/#2 from much closer, and still fires
+    // after them: same-tick order is schedule order, whatever the
+    // distance each event was scheduled from.
     EXPECT_EQ(f, (Firings{{10, 1}, {1000, 3}, {5000, 0}, {5000, 2},
                           {5000, 4}, {9000, 5}}));
 }
 
-// --- the bounded due check behind tryBypass() -----------------------
+// --- the due check behind tryBypass() -------------------------------
 //
 // A bypass to `wake` is refused exactly when some pending event is due
-// at or before `wake`, wherever it sits: the current bucket's
-// undrained tail, a wheel bucket in (now, wake], or the far heap.
+// at or before `wake`: one still at the current tick, one in
+// (now, wake], or one scheduled from kSpan or more ticks away.
 
-/** Wheel span of the queue (EventQueue::kWheelTicks). */
-constexpr Tick kWheel = 4096;
+/** The distance, in ticks, that the cases schedule around. */
+constexpr Tick kSpan = 4096;
 
 TEST(EventQueueDue, EventExactlyAtWakeRefuses)
 {
@@ -245,7 +248,7 @@ TEST(EventQueueDue, EventOneTickLaterAccepts)
 TEST(EventQueueDue, SpanAcrossManyOccupancyWords)
 {
     EventQueue eq;
-    eq.schedule(500, [] {}); // an inner word of the range [1, 1000]
+    eq.schedule(500, [] {}); // inside the range [1, 1000]
     EXPECT_FALSE(eq.tryBypass(1000));
     EXPECT_TRUE(eq.tryBypass(499));
     EXPECT_FALSE(eq.tryBypass(500));
@@ -254,33 +257,33 @@ TEST(EventQueueDue, SpanAcrossManyOccupancyWords)
 TEST(EventQueueDue, WakeAtLeastAWheelAhead)
 {
     EventQueue eq;
-    eq.schedule(kWheel - 1, [] {}); // the last wheel tick
-    EXPECT_FALSE(eq.tryBypass(kWheel + 5));
-    EXPECT_FALSE(eq.tryBypass(kWheel - 1));
-    EXPECT_TRUE(eq.tryBypass(kWheel - 2));
+    eq.schedule(kSpan - 1, [] {}); // just under kSpan ahead
+    EXPECT_FALSE(eq.tryBypass(kSpan + 5));
+    EXPECT_FALSE(eq.tryBypass(kSpan - 1));
+    EXPECT_TRUE(eq.tryBypass(kSpan - 2));
     eq.run();
-    EXPECT_EQ(eq.curTick(), kWheel - 1);
+    EXPECT_EQ(eq.curTick(), kSpan - 1);
     // Nothing pending: any distance is fine.
-    EXPECT_TRUE(eq.tryBypass(eq.curTick() + 3 * kWheel));
+    EXPECT_TRUE(eq.tryBypass(eq.curTick() + 3 * kSpan));
 }
 
 TEST(EventQueueDue, FarHeapEventAtOrBeforeWakeRefuses)
 {
     EventQueue eq;
     Firings out;
-    at(eq, out, kWheel + 904, 0); // >= a wheel ahead: far heap
-    EXPECT_FALSE(eq.tryBypass(kWheel + 904));
-    EXPECT_FALSE(eq.tryBypass(2 * kWheel));
-    EXPECT_TRUE(eq.tryBypass(kWheel + 903));
+    at(eq, out, kSpan + 904, 0); // more than kSpan ahead
+    EXPECT_FALSE(eq.tryBypass(kSpan + 904));
+    EXPECT_FALSE(eq.tryBypass(2 * kSpan));
+    EXPECT_TRUE(eq.tryBypass(kSpan + 903));
     eq.run();
-    EXPECT_EQ(out, (Firings{{kWheel + 904, 0}}));
+    EXPECT_EQ(out, (Firings{{kSpan + 904, 0}}));
 }
 
 TEST(EventQueueDue, RangeWrappingPastTheWheelEnd)
 {
     EventQueue eq;
     EXPECT_TRUE(eq.tryBypass(4000));
-    eq.schedule(4100, [] {}); // bucket 4, after the wrap
+    eq.schedule(4100, [] {}); // 4100 mod kSpan = 4: wraps a span
     EXPECT_FALSE(eq.tryBypass(4200));
     EXPECT_FALSE(eq.tryBypass(4100));
     EXPECT_TRUE(eq.tryBypass(4099));
@@ -301,14 +304,14 @@ TEST(EventQueueDue, StaleOccupancyBitOnCurrentBucketIsIgnored)
     EventQueue eq;
     Firings out;
     eq.schedule(5, [] {});
-    at(eq, out, 5 + kWheel - 1, 0); // bucket 4: one behind bucket 5
+    at(eq, out, 5 + kSpan - 1, 0); // 4 mod kSpan: one behind 5
     ASSERT_TRUE(eq.step());
-    // Bucket 5 is drained but its bit stays set until it retires; the
-    // range (5, 5 + kWheel - 2] wraps around every other bucket but 4.
-    EXPECT_FALSE(eq.tryBypass(5 + kWheel - 1));
-    EXPECT_TRUE(eq.tryBypass(5 + kWheel - 2));
+    // Tick 5 is drained; the range (5, 5 + kSpan - 2] covers every
+    // tick mod kSpan but 4 and the current 5.
+    EXPECT_FALSE(eq.tryBypass(5 + kSpan - 1));
+    EXPECT_TRUE(eq.tryBypass(5 + kSpan - 2));
     eq.run();
-    EXPECT_EQ(out, (Firings{{5 + kWheel - 1, 0}}));
+    EXPECT_EQ(out, (Firings{{5 + kSpan - 1, 0}}));
 }
 
 TEST(EventQueueDue, NeverScheduledQueueAlwaysBypasses)
@@ -316,7 +319,7 @@ TEST(EventQueueDue, NeverScheduledQueueAlwaysBypasses)
     // The lane driver's use: the queue only keeps the clock.
     EventQueue eq;
     EXPECT_TRUE(eq.tryBypass(7));
-    EXPECT_TRUE(eq.tryBypass(7 + 5 * kWheel));
+    EXPECT_TRUE(eq.tryBypass(7 + 5 * kSpan));
     EXPECT_FALSE(eq.tryBypass(6));
     EXPECT_EQ(eq.executed(), 0u);
     EXPECT_TRUE(eq.empty());
@@ -358,6 +361,171 @@ TEST(EventQueueDue, MatchesEarliestPendingTickOnRandomSchedules)
         }
         eq.run();
         EXPECT_TRUE(pending.empty());
+    }
+}
+
+TEST(EventQueue, ScheduleAtTheTickRunUntilIdledTo)
+{
+    // runUntil() moves an empty queue's clock past the tick its last
+    // event fired at; an event then scheduled at the new tick is due
+    // there and fires there.
+    EventQueue eq;
+    Firings out;
+    at(eq, out, 5, 0);
+    ASSERT_TRUE(eq.step());
+    eq.runUntil(10);
+    EXPECT_EQ(eq.curTick(), 10u);
+    at(eq, out, 10, 1);
+    EXPECT_FALSE(eq.tryBypass(10));
+    eq.run();
+    EXPECT_EQ(out, (Firings{{5, 0}, {10, 1}}));
+    EXPECT_EQ(eq.executed(), 2u);
+}
+
+// --- firing order against a reference ------------------------------
+//
+// Random mixes of coroutine and callback events, fired by step() and
+// run(), with tryBypass() probes in between. A
+// std::map keyed by (tick, schedule order) is the reference: every
+// event must fire at the first key's tick with the first key's id.
+
+/** A coroutine that suspends once, then records its firing. */
+struct FireOnce
+{
+    struct promise_type
+    {
+        FireOnce
+        get_return_object()
+        {
+            return {std::coroutine_handle<promise_type>::from_promise(
+                *this)};
+        }
+        std::suspend_always initial_suspend() noexcept { return {}; }
+        std::suspend_always final_suspend() noexcept { return {}; }
+        void return_void() {}
+        void unhandled_exception() { std::terminate(); }
+    };
+
+    std::coroutine_handle<promise_type> h;
+};
+
+/** Drives one queue and its reference through a random schedule. */
+class ReferenceRun
+{
+  public:
+    explicit ReferenceRun(std::uint64_t seed) : rng_(seed) {}
+
+    ~ReferenceRun()
+    {
+        for (std::coroutine_handle<> h : frames_)
+            h.destroy();
+    }
+
+    /**
+     * Schedules one event: at the current tick, up to 3 * kSpan
+     * ahead, or at a tick already past (which push() clamps to now).
+     */
+    void
+    scheduleRandom()
+    {
+        const Tick now = eq_.curTick();
+        Tick when = now;
+        switch (rng_() % 4) {
+        case 0: break; // delay 0
+        case 1: when = now + 1 + rng_() % 64; break;
+        case 2: when = now + rng_() % (3 * kSpan + 1); break;
+        default: when = now - rng_() % (now + 1); break; // past
+        }
+        const int id = nextId_++;
+        ref_.emplace(std::pair{std::max(when, now), seq_++}, id);
+        if (rng_() % 2) {
+            FireOnce c = fire(id);
+            frames_.push_back(c.h);
+            eq_.scheduleResume(when, c.h);
+        } else {
+            eq_.schedule(when, [this, id] {
+                record(id);
+                // 0, 0, 1 or 2 children: the event tree stays finite.
+                for (unsigned n = rng_() % 4; n > 1; --n)
+                    scheduleRandom();
+            });
+        }
+    }
+
+    /** One random operation: schedule, step or a bypass probe. */
+    void
+    op()
+    {
+        const Tick now = eq_.curTick();
+        switch (rng_() % 6) {
+        case 0:
+        case 1: scheduleRandom(); break;
+        case 2:
+        case 3: EXPECT_EQ(eq_.step(), !ref_.empty()); break;
+        default: {
+            // Mostly ahead, sometimes up to two ticks in the past.
+            const Tick back = std::min<Tick>(now, rng_() % 3);
+            const Tick ahead =
+                rng_() % 2 ? rng_() % 100 : rng_() % (3 * kSpan);
+            const Tick wake = now - back + ahead;
+            const bool ok = wake >= now &&
+                (ref_.empty() || ref_.begin()->first.first > wake);
+            EXPECT_EQ(eq_.tryBypass(wake), ok) << "now " << now
+                                               << " wake " << wake;
+            EXPECT_EQ(eq_.curTick(), ok ? wake : now);
+            break;
+        }
+        }
+        EXPECT_EQ(eq_.pending(), ref_.size());
+    }
+
+    /** Drains the queue; @return (fired, expected) firings. */
+    std::pair<Firings, Firings>
+    finish()
+    {
+        eq_.run();
+        EXPECT_TRUE(ref_.empty());
+        EXPECT_EQ(eq_.executed(), got_.size());
+        return {got_, want_};
+    }
+
+  private:
+    FireOnce
+    fire(int id)
+    {
+        record(id);
+        co_return;
+    }
+
+    void
+    record(int id)
+    {
+        ASSERT_FALSE(ref_.empty()) << "event " << id << " fired twice";
+        want_.emplace_back(ref_.begin()->first.first,
+                           ref_.begin()->second);
+        ref_.erase(ref_.begin());
+        got_.emplace_back(eq_.curTick(), id);
+    }
+
+    EventQueue eq_;
+    std::mt19937_64 rng_;
+    /** (tick after the clamp, schedule order) -> event id. */
+    std::map<std::pair<Tick, std::uint64_t>, int> ref_;
+    std::uint64_t seq_ = 0;
+    int nextId_ = 0;
+    Firings got_, want_;
+    std::vector<std::coroutine_handle<>> frames_;
+};
+
+TEST(EventQueue, FiringOrderMatchesReferenceOnRandomSchedules)
+{
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        ReferenceRun r(seed);
+        for (int i = 0; i < 3000; ++i)
+            r.op();
+        const auto [got, want] = r.finish();
+        EXPECT_EQ(got, want) << "seed " << seed;
+        EXPECT_GT(got.size(), 500u) << "seed " << seed;
     }
 }
 

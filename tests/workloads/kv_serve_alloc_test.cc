@@ -75,6 +75,8 @@ namespace
 
 using namespace hmtx;
 
+#ifndef HMTX_SANITIZED_BUILD
+
 /** operator new calls made by one smoke-cell run of @p requests. */
 std::uint64_t
 allocationsOf(TxMode mode, std::uint64_t requests)
@@ -87,6 +89,8 @@ allocationsOf(TxMode mode, std::uint64_t requests)
     kv_smoke::expectClean(r, txModeName(mode));
     return n;
 }
+
+#endif // HMTX_SANITIZED_BUILD
 
 // Whatever a run allocates must be setup (caches, rings, index tables
 // growing to the working set), not per request: tripling the request
