@@ -69,6 +69,7 @@ echo "== micro_hotpath smoke (behavioural identity + speedup bound) =="
 
 echo "== micro_hotpath =="
 MICRO_JSON=$(mktemp)
+trap 'rm -f "$MICRO_JSON"' EXIT
 "$BUILD/bench/micro_hotpath" \
     --benchmark_out="$MICRO_JSON" --benchmark_out_format=json \
     --benchmark_min_time=0.2

@@ -20,6 +20,11 @@ fi
 JOBS=$(nproc 2>/dev/null || echo 4)
 cd "$ROOT"
 
+# Every temporary file below is made in CI_TMP, which the EXIT trap
+# removes however the script ends.
+CI_TMP=$(mktemp -d)
+trap 'rm -rf "$CI_TMP"' EXIT
+
 # pin_json <report> <fresh.json> <committed.json> [ignored key ...]
 # Flattens both reports to dotted paths (sweep[3].btx.cycles) and
 # fails unless every field of the fresh run equals the committed one.
@@ -129,7 +134,7 @@ if printf '%s\n' "${PRESETS[@]}" | grep -qx release \
         local label=$1 cells=$2 seed0=$3 log
         shift 3
         echo "==== model check ($label cells): $MC_BUDGET programs ===="
-        log=$(mktemp)
+        log=$(mktemp -p "$CI_TMP")
         MC_LOGS+=("$label=$log")
         if ! "$MC_BIN" --programs "$MC_BUDGET" --cells "$cells" \
             --seed0 "$seed0" --corpus-out "$ROOT/tests/fuzz/corpus" \
@@ -195,7 +200,6 @@ if bad:
              "is meant to alter it)")
 print("mc counts pin: ok")
 EOF
-    rm -f "${MC_LOGS[@]#*=}"
 fi
 
 # The model checker restores checkpointed cells in place; under the
@@ -257,7 +261,7 @@ if printf '%s\n' "${PRESETS[@]}" | grep -qx release; then
     PB_LOGS=()
     for seed in 1 7919; do
         echo "==== perfbench: all workloads, seed $seed, 2 s each ===="
-        PB_LOG=$(mktemp)
+        PB_LOG=$(mktemp -p "$CI_TMP")
         PB_LOGS+=("$PB_LOG")
         if ! CARGO_TARGET_DIR="$ROOT/build-release/perfbench" \
             PYTHONDONTWRITEBYTECODE=1 \
@@ -307,7 +311,6 @@ if bad:
              "the change is meant to alter it)")
 print("sim_digest pin: ok")
 EOF
-    rm -f "${PB_LOGS[@]}"
 fi
 
 # Bench smoke + hot-path regression gate (Release timings only; the
@@ -329,7 +332,7 @@ if printf '%s\n' "${PRESETS[@]}" | grep -qx release; then
     echo "==== bench: commit-mode crossover smoke + pin ===="
     cmake --build --preset release -j "$JOBS" \
         --target ext_mode_crossover ext_directory_scaling
-    CI_MODES_JSON=$(mktemp)
+    CI_MODES_JSON=$(mktemp -p "$CI_TMP")
     if ! "$ROOT/build-release/bench/ext_mode_crossover" \
         "$CI_MODES_JSON" > /dev/null; then
         echo "FATAL: ext_mode_crossover found no HMTX/best-effort" \
@@ -338,10 +341,9 @@ if printf '%s\n' "${PRESETS[@]}" | grep -qx release; then
         exit 1
     fi
     pin_json ext_mode_crossover "$CI_MODES_JSON" "$ROOT/BENCH_modes.json"
-    rm -f "$CI_MODES_JSON"
 
     echo "==== bench: directory-scaling smoke + pin ===="
-    CI_SCALING_JSON=$(mktemp)
+    CI_SCALING_JSON=$(mktemp -p "$CI_TMP")
     if ! "$ROOT/build-release/bench/ext_directory_scaling" \
         "$CI_SCALING_JSON" > /dev/null; then
         echo "FATAL: ext_directory_scaling failed a checksum or the" \
@@ -350,7 +352,6 @@ if printf '%s\n' "${PRESETS[@]}" | grep -qx release; then
     fi
     pin_json ext_directory_scaling "$CI_SCALING_JSON" \
         "$ROOT/BENCH_scaling.json"
-    rm -f "$CI_SCALING_JSON"
 
     echo "==== bench: hot-path regression gate ===="
     cmake --build --preset release -j "$JOBS" --target micro_hotpath
@@ -358,7 +359,7 @@ if printf '%s\n' "${PRESETS[@]}" | grep -qx release; then
         echo "FATAL: micro_hotpath --smoke failed to run" >&2
         exit 1
     fi
-    CI_MICRO_JSON=$(mktemp)
+    CI_MICRO_JSON=$(mktemp -p "$CI_TMP")
     if ! "$ROOT/build-release/bench/micro_hotpath" \
         --benchmark_filter='BM_(EagerCommit|AbortAll)/1/0' \
         --benchmark_out="$CI_MICRO_JSON" \
@@ -426,7 +427,7 @@ if printf '%s\n' "${PRESETS[@]}" | grep -qx release; then
     # so the run clears them.
     echo "==== bench: serving sweep pin ===="
     cmake --build --preset release -j "$JOBS" --target ext_kv_serving
-    CI_SERVE_JSON=$(mktemp)
+    CI_SERVE_JSON=$(mktemp -p "$CI_TMP")
     CI_SERVE_ENV=()
     for v in $(compgen -e | grep '^HMTX_' || true); do
         CI_SERVE_ENV+=(-u "$v")
@@ -440,7 +441,6 @@ if printf '%s\n' "${PRESETS[@]}" | grep -qx release; then
     fi
     pin_json ext_kv_serving "$CI_SERVE_JSON" "$ROOT/BENCH_serving.json" \
         host_requests_per_sec profile
-    rm -f "$CI_SERVE_JSON"
 
     echo "==== bench: serving smoke + throughput floor ===="
     CI_SERVE_LINE=$("$ROOT/build-release/bench/ext_kv_serving" --gate)

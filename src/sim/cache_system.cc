@@ -17,7 +17,7 @@ namespace hmtx::sim
 
 CacheSystem::CacheSystem(EventQueue& eq, const MachineConfig& cfg)
     : eq_(eq), cfg_(cfg), cmp_(cfg.vidBits), policy_(cfg.txPolicy()),
-      trace_(cfg.traceFlags)
+      trace_(cfg.traceEnabled)
 {
     cfg_.validate();
 
@@ -60,8 +60,7 @@ CacheSystem::snapshot(Snapshot& s) const
     s.rwGen = rwGen_;
 
     s.shadow.clear();
-    for (const auto& e : shadow_)
-        s.shadow.push_back(e);
+    shadow_.forEach([&](Addr la, Vid v) { s.shadow.emplace_back(la, v); });
     s.mem.clear();
     mem_.forEachLine(
         [&](Addr a, const LineData& d) { s.mem.emplace_back(a, d); });
@@ -115,7 +114,9 @@ CacheSystem::restore(const Snapshot& s)
     rwCachedSlot_ = s.rwCachedSlot;
     rwGen_ = s.rwGen;
 
-    assignEntries(shadow_, s.shadow);
+    shadow_.clear();
+    for (const auto& [la, v] : s.shadow)
+        shadow_[la] = v;
     mem_.assign(s.mem);
     if (!(overflow_.pristine() && s.overflow.pristine()))
         overflow_ = s.overflow;
@@ -156,7 +157,7 @@ CacheSystem::reset(const MachineConfig& cfg)
     initial_.cmp = VidComparator(cfg_.vidBits);
     initial_.policy = TxPolicy(cfg_.txPolicy());
     restore(initial_);
-    trace_.reset(cfg_.traceFlags);
+    trace_.reset(cfg_.traceEnabled);
 }
 
 // --- index maintenance --------------------------------------------------

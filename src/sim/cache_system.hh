@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <memory>
 #include <memory_resource>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -314,7 +313,7 @@ class CacheSystem
     /** The spec-line overflow table (unbounded-sets extension). */
     const OverflowTable& overflowTable() const { return overflow_; }
 
-    /** Debug trace log (categories per MachineConfig::traceFlags). */
+    /** Protocol-action trace (on per MachineConfig::traceEnabled). */
     Trace& trace() { return trace_; }
 
     /**
@@ -673,7 +672,7 @@ class CacheSystem
 
     /** Wrong-path shadow marks: line -> highest wrong-path VID (§5.1
      *  "aborts avoided via SLA" accounting). */
-    std::unordered_map<Addr, Vid> shadow_;
+    FlatAddrMap<Vid> shadow_;
 
     /**
      * rwSets_[0, rwLive_) are the live VIDs' sets, in no particular

@@ -169,17 +169,11 @@ CacheSystem::triggerAbort(const Line* offender)
 {
     if (offender && offender->highFromWrongPath)
         ++stats_.falseAbortsWrongPath;
-    if (offender) {
-        trace_.event(TraceCommit, eq_.curTick(),
-                     "ABORT triggered by line %#llx %.*s(%u,%u)",
-                     static_cast<unsigned long long>(offender->base),
-                     static_cast<int>(stateName(offender->state).size()),
-                     stateName(offender->state).data(),
-                     offender->tag.mod, offender->tag.high);
-    } else {
-        trace_.event(TraceCommit, eq_.curTick(),
-                     "ABORT triggered (overflowed pristine version)");
-    }
+    trace_.record({.when = eq_.curTick(),
+                   .addr = offender ? offender->base : 0,
+                   .tag = offender ? offender->tag : VersionTag{},
+                   .kind = TraceKind::Abort,
+                   .state = offender ? offender->state : State::Invalid});
     abortAll();
 }
 
@@ -292,17 +286,17 @@ CacheSystem::checkShadowAvoided(Addr la, Vid storeVid)
     // the hash probe entirely on the (typical) run without any.
     if (shadow_.empty())
         return;
-    auto it = shadow_.find(la);
-    if (it == shadow_.end())
+    const Vid* v = shadow_.find(la);
+    if (!v)
         return;
-    if (it->second > storeVid) {
+    if (*v > storeVid) {
         // Without SLAs the wrong-path load would have marked the line
         // with its higher VID and this (successful) store would have
         // triggered a false abort (§5.1, Table 1).
         ++stats_.avoidedAborts;
-        shadow_.erase(it);
-    } else if (it->second <= lcVid_) {
-        shadow_.erase(it);
+        shadow_.erase(la);
+    } else if (*v <= lcVid_) {
+        shadow_.erase(la);
     }
 }
 
@@ -730,11 +724,10 @@ CacheSystem::store(CoreId core, Addr a, std::uint64_t value,
         writeData(*nl, a, value, size);
         syncLine(*nl);
         ++stats_.newVersions;
-        trace_.event(TraceProtocol, eq_.curTick(),
-                     "new version S-M(%u,%u) of %#llx at core %u "
-                     "(cold)",
-                     vid, vid, static_cast<unsigned long long>(la),
-                     core);
+        trace_.record({.when = eq_.curTick(), .addr = la, .core = core,
+                       .vid = vid, .tag = nl->tag,
+                       .kind = TraceKind::ColdNewVersion,
+                       .state = nl->state});
         recordWrite(vid, la, nl);
         checkShadowAvoided(la, vid);
         return r;
@@ -824,9 +817,9 @@ CacheSystem::store(CoreId core, Addr a, std::uint64_t value,
     writeData(*nl, a, value, size);
     syncLine(*nl);
     ++stats_.newVersions;
-    trace_.event(TraceProtocol, eq_.curTick(),
-                 "new version S-M(%u,%u) of %#llx at core %u", vid,
-                 vid, static_cast<unsigned long long>(la), core);
+    trace_.record({.when = eq_.curTick(), .addr = la, .core = core,
+                   .vid = vid, .tag = nl->tag,
+                   .kind = TraceKind::NewVersion, .state = nl->state});
     recordWrite(vid, la, nl);
     checkShadowAvoided(la, vid);
     return r;
@@ -953,9 +946,9 @@ CacheSystem::slaConfirm(CoreId core, const SlaEntry& e)
     }
     if (now != e.value) {
         ++stats_.slaMismatchAborts;
-        trace_.event(TraceSla, eq_.curTick(),
-                     "SLA mismatch at %#llx vid %u",
-                     static_cast<unsigned long long>(e.addr), e.vid);
+        trace_.record({.when = eq_.curTick(), .addr = e.addr,
+                       .core = core, .vid = e.vid,
+                       .kind = TraceKind::SlaMismatch});
         triggerAbort(nullptr);
         return false;
     }

@@ -27,7 +27,8 @@ CacheSystem::commit(Vid vid)
     lcVid_ = vid;
     ++stats_.commits;
     ++stats_.committedTxs;
-    trace_.event(TraceCommit, eq_.curTick(), "commit VID %u", vid);
+    trace_.record(
+        {.when = eq_.curTick(), .vid = vid, .kind = TraceKind::Commit});
 
     if (const RwSets* s = rwFind(vid)) {
         const std::size_t comb = s->combinedLines();
@@ -153,7 +154,7 @@ CacheSystem::vidReset()
     ++rwGen_; // VIDs recycle after the reset; invalidate rw marks
     shadow_.clear();
     ++stats_.vidResets;
-    trace_.event(TraceCommit, eq_.curTick(), "VID reset");
+    trace_.record({.when = eq_.curTick(), .kind = TraceKind::VidReset});
     maybeCrossCheck();
     return net_->post(eq_.curTick(), FabricOp::VidReset, 0);
 }

@@ -295,13 +295,9 @@ CacheSystem::evict(Cache& c, Line& victim)
             if (cfg_.unboundedSpecSets) {
                 // §8 / [27]: spill the version into the
                 // memory-resident overflow table instead of aborting.
-                trace_.event(TraceEvict, eq_.curTick(),
-                             "spill %.*s(%u,%u) %#llx",
-                             static_cast<int>(
-                                 stateName(victim.state).size()),
-                             stateName(victim.state).data(),
-                             victim.tag.mod, victim.tag.high,
-                             static_cast<unsigned long long>(la));
+                trace_.record({.when = eq_.curTick(), .addr = la,
+                               .tag = victim.tag, .kind = TraceKind::Spill,
+                               .state = victim.state});
                 overflow_.spill(victim, c.dataOf(victim));
                 ++stats_.specSpills;
                 drop();

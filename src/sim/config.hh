@@ -81,8 +81,8 @@ struct MachineConfig
      */
     bool unboundedSpecSets = false;
 
-    /** Trace categories enabled at construction (sim/trace.hh). */
-    std::uint32_t traceFlags = 0;
+    /** Records protocol actions in CacheSystem::trace(). */
+    bool traceEnabled = false;
 
     /** VID field width m; the evaluated design uses 6 (§4.5). */
     unsigned vidBits = 6;

@@ -45,34 +45,6 @@ writeLe(LineData& d, unsigned off, std::uint64_t v, unsigned size)
 }
 
 /**
- * Makes @p map hold exactly the key/value pairs of @p entries (whose
- * keys are unique): in place when its keys are already those of
- * @p entries, so no node is freed or allocated, and otherwise by
- * clearing it (it keeps its bucket array) and inserting them.
- */
-template <typename Map, typename Entries>
-void
-assignEntries(Map& map, const Entries& entries)
-{
-    if (map.size() == entries.size()) {
-        bool same = true;
-        for (const auto& [k, v] : entries) {
-            const auto it = map.find(k);
-            if (it == map.end()) {
-                same = false;
-                break;
-            }
-            it->second = v;
-        }
-        if (same)
-            return;
-    }
-    map.clear();
-    for (const auto& [k, v] : entries)
-        map.emplace(k, v);
-}
-
-/**
  * Sparse functional main memory. Lines materialize zero-filled on
  * first touch. Main memory only ever holds committed data: speculative
  * versions live in the caches until their transaction commits (the one
@@ -113,13 +85,30 @@ class MainMemory
         writeLe(lines_[lineAddr(a)], lineOffset(a), v, size);
     }
 
-    /** Makes the touched lines exactly @p lines, (address, data)
-     *  pairs as forEachLine() lists them (assignEntries()). */
+    /** Makes the touched lines exactly @p lines, (address, data) pairs
+     *  as forEachLine() lists them: in place when the same lines are
+     *  touched (no node freed or allocated), else by clearing the
+     *  table (it keeps its buckets) and inserting them. */
     template <typename Lines>
     void
     assign(const Lines& lines)
     {
-        assignEntries(lines_, lines);
+        if (lines_.size() == lines.size()) {
+            bool same = true;
+            for (const auto& [a, d] : lines) {
+                const auto it = lines_.find(a);
+                if (it == lines_.end()) {
+                    same = false;
+                    break;
+                }
+                it->second = d;
+            }
+            if (same)
+                return;
+        }
+        lines_.clear();
+        for (const auto& [a, d] : lines)
+            lines_.emplace(a, d);
     }
 
     /** Number of lines ever touched. */

@@ -1,135 +1,151 @@
 /**
  * @file
- * Lightweight categorized trace facility for debugging simulations,
- * in the spirit of gem5's DPRINTF flags.
+ * Typed trace of the protocol actions the memory system takes: new
+ * speculative versions (§4.1), group commits and aborts (§4.4), VID
+ * resets (§4.6), SLA mismatches (§5.1) and overflow-table spills (§8).
  */
 
 #ifndef HMTX_SIM_TRACE_HH
 #define HMTX_SIM_TRACE_HH
 
-#include <cstdarg>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
-#include <string>
+#include <iterator>
+#include <string_view>
+#include <type_traits>
+#include <vector>
 
+#include "core/spec_state.hh"
 #include "core/types.hh"
+#include "core/version_rules.hh"
 
 namespace hmtx::sim
 {
 
-/** Trace categories; combine with bitwise OR. */
-enum TraceFlags : std::uint32_t
+/** What a TraceRecord records. Fields a kind does not name are 0. */
+enum class TraceKind : std::uint8_t
 {
-    TraceNone = 0,
-    /** Coherence protocol actions: hits, new versions, supersedes. */
-    TraceProtocol = 1u << 0,
-    /** Commits, aborts, VID resets. */
-    TraceCommit = 1u << 1,
-    /** Evictions, spills, refills. */
-    TraceEvict = 1u << 2,
-    /** SLA traffic and wrong-path loads. */
-    TraceSla = 1u << 3,
-    /** Runtime events: queue ops, recovery barriers. */
-    TraceRuntime = 1u << 4,
-    TraceAll = ~0u,
+    /** A store made version S-M(vid, vid) of line addr at core,
+     *  superseding a cached version. */
+    NewVersion,
+    /** The same, built from main memory: no version was cached. */
+    ColdNewVersion,
+    /** VID vid committed. */
+    Commit,
+    /** Group abort; addr, state and tag are the offending line's, or
+     *  state is Invalid when no line is at fault (an SLA mismatch, a
+     *  limited-set bound, an overflowed pristine version). */
+    Abort,
+    /** VIDs recycled. */
+    VidReset,
+    /** Version state/tag of line addr moved to the overflow table. */
+    Spill,
+    /** The SLA of VID vid from core found the value at byte addr
+     *  changed. */
+    SlaMismatch,
 };
 
+/** Names of the TraceKinds in Trace::dump() output. */
+inline constexpr const char* kTraceKindNames[] = {
+    "new_version", "cold_new_version", "commit", "abort",
+    "vid_reset",   "spill",            "sla_mismatch"};
+static_assert(std::size(kTraceKindNames) ==
+              static_cast<std::size_t>(TraceKind::SlaMismatch) + 1);
+
+/** One traced protocol action. */
+struct TraceRecord
+{
+    Tick when = 0;
+    Addr addr = 0;
+    CoreId core = 0;
+    Vid vid = 0;
+    /** (modVID, highVID). */
+    VersionTag tag{};
+    TraceKind kind = TraceKind::NewVersion;
+    State state = State::Invalid;
+
+    bool operator==(const TraceRecord&) const = default;
+};
+
+static_assert(std::is_trivially_copyable_v<TraceRecord>);
+
 /**
- * A bounded in-memory trace log. Events are recorded only for enabled
- * categories; the ring keeps the most recent entries so a failing test
- * can dump the lead-up to the failure without drowning in output.
- *
- * The simulator components take a Trace reference and call
- * event(flag, fmt, ...); the default-constructed Trace has everything
- * disabled and each call is a single branch.
+ * A ring of the last kCapacity records. A disabled trace records
+ * nothing and allocates nothing: the ring is allocated by the first
+ * recorded event, and each record() is one branch.
  */
 class Trace
 {
   public:
-    /**
-     * @param flags    enabled categories
-     * @param capacity max retained entries
-     */
-    explicit Trace(std::uint32_t flags = TraceNone,
-                   std::size_t capacity = 4096)
-        : flags_(flags), capacity_(capacity)
-    {}
+    static constexpr std::size_t kCapacity = 4096;
 
-    /** True if @p flag is enabled. */
-    bool on(TraceFlags flag) const { return (flags_ & flag) != 0; }
+    explicit Trace(bool enabled = false) : enabled_(enabled) {}
 
-    /** Enables/disables categories at run time. */
-    void setFlags(std::uint32_t flags) { flags_ = flags; }
-
-    /** Records one event if its category is enabled. */
     void
-    event(TraceFlags flag, Tick when, const char* fmt, ...)
-#if defined(__GNUC__)
-        __attribute__((format(printf, 4, 5)))
-#endif
+    record(const TraceRecord& r)
     {
-        if (!on(flag))
+        if (!enabled_)
             return;
-        char buf[256];
-        va_list ap;
-        va_start(ap, fmt);
-        std::vsnprintf(buf, sizeof(buf), fmt, ap);
-        va_end(ap);
-        if (entries_.size() >= capacity_) {
-            entries_.pop_front();
-            ++dropped_;
+        if (ring_.size() < kCapacity) {
+            if (ring_.empty())
+                ring_.reserve(kCapacity);
+            ring_.push_back(r);
+        } else {
+            ring_[head_] = r;
+            head_ = (head_ + 1) % kCapacity;
         }
-        entries_.push_back({when, flag, buf});
         ++recorded_;
     }
 
-    struct Entry
-    {
-        Tick when;
-        TraceFlags flag;
-        std::string text;
-    };
-
-    /** Retained entries, oldest first. */
-    const std::deque<Entry>& entries() const { return entries_; }
-
-    /** Events recorded (including those later dropped by the ring). */
+    /** Events recorded, including those the ring has since dropped. */
     std::uint64_t recorded() const { return recorded_; }
 
-    /** Events dropped by the ring. */
-    std::uint64_t dropped() const { return dropped_; }
+    /** Applies @p fn to the retained records, oldest first. */
+    template <typename Fn>
+    void
+    forEach(Fn&& fn) const
+    {
+        for (std::size_t i = 0; i < ring_.size(); ++i)
+            fn(ring_[(head_ + i) % ring_.size()]);
+    }
 
-    /** Formats the retained entries to @p out. */
+    /** Writes the retained records to @p out, one JSON object a line. */
     void
     dump(std::FILE* out = stderr) const
     {
-        for (const Entry& e : entries_)
-            std::fprintf(out, "%10llu %s\n",
-                         static_cast<unsigned long long>(e.when),
-                         e.text.c_str());
+        forEach([out](const TraceRecord& r) {
+            const std::string_view st = stateName(r.state);
+            std::fprintf(
+                out,
+                "{\"when\":%llu,\"kind\":\"%s\",\"core\":%u,\"vid\":%u,"
+                "\"addr\":\"0x%llx\",\"state\":\"%.*s\",\"mod\":%u,"
+                "\"high\":%u}\n",
+                static_cast<unsigned long long>(r.when),
+                kTraceKindNames[static_cast<int>(r.kind)], r.core, r.vid,
+                static_cast<unsigned long long>(r.addr),
+                static_cast<int>(st.size()), st.data(), r.tag.mod,
+                r.tag.high);
+        });
     }
 
-    /** Clears the retained entries (counters persist). */
-    void clear() { entries_.clear(); }
-
-    /** Clears the entries and zeroes the counters; @p flags become
-     *  the enabled categories. */
+    /** Drops every record and zeroes recorded() (the ring keeps its
+     *  storage); @p enabled turns recording on or off. */
     void
-    reset(std::uint32_t flags)
+    reset(bool enabled)
     {
-        flags_ = flags;
-        entries_.clear();
+        enabled_ = enabled;
+        ring_.clear();
+        head_ = 0;
         recorded_ = 0;
-        dropped_ = 0;
     }
 
   private:
-    std::uint32_t flags_;
-    std::size_t capacity_;
-    std::deque<Entry> entries_;
+    bool enabled_;
+    /** Oldest record at head_ once the ring is full. */
+    std::vector<TraceRecord> ring_;
+    std::size_t head_ = 0;
     std::uint64_t recorded_ = 0;
-    std::uint64_t dropped_ = 0;
 };
 
 } // namespace hmtx::sim

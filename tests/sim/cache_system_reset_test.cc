@@ -96,8 +96,8 @@ struct Outcome
     std::uint64_t executed = 0;
     std::size_t pending = 0;
     std::uint64_t traced = 0;
-    /** The retained trace, one "tick text" line per event. */
-    std::vector<std::string> trace;
+    /** The retained trace, oldest first. */
+    std::vector<TraceRecord> trace;
     std::uint64_t comparisons = 0;
     std::size_t overflowEntries = 0;
     std::uint64_t overflowSpills = 0;
@@ -238,8 +238,8 @@ observe(Cell& c, Outcome out)
     out.executed = c.eq.executed();
     out.pending = c.eq.pending();
     out.traced = sys.trace().recorded();
-    for (const Trace::Entry& e : sys.trace().entries())
-        out.trace.push_back(std::to_string(e.when) + " " + e.text);
+    sys.trace().forEach(
+        [&](const TraceRecord& r) { out.trace.push_back(r); });
     out.comparisons = sys.comparator().comparisons();
     out.overflowEntries = sys.overflowTable().size();
     out.overflowSpills = sys.overflowTable().spills();
@@ -374,7 +374,7 @@ configOf(const CellParam& p, const check::FuzzConfig& c = baseConfig())
         : check::modeCellConfig(
               c, p.cell < 6 ? check::kGroupBtx : check::kGroupLtd,
               p.cell % 2 == 0 ? Fabric::SnoopBus : Fabric::Directory);
-    mc.traceFlags = TraceAll;
+    mc.traceEnabled = true;
     return mc;
 }
 

@@ -1,10 +1,13 @@
 /**
  * @file
- * Pins the serving engine's allocation-free request path (DESIGN.md
- * §15): the global operator new is replaced by a counting one, and a
- * long run may allocate only marginally more than a short one. The
- * counters would pick up every host allocation in the process, so this
- * test lives in its own executable.
+ * Pins the simulator's allocation-free paths with a counting global
+ * operator new: the serving engine's request path (DESIGN.md §15),
+ * where a long run may allocate only marginally more than a short
+ * one; a disabled trace asked to record, which allocates nothing; and
+ * CacheSystem::restore() after wrong-path loads added shadow marks,
+ * which reuses the tables it has. The counters would pick up every
+ * host allocation in the process, so these tests live in their own
+ * executable.
  *
  * Sanitizer builds interpose their own allocator; the replacement is
  * compiled out there and the test skips.
@@ -20,6 +23,9 @@
 
 #include "core/tx_policy.hh"
 #include "kv_serve_smoke.hh"
+#include "sim/cache_system.hh"
+#include "sim/event_queue.hh"
+#include "sim/trace.hh"
 #include "workloads/kv_serve.hh"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -120,6 +126,49 @@ TEST(KvServeAlloc, RequestPathDoesNotAllocate)
                     static_cast<unsigned long long>(kLong), perRequest);
         EXPECT_LT(perRequest, 0.1) << txModeName(mode);
     }
+#endif
+}
+
+TEST(TraceAlloc, DisabledTraceDoesNotAllocate)
+{
+#ifdef HMTX_SANITIZED_BUILD
+    GTEST_SKIP() << "sanitizer runtimes replace operator new";
+#else
+    const std::uint64_t before = gNewCalls.load();
+    {
+        sim::Trace tr;
+        tr.record({.when = 1, .vid = 1, .kind = sim::TraceKind::Commit});
+        EXPECT_EQ(tr.recorded(), 0u);
+    }
+    EXPECT_EQ(gNewCalls.load() - before, 0u);
+#endif
+}
+
+// A snapshot holding one shadow mark is restored after wrong-path
+// loads added two more. The memory lines are touched before the
+// snapshot, so main memory is restored in place; the first round
+// warms whatever else restore() may grow.
+TEST(SnapshotAlloc, RestoreAfterWrongPathLoadsDoesNotAllocate)
+{
+#ifdef HMTX_SANITIZED_BUILD
+    GTEST_SKIP() << "sanitizer runtimes replace operator new";
+#else
+    sim::EventQueue eq;
+    sim::CacheSystem sys(eq, sim::MachineConfig{});
+    for (const Addr a : {0x1000, 0x2000, 0x3000})
+        sys.memory().write(a, 1, 8);
+    sys.load(0, 0x1000, 8, 1, /*wrongPath=*/true);
+    sim::CacheSystem::Snapshot snap;
+    sys.snapshot(snap);
+    std::uint64_t n = 0;
+    for (int round = 0; round < 2; ++round) {
+        sys.load(1, 0x2000, 8, 2, /*wrongPath=*/true);
+        sys.load(1, 0x3000, 8, 3, /*wrongPath=*/true);
+        const std::uint64_t before = gNewCalls.load();
+        sys.restore(snap);
+        n = gNewCalls.load() - before;
+    }
+    EXPECT_EQ(n, 0u);
 #endif
 }
 
