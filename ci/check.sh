@@ -116,8 +116,8 @@ if printf '%s\n' "${PRESETS[@]}" | grep -qx release \
 fi
 
 # Bounded-exhaustive model checking (DESIGN.md §14): enumerate every
-# interleaving of MC_BUDGET small 2-core programs per cell group and
-# replay each through the differential matrix, sleep-set-pruned. A
+# interleaving of MC_BUDGET small programs per batch and replay each
+# through the differential matrix, sleep-set-pruned. A
 # divergence writes a flattened witness to tests/fuzz/corpus exactly
 # like a fuzz divergence. Override MC_BUDGET for longer campaigns
 # (MC_BUDGET=0 skips).
@@ -150,6 +150,9 @@ if printf '%s\n' "${PRESETS[@]}" | grep -qx release \
     mc_batch best-effort btx 100001 --ops 7
     mc_batch limited-set ltd 200001 --ops 7
     mc_batch delivery-order all 300001 --ops 5 --delivery 3
+    # 3 cores: 3-child branch points, and branch points two ops below
+    # their checkpoint, which rebuild their prefix by re-stepping.
+    mc_batch three-core all 400001 --cores 3 --ops 8
     # Every batch's summary must equal its line in ci/mc_counts.txt
     # (pinned at the default MC_BUDGET; other budgets are reported,
     # not compared).

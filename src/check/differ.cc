@@ -253,19 +253,19 @@ class CellMatrix::Group
         return depth < saves_.size() && saves_[depth] != nullptr;
     }
 
-    /** Makes the group what Group(@p cfg, ...) builds; fits(@p cfg)
+    /** Makes the group what Group(@p cfg, ...) builds, but for its
+     *  cells, which the next begin() resets to @p cfg; fits(@p cfg)
      *  must hold. */
     void
     retarget(const FuzzConfig& cfg)
     {
         cfg_ = cfg;
-        for (std::size_t i = 0; i < cells_.size(); ++i)
-            cells_[i]->reset(cellConfigOf(cfg_, i));
-        maxVid_ = cells_[0]->sys.config().maxVid();
+        maxVid_ = cellConfigOf(cfg_, 0).maxVid();
     }
 
     /** Starts a run of a schedule with @p program's ops: fresh
-     *  golden model, cells reset, memory seeded from the word set. */
+     *  golden model, cells reset to the group's config, memory seeded
+     *  from the word set. */
     void
     begin(const Schedule& program, const RunHooks* hooks)
     {
@@ -273,8 +273,8 @@ class CellMatrix::Group
         pending_.clear();
         executed_ = 0;
         div_ = {};
-        for (auto& c : cells_)
-            c->reset(c->sys.config());
+        for (std::size_t i = 0; i < cells_.size(); ++i)
+            cells_[i]->reset(cellConfigOf(cfg_, i));
         if (hooks != nullptr && hooks->onCell)
             for (auto& c : cells_)
                 hooks->onCell(c->name, c->sys);

@@ -166,10 +166,12 @@ class CellMatrix
 
     /**
      * Makes the matrix equal to CellMatrix(@p cfg, groupMask()): the
-     * cells are reset to @p cfg in place (CacheSystem::reset(const
-     * MachineConfig&)) or, if @p cfg changes the structure, rebuilt.
-     * Every checkpoint is freed. Throws std::invalid_argument,
-     * with the matrix unchanged, if a cell rejects its config.
+     * cells are rebuilt if @p cfg changes the structure, and are
+     * otherwise reset to @p cfg in place (CacheSystem::reset(const
+     * MachineConfig&)) by the next begin() or run(), which reset
+     * every cell anyway. Every checkpoint is freed. Throws
+     * std::invalid_argument, with the matrix unchanged, if a cell
+     * rejects its config.
      */
     void retarget(const FuzzConfig& cfg);
 

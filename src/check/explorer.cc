@@ -117,12 +117,18 @@ class ChooserSet
     const std::vector<unsigned>* forced_ = nullptr;
 };
 
+/** Most ops a branch node re-steps to rebuild its prefix from its
+ *  nearest checkpoint (DESIGN.md §14: why two). */
+constexpr std::size_t kMaxReSteps = 2;
+
 /**
  * The sleep-set DFS. The matrix steps each op once per distinct
- * prefix: a node with two or more children to explore checkpoints
- * the matrix (CellMatrix::save) and restores it before every child
- * after the first, and every leaf runs the end-of-run checks
- * (CellMatrix::finish) on the interleaving it ends.
+ * prefix, plus the re-steps: the root and every branch node more than
+ * kMaxReSteps ops below its nearest checkpointed ancestor checkpoint
+ * the matrix (CellMatrix::save), and before each child after the
+ * first a branch node restores its own checkpoint or that ancestor's,
+ * then steps the ops between them again. Every leaf runs the
+ * end-of-run checks (CellMatrix::finish) on the interleaving it ends.
  */
 class Explorer
 {
@@ -152,7 +158,7 @@ class Explorer
         base_.arm(fifo_);
         matrix_.begin(prog_,
                       cfg_.deliveryPoints != 0 ? &base_.hooks : nullptr);
-        dfs(0, 0);
+        dfs(0, 0, 0);
         return std::move(res_);
     }
 
@@ -160,9 +166,10 @@ class Explorer
     static std::uint64_t bit(unsigned c) { return std::uint64_t{1} << c; }
 
     /** Explores every extension of the current prefix (of @p depth
-     *  ops); @p sleep holds the sleeping cores. */
+     *  ops); @p sleep holds the sleeping cores, and @p anc is the
+     *  depth of the nearest checkpointed ancestor. */
     void
-    dfs(std::uint64_t sleep, std::size_t depth)
+    dfs(std::uint64_t sleep, std::size_t depth, std::size_t anc)
     {
         if (stop_)
             return;
@@ -179,8 +186,11 @@ class Explorer
         // explored sibling; waking happens below, when an executed op
         // is *dependent* with the sleeper's next op.
         const std::uint64_t awake = cfg_.prune ? enabled & ~sleep : enabled;
-        if (std::popcount(awake) >= 2)
+        if (takesCheckpoint(depth, anc,
+                            static_cast<unsigned>(std::popcount(awake)))) {
             save(depth);
+            anc = depth;
+        }
         bool first = true;
         std::uint64_t sl = sleep;
         for (std::uint64_t m = enabled; m != 0; m &= m - 1) {
@@ -190,7 +200,7 @@ class Explorer
                 continue;
             }
             if (!first)
-                restore(depth);
+                rewind(anc, depth);
             first = false;
             const Op& next = threads_[c][pos_[c]];
             std::uint64_t childSleep = 0;
@@ -205,7 +215,7 @@ class Explorer
             leaf_.ops.push_back(next);
             matrix_.step(next);
             ++pos_[c];
-            dfs(childSleep, depth + 1);
+            dfs(childSleep, depth + 1, anc);
             --pos_[c];
             leaf_.ops.pop_back();
             if (stop_)
@@ -219,6 +229,7 @@ class Explorer
     void
     save(std::size_t depth)
     {
+        ++res_.stats.checkpoints;
         matrix_.save(depth);
         if (cfg_.deliveryPoints == 0)
             return;
@@ -227,12 +238,20 @@ class Explorer
         base_.saveCounts(chooserCounts_[depth]);
     }
 
+    /** Returns the matrix to the current prefix's first @p depth ops:
+     *  restores the checkpoint at @p anc, an ancestor of the prefix
+     *  (so its slot still holds what it saved), and steps the ops
+     *  after it again, which also records the choosers' decisions
+     *  again. */
     void
-    restore(std::size_t depth)
+    rewind(std::size_t anc, std::size_t depth)
     {
-        matrix_.restore(depth);
+        matrix_.restore(anc);
         if (cfg_.deliveryPoints != 0)
-            base_.restoreCounts(chooserCounts_[depth]);
+            base_.restoreCounts(chooserCounts_[anc]);
+        for (std::size_t i = anc; i < depth; ++i)
+            matrix_.step(leaf_.ops[i]);
+        res_.stats.reSteps += depth - anc;
     }
 
     void
@@ -337,6 +356,12 @@ class Explorer
 };
 
 } // namespace
+
+bool
+takesCheckpoint(std::size_t depth, std::size_t anc, unsigned children)
+{
+    return depth == 0 || (children >= 2 && depth - anc > kMaxReSteps);
+}
 
 bool
 opsIndependent(const Op& a, const Op& b, bool hasSlaOps,

@@ -11,8 +11,10 @@
  * DirectoryFabric delivery decision goes — and runs each complete
  * interleaving through the differential runner against the
  * GoldenModel, stepping every distinct prefix once and checkpointing
- * the cells at branch points (CellMatrix::save/restore). Any
- * divergence comes back with the flattened interleaving as a
+ * the cells at branch points (CellMatrix::save/restore) — except that
+ * a branch point at most two ops below its nearest checkpoint
+ * restores that one and steps those ops again (takesCheckpoint()).
+ * Any divergence comes back with the flattened interleaving as a
  * replayable witness.
  *
  * Pruning is sleep-set DPOR (landslide-style, Godefroid's algorithm)
@@ -78,6 +80,11 @@ struct ExploreStats
      * pruned pass must not be read as exhaustive.
      */
     std::uint64_t envAborts = 0;
+    /** Matrix checkpoints the DFS took (takesCheckpoint()). */
+    std::uint64_t checkpoints = 0;
+    /** Ops stepped again after a restore, to rebuild a branch node
+     *  that took no checkpoint of its own. */
+    std::uint64_t reSteps = 0;
     /** Counter table; hmtx_mc prints its summary from it. */
     static constexpr StatField<ExploreStats> kFields[] = {
         {"explored", &ExploreStats::explored,
@@ -89,6 +96,10 @@ struct ExploreStats
          "delivery decision points reported"},
         {"envAborts", &ExploreStats::envAborts,
          "replays in which an environmental capacity abort fired"},
+        {"checkpoints", &ExploreStats::checkpoints,
+         "matrix checkpoints the DFS took"},
+        {"reSteps", &ExploreStats::reSteps,
+         "ops re-stepped after a restore"},
     };
 
     /** maxInterleavings was hit; the pass is a prefix, not a proof.
@@ -126,6 +137,18 @@ struct ExploreResult
  */
 ExploreResult explore(const Schedule& program,
                       const ExploreConfig& cfg = {});
+
+/**
+ * Where the DFS checkpoints the matrix (DESIGN.md §14) — exposed so
+ * tests can walk the same tree. The node at @p depth, with @p children
+ * unslept children to explore and its nearest checkpointed ancestor at
+ * depth @p anc, saves a checkpoint when it is the root, or when it
+ * branches and lies more than two ops below @p anc. Every other branch
+ * node restores @p anc before each child after the first and steps
+ * the ops in between again.
+ */
+bool takesCheckpoint(std::size_t depth, std::size_t anc,
+                     unsigned children);
 
 /**
  * The independence relation the sleep sets prune with — exposed so

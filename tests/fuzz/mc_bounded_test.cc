@@ -12,10 +12,13 @@
  * sets cut.
  *
  * IncrementalReplay pins the incremental runner the explorer uses:
- * every leaf of a checkpointed DFS must report exactly what a full
- * replay of that interleaving does, also on one matrix retargeted
- * across programs, and a checkpoint from before the last begin(),
- * retarget() or dropCheckpoints() must never be restored.
+ * every leaf of a DFS that checkpoints where the explorer does
+ * (takesCheckpoint) and rebuilds every other branch point by
+ * restoring an ancestor and re-stepping must report exactly what a
+ * full replay of that interleaving does, on 2-core and 3-core
+ * programs and on one matrix retargeted across programs, and a
+ * checkpoint from before the last begin(), retarget() or
+ * dropCheckpoints() must never be restored.
  *
  * ExploreReuseIsInvisible pins explore()'s per-thread matrix: the
  * order of the programs a thread explores must not change any result.
@@ -207,10 +210,11 @@ TEST(McBounded, ExploreReuseIsInvisible)
 
 /**
  * Walks every interleaving of @p prog's per-core sequences on one
- * CellMatrix the way the explorer does — checkpointing where two or
- * more cores can go next, restoring before each later branch — and
- * checks each leaf's finish() against a full runSchedule() replay of
- * the same interleaving. Returns the leaves checked.
+ * CellMatrix the way the explorer does — checkpointing where
+ * takesCheckpoint() says, and before each later branch restoring the
+ * nearest checkpoint and re-stepping the ops after it — and checks
+ * each leaf's finish() against a full runSchedule() replay of the
+ * same interleaving. run() returns the leaves checked.
  */
 class IncrementalChecker
 {
@@ -229,13 +233,17 @@ class IncrementalChecker
     run()
     {
         matrix_.begin(prog_);
-        dfs(0);
+        dfs(0, 0);
         return leaves_;
     }
 
+    /** Ops stepped again after a restore. */
+    std::size_t reSteps() const { return reSteps_; }
+
   private:
+    /** @p anc is the depth of the nearest checkpointed ancestor. */
     void
-    dfs(std::size_t depth)
+    dfs(std::size_t depth, std::size_t anc)
     {
         std::vector<unsigned> next;
         for (unsigned c = 0; c < threads_.size(); ++c)
@@ -245,17 +253,24 @@ class IncrementalChecker
             checkLeaf();
             return;
         }
-        if (next.size() >= 2)
+        if (takesCheckpoint(depth, anc,
+                            static_cast<unsigned>(next.size()))) {
             matrix_.save(depth);
+            anc = depth;
+        }
         for (std::size_t i = 0; i < next.size(); ++i) {
-            if (i > 0)
-                matrix_.restore(depth);
+            if (i > 0) {
+                matrix_.restore(anc);
+                for (std::size_t j = anc; j < depth; ++j)
+                    matrix_.step(leaf_.ops[j]);
+                reSteps_ += depth - anc;
+            }
             const unsigned c = next[i];
             const Op& op = threads_[c][pos_[c]];
             leaf_.ops.push_back(op);
             matrix_.step(op);
             ++pos_[c];
-            dfs(depth + 1);
+            dfs(depth + 1, anc);
             --pos_[c];
             leaf_.ops.pop_back();
         }
@@ -280,22 +295,43 @@ class IncrementalChecker
     std::vector<unsigned> pos_;
     Schedule leaf_;
     std::size_t leaves_ = 0;
+    std::size_t reSteps_ = 0;
 };
+
+/** Checks @p programs programs of @p cores cores x @p ops ops from
+ *  each seed, each on a fresh matrix. */
+void
+checkIncremental(unsigned cores, unsigned ops, std::uint64_t programs)
+{
+    for (std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{7919}}) {
+        std::size_t leaves = 0, reSteps = 0;
+        for (std::uint64_t i = 0; i < programs; ++i) {
+            SCOPED_TRACE("program seed " + std::to_string(seed + i));
+            const Schedule prog = generateProgram(seed + i, cores, ops);
+            CellMatrix matrix(prog.cfg);
+            IncrementalChecker checker(prog, matrix);
+            leaves += checker.run();
+            reSteps += checker.reSteps();
+        }
+        EXPECT_GT(leaves, programs);
+        // The restore-and-re-step path is the one under test.
+        EXPECT_GT(reSteps, 0u);
+        std::cout << "[mc] incremental vs full, " << cores << " cores x "
+                  << ops << " ops, seeds " << seed << "+" << programs
+                  << ": " << leaves << " leaves, " << reSteps
+                  << " ops re-stepped\n";
+    }
+}
 
 TEST(IncrementalReplay, EveryLeafMatchesAFullReplay)
 {
-    for (std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{7919}}) {
-        std::size_t leaves = 0;
-        for (std::uint64_t i = 0; i < 40; ++i) {
-            SCOPED_TRACE("program seed " + std::to_string(seed + i));
-            const Schedule prog = generateProgram(seed + i, 2, 6);
-            CellMatrix matrix(prog.cfg);
-            leaves += IncrementalChecker(prog, matrix).run();
-        }
-        EXPECT_GT(leaves, 40u);
-        std::cout << "[mc] incremental vs full, seeds " << seed << "+40: "
-                  << leaves << " leaves\n";
-    }
+    checkIncremental(2, 6, 40);
+}
+
+/** Deep enough for 3-child branch points and two-op re-steps. */
+TEST(IncrementalReplay, ThreeCorePrograms)
+{
+    checkIncremental(3, 8, 8);
 }
 
 /** The same on one matrix retargeted to each program, as explore()
@@ -410,7 +446,10 @@ TEST(StateSpaceCount, IndependentLoads)
 }
 
 /** Same-line speculative stores never commute: the pruned pass must
- *  still visit all C(4,2) = 6 merges of 2+2 ops. */
+ *  still visit all C(4,2) = 6 merges of 2+2 ops. The tree's branch
+ *  points are the root, both depth-1 nodes and two depth-2 nodes, all
+ *  within two ops of the root: only the root checkpoints, and the
+ *  later children re-step 0 + 1 + 1 + 2 + 2 ops. */
 TEST(StateSpaceCount, DependentStores)
 {
     Schedule s = tinyProgram();
@@ -426,6 +465,8 @@ TEST(StateSpaceCount, DependentStores)
         EXPECT_FALSE(r.div.found) << r.div.what;
         EXPECT_EQ(r.stats.explored, 6u) << "prune=" << prune;
         EXPECT_EQ(r.stats.pruned, 0u) << "prune=" << prune;
+        EXPECT_EQ(r.stats.checkpoints, 1u) << "prune=" << prune;
+        EXPECT_EQ(r.stats.reSteps, 6u) << "prune=" << prune;
     }
 }
 
