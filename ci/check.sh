@@ -248,7 +248,8 @@ fi
 
 # Host-speed benchmark harness (perfbench/, BENCHMARK.json): its unit
 # tests, then every workload end to end for a short window on the
-# default seed and on the held-out seed. run.py exits non-zero on a
+# default seed and on the held-out seed, and once more traced on the
+# default seed. run.py exits non-zero on a
 # wrong output, a sim_digest that does not repeat across passes, or a
 # layer-split violation. Each run's sim_digest must also equal the one
 # pinned in ci/sim_digests.txt (a change that deliberately alters
@@ -314,6 +315,17 @@ if bad:
              "the change is meant to alter it)")
 print("sim_digest pin: ok")
 EOF
+    # The runs above are untraced; one traced run exercises the
+    # layer-split checks and spans (serve.setup_s among them) that
+    # only a traced pass reports.
+    echo "==== perfbench: all workloads traced, seed 1, 1 s each ===="
+    if ! CARGO_TARGET_DIR="$ROOT/build-release/perfbench" \
+        PYTHONDONTWRITEBYTECODE=1 \
+        python3 perfbench/run.py --seconds 1 --trace 1 --seed 1; then
+        echo "FATAL: traced perfbench run reported a wrong output or" \
+             "failed to run" >&2
+        exit 1
+    fi
 fi
 
 # Bench smoke + hot-path regression gate (Release timings only; the

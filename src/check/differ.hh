@@ -238,6 +238,10 @@ class CellMatrix
      */
     std::size_t cellsReported() const { return cellsReported_; }
 
+    /** The ops stepped since begin(), less those a restore() undid:
+     *  the interleaving the cells are at. */
+    const std::vector<Op>& path() const { return path_; }
+
   private:
     class Group;
     /** (Re)builds the groups of groupMask_ for cfg_. */

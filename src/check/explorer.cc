@@ -263,6 +263,12 @@ class Explorer
             return;
         }
         ++res_.stats.explored;
+        // The checks below judge whatever the cells stepped; a wrong
+        // rewind() would have them agree with the golden model on an
+        // interleaving other than the leaf's.
+        if (matrix_.path() != leaf_.ops)
+            throw std::logic_error("explore: the cells stepped another "
+                                   "interleaving than the DFS leaf");
         Coverage cov;
         account(matrix_.finish(&cov), cov);
         if (cfg_.deliveryPoints == 0)

@@ -128,7 +128,9 @@ struct ExploreResult
  * order preserved). Stops at the first divergence or when the budget
  * is exhausted. Throws std::invalid_argument if an op names a core
  * outside cfg.numCores, or if the machine has more than 64 cores (a
- * sleep set is a 64-bit mask).
+ * sleep set is a 64-bit mask). Throws std::logic_error if, at a leaf,
+ * the ops the cells stepped are not the leaf's interleaving (a DFS
+ * rewind that rebuilt the wrong prefix).
  *
  * Each thread keeps one CellMatrix across calls and retargets it to
  * each program's config (rebuilt only when the group mask or the

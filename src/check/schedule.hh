@@ -68,6 +68,8 @@ struct Op
     std::uint8_t size = 8; ///< access size; (addr & 7) + size <= 8
     Addr addr = 0;
     std::uint64_t value = 0; ///< store payload
+
+    bool operator==(const Op&) const = default;
 };
 
 /**

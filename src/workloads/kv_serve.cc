@@ -13,6 +13,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <mutex>
 
 #include "runtime/alloc.hh"
 #include "runtime/lane_driver.hh"
@@ -56,7 +58,37 @@ struct Request
 constexpr std::size_t kWordsPerLine = kLineBytes / 8;
 
 /** Longest body: a scan reads two words of each scanned bucket. */
-constexpr unsigned kMaxBody = 2 * 12 + 4;
+constexpr unsigned kMaxBody = 2 * kMaxScanBuckets + 4;
+
+/**
+ * The Zipf table of (@p keys, @p theta), shared read-only by every
+ * Engine that asks for the same pair (DESIGN.md §15). The most
+ * recently built table is kept, so a process that runs cell after
+ * cell of one (keys, theta) builds its table once; another pair
+ * replaces it, and an Engine still drawing from the old one keeps it
+ * alive. Draws are those of a table built for the Engine alone.
+ */
+std::shared_ptr<const sim::ZipfSampler>
+sharedZipf(std::uint64_t keys, double theta)
+{
+    static std::mutex mu;
+    static std::shared_ptr<const sim::ZipfSampler> last;
+    static double lastTheta = 0.0;
+    const std::lock_guard<std::mutex> lock(mu);
+    if (!last || last->n() != keys || theta != lastTheta) {
+        last = std::make_shared<const sim::ZipfSampler>(keys, theta);
+        lastTheta = theta;
+    }
+    return last;
+}
+
+/** Prints @p why and aborts: an illegal KvServeParams. */
+[[noreturn]] void
+fatalParams(const char* why)
+{
+    std::fprintf(stderr, "FATAL: kv_serve: %s\n", why);
+    std::abort();
+}
 
 /** One in-flight transaction on a core (arena-carved POD). */
 struct Flight : runtime::LaneFlight
@@ -86,14 +118,18 @@ class Engine
   public:
     Engine(const sim::MachineConfig& cfg, const KvServeParams& p)
         : cfg_(cfg), p_(p), drv_(cfg, {p.maxAttempts, p.drainAfter}),
-          zipf_(p.keys, p.zipfTheta),
           onLen_(2.0, 512.0, p.burstAlpha <= 1e-3 ? 1.5 : p.burstAlpha)
     {
-        if (p_.tableBuckets == 0 || p_.keys == 0 || p_.ringCap == 0) {
-            std::fprintf(stderr, "FATAL: kv_serve: empty table, key "
-                                 "space, or ring\n");
-            std::abort();
-        }
+        if (p_.tableBuckets == 0 || p_.keys == 0 || p_.ringCap == 0)
+            fatalParams("empty table, key space, or ring");
+        if (p_.keys > kMaxKeys)
+            fatalParams("keys above kMaxKeys");
+        // Negated, so that a NaN theta fails too.
+        if (!(p_.zipfTheta >= 0.0))
+            fatalParams("zipfTheta negative or NaN");
+        if (p_.scanBuckets > kMaxScanBuckets)
+            fatalParams("scanBuckets above kMaxScanBuckets");
+        zipf_ = sharedZipf(p_.keys, p_.zipfTheta);
         runtime::SimAllocator salloc;
         tableBase_ = salloc.allocLines(p_.tableBuckets);
         if (p_.oracleCheck) {
@@ -139,7 +175,7 @@ class Engine
     const sim::MachineConfig cfg_;
     const KvServeParams p_;
     runtime::LaneDriver drv_;
-    sim::ZipfSampler zipf_;
+    std::shared_ptr<const sim::ZipfSampler> zipf_;
     sim::BoundedParetoSampler onLen_;
     Addr tableBase_ = 0;
     std::vector<runtime::ScratchArena> arenas_;
@@ -185,11 +221,9 @@ Engine::buildBody(Flight& f) const
         // capacity pressure that separates bounded from unbounded
         // machines (kv_serve.hh).
         const std::uint64_t b0 = bucketOf(r.key);
-        const unsigned span =
-            std::min<unsigned>(p_.scanBuckets, 12);
         const std::uint64_t stride =
             p_.scanStride == 0 ? 1 : p_.scanStride;
-        for (unsigned j = 0; j < span; ++j) {
+        for (unsigned j = 0; j < p_.scanBuckets; ++j) {
             const std::uint64_t b =
                 (b0 + j * stride) % p_.tableBuckets;
             load(headerAddr(b));
@@ -247,13 +281,13 @@ Engine::refillRing(unsigned c)
         Request& q = cl.ring[i];
         q.arrival = cl.genClock;
         q.rid = nextRid_++;
-        q.key = zipf_(rng);
+        q.key = (*zipf_)(rng);
         const double u = rng.uniform();
         if (u < p_.scanShare) {
             q.kind = ReqKind::Scan;
         } else if (u < p_.scanShare + p_.transferShare) {
             q.kind = ReqKind::Transfer;
-            q.key2 = zipf_(rng);
+            q.key2 = (*zipf_)(rng);
         } else {
             q.kind = rng.chance(p_.writeRatio) ? ReqKind::Rmw
                                                : ReqKind::PointGet;

@@ -39,16 +39,31 @@
 namespace hmtx::workloads
 {
 
-/** Knobs of one serving run (the bench sweeps a subset of these). */
+/** Most keys a run may draw from: the Zipf table stores ranks as
+ *  32-bit values. */
+inline constexpr std::uint64_t kMaxKeys = UINT32_MAX;
+
+/** Most buckets a scan may touch: a request body holds at most
+ *  2 * kMaxScanBuckets + 4 ops. */
+inline constexpr unsigned kMaxScanBuckets = 12;
+
+/**
+ * Knobs of one serving run (the bench sweeps a subset of these).
+ * runKvServe() aborts on an empty table, key space or ring, on keys
+ * above kMaxKeys, on a negative or NaN zipfTheta, and on scanBuckets
+ * above kMaxScanBuckets.
+ */
 struct KvServeParams
 {
     /** Total requests to serve across all cores. */
     std::uint64_t requests = 100000;
     /** Hash-table buckets; one cache line each (7 value slots). */
     std::uint64_t tableBuckets = 4096;
-    /** Distinct keys; popularity follows the Zipfian law below. */
+    /** Distinct keys, 1..kMaxKeys; popularity follows the Zipfian
+     *  law below. */
     std::uint64_t keys = 16384;
-    /** Zipfian skew theta (0 = uniform; YCSB ~0.99; sweep to 1.2). */
+    /** Zipfian skew theta >= 0 (0 = uniform; YCSB ~0.99; sweep to
+     *  1.2). */
     double zipfTheta = 0.9;
     /** Fraction of point requests that read-modify-write their slot. */
     double writeRatio = 0.5;
@@ -62,10 +77,11 @@ struct KvServeParams
      *  fallback lock, limited-set trips its K bound) while unbounded
      *  HMTX spills to the overflow table and keeps pipelining. */
     double scanShare = 0.05;
-    /** Buckets touched by a scan (> limitedSetK forces the bounded
-     *  limited-set machine onto the non-speculative path; more than
-     *  the smallest cache's associativity at a colliding stride makes
-     *  a lone scan overflow the hierarchy). */
+    /** Buckets touched by a scan, at most kMaxScanBuckets (>
+     *  limitedSetK forces the bounded limited-set machine onto the
+     *  non-speculative path; more than the smallest cache's
+     *  associativity at a colliding stride makes a lone scan
+     *  overflow the hierarchy). */
     unsigned scanBuckets = 12;
     /** Bucket stride of a scan; a multiple of every cache's set count
      *  focuses the whole range update onto one set per level. */
@@ -117,7 +133,12 @@ struct KvServeResult
  * Runs one serving cell to completion. Deterministic for a given
  * (config, params) pair. Aborts the process if a batch exceeds
  * KvServeParams::maxAttempts global flushes (a livelock would
- * otherwise spin forever) or an illegal configuration slips through.
+ * otherwise spin forever) or the params break a limit above.
+ *
+ * The Zipf key table is built once per (keys, zipfTheta) and shared
+ * read-only between runs, so cells that run one after another with
+ * the same pair, or at the same time on different threads, build it
+ * once (DESIGN.md §15). Safe to call from several threads at once.
  */
 KvServeResult runKvServe(const sim::MachineConfig& cfg,
                          const KvServeParams& p);

@@ -3,7 +3,9 @@
  * Pins the simulator's allocation-free paths with a counting global
  * operator new: the serving engine's request path (DESIGN.md §15),
  * where a long run may allocate only marginally more than a short
- * one; a disabled trace asked to record, which allocates nothing; and
+ * one; the serving engine's shared Zipf table, which a second run of
+ * the same cell does not build again; a disabled trace asked to
+ * record, which allocates nothing; and
  * CacheSystem::restore() after wrong-path loads added shadow marks,
  * which reuses the tables it has. The counters would pick up every
  * host allocation in the process, so these tests live in their own
@@ -41,21 +43,31 @@ namespace
 {
 
 std::atomic<std::uint64_t> gNewCalls{0};
+/** Unaligned operator new calls of exactly gWatchBytes bytes (0 =
+ *  none). */
+std::atomic<std::size_t> gWatchBytes{0};
+std::atomic<std::uint64_t> gWatchedCalls{0};
 
 } // namespace
 
 #ifndef HMTX_SANITIZED_BUILD
 
-void*
+// The replacements stay out of line: GCC pairs what it sees of each
+// allocation with what it sees of its deallocation, and malloc() or
+// free() inlined on one side only reads as a mismatch
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void*
 operator new(std::size_t n)
 {
     gNewCalls.fetch_add(1, std::memory_order_relaxed);
+    if (n == gWatchBytes.load(std::memory_order_relaxed))
+        gWatchedCalls.fetch_add(1, std::memory_order_relaxed);
     if (void* p = std::malloc(n == 0 ? 1 : n))
         return p;
     throw std::bad_alloc();
 }
 
-void*
+[[gnu::noinline]] void*
 operator new(std::size_t n, std::align_val_t al)
 {
     gNewCalls.fetch_add(1, std::memory_order_relaxed);
@@ -65,10 +77,25 @@ operator new(std::size_t n, std::align_val_t al)
     throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void
+[[gnu::noinline]] void
+operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void* p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
 operator delete(void* p, std::size_t, std::align_val_t) noexcept
 {
     std::free(p);
@@ -126,6 +153,31 @@ TEST(KvServeAlloc, RequestPathDoesNotAllocate)
                     static_cast<unsigned long long>(kLong), perRequest);
         EXPECT_LT(perRequest, 0.1) << txModeName(mode);
     }
+#endif
+}
+
+// The Zipf table's CDF is keys doubles. A cell of another theta runs
+// first, so the first run of the cell builds its table; the second run
+// takes the table the first one built, so nothing of that size is
+// allocated again.
+TEST(KvServeAlloc, SecondRunOfACellReusesTheZipfTable)
+{
+#ifdef HMTX_SANITIZED_BUILD
+    GTEST_SKIP() << "sanitizer runtimes replace operator new";
+#else
+    const sim::MachineConfig cfg = kv_smoke::smokeConfig(TxMode::LazyHmtx);
+    const workloads::KvServeParams p = kv_smoke::smokeParams(500);
+    workloads::KvServeParams other = p;
+    other.zipfTheta = 0.5;
+    kv_smoke::expectClean(workloads::runKvServe(cfg, other), "theta 0.5");
+    gWatchBytes = p.keys * sizeof(double);
+    kv_smoke::expectClean(workloads::runKvServe(cfg, p), "first run");
+    const std::uint64_t first = gWatchedCalls.exchange(0);
+    kv_smoke::expectClean(workloads::runKvServe(cfg, p), "second run");
+    const std::uint64_t second = gWatchedCalls.exchange(0);
+    gWatchBytes = 0;
+    EXPECT_GT(first, 0u) << "the first run builds the table";
+    EXPECT_EQ(second, 0u);
 #endif
 }
 

@@ -8,6 +8,8 @@
  */
 
 #include <algorithm>
+#include <limits>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -128,18 +130,84 @@ TEST(KvServe, OracleAndAccountingAcrossModes)
 
 // Identical (config, params) pairs must be bit-identical: the engine
 // is deterministic, which is what makes the committed BENCH JSON and
-// the CI gate reproducible.
+// the CI gate reproducible. The shared Zipf table (kv_serve.hh) keeps
+// the last (keys, theta) built, so the second run reuses the first
+// run's table and the third, after a cell of another theta replaced
+// it, builds it again.
 TEST(KvServe, Deterministic)
 {
-    const KvServeResult a =
-        runKvServe(smokeConfig(TxMode::BestEffort), smokeParams(2000));
-    const KvServeResult b =
-        runKvServe(smokeConfig(TxMode::BestEffort), smokeParams(2000));
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.serve.issued, b.serve.issued);
-    EXPECT_EQ(a.serve.aborted, b.serve.aborted);
-    EXPECT_EQ(a.serve.latency.percentile(0.999),
-              b.serve.latency.percentile(0.999));
+    const sim::MachineConfig cfg = smokeConfig(TxMode::BestEffort);
+    const KvServeResult a = runKvServe(cfg, smokeParams(2000));
+    const KvServeResult hit = runKvServe(cfg, smokeParams(2000));
+    KvServeParams other = smokeParams(2000);
+    other.zipfTheta = 1.2;
+    expectClean(runKvServe(cfg, other), "theta 1.2");
+    const KvServeResult rebuilt = runKvServe(cfg, smokeParams(2000));
+    for (const KvServeResult* b : {&hit, &rebuilt}) {
+        EXPECT_EQ(a.makespan, b->makespan);
+        EXPECT_EQ(a.serve.issued, b->serve.issued);
+        EXPECT_EQ(a.serve.aborted, b->serve.aborted);
+        EXPECT_EQ(a.serve.latency.percentile(0.999),
+                  b->serve.latency.percentile(0.999));
+    }
+}
+
+// Two threads run cells of different theta at the same time, each
+// replacing the shared Zipf table the other may still be drawing
+// from; both must match the same cells run one after another.
+TEST(KvServe, ConcurrentCellsMatchSequential)
+{
+    constexpr double kThetas[2] = {0.0, 1.2};
+    KvServeResult seq[2], par[2];
+    auto params = [&](unsigned i) {
+        KvServeParams p = smokeParams(2000);
+        p.zipfTheta = kThetas[i];
+        return p;
+    };
+    for (unsigned i = 0; i < 2; ++i)
+        seq[i] = runKvServe(smokeConfig(TxMode::LazyHmtx), params(i));
+    {
+        std::thread t0([&] {
+            par[0] = runKvServe(smokeConfig(TxMode::LazyHmtx), params(0));
+        });
+        std::thread t1([&] {
+            par[1] = runKvServe(smokeConfig(TxMode::LazyHmtx), params(1));
+        });
+        t0.join();
+        t1.join();
+    }
+    for (unsigned i = 0; i < 2; ++i) {
+        expectClean(par[i], "concurrent");
+        EXPECT_EQ(seq[i].makespan, par[i].makespan) << kThetas[i];
+        EXPECT_EQ(seq[i].serve.issued, par[i].serve.issued) << kThetas[i];
+        EXPECT_EQ(seq[i].serve.aborted, par[i].serve.aborted)
+            << kThetas[i];
+        EXPECT_EQ(seq[i].sys.loads, par[i].sys.loads) << kThetas[i];
+        EXPECT_EQ(seq[i].serve.latency.percentile(0.999),
+                  par[i].serve.latency.percentile(0.999))
+            << kThetas[i];
+    }
+    EXPECT_NE(seq[0].makespan, seq[1].makespan)
+        << "the two thetas should serve different key streams";
+}
+
+// Params the engine cannot honour abort the run instead of being
+// truncated or reaching the Zipf table's assert, which Release
+// builds compile out.
+TEST(KvServeDeathTest, RejectsParamsBeyondTheLimits)
+{
+    const sim::MachineConfig cfg = smokeConfig(TxMode::LazyHmtx);
+    KvServeParams p = smokeParams(100);
+    p.scanBuckets = workloads::kMaxScanBuckets + 1;
+    EXPECT_DEATH(runKvServe(cfg, p), "scanBuckets above kMaxScanBuckets");
+    p = smokeParams(100);
+    p.keys = workloads::kMaxKeys + 1;
+    EXPECT_DEATH(runKvServe(cfg, p), "keys above kMaxKeys");
+    p = smokeParams(100);
+    p.zipfTheta = -0.5;
+    EXPECT_DEATH(runKvServe(cfg, p), "zipfTheta negative or NaN");
+    p.zipfTheta = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_DEATH(runKvServe(cfg, p), "zipfTheta negative or NaN");
 }
 
 // The streaming request path keeps no per-request state: the per-core
