@@ -9,67 +9,22 @@
 #ifndef HMTX_RUNTIME_MEMIF_HH
 #define HMTX_RUNTIME_MEMIF_HH
 
-#include <coroutine>
 #include <cstdint>
-#include <utility>
 
 #include "core/types.hh"
 #include "runtime/thread_context.hh"
-#include "sim/task.hh"
 
 namespace hmtx::runtime
 {
-
-/**
- * The one awaitable every MemIf operation returns. A plain access is
- * the ThreadContext's OpAwait itself, so it costs no coroutine frame
- * and, when nothing else is due, no event (DESIGN.md §13). An access
- * that an execution model surrounds with simulated work of its own
- * (SMTX barriers and logging) carries that work as a Task instead.
- *
- * Either way the operation's effect and its abort belong to the
- * `co_await`: write `co_await mem.op(...)` at the call site, as every
- * workload does. The awaited value is the loaded word, the stored
- * word, or the branch outcome (1 taken, 0 not taken).
- */
-class MemOp
-{
-  public:
-    MemOp(OpAwait op) : op_(op) {}
-    MemOp(sim::Task<std::uint64_t> t)
-        : task_(std::move(t)), wrapped_(true)
-    {}
-
-    bool await_ready() const { return !wrapped_ && op_.await_ready(); }
-
-    std::coroutine_handle<>
-    await_suspend(std::coroutine_handle<> h)
-    {
-        if (wrapped_)
-            return task_.await_suspend(h);
-        op_.await_suspend(h);
-        return std::noop_coroutine();
-    }
-
-    std::uint64_t
-    await_resume()
-    {
-        return wrapped_ ? task_.await_resume() : op_.await_resume();
-    }
-
-  private:
-    OpAwait op_;
-    sim::Task<std::uint64_t> task_;
-    bool wrapped_ = false;
-};
 
 /**
  * Memory operations as seen by workload code. Implementations route
  * them to the simulated core with whatever extra behaviour the
  * execution model requires (HMTX: nothing, the hardware does the
  * validation; SMTX: per-access logging and forwarding). Each returns a
- * MemOp to `co_await` on the spot; a plain pass-through hands back the
- * core's own awaitable and allocates nothing.
+ * MemOp (thread_context.hh) to `co_await` on the spot; a plain
+ * pass-through hands back the core's own MemOp, built in place, and
+ * allocates nothing.
  */
 class MemIf
 {

@@ -22,12 +22,12 @@ ThreadContext::abortedSinceBegin() const
         !m_.sys().txPolicy().serializes(vid_);
 }
 
-OpAwait
+MemOp
 ThreadContext::abortedOp()
 {
     // Resume next cycle and throw: the thread unwinds to its recovery
     // handler without touching the memory system further.
-    return OpAwait{&m_.eq(), m_.now() + 1, 0, true, vid_};
+    return MemOp{m_.eq(), m_.now() + 1, 0, true, vid_};
 }
 
 void
@@ -44,7 +44,7 @@ ThreadContext::beginMtx(Vid vid)
     abortGenSeen_ = m_.sys().abortGen();
 }
 
-OpAwait
+MemOp
 ThreadContext::commitMtx(Vid vid)
 {
     ++insts_;
@@ -52,7 +52,7 @@ ThreadContext::commitMtx(Vid vid)
         return abortedOp();
     Cycles c = m_.sys().commit(vid);
     vid_ = kNonSpecVid;
-    return OpAwait{&m_.eq(), m_.now() + 1 + c, 0, false, vid};
+    return MemOp{m_.eq(), m_.now() + 1 + c, 0, false, vid};
 }
 
 void
@@ -63,7 +63,7 @@ ThreadContext::abortMtx()
     vid_ = kNonSpecVid;
 }
 
-OpAwait
+MemOp
 ThreadContext::load(Addr a, unsigned size)
 {
     ++insts_;
@@ -73,11 +73,11 @@ ThreadContext::load(Addr a, unsigned size)
     noteAddr(a);
     if (r.needSla && !sla_.full())
         sla_.push({a, vid_, r.value, size});
-    return OpAwait{&m_.eq(), m_.now() + 1 + r.latency, r.value,
-                   r.aborted, vid_};
+    return MemOp{m_.eq(), m_.now() + 1 + r.latency, r.value, r.aborted,
+                 vid_};
 }
 
-OpAwait
+MemOp
 ThreadContext::store(Addr a, std::uint64_t v, unsigned size)
 {
     ++insts_;
@@ -85,21 +85,19 @@ ThreadContext::store(Addr a, std::uint64_t v, unsigned size)
         return abortedOp();
     sim::AccessResult r = m_.sys().store(core_, a, v, size, vid_);
     noteAddr(a);
-    return OpAwait{&m_.eq(), m_.now() + 1 + r.latency, v, r.aborted,
-                   vid_};
+    return MemOp{m_.eq(), m_.now() + 1 + r.latency, v, r.aborted, vid_};
 }
 
-OpAwait
+MemOp
 ThreadContext::compute(Cycles c)
 {
     insts_ += c; // roughly one instruction per cycle of compute
     if (abortedSinceBegin())
         return abortedOp();
-    return OpAwait{&m_.eq(), m_.now() + (c == 0 ? 1 : c), 0, false,
-                   vid_};
+    return MemOp{m_.eq(), m_.now() + (c == 0 ? 1 : c), 0, false, vid_};
 }
 
-OpAwait
+MemOp
 ThreadContext::branch(Addr pc, bool taken)
 {
     ++insts_;
@@ -126,16 +124,15 @@ ThreadContext::branch(Addr pc, bool taken)
             sim::AccessResult r =
                 m_.sys().load(core_, lineAddr(wp), 8, vid_, true);
             if (r.aborted && !m_.sys().txPolicy().serializes(vid_))
-                return OpAwait{&m_.eq(), m_.now() + cost, 0, true,
-                               vid_};
+                return MemOp{m_.eq(), m_.now() + cost, 0, true, vid_};
         }
     }
     // Branch resolution retires the loads it guarded; their buffered
     // acknowledgments go out (the cache model applied the markings at
     // load time; wrong-path loads never enter the buffer).
     sla_.drain();
-    return OpAwait{&m_.eq(), m_.now() + cost, taken ? 1u : 0u, false,
-                   vid_};
+    return MemOp{m_.eq(), m_.now() + cost, taken ? 1u : 0u, false,
+                 vid_};
 }
 
 } // namespace hmtx::runtime

@@ -10,6 +10,7 @@
 #include <array>
 #include <coroutine>
 #include <cstdint>
+#include <utility>
 
 #include "core/sla.hh"
 #include "core/types.hh"
@@ -25,24 +26,42 @@ namespace hmtx::runtime
 class Machine;
 
 /**
- * Awaitable returned by every timed ThreadContext operation. It carries
- * the already-computed outcome (the operation executed at call time)
- * and schedules its wake-up — unless nothing else is due by then
+ * The one awaitable every timed operation returns, from ThreadContext
+ * and from every MemIf (memif.hh).
+ *
+ * A plain op has already executed at call time; the MemOp carries its
+ * outcome and wake tick as scalars, built in place in the awaiting
+ * coroutine's frame, so it costs no coroutine frame and no copy. It
+ * schedules its wake-up — unless nothing else is due by then
  * (DESIGN.md §13), in which case the coroutine continues inline at
- * `wake` with zero events.
+ * the wake tick with zero events. An op that an execution model
+ * surrounds with simulated work of its own (SMTX barriers and
+ * logging) carries that work as a Task instead.
+ *
+ * Either way the op's effect and its abort belong to the `co_await`:
+ * write `co_await mem.op(...)` at the call site, as every workload
+ * does. The awaited value is the loaded word, the stored word, or the
+ * branch outcome (1 taken, 0 not taken).
  */
-struct OpAwait
+class MemOp
 {
-    sim::EventQueue* eq = nullptr;
-    Tick wake = 0;
-    std::uint64_t value = 0;
-    bool abort = false;
-    Vid vid = 0;
+  public:
+    /** A plain op that wakes at @p wake with @p value, or throws
+     *  sim::TxAborted{@p vid} there when @p abort. */
+    MemOp(sim::EventQueue& eq, Tick wake, std::uint64_t value, bool abort,
+          Vid vid)
+        : eq_(&eq), wake_(wake), value_(value), vid_(vid), abort_(abort)
+    {}
+
+    /** An op wrapped in simulated work of its own. */
+    MemOp(sim::Task<std::uint64_t> t)
+        : task_(std::move(t)), wrapped_(true)
+    {}
 
     /**
-     * Zero-event wake-up: when nothing else is due by `wake`, jump the
-     * clock there and continue without suspending. Legal only while
-     * the event loop is resuming this coroutine
+     * Zero-event wake-up: when nothing else is due by the wake tick,
+     * jump the clock there and continue without suspending. Legal only
+     * while the event loop is resuming this coroutine
      * (EventQueue::dispatching()), where the rest of the step is this
      * coroutine's own code. An aborted op always takes its event.
      * Deciding here rather than in await_suspend() means a jump never
@@ -52,22 +71,40 @@ struct OpAwait
     bool
     await_ready() const
     {
-        return !abort && eq->dispatching() && eq->tryBypass(wake);
+        return !wrapped_ && !abort_ && eq_->dispatching() &&
+            eq_->tryBypass(wake_);
     }
 
-    void
-    await_suspend(std::coroutine_handle<> h) const
+    /** Out of line on purpose: inlined, the heap push inside would be
+     *  copied into every co_await of every coroutine (≈60 KB more code
+     *  in the perfbench driver, and resident pages with it). */
+    [[gnu::noinline]] std::coroutine_handle<>
+    await_suspend(std::coroutine_handle<> h)
     {
-        eq->scheduleResume(wake, h);
+        if (wrapped_)
+            return task_.await_suspend(h);
+        eq_->scheduleResume(wake_, h);
+        return std::noop_coroutine();
     }
 
     std::uint64_t
-    await_resume() const
+    await_resume()
     {
-        if (abort)
-            throw sim::TxAborted{vid};
-        return value;
+        if (wrapped_)
+            return task_.await_resume();
+        if (abort_)
+            throw sim::TxAborted{vid_};
+        return value_;
     }
+
+  private:
+    sim::EventQueue* eq_ = nullptr;
+    Tick wake_ = 0;
+    std::uint64_t value_ = 0;
+    sim::Task<std::uint64_t> task_;
+    Vid vid_ = kNonSpecVid;
+    bool abort_ = false;
+    bool wrapped_ = false;
 };
 
 /**
@@ -104,7 +141,7 @@ class ThreadContext
      * all caches (§4.4) and returns to non-speculative execution.
      * Throws sim::TxAborted if the transaction was already aborted.
      */
-    OpAwait commitMtx(Vid vid);
+    MemOp commitMtx(Vid vid);
 
     /**
      * abortMTX: software-detected misspeculation (e.g. control-flow
@@ -114,13 +151,13 @@ class ThreadContext
     void abortMtx();
 
     /** Timed load of @p size bytes. */
-    OpAwait load(Addr a, unsigned size = 8);
+    MemOp load(Addr a, unsigned size = 8);
 
     /** Timed store of @p size bytes. */
-    OpAwait store(Addr a, std::uint64_t v, unsigned size = 8);
+    MemOp store(Addr a, std::uint64_t v, unsigned size = 8);
 
     /** Models @p c cycles of pure computation. */
-    OpAwait compute(Cycles c);
+    MemOp compute(Cycles c);
 
     /**
      * Models a conditional branch at @p pc with outcome @p taken.
@@ -128,7 +165,7 @@ class ThreadContext
      * penalty and injects wrong-path loads (§5.1). The awaited value
      * is @p taken (so workloads can use it directly).
      */
-    OpAwait branch(Addr pc, bool taken);
+    MemOp branch(Addr pc, bool taken);
 
     /** Dynamic instructions issued by this context. */
     std::uint64_t instructions() const { return insts_; }
@@ -141,7 +178,7 @@ class ThreadContext
 
   private:
     bool abortedSinceBegin() const;
-    OpAwait abortedOp();
+    MemOp abortedOp();
     void noteAddr(Addr a);
 
     Machine& m_;

@@ -515,11 +515,13 @@ class CacheSystem
         }
         const std::uint64_t bit = tagBit(la);
         std::uint64_t mask = 0;
-        for (std::size_t ci = 0; ci < caches_.size(); ++ci)
-            if (caches_[ci].set(la).tags & bit)
-                mask |= std::uint64_t{1} << ci;
-        const auto holders =
-            static_cast<std::uint64_t>(std::popcount(mask));
+        std::uint64_t holders = 0; // popcount(mask), counted here: a
+                                   // libgcc call without -mpopcnt
+        for (std::size_t ci = 0; ci < caches_.size(); ++ci) {
+            const bool hit = (caches_[ci].set(la).tags & bit) != 0;
+            mask |= std::uint64_t{hit} << ci;
+            holders += hit;
+        }
         idxStats_.snoopsVisited += holders;
         idxStats_.snoopsFiltered += caches_.size() - holders;
         for (std::uint64_t m = mask; m != 0; m &= m - 1)
@@ -627,9 +629,26 @@ class CacheSystem
      * Load body shared by the speculative, non-speculative, and
      * serialized-fallback paths; @p serialized forces non-speculative
      * semantics (request VID 0, no marks/SLA) for a fallback holder.
+     * Fills @p r, which must be default-constructed.
      */
-    AccessResult loadImpl(CoreId core, Addr a, unsigned size, Vid vid,
-                          bool wrongPath, bool serialized);
+    void loadImpl(AccessResult& r, CoreId core, Addr a, unsigned size,
+                  Vid vid, bool wrongPath, bool serialized);
+
+    // load()'s rare paths, kept out of line so its common path stays
+    // small. Each adjusts the result @p r in place.
+
+    /** LimitedSet capacity abort raised before the load executes. */
+    [[gnu::cold, gnu::noinline]] void limitedSetLoadAbort(AccessResult& r);
+    /** Re-runs a completed load whose own optional allocation raised
+     *  a global flush after abort generation @p gen, until it settles. */
+    [[gnu::cold, gnu::noinline]] void
+    retryLoadAfterFlush(AccessResult& r, std::uint64_t gen, CoreId core,
+                        Addr a, unsigned size, Vid vid, bool wrongPath);
+    /** Re-runs the fallback holder's aborted load once after the global
+     *  flush it raised; the retry must succeed. */
+    [[gnu::cold, gnu::noinline]] void
+    retryHolderLoad(AccessResult& r, CoreId core, Addr a, unsigned size,
+                    Vid vid, bool wrongPath);
 
     /**
      * LimitedSet policy check: true when touching line @p la under

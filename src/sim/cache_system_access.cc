@@ -320,6 +320,10 @@ AccessResult
 CacheSystem::load(CoreId core, Addr a, unsigned size, Vid vid,
                   bool wrongPath)
 {
+    // Every path fills this one result in place: it is the caller's
+    // return slot (NRVO), so the result is never copied as a whole
+    // right after being written field by field (DESIGN.md §13).
+    AccessResult r;
     const bool spec = cfg_.hmtxEnabled && vid != kNonSpecVid;
     bool serialized = false;
     if (spec) {
@@ -330,72 +334,89 @@ CacheSystem::load(CoreId core, Addr a, unsigned size, Vid vid,
                                : policy_.onSpecAccess(vid, lcVid_);
         if (!serialized && !wrongPath &&
             limitedSetBlocks(vid, lineAddr(a))) {
-            AccessResult r;
-            r.latency = cfg_.l1Latency;
-            ++stats_.loads;
-            ++stats_.specLoads;
-            ++stats_.capacityAborts;
-            policy_.noteLimitedSetAbort();
-            triggerAbort(nullptr);
-            r.aborted = true;
+            limitedSetLoadAbort(r);
             return r;
         }
     }
 
     const std::uint64_t gen0 = abortGen_;
-    AccessResult r = loadImpl(core, a, size, vid, wrongPath, serialized);
+    loadImpl(r, core, a, size, vid, wrongPath, serialized);
     if (!serialized) {
-        // A global flush can race the access mid-flight without
-        // consuming it: an *optional* allocation (S-S sharer copy,
-        // §5.4 refetch merge) evicts a victim whose mark cannot be
-        // carried, the capacity abort flushes every speculative line —
-        // including the mark this very load planted — and the access
-        // then completes against pre-flush state. Architecturally the
-        // completed access is the first access of the *restarted*
-        // transaction, so it must re-plant its marks (and serve the
-        // committed value) on post-flush state: re-run it. Post-flush
-        // evictions only meet plain lines, so the retry settles.
-        std::uint64_t gen = gen0;
-        unsigned guard = 0;
-        while (!r.aborted && abortGen_ != gen) {
-            if (++guard > 4)
-                throw std::logic_error(
-                    "load flush-retry did not settle");
-            gen = abortGen_;
-            AccessResult r2 =
-                loadImpl(core, a, size, vid, wrongPath, serialized);
-            r2.latency += r.latency;
-            r = r2;
-        }
-    }
-    if (serialized) {
-        if (r.aborted) {
-            // The holder's own access collided with *other* VIDs'
-            // speculative state (capacity eviction impossible) and the
-            // global flush it raised cleared every speculative line —
-            // the holder itself has none. The retry must succeed.
-            AccessResult r2 =
-                loadImpl(core, a, size, vid, wrongPath, serialized);
-            if (r2.aborted)
-                throw std::logic_error(
-                    "fallback load aborted again after the global "
-                    "flush it triggered");
-            r2.latency += r.latency;
-            r = r2;
-        }
+        if (!r.aborted && abortGen_ != gen0)
+            retryLoadAfterFlush(r, gen0, core, a, size, vid, wrongPath);
+    } else {
+        if (r.aborted)
+            retryHolderLoad(r, core, a, size, vid, wrongPath);
         policy_.noteFallbackCycles(r.latency);
     }
     return r;
 }
 
-AccessResult
-CacheSystem::loadImpl(CoreId core, Addr a, unsigned size, Vid vid,
-                      bool wrongPath, bool serialized)
+void
+CacheSystem::limitedSetLoadAbort(AccessResult& r)
+{
+    r.latency = cfg_.l1Latency;
+    ++stats_.loads;
+    ++stats_.specLoads;
+    ++stats_.capacityAborts;
+    policy_.noteLimitedSetAbort();
+    triggerAbort(nullptr);
+    r.aborted = true;
+}
+
+void
+CacheSystem::retryLoadAfterFlush(AccessResult& r, std::uint64_t gen,
+                                 CoreId core, Addr a, unsigned size,
+                                 Vid vid, bool wrongPath)
+{
+    // A global flush can race the access mid-flight without
+    // consuming it: an *optional* allocation (S-S sharer copy,
+    // §5.4 refetch merge) evicts a victim whose mark cannot be
+    // carried, the capacity abort flushes every speculative line —
+    // including the mark this very load planted — and the access
+    // then completes against pre-flush state. Architecturally the
+    // completed access is the first access of the *restarted*
+    // transaction, so it must re-plant its marks (and serve the
+    // committed value) on post-flush state: re-run it. Post-flush
+    // evictions only meet plain lines, so the retry settles.
+    unsigned guard = 0;
+    while (!r.aborted && abortGen_ != gen) {
+        if (++guard > 4)
+            throw std::logic_error("load flush-retry did not settle");
+        gen = abortGen_;
+        AccessResult r2;
+        loadImpl(r2, core, a, size, vid, wrongPath, false);
+        r2.latency += r.latency;
+        r = r2;
+    }
+}
+
+void
+CacheSystem::retryHolderLoad(AccessResult& r, CoreId core, Addr a,
+                             unsigned size, Vid vid, bool wrongPath)
+{
+    // The holder's own access collided with *other* VIDs' speculative
+    // state (capacity eviction impossible) and the global flush it
+    // raised cleared every speculative line — the holder itself has
+    // none. The retry must succeed.
+    AccessResult r2;
+    loadImpl(r2, core, a, size, vid, wrongPath, true);
+    if (r2.aborted)
+        throw std::logic_error(
+            "fallback load aborted again after the global flush it "
+            "triggered");
+    r2.latency += r.latency;
+    r = r2;
+}
+
+void
+CacheSystem::loadImpl(AccessResult& r, CoreId core, Addr a,
+                      unsigned size, Vid vid, bool wrongPath,
+                      bool serialized)
 {
     const Addr la = lineAddr(a);
     assert(lineOffset(a) + size <= kLineBytes);
 
-    AccessResult r;
     r.latency = cfg_.l1Latency;
     ++stats_.loads;
 
@@ -493,7 +514,7 @@ CacheSystem::loadImpl(CoreId core, Addr a, unsigned size, Vid vid,
                 Line* nl = allocate(l1, la);
                 if (!nl) {
                     r.aborted = true;
-                    return r;
+                    return;
                 }
                 nl->state = specUpgradeState(dirty);
                 nl->tag = {kNonSpecVid, std::max(vid, dm.high)};
@@ -517,7 +538,7 @@ CacheSystem::loadImpl(CoreId core, Addr a, unsigned size, Vid vid,
                 Line* nl = allocate(l1, la);
                 if (!nl) {
                     r.aborted = true;
-                    return r;
+                    return;
                 }
                 nl->state = State::Shared;
                 dataOf(*nl) = d;
@@ -565,7 +586,7 @@ CacheSystem::loadImpl(CoreId core, Addr a, unsigned size, Vid vid,
                 Line* nl = allocate(l1, la);
                 if (!nl) {
                     r.aborted = true;
-                    return r;
+                    return;
                 }
                 dataOf(*nl) = d;
                 if (mark) {
@@ -619,7 +640,6 @@ CacheSystem::loadImpl(CoreId core, Addr a, unsigned size, Vid vid,
             ++stats_.corDuplicates;
         }
     }
-    return r;
 }
 
 // --- stores ------------------------------------------------------------------

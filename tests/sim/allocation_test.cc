@@ -5,7 +5,8 @@
  * of one set of a tiny L1 directly — states, tags and LRU stamps set
  * behind syncLine's back, so the index self-checks are not consulted
  * — then drives an access whose fill must allocate in that set and
- * inspects where it landed.
+ * inspects where it landed. The last two cases pin load()'s re-runs
+ * after a capacity abort raised by the load's own fill.
  */
 
 #include <gtest/gtest.h>
@@ -48,7 +49,9 @@ struct Way
 class AllocationFixture : public ::testing::Test
 {
   protected:
-    AllocationFixture() : sys(eq, tinyL1Config()) {}
+    explicit AllocationFixture(const MachineConfig& cfg = tinyL1Config())
+        : sys(eq, cfg)
+    {}
 
     /** Fills set 0 of core 0's L1 with @p ways, in way order. */
     void
@@ -164,6 +167,119 @@ TEST_F(AllocationFixture, CapacityAbortInsideEvictReturnsNoSlot)
     EXPECT_EQ(sys.abortGen(), 1u);
     for (const Line& l : set0())
         EXPECT_NE(l.base, kFill);
+}
+
+
+// --- loads re-run after a flush they raised ------------------------------
+
+/** Four latest-version S-S copies in set 0 carrying live read marks of
+ *  VID @p reader, with no responder anywhere to fold a mark into:
+ *  evicting any of them must capacity-abort (§5.4). */
+std::vector<Way>
+markedLatestCopies(Vid reader)
+{
+    std::vector<Way> ways;
+    for (Addr i = 0; i < 4; ++i)
+        ways.push_back({i * kSetStride, State::SpecShared, {0, reader},
+                        i + 1, true});
+    return ways;
+}
+
+/** The way of set 0 holding @p base, or nullptr. */
+const Line*
+findWay(const std::vector<Line>& set, Addr base)
+{
+    for (const Line& l : set)
+        if (l.state != State::Invalid && l.base == base)
+            return &l;
+    return nullptr;
+}
+
+/** Crafted lines bypass the spec registries, so the flush these tests
+ *  raise must scan every line to reach them, as forceFullScan does. */
+MachineConfig
+fullScan(MachineConfig cfg)
+{
+    cfg.forceFullScan = true;
+    return cfg;
+}
+
+class FlushRetryFixture : public AllocationFixture
+{
+  protected:
+    FlushRetryFixture() : AllocationFixture(fullScan(tinyL1Config())) {}
+};
+
+TEST_F(FlushRetryFixture, OptionalFillCapacityAbortReRunsTheLoad)
+{
+    // Core 1 holds VID 1's speculative version of kFill. Core 0's
+    // VID-2 read is served by it and asks for an optional S-S copy;
+    // the eviction that copy needs capacity-aborts and flushes VID 1's
+    // version and the mark the read just planted, yet the read itself
+    // completed against pre-flush state. load() re-runs it once on
+    // post-flush state: the committed value, a fresh mark, both
+    // passes' latency, and no abort reported to the reader.
+    sys.memory().write(kFill, 7, 8);
+    ASSERT_FALSE(sys.store(1, kFill, 42, 8, 1).aborted);
+    craft(markedLatestCopies(1));
+    AccessResult r = sys.load(0, kFill, 8, 2);
+    EXPECT_FALSE(r.aborted);
+    EXPECT_EQ(r.value, 7u);
+    EXPECT_TRUE(r.needSla);
+    EXPECT_EQ(sys.stats().capacityAborts, 1u);
+    EXPECT_EQ(sys.abortGen(), 1u);
+    EXPECT_EQ(sys.stats().loads, 2u); // the access and its re-run
+    EXPECT_GT(r.latency, sys.config().l1Latency +
+                             sys.config().memLatency);
+    const Line* l = findWay(set0(), kFill);
+    ASSERT_NE(l, nullptr);
+    EXPECT_TRUE(isSpec(l->state));
+    EXPECT_EQ(l->tag.high, 2u);
+    sys.checkInvariants();
+}
+
+MachineConfig
+tinyBtxConfig()
+{
+    MachineConfig cfg = tinyL1Config();
+    cfg.txMode = TxMode::BestEffort;
+    cfg.btxMaxRetries = 1;
+    return cfg;
+}
+
+class HolderFixture : public AllocationFixture
+{
+  protected:
+    HolderFixture() : AllocationFixture(fullScan(tinyBtxConfig())) {}
+};
+
+TEST_F(HolderFixture, HolderLoadRetriesOnceAfterItsOwnFlush)
+{
+    // One global abort arms the fallback lock; VID 1's load takes it
+    // and runs serialized. Its required fill must evict a marked
+    // latest copy of VID 3's, so the holder's own access raises a
+    // capacity abort. The flush clears every speculative line (the
+    // holder has none), and load() retries once: the retry succeeds,
+    // keeps the lock, and charges both passes as fallback cycles.
+    sys.memory().write(kFill, 9, 8);
+    sys.abortAll();
+    ASSERT_TRUE(sys.txPolicy().fallbackArmed());
+    craft(markedLatestCopies(3));
+    AccessResult r = sys.load(0, kFill, 8, 1);
+    EXPECT_FALSE(r.aborted);
+    EXPECT_EQ(r.value, 9u);
+    EXPECT_FALSE(r.needSla);
+    EXPECT_TRUE(sys.txPolicy().serializes(1));
+    EXPECT_EQ(sys.stats().capacityAborts, 1u);
+    EXPECT_EQ(sys.abortGen(), 2u);
+    EXPECT_EQ(sys.stats().loads, 2u); // the access and its retry
+    EXPECT_EQ(sys.txPolicy().stats().fallbackCycles, r.latency);
+    EXPECT_GT(r.latency, 2 * sys.config().l1Latency +
+                             sys.config().memLatency);
+    const Line* l = findWay(set0(), kFill);
+    ASSERT_NE(l, nullptr);
+    EXPECT_FALSE(isSpec(l->state));
+    sys.checkInvariants();
 }
 
 } // namespace

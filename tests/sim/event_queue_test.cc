@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <coroutine>
 #include <exception>
 #include <map>
+#include <memory>
 #include <random>
 #include <utility>
 #include <vector>
@@ -527,6 +529,99 @@ TEST(EventQueue, FiringOrderMatchesReferenceOnRandomSchedules)
         EXPECT_EQ(got, want) << "seed " << seed;
         EXPECT_GT(got.size(), 500u) << "seed " << seed;
     }
+}
+
+// --- callback ownership ----------------------------------------------
+//
+// The queue owns every pending callback: reset() and the destructor
+// destroy them unrun, with everything they captured. Each test holds a
+// shared token the callbacks capture, so a leaked or doubly destroyed
+// callback shows in its use count (and to the asan-ubsan preset).
+
+/** A capture too large for std::function's inline storage, so the
+ *  callback's state is its own heap allocation. */
+using BigCapture = std::array<std::uint64_t, 16>;
+
+TEST(EventQueueOwnership, ResetDestroysPendingCallbacksUnrun)
+{
+    EventQueue eq;
+    auto token = std::make_shared<int>(0);
+    int fired = 0;
+    eq.schedule(5, [&fired, token] { ++fired; });
+    eq.schedule(9, [&fired, token, big = BigCapture{}] {
+        fired += 1 + static_cast<int>(big[0]);
+    });
+    FireOnce waiter = [](int& n) -> FireOnce {
+        ++n;
+        co_return;
+    }(fired);
+    eq.scheduleResume(7, waiter.h);
+    ASSERT_TRUE(eq.step());
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(token.use_count(), 2);
+
+    eq.reset();
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_EQ(eq.curTick(), 0u);
+    EXPECT_EQ(eq.executed(), 0u);
+    EXPECT_FALSE(waiter.h.done());
+
+    // The reset queue runs like a fresh one, reusing its storage.
+    std::vector<int> order;
+    for (int i = 0; i < 3; ++i)
+        eq.schedule(2, [&order, i, token] { order.push_back(i); });
+    eq.schedule(1, [&order] { order.push_back(-1); });
+    EXPECT_EQ(token.use_count(), 4);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2}));
+    EXPECT_EQ(eq.curTick(), 2u);
+    EXPECT_EQ(eq.executed(), 4u);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(token.use_count(), 1);
+    waiter.h.destroy();
+}
+
+TEST(EventQueueOwnership, DestroyingAQueueDestroysPendingCallbacks)
+{
+    auto token = std::make_shared<int>(0);
+    int fired = 0;
+    {
+        EventQueue eq;
+        eq.schedule(4, [&fired, token] { ++fired; });
+        eq.schedule(6, [&fired, token, big = BigCapture{}] {
+            fired += 1 + static_cast<int>(big[0]);
+        });
+        eq.schedule(3, [&eq, &fired, token] {
+            ++fired;
+            eq.scheduleIn(10, [&fired, token] { ++fired; });
+        });
+        ASSERT_TRUE(eq.step()); // tick 3 schedules tick 13
+        ASSERT_TRUE(eq.step()); // tick 4
+        EXPECT_EQ(fired, 2);
+        EXPECT_EQ(eq.pending(), 2u);
+        EXPECT_EQ(token.use_count(), 3);
+    }
+    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueueOwnership, FiredCallbackIsDestroyedOnceItRan)
+{
+    // A callback (and what it captured) is destroyed as soon as it has
+    // run, not when its box is next reused.
+    EventQueue eq;
+    auto token = std::make_shared<int>(0);
+    int fired = 0;
+    for (int i = 0; i < 100; ++i) {
+        eq.scheduleIn(1, [&fired, token] { ++fired; });
+        EXPECT_EQ(token.use_count(), 2);
+        ASSERT_TRUE(eq.step());
+        EXPECT_EQ(token.use_count(), 1);
+    }
+    EXPECT_EQ(fired, 100);
+    EXPECT_EQ(eq.curTick(), 100u);
 }
 
 } // namespace
