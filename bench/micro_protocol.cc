@@ -2,7 +2,7 @@
  * @file
  * google-benchmark microbenchmarks of the protocol primitives: the
  * pure version rules (hit predicate, store classification, commit and
- * abort transitions), the cascaded VID comparator, and end-to-end
+ * abort transitions) and end-to-end
  * cache-system operations (hits, versioned stores, group commit).
  * These measure the *simulator's* hot paths — useful when extending
  * the model — and sanity-check that the protocol logic is branch-light
@@ -12,7 +12,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/common.hh"
-#include "core/comparator.hh"
 #include "core/version_rules.hh"
 #include "sim/cache_system.hh"
 #include "sim/event_queue.hh"
@@ -62,18 +61,6 @@ BM_CommitAbortTransitions(benchmark::State& state)
     }
 }
 BENCHMARK(BM_CommitAbortTransitions);
-
-void
-BM_VidComparator(benchmark::State& state)
-{
-    VidComparator cmp(6);
-    Vid v = 0;
-    for (auto _ : state) {
-        v = (v + 1) & 63;
-        benchmark::DoNotOptimize(cmp.compare(v, (v + 1) & 63));
-    }
-}
-BENCHMARK(BM_VidComparator);
 
 void
 BM_CacheL1Hit(benchmark::State& state)

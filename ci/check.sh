@@ -328,6 +328,32 @@ EOF
     fi
 fi
 
+# The twelve benches that run the loop executors (Runner,
+# SmtxRunner) print only simulated numbers, so a fresh run must
+# reproduce ci/loop_bench_stdout.txt byte for byte: every schedule
+# (DOACROSS, SMTX-max and explicit worker counts included) and Table
+# 3's power figures. The file is this loop's output; a change meant to
+# alter simulated behaviour regenerates it the same way.
+if printf '%s\n' "${PRESETS[@]}" | grep -qx release; then
+    echo "==== bench: loop-executor stdout vs ci/loop_bench_stdout.txt ===="
+    CI_LOOP_OUT=$(mktemp -p "$CI_TMP")
+    for b in fig1_schedules fig2_smtx_rwset fig8_speedup fig9_rwset_size \
+        table1_stats table3_power ablation_sla ablation_lazy_commit \
+        ablation_vid_bits ablation_read_copy ext_unbounded_sets \
+        ext_paradigm_comparison; do
+        echo "==== $b ===="
+        (cd "$CI_TMP" && "$ROOT/build-release/bench/$b") || echo "EXIT $?"
+    done > "$CI_LOOP_OUT"
+    if ! diff -u "$ROOT/ci/loop_bench_stdout.txt" "$CI_LOOP_OUT"; then
+        echo "FATAL: loop-executor bench output differs from" \
+             "ci/loop_bench_stdout.txt; simulated behaviour changed" \
+             "(update the file only when the change is meant to alter" \
+             "it)" >&2
+        exit 1
+    fi
+    echo "loop bench stdout pin: ok"
+fi
+
 # Bench smoke + hot-path regression gate (Release timings only; the
 # sanitizer build's numbers are meaningless). Compares the indexed
 # Table-2-geometry bulk ops against the committed baseline and fails

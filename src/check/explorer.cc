@@ -186,8 +186,7 @@ class Explorer
         // explored sibling; waking happens below, when an executed op
         // is *dependent* with the sleeper's next op.
         const std::uint64_t awake = cfg_.prune ? enabled & ~sleep : enabled;
-        if (takesCheckpoint(depth, anc,
-                            static_cast<unsigned>(std::popcount(awake)))) {
+        if (takesCheckpoint(depth, anc, (awake & (awake - 1)) != 0)) {
             save(depth);
             anc = depth;
         }
@@ -364,9 +363,9 @@ class Explorer
 } // namespace
 
 bool
-takesCheckpoint(std::size_t depth, std::size_t anc, unsigned children)
+takesCheckpoint(std::size_t depth, std::size_t anc, bool branches)
 {
-    return depth == 0 || (children >= 2 && depth - anc > kMaxReSteps);
+    return depth == 0 || (branches && depth - anc > kMaxReSteps);
 }
 
 bool

@@ -142,15 +142,15 @@ ExploreResult explore(const Schedule& program,
 
 /**
  * Where the DFS checkpoints the matrix (DESIGN.md §14) — exposed so
- * tests can walk the same tree. The node at @p depth, with @p children
- * unslept children to explore and its nearest checkpointed ancestor at
- * depth @p anc, saves a checkpoint when it is the root, or when it
- * branches and lies more than two ops below @p anc. Every other branch
- * node restores @p anc before each child after the first and steps
- * the ops in between again.
+ * tests can walk the same tree. The node at @p depth, which
+ * @p branches when it has two or more unslept children to explore,
+ * and whose nearest checkpointed ancestor is at depth @p anc, saves a
+ * checkpoint when it is the root, or when it branches and lies more
+ * than two ops below @p anc. Every other branch node restores @p anc
+ * before each child after the first and steps the ops in between
+ * again.
  */
-bool takesCheckpoint(std::size_t depth, std::size_t anc,
-                     unsigned children);
+bool takesCheckpoint(std::size_t depth, std::size_t anc, bool branches);
 
 /**
  * The independence relation the sleep sets prune with — exposed so

@@ -6,13 +6,9 @@
 #ifndef HMTX_RUNTIME_ALLOC_HH
 #define HMTX_RUNTIME_ALLOC_HH
 
-#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <new>
-#include <type_traits>
-#include <vector>
 
 #include "core/types.hh"
 
@@ -59,68 +55,6 @@ class SimAllocator
 
   private:
     Addr next_;
-};
-
-/**
- * Host-side bump arena for per-core request/transaction scratch.
- * Backing storage is grabbed once (construction or the first laps)
- * and reused forever after: reset() recycles the whole arena in O(1)
- * without releasing memory, so a steady-state serving loop performs
- * zero heap allocations per request no matter how many millions of
- * transactions it pushes. highWater() exposes the peak footprint —
- * the kv_serve smoke test asserts it is independent of the request
- * count (no O(n-txns) growth).
- */
-class ScratchArena
-{
-  public:
-    explicit ScratchArena(std::size_t capacity = 1 << 16)
-    {
-        buf_.resize(capacity);
-    }
-
-    /**
-     * Allocates @p n objects of trivially-destructible type T,
-     * value-initialized, 8-byte aligned. Growth only happens if a
-     * single batch outgrows the arena (doubling, amortized — and
-     * visible in highWater(), so tests catch an unexpectedly growing
-     * footprint).
-     */
-    template <typename T>
-    T*
-    alloc(std::size_t n = 1)
-    {
-        static_assert(alignof(T) <= 8,
-                      "scratch arena guarantees 8-byte alignment");
-        static_assert(std::is_trivially_destructible_v<T>,
-                      "reset() never runs destructors");
-        const std::size_t bytes = (n * sizeof(T) + 7) & ~std::size_t{7};
-        if (used_ + bytes > buf_.size())
-            buf_.resize(std::max(buf_.size() * 2, used_ + bytes));
-        T* p = reinterpret_cast<T*>(buf_.data() + used_);
-        for (std::size_t i = 0; i < n; ++i)
-            new (p + i) T();
-        used_ += bytes;
-        high_ = used_ > high_ ? used_ : high_;
-        return p;
-    }
-
-    /** Recycles every allocation. O(1); keeps the backing storage. */
-    void reset() { used_ = 0; }
-
-    /** Bytes currently allocated since the last reset(). */
-    std::size_t used() const { return used_; }
-
-    /** Peak bytes ever allocated between resets. */
-    std::size_t highWater() const { return high_; }
-
-    /** Current backing capacity in bytes. */
-    std::size_t capacity() const { return buf_.size(); }
-
-  private:
-    std::vector<unsigned char> buf_;
-    std::size_t used_ = 0;
-    std::size_t high_ = 0;
 };
 
 } // namespace hmtx::runtime

@@ -90,12 +90,13 @@ namespace
 constexpr std::uint64_t kDoneToken = ~std::uint64_t{0};
 
 /** State shared by the tasks of one parallel run. */
-struct Shared
+struct Shared final : LoopTasks
 {
-    Shared(LoopWorkload& w, Machine& mach, unsigned tasks)
-        : wl(w), m(mach), coord(mach, &recovering), nTasks(tasks),
-          barrier(mach.eq()), doneSig(mach.eq()),
-          txOut(w.txOutput())
+    Shared(LoopWorkload& w, Machine& mach, unsigned tasks,
+           std::string model)
+        : LoopTasks(std::move(model)), wl(w), m(mach),
+          coord(mach, &recovering), nTasks(tasks), barrier(mach.eq()),
+          doneSig(mach.eq()), txOut(w.txOutput())
     {}
 
     LoopWorkload& wl;
@@ -114,6 +115,14 @@ struct Shared
     /** Workload's transactional output stream, if any (§4.7). */
     TxOutput* txOut = nullptr;
 
+    /** Gives each of @p n tasks an inbound queue. */
+    void
+    addQueues(unsigned n)
+    {
+        for (unsigned q = 0; q < n; ++q)
+            queues.push_back(std::make_unique<SimQueue>(m, 8));
+    }
+
     /** Marks completion once the last iteration committed. */
     void
     checkDone()
@@ -122,6 +131,13 @@ struct Shared
             done = true;
             doneSig.notifyAll();
         }
+    }
+
+    void
+    finish(ExecResult& r) const override
+    {
+        r.vidResets = coord.resets();
+        r.vidStallCycles = coord.stallCycles();
     }
 };
 
@@ -174,32 +190,32 @@ recoveryBarrier(Shared& sh, ThreadContext& tc)
         co_await sh.barrier.wait();
 }
 
-/** Stage 1: runs the sequential pipeline stage and feeds workers. */
+/**
+ * One attempt of a recovering task's part of the loop on worker @p w,
+ * resuming at the first uncommitted iteration @p from (0 on the first
+ * attempt).
+ */
+using Attempt = sim::Task<void> (*)(Shared& sh, ThreadContext& tc,
+                                    DirectMem& mem, unsigned w,
+                                    std::uint64_t from);
+
+/**
+ * The abort-recovery loop (the initMTX handler analog, §3.1) of a
+ * task on core @p core: runs an @p attempt, then stands by until
+ * every iteration committed, since a late abort sends the task back
+ * to redo uncommitted iterations. On sim::TxAborted it joins the
+ * recovery barrier and attempts again from sh.restartIter.
+ */
 sim::Task<void>
-stage1Task(Shared& sh, unsigned workers)
+recoveringTask(Shared& sh, CoreId core, unsigned w, Attempt attempt)
 {
-    ThreadContext& tc = sh.m.ctx(0);
+    ThreadContext& tc = sh.m.ctx(core);
     DirectMem mem(tc);
-    const std::uint64_t n = sh.wl.iterations();
-    std::uint64_t i = 0;
+    std::uint64_t from = 0;
     for (;;) {
         bool recover = false;
         try {
-            while (i < n) {
-                if (sh.recovering)
-                    throw sim::TxAborted{};
-                co_await sh.coord.beginIter(tc, i);
-                co_await sh.wl.stage1(mem, i);
-                // Done with our part of the MTX; back to bookkeeping
-                // (Figure 3(b): beginMTX(0) does not commit).
-                tc.beginMtx(kNonSpecVid);
-                co_await sh.queues[i % workers]->produce(tc, i);
-                ++i;
-            }
-            for (unsigned w = 0; w < workers; ++w)
-                co_await sh.queues[w]->produce(tc, kDoneToken);
-            // Stand by until everything committed: a late abort sends
-            // us back to re-produce uncommitted iterations.
+            co_await attempt(sh, tc, mem, w, from);
             while (!sh.done) {
                 if (sh.recovering)
                     throw sim::TxAborted{};
@@ -211,83 +227,72 @@ stage1Task(Shared& sh, unsigned workers)
         if (!recover)
             co_return;
         co_await recoveryBarrier(sh, tc);
-        i = sh.restartIter;
+        from = sh.restartIter;
     }
 }
 
-/** Replicated stage 2 worker w (cores 1 + w). */
+/** Pipeline stage 1 (core 0): runs the sequential stage and feeds the
+ *  workers round-robin. */
 sim::Task<void>
-workerTask(Shared& sh, unsigned w)
+stage1Attempt(Shared& sh, ThreadContext& tc, DirectMem& mem, unsigned,
+              std::uint64_t from)
 {
-    ThreadContext& tc = sh.m.ctx(1 + w);
-    DirectMem mem(tc);
-    for (;;) {
-        bool recover = false;
-        try {
-            for (;;) {
-                if (sh.recovering)
-                    throw sim::TxAborted{};
-                std::uint64_t i =
-                    co_await sh.queues[w]->consume(tc);
-                if (i == kDoneToken)
-                    break;
-                tc.beginMtx(sh.coord.vidOf(i));
-                co_await sh.wl.stage2(mem, i);
-                co_await sh.coord.commitIter(tc, i);
-                if (sh.txOut)
-                    sh.txOut->commit(sh.coord.vidOf(i));
-                sh.checkDone();
-            }
-            while (!sh.done) {
-                if (sh.recovering)
-                    throw sim::TxAborted{};
-                co_await sh.doneSig.wait();
-            }
-        } catch (const sim::TxAborted&) {
-            recover = true;
-        }
-        if (!recover)
-            co_return;
-        co_await recoveryBarrier(sh, tc);
-    }
-}
-
-/** DOALL worker: whole iterations, round-robin. */
-sim::Task<void>
-doallTask(Shared& sh, unsigned w, unsigned workers)
-{
-    ThreadContext& tc = sh.m.ctx(w);
-    DirectMem mem(tc);
     const std::uint64_t n = sh.wl.iterations();
-    std::uint64_t i = w;
+    const auto workers = static_cast<unsigned>(sh.queues.size());
+    for (std::uint64_t i = from; i < n; ++i) {
+        if (sh.recovering)
+            throw sim::TxAborted{};
+        co_await sh.coord.beginIter(tc, i);
+        co_await sh.wl.stage1(mem, i);
+        // Done with our part of the MTX; back to bookkeeping
+        // (Figure 3(b): beginMTX(0) does not commit).
+        tc.beginMtx(kNonSpecVid);
+        co_await sh.queues[i % workers]->produce(tc, i);
+    }
+    for (auto& q : sh.queues)
+        co_await q->produce(tc, kDoneToken);
+}
+
+/** Replicated stage-2 worker @p w (core 1 + w); consumes from its
+ *  queue, so recovery's queue reset is its restart point. */
+sim::Task<void>
+workerAttempt(Shared& sh, ThreadContext& tc, DirectMem& mem, unsigned w,
+              std::uint64_t)
+{
     for (;;) {
-        bool recover = false;
-        try {
-            for (; i < n; i += workers) {
-                if (sh.recovering)
-                    throw sim::TxAborted{};
-                co_await sh.coord.beginIter(tc, i);
-                co_await sh.wl.stage1(mem, i);
-                co_await sh.wl.stage2(mem, i);
-                co_await sh.coord.commitIter(tc, i);
-                if (sh.txOut)
-                    sh.txOut->commit(sh.coord.vidOf(i));
-                sh.checkDone();
-            }
-            while (!sh.done) {
-                if (sh.recovering)
-                    throw sim::TxAborted{};
-                co_await sh.doneSig.wait();
-            }
-        } catch (const sim::TxAborted&) {
-            recover = true;
-        }
-        if (!recover)
+        if (sh.recovering)
+            throw sim::TxAborted{};
+        std::uint64_t i = co_await sh.queues[w]->consume(tc);
+        if (i == kDoneToken)
             co_return;
-        co_await recoveryBarrier(sh, tc);
-        // Resume at the first uncommitted iteration this worker owns.
-        std::uint64_t c = sh.restartIter;
-        i = c + ((w + workers - c % workers) % workers);
+        tc.beginMtx(sh.coord.vidOf(i));
+        co_await sh.wl.stage2(mem, i);
+        co_await sh.coord.commitIter(tc, i);
+        if (sh.txOut)
+            sh.txOut->commit(sh.coord.vidOf(i));
+        sh.checkDone();
+    }
+}
+
+/** DOALL worker @p w (core w): whole iterations, round-robin, from the
+ *  first one at or after @p from that it owns. */
+sim::Task<void>
+doallAttempt(Shared& sh, ThreadContext& tc, DirectMem& mem, unsigned w,
+             std::uint64_t from)
+{
+    const std::uint64_t n = sh.wl.iterations();
+    const unsigned workers = sh.nTasks;
+    for (std::uint64_t i = from + (w + workers - from % workers) % workers;
+         i < n; i += workers) {
+        if (sh.recovering)
+            throw sim::TxAborted{};
+        co_await sh.coord.beginIter(tc, i);
+        co_await sh.wl.stage1(mem, i);
+        co_await sh.wl.stage2(mem, i);
+        co_await sh.coord.commitIter(tc, i);
+        if (sh.txOut)
+            sh.txOut->commit(sh.coord.vidOf(i));
+        sh.checkDone();
     }
 }
 
@@ -321,30 +326,6 @@ doacrossTask(Shared& sh, unsigned w, unsigned workers)
     }
 }
 
-ExecResult
-collect(Machine& m, LoopWorkload& wl, Shared* sh, std::string model)
-{
-    ExecResult r;
-    r.model = std::move(model);
-    r.cycles = m.now();
-    m.sys().flushDirtyToMemory();
-    r.checksum = wl.checksum(m);
-    r.stats = m.sys().stats();
-    r.txStats = m.sys().txPolicy().stats();
-    r.indexStats = m.sys().indexStats();
-    r.transactions = r.stats.committedTxs;
-    for (CoreId c = 0; c < m.config().numCores; ++c) {
-        r.instructions += m.ctx(c).instructions();
-        r.branches += m.ctx(c).predictor().branches();
-        r.mispredicts += m.ctx(c).predictor().mispredicts();
-    }
-    if (sh) {
-        r.vidResets = sh->coord.resets();
-        r.vidStallCycles = sh->coord.stallCycles();
-    }
-    return r;
-}
-
 sim::Task<void>
 sequentialRoot(Machine& m, LoopWorkload& wl)
 {
@@ -352,38 +333,63 @@ sequentialRoot(Machine& m, LoopWorkload& wl)
     co_await wl.runSequential(mem);
 }
 
-/**
- * Clamps a requested worker count to the cores the machine actually
- * has (minus @p reserved cores the schedule occupies otherwise) and
- * records how many cores the resulting schedule leaves idle. Without
- * the clamp a caller asking for more workers than cores would index
- * past the machine's thread contexts; without the stat a schedule
- * narrower than the machine would waste cores silently.
- */
-unsigned
-clampWorkers(Machine& m, unsigned workers, unsigned reserved)
-{
-    const unsigned cores = m.config().numCores;
-    const unsigned avail = cores > reserved ? cores - reserved : 1;
-    workers = std::clamp(workers, 1u, avail);
-    const unsigned used = reserved + workers;
-    m.sys().stats().idleCores = cores > used ? cores - used : 0;
-    return workers;
-}
-
 } // namespace
+
+// --- the run path ----------------------------------------------------------
+
+ExecResult
+runLoop(LoopWorkload& wl, const sim::MachineConfig& cfg,
+        const CoreBudget& budget, const SpawnTasks& spawn)
+{
+    // A schedule with no core for a worker would index past the
+    // machine's thread contexts (or divide by zero workers); a request
+    // for more workers than fit is clamped, and the cores the schedule
+    // leaves over are recorded so a narrow schedule does not waste
+    // them silently.
+    const unsigned cores = cfg.numCores;
+    if (cores < budget.reserved + 1) {
+        throw std::invalid_argument(
+            std::string(budget.schedule) + " needs at least " +
+            std::to_string(budget.reserved + 1) +
+            " cores; the machine has " + std::to_string(cores));
+    }
+    const unsigned workers =
+        std::clamp(budget.workers, 1u, cores - budget.reserved);
+
+    Machine m(cfg);
+    wl.setup(m);
+    m.sys().stats().idleCores = cores - budget.reserved - workers;
+    const std::unique_ptr<LoopTasks> tasks = spawn(m, workers);
+    m.run();
+
+    ExecResult r;
+    r.model = tasks->model();
+    r.cycles = m.now();
+    m.sys().flushDirtyToMemory();
+    r.checksum = wl.checksum(m);
+    r.stats = m.sys().stats();
+    r.txStats = m.sys().txPolicy().stats();
+    r.indexStats = m.sys().indexStats();
+    r.transactions = r.stats.committedTxs;
+    for (CoreId c = 0; c < cores; ++c) {
+        r.instructions += m.ctx(c).instructions();
+        r.branches += m.ctx(c).predictor().branches();
+        r.mispredicts += m.ctx(c).predictor().mispredicts();
+    }
+    tasks->finish(r);
+    return r;
+}
 
 // --- Runner ------------------------------------------------------------------
 
 ExecResult
 Runner::runSequential(LoopWorkload& wl, const sim::MachineConfig& cfg)
 {
-    Machine m(cfg);
-    wl.setup(m);
-    m.sys().stats().idleCores = cfg.numCores - 1;
-    m.spawn(sequentialRoot(m, wl));
-    m.run();
-    return collect(m, wl, nullptr, "sequential");
+    return runLoop(wl, cfg, {"sequential", 0, 1},
+                   [&](Machine& m, unsigned) {
+                       m.spawn(sequentialRoot(m, wl));
+                       return std::make_unique<LoopTasks>("sequential");
+                   });
 }
 
 ExecResult
@@ -399,36 +405,35 @@ Runner::runPipeline(LoopWorkload& wl, const sim::MachineConfig& cfg,
             "DOALL schedule (the holder commits before joining "
             "recovery) or a full-HMTX mode");
     }
-    Machine m(cfg);
-    wl.setup(m);
     // Stage 1 owns core 0; replicated stage-2 workers fill the rest.
-    workers = clampWorkers(m, workers, 1);
-    Shared sh(wl, m, workers + 1);
-    for (unsigned w = 0; w < workers; ++w)
-        sh.queues.push_back(std::make_unique<SimQueue>(m, 8));
-    m.spawn(stage1Task(sh, workers));
-    for (unsigned w = 0; w < workers; ++w)
-        m.spawn(workerTask(sh, w));
-    m.run();
-    std::string model = workers > 1
-        ? "HMTX PS-DSWP x" + std::to_string(workers)
-        : "HMTX DSWP";
-    return collect(m, wl, &sh, std::move(model));
+    return runLoop(
+        wl, cfg, {"HMTX pipeline", 1, workers},
+        [&](Machine& m, unsigned n) {
+            auto sh = std::make_unique<Shared>(
+                wl, m, n + 1,
+                n > 1 ? "HMTX PS-DSWP x" + std::to_string(n)
+                      : "HMTX DSWP");
+            sh->addQueues(n);
+            m.spawn(recoveringTask(*sh, 0, 0, stage1Attempt));
+            for (unsigned w = 0; w < n; ++w)
+                m.spawn(recoveringTask(*sh, 1 + w, w, workerAttempt));
+            return sh;
+        });
 }
 
 ExecResult
 Runner::runDoall(LoopWorkload& wl, const sim::MachineConfig& cfg,
                  unsigned workers)
 {
-    Machine m(cfg);
-    wl.setup(m);
-    workers = clampWorkers(m, workers, 0);
-    Shared sh(wl, m, workers);
-    for (unsigned w = 0; w < workers; ++w)
-        m.spawn(doallTask(sh, w, workers));
-    m.run();
-    return collect(m, wl, &sh,
-                   "HMTX DOALL x" + std::to_string(workers));
+    return runLoop(
+        wl, cfg, {"HMTX DOALL", 0, workers},
+        [&](Machine& m, unsigned n) {
+            auto sh = std::make_unique<Shared>(
+                wl, m, n, "HMTX DOALL x" + std::to_string(n));
+            for (unsigned w = 0; w < n; ++w)
+                m.spawn(recoveringTask(*sh, w, w, doallAttempt));
+            return sh;
+        });
 }
 
 ExecResult
@@ -443,17 +448,16 @@ Runner::runDoacross(LoopWorkload& wl, const sim::MachineConfig& cfg,
             "has no recovery path that could replay consistently; "
             "use a DOALL schedule or a full-HMTX mode");
     }
-    Machine m(cfg);
-    wl.setup(m);
-    workers = clampWorkers(m, workers, 0);
-    Shared sh(wl, m, workers);
-    for (unsigned w = 0; w < workers; ++w)
-        sh.queues.push_back(std::make_unique<SimQueue>(m, 8));
-    for (unsigned w = 0; w < workers; ++w)
-        m.spawn(doacrossTask(sh, w, workers));
-    m.run();
-    return collect(m, wl, &sh,
-                   "DOACROSS x" + std::to_string(workers));
+    return runLoop(
+        wl, cfg, {"DOACROSS", 0, workers},
+        [&](Machine& m, unsigned n) {
+            auto sh = std::make_unique<Shared>(
+                wl, m, n, "DOACROSS x" + std::to_string(n));
+            sh->addQueues(n);
+            for (unsigned w = 0; w < n; ++w)
+                m.spawn(doacrossTask(*sh, w, n));
+            return sh;
+        });
 }
 
 ExecResult

@@ -9,7 +9,10 @@
 #define HMTX_RUNTIME_EXECUTORS_HH
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "core/tx_policy.hh"
 #include "core/vid.hh"
@@ -124,7 +127,70 @@ class VidCoordinator
     Signal sig_;
 };
 
-/** Drivers for each execution model. Each builds a fresh Machine. */
+/**
+ * The state the tasks of one loop-schedule run share. runLoop() keeps
+ * it alive from the spawn until the result is collected, then lets it
+ * add its schedule's own fields.
+ */
+class LoopTasks
+{
+  public:
+    /** @param model execution model label of the result */
+    explicit LoopTasks(std::string model) : model_(std::move(model)) {}
+    virtual ~LoopTasks() = default;
+
+    LoopTasks(const LoopTasks&) = delete;
+    LoopTasks& operator=(const LoopTasks&) = delete;
+
+    const std::string& model() const { return model_; }
+
+    /** Adds the schedule's own fields to a collected result. */
+    virtual void finish(ExecResult&) const {}
+
+  private:
+    std::string model_;
+};
+
+/**
+ * The cores a loop schedule occupies: `reserved` cores for its fixed
+ * roles (the HMTX pipeline's stage 1; SMTX's commit process, plus
+ * stage 1 in a pipeline) and at least one worker.
+ */
+struct CoreBudget
+{
+    /** Schedule name for the error when the machine is too small. */
+    const char* schedule;
+    unsigned reserved;
+    /** Workers asked for; clamped to [1, numCores - reserved]. */
+    unsigned workers;
+};
+
+/**
+ * Starts a schedule's tasks on the set-up machine for @p workers
+ * workers and returns the state they share.
+ */
+using SpawnTasks =
+    std::function<std::unique_ptr<LoopTasks>(Machine& m, unsigned workers)>;
+
+/**
+ * The one run path of every loop executor (Runner and
+ * smtx::SmtxRunner): builds the Machine, sets @p wl up, fits @p budget
+ * to the machine's cores (recording the cores it leaves idle in
+ * SysStats::idleCores), spawns the schedule's tasks, runs them and
+ * collects the result.
+ *
+ * @throws std::invalid_argument when the reserved cores plus one
+ *         worker exceed cfg.numCores
+ */
+ExecResult runLoop(LoopWorkload& wl, const sim::MachineConfig& cfg,
+                   const CoreBudget& budget, const SpawnTasks& spawn);
+
+/**
+ * Drivers for each execution model, all on runLoop(). Core budgets:
+ * sequential, DOALL and DOACROSS reserve no core, the pipeline
+ * reserves core 0 for stage 1; a machine without room for one worker
+ * besides throws std::invalid_argument.
+ */
 class Runner
 {
   public:

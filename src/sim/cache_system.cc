@@ -16,7 +16,7 @@ namespace hmtx::sim
 {
 
 CacheSystem::CacheSystem(EventQueue& eq, const MachineConfig& cfg)
-    : eq_(eq), cfg_(cfg), cmp_(cfg.vidBits), policy_(cfg.txPolicy()),
+    : eq_(eq), cfg_(cfg), policy_(cfg.txPolicy()),
       trace_(cfg.traceEnabled)
 {
     cfg_.validate();
@@ -74,7 +74,6 @@ CacheSystem::snapshot(Snapshot& s) const
     s.useClock = useClock_;
     s.lcVid = lcVid_;
     s.abortGen = abortGen_;
-    s.cmp = cmp_;
     s.policy = policy_;
     net_->saveOccupancy(s.nextFree);
     s.chooser = net_->deliveryChooser();
@@ -126,7 +125,6 @@ CacheSystem::restore(const Snapshot& s)
     useClock_ = s.useClock;
     lcVid_ = s.lcVid;
     abortGen_ = s.abortGen;
-    cmp_ = s.cmp;
     policy_ = s.policy;
     net_->restoreOccupancy(s.nextFree);
     net_->setDeliveryChooser(s.chooser);
@@ -151,10 +149,9 @@ CacheSystem::reset(const MachineConfig& cfg)
             "structure (cores, caches, fabric); build a new system");
     cfg.validate();
     // Everything else the constructor derives from the config is the
-    // comparator and the policy; the rest of the construction snapshot
-    // depends on the structure alone.
+    // policy; the rest of the construction snapshot depends on the
+    // structure alone.
     cfg_ = cfg;
-    initial_.cmp = VidComparator(cfg_.vidBits);
     initial_.policy = TxPolicy(cfg_.txPolicy());
     restore(initial_);
     trace_.reset(cfg_.traceEnabled);

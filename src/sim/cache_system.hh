@@ -28,7 +28,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/comparator.hh"
 #include "core/protocol.hh"
 #include "core/sla.hh"
 #include "core/types.hh"
@@ -133,10 +132,9 @@ class CacheSystem
      * both registries), the read/write sets and their slot index, the
      * wrong-path shadow marks, the overflow table, main memory, every
      * counter and generation (SysStats, IndexStats, lcVid, abortGen,
-     * the LRU clock, the rw-mark generation, the comparator's), the
-     * TxPolicy state, the fabric's occupancy and DeliveryChooser, and
-     * the EventQueue's clock. The trace is a log, not state: it is not
-     * recorded.
+     * the LRU clock, the rw-mark generation), the TxPolicy state, the
+     * fabric's occupancy and DeliveryChooser, and the EventQueue's
+     * clock. The trace is a log, not state: it is not recorded.
      *
      * A reusable value: snapshot() refills it in place, keeping its
      * containers' capacity, so checkpointing repeatedly at a similar
@@ -181,7 +179,6 @@ class CacheSystem
         Tick useClock = 0;
         Vid lcVid = 0;
         std::uint64_t abortGen = 0;
-        VidComparator cmp;
         TxPolicy policy;
         std::pmr::vector<Tick> nextFree;
         DeliveryChooser* chooser = nullptr;
@@ -204,14 +201,14 @@ class CacheSystem
 
     /**
      * Puts the system into exactly the state CacheSystem(eq, @p cfg)
-     * constructs: the config, the VID comparator, the TxPolicy and the
-     * construction snapshot are replaced, then that snapshot is
-     * restored, so a run on a reset system is indistinguishable from a
-     * run on a freshly built one (the DeliveryChooser is uninstalled,
-     * the queue's clock back at its construction tick). Also clears
-     * the trace. Containers keep their capacity. Throws
-     * std::invalid_argument, leaving the system untouched, if @p cfg
-     * fails MachineConfig::validate() or !sameStructure(@p cfg).
+     * constructs: the config, the TxPolicy and the construction
+     * snapshot are replaced, then that snapshot is restored, so a run
+     * on a reset system is indistinguishable from a run on a freshly
+     * built one (the DeliveryChooser is uninstalled, the queue's
+     * clock back at its construction tick). Also clears the trace.
+     * Containers keep their capacity. Throws std::invalid_argument,
+     * leaving the system untouched, if @p cfg fails
+     * MachineConfig::validate() or !sameStructure(@p cfg).
      */
     void reset(const MachineConfig& cfg);
 
@@ -286,8 +283,6 @@ class CacheSystem
 
     const SysStats& stats() const { return stats_; }
     SysStats& stats() { return stats_; }
-
-    const VidComparator& comparator() const { return cmp_; }
 
     const MachineConfig& config() const { return cfg_; }
 
@@ -382,8 +377,8 @@ class CacheSystem
     void applyReconcile(Line& l) const;
     /** Reconciles a line against the current LC VID (lazy commit). */
     void reconcile(Line& l);
-    /** True if this version hits request VID @p a (counts compares). */
-    bool hits(const Line& l, Addr la, Vid a);
+    /** True if this version hits request VID @p a. */
+    bool hits(const Line& l, Addr la, Vid a) const;
     /**
      * Finds the hitting version in one cache. @p forStore skips S-S
      * copies (stores must consult the responder/owner version).
@@ -676,7 +671,6 @@ class CacheSystem
     std::vector<Cache> caches_;
     Vid lcVid_ = 0;
     std::uint64_t abortGen_ = 0;
-    VidComparator cmp_;
     SysStats stats_;
     /** Transaction-mode policy (commit walks, fallback, K bound). */
     TxPolicy policy_;

@@ -601,11 +601,7 @@ CacheSystem::loadImpl(AccessResult& r, CoreId core, Addr a,
                 }
                 syncLine(*nl);
             }
-            r.value = 0;
-            unsigned off = lineOffset(a);
-            for (unsigned i = 0; i < size; ++i)
-                r.value |= static_cast<std::uint64_t>(d[off + i])
-                    << (8 * i);
+            r.value = readLe(d, lineOffset(a), size);
         }
     }
 

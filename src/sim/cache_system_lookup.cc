@@ -33,16 +33,10 @@ CacheSystem::reconcile(Line& l)
 }
 
 bool
-CacheSystem::hits(const Line& l, Addr la, Vid a)
+CacheSystem::hits(const Line& l, Addr la, Vid a) const
 {
     if (l.state == State::Invalid || l.base != la)
         return false;
-    // Count the VID comparisons the hardware would perform (§4.5).
-    if (isSpec(l.state)) {
-        cmp_.compare(a, l.tag.mod);
-        if (isSpecSuperseded(l.state))
-            cmp_.compare(a, l.tag.high);
-    }
     return versionServes(viewOf(l), a);
 }
 

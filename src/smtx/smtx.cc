@@ -1,5 +1,8 @@
 #include "smtx/smtx.hh"
 
+#include <memory>
+#include <string>
+
 #include "runtime/thread_context.hh"
 
 namespace hmtx::smtx
@@ -222,12 +225,22 @@ namespace
 
 constexpr std::uint64_t kDone = ~std::uint64_t{0};
 
-struct SmtxShared
+struct SmtxShared final : runtime::LoopTasks
 {
     SmtxShared(runtime::LoopWorkload& w, runtime::Machine& mach,
                unsigned workers, RwSetMode mode)
-        : wl(w), m(mach), rt(mach, workers, mode)
+        : LoopTasks(std::string("SMTX ") +
+                    (mode == RwSetMode::Maximal ? "max R/W" : "min R/W") +
+                    " x" + std::to_string(workers)),
+          wl(w), m(mach), rt(mach, workers, mode)
     {}
+
+    void
+    finish(runtime::ExecResult& r) const override
+    {
+        r.transactions = wl.iterations();
+        r.smtxMisspeculations = rt.misspeculations();
+    }
 
     runtime::LoopWorkload& wl;
     runtime::Machine& m;
@@ -328,49 +341,32 @@ SmtxRunner::run(runtime::LoopWorkload& wl,
     sim::MachineConfig c = cfg;
     c.hmtxEnabled = false; // commodity hardware (§2.3)
 
-    runtime::Machine m(c);
-    wl.setup(m);
-
-    const bool pipeline = wl.paradigm() != runtime::Paradigm::Doall;
     // The commit process occupies the last core (§6.2: "SMTX requires
-    // the extra commit process, taking up one core's resources").
-    const unsigned workers =
-        pipeline ? c.numCores - 2 : c.numCores - 1;
-
-    SmtxShared sh(wl, m, workers, mode);
-    sh.rt.snapshotCommitImage();
-    if (pipeline) {
-        for (unsigned w = 0; w < workers; ++w)
-            sh.workQs.push_back(
-                std::make_unique<runtime::SimQueue>(m, 8));
-        m.spawn(smtxStage1(sh, workers));
-        for (unsigned w = 0; w < workers; ++w)
-            m.spawn(smtxWorker(sh, w));
-    } else {
-        for (unsigned w = 0; w < workers; ++w)
-            m.spawn(smtxDoallWorker(sh, w, workers));
-    }
-    m.spawn(smtxCommitTask(sh, wl.iterations(), pipeline,
-                           c.numCores - 1));
-    m.run();
-
-    runtime::ExecResult r;
-    r.model = std::string("SMTX ") +
-        (mode == RwSetMode::Maximal ? "max R/W" : "min R/W") + " x" +
-        std::to_string(workers);
-    r.cycles = m.now();
-    m.sys().flushDirtyToMemory();
-    r.checksum = wl.checksum(m);
-    r.stats = m.sys().stats();
-    r.indexStats = m.sys().indexStats();
-    r.transactions = wl.iterations();
-    r.smtxMisspeculations = sh.rt.misspeculations();
-    for (CoreId i = 0; i < c.numCores; ++i) {
-        r.instructions += m.ctx(i).instructions();
-        r.branches += m.ctx(i).predictor().branches();
-        r.mispredicts += m.ctx(i).predictor().mispredicts();
-    }
-    return r;
+    // the extra commit process, taking up one core's resources"); a
+    // pipeline also reserves core 0 for stage 1.
+    const bool pipeline = wl.paradigm() != runtime::Paradigm::Doall;
+    const runtime::CoreBudget budget =
+        pipeline ? runtime::CoreBudget{"SMTX pipeline", 2, c.numCores}
+                 : runtime::CoreBudget{"SMTX DOALL", 1, c.numCores};
+    return runtime::runLoop(
+        wl, c, budget, [&](runtime::Machine& m, unsigned workers) {
+            auto sh = std::make_unique<SmtxShared>(wl, m, workers, mode);
+            sh->rt.snapshotCommitImage();
+            if (pipeline) {
+                for (unsigned w = 0; w < workers; ++w)
+                    sh->workQs.push_back(
+                        std::make_unique<runtime::SimQueue>(m, 8));
+                m.spawn(smtxStage1(*sh, workers));
+                for (unsigned w = 0; w < workers; ++w)
+                    m.spawn(smtxWorker(*sh, w));
+            } else {
+                for (unsigned w = 0; w < workers; ++w)
+                    m.spawn(smtxDoallWorker(*sh, w, workers));
+            }
+            m.spawn(smtxCommitTask(*sh, wl.iterations(), pipeline,
+                                   c.numCores - 1));
+            return sh;
+        });
 }
 
 } // namespace hmtx::smtx

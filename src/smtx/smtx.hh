@@ -187,6 +187,9 @@ class SmtxRunner
      * commit process takes the last core; DSWP paradigms place stage 1
      * on core 0 and workers in between; DOALL uses all remaining cores
      * as workers.
+     *
+     * @throws std::invalid_argument when the machine has no core for
+     *         a worker (a pipeline needs 3 cores, DOALL 2)
      */
     static runtime::ExecResult run(runtime::LoopWorkload& wl,
                                    const sim::MachineConfig& cfg,

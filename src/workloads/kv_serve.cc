@@ -90,7 +90,7 @@ fatalParams(const char* why)
     std::abort();
 }
 
-/** One in-flight transaction on a core (arena-carved POD). */
+/** One in-flight transaction on a core. */
 struct Flight : runtime::LaneFlight
 {
     Request req;
@@ -98,13 +98,14 @@ struct Flight : runtime::LaneFlight
     unsigned footprintLines = 0;
 };
 
-/** Per-core ring + bursty open-loop generator state. */
+/** Per-core ring, in-flight transaction and bursty open-loop
+ *  generator state; allocated once, before the first request. */
 struct CoreLane
 {
-    Request* ring = nullptr;
+    std::vector<Request> ring;
     unsigned ringHead = 0;
     unsigned ringCount = 0;
-    Flight* fl = nullptr;
+    Flight fl{};
     /** Requests this core still has to generate. */
     std::uint64_t toGenerate = 0;
     /** Arrival clock of the generator (cycles). */
@@ -178,7 +179,6 @@ class Engine
     std::shared_ptr<const sim::ZipfSampler> zipf_;
     sim::BoundedParetoSampler onLen_;
     Addr tableBase_ = 0;
-    std::vector<runtime::ScratchArena> arenas_;
     std::vector<CoreLane> cores_;
     std::vector<sim::Rng> rngs_;
     std::uint32_t nextRid_ = 0;
@@ -309,7 +309,7 @@ Engine::activate(unsigned c)
         refillRing(c);
     if (cl.ringCount == 0)
         return false;
-    Flight& f = *cl.fl;
+    Flight& f = cl.fl;
     f.req = cl.ring[cl.ringHead++];
     --cl.ringCount;
     buildBody(f);
@@ -331,15 +331,12 @@ Engine::run()
 {
     const auto t0 = std::chrono::steady_clock::now();
     const unsigned n = cfg_.numCores;
-    arenas_.reserve(n);
     cores_.resize(n);
     rngs_.reserve(n);
     for (unsigned c = 0; c < n; ++c) {
-        arenas_.emplace_back(std::size_t{1} << 13);
         CoreLane& cl = cores_[c];
-        cl.ring = arenas_.back().alloc<Request>(p_.ringCap);
-        cl.fl = arenas_.back().alloc<Flight>();
-        cl.fl->core = c;
+        cl.ring.resize(p_.ringCap);
+        cl.fl.core = c;
         cl.toGenerate = p_.requests / n + (c < p_.requests % n);
         rngs_.emplace_back(p_.seed * 0x9e3779b97f4a7c15ull + c + 1);
     }
@@ -353,7 +350,7 @@ Engine::run()
         batch.clear();
         for (unsigned c = 0; c < n; ++c)
             if (activate(c))
-                batch.push_back(cores_[c].fl);
+                batch.push_back(&cores_[c].fl);
         if (batch.empty())
             break;
         drv_.runBatch(
@@ -389,8 +386,8 @@ Engine::run()
     res_.makespan = drv_.now();
     res_.sys = sys.stats();
     res_.tx = sys.txPolicy().stats();
-    for (const runtime::ScratchArena& a : arenas_)
-        res_.scratchHighWater += a.highWater();
+    res_.scratchHighWater =
+        n * (p_.ringCap * sizeof(Request) + sizeof(Flight));
     sys.checkInvariants();
 
     if (p_.oracleCheck) {

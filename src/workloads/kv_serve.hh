@@ -17,12 +17,12 @@
  *
  * Throughput discipline (DESIGN.md §15): the request path performs no
  * host heap allocation and keeps no per-request state after commit.
- * Requests are staged in fixed per-core rings carved from a
- * runtime::ScratchArena and refilled in batches; latencies stream into
- * the fixed-bucket log-scale histogram of sim::ServeStats (exact
- * nearest-rank p50/p99/p999, O(1) per retire), so memory footprint is
- * independent of the request count — the smoke test pins
- * scratchHighWater across run lengths to prove it, and
+ * Requests are staged in a fixed ring per core, allocated once with
+ * the core's in-flight transaction, and refilled in batches;
+ * latencies stream into the fixed-bucket log-scale histogram of
+ * sim::ServeStats (exact nearest-rank p50/p99/p999, O(1) per retire),
+ * so memory footprint is independent of the request count — the
+ * smoke test pins scratchHighWater across run lengths to prove it, and
  * kv_serve_alloc_test counts operator new calls across run lengths.
  */
 
@@ -122,8 +122,8 @@ struct KvServeResult
     bool oracleOk = true;
     /** Host wall-clock of the serving loop (throughput profile). */
     double hostSeconds = 0.0;
-    /** Peak bytes across all per-core scratch arenas — must be
-     *  independent of KvServeParams::requests. */
+    /** Bytes of every core's request ring and in-flight transaction
+     *  — independent of KvServeParams::requests. */
     std::size_t scratchHighWater = 0;
     /** Only populated when recordLatencies is set. */
     std::vector<std::uint64_t> recordedLatencies;

@@ -253,8 +253,7 @@ class IncrementalChecker
             checkLeaf();
             return;
         }
-        if (takesCheckpoint(depth, anc,
-                            static_cast<unsigned>(next.size()))) {
+        if (takesCheckpoint(depth, anc, next.size() >= 2)) {
             matrix_.save(depth);
             anc = depth;
         }

@@ -98,7 +98,6 @@ struct Outcome
     std::uint64_t traced = 0;
     /** The retained trace, oldest first. */
     std::vector<TraceRecord> trace;
-    std::uint64_t comparisons = 0;
     std::size_t overflowEntries = 0;
     std::uint64_t overflowSpills = 0;
     std::uint64_t overflowRefills = 0;
@@ -240,7 +239,6 @@ observe(Cell& c, Outcome out)
     out.traced = sys.trace().recorded();
     sys.trace().forEach(
         [&](const TraceRecord& r) { out.trace.push_back(r); });
-    out.comparisons = sys.comparator().comparisons();
     out.overflowEntries = sys.overflowTable().size();
     out.overflowSpills = sys.overflowTable().spills();
     out.overflowRefills = sys.overflowTable().refills();
@@ -284,7 +282,6 @@ expectSame(const Outcome& fresh, const Outcome& reused,
         EXPECT_EQ(fresh.traced, reused.traced);
         EXPECT_TRUE(fresh.trace == reused.trace) << "traces differ";
     }
-    EXPECT_EQ(fresh.comparisons, reused.comparisons);
     EXPECT_EQ(fresh.overflowEntries, reused.overflowEntries);
     EXPECT_EQ(fresh.overflowSpills, reused.overflowSpills);
     EXPECT_EQ(fresh.overflowRefills, reused.overflowRefills);

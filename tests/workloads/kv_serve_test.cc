@@ -228,4 +228,18 @@ TEST(KvServe, StreamingMemoryIndependentOfRunLength)
     EXPECT_TRUE(large.recordedLatencies.empty());
 }
 
+// Each core's ring and in-flight transaction are allocated once. A
+// ring of 240 requests plus the transaction outgrows 8 KiB, a block
+// size a per-core arena might start from: growing such an arena under
+// the ring would free it, and the next refill would write through the
+// freed ring (heap-use-after-free under the asan-ubsan preset).
+TEST(KvServe, LargeRingServesCleanly)
+{
+    KvServeParams p = smokeParams(3000);
+    p.ringCap = 240;
+    const KvServeResult r = runKvServe(smokeConfig(TxMode::LazyHmtx), p);
+    expectClean(r, "ringCap 240");
+    EXPECT_EQ(r.serve.committed, p.requests);
+}
+
 } // namespace
