@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -356,27 +357,48 @@ runLoop(LoopWorkload& wl, const sim::MachineConfig& cfg,
     const unsigned workers =
         std::clamp(budget.workers, 1u, cores - budget.reserved);
 
-    Machine m(cfg);
-    wl.setup(m);
-    m.sys().stats().idleCores = cores - budget.reserved - workers;
-    const std::unique_ptr<LoopTasks> tasks = spawn(m, workers);
-    m.run();
+    // One machine per host thread, kept from run to run: a run on a
+    // reset machine is indistinguishable from one on a fresh machine,
+    // and the cache sets it grew stay allocated (DESIGN.md §14). A
+    // config of another structure builds a new one.
+    thread_local std::optional<Machine> kept;
+    if (kept && kept->sys().sameStructure(cfg))
+        kept->reset(cfg);
+    else
+        kept.emplace(cfg);
+    Machine& m = *kept;
 
     ExecResult r;
-    r.model = tasks->model();
-    r.cycles = m.now();
-    m.sys().flushDirtyToMemory();
-    r.checksum = wl.checksum(m);
-    r.stats = m.sys().stats();
-    r.txStats = m.sys().txPolicy().stats();
-    r.indexStats = m.sys().indexStats();
-    r.transactions = r.stats.committedTxs;
-    for (CoreId c = 0; c < cores; ++c) {
-        r.instructions += m.ctx(c).instructions();
-        r.branches += m.ctx(c).predictor().branches();
-        r.mispredicts += m.ctx(c).predictor().mispredicts();
+    try {
+        wl.setup(m);
+        m.sys().stats().idleCores = cores - budget.reserved - workers;
+        const std::unique_ptr<LoopTasks> tasks = spawn(m, workers);
+        m.run();
+
+        r.model = tasks->model();
+        r.cycles = m.now();
+        m.sys().flushDirtyToMemory();
+        r.checksum = wl.checksum(m);
+        r.stats = m.sys().stats();
+        r.txStats = m.sys().txPolicy().stats();
+        r.indexStats = m.sys().indexStats();
+        r.transactions = r.stats.committedTxs;
+        for (CoreId c = 0; c < cores; ++c) {
+            r.instructions += m.ctx(c).instructions();
+            r.branches += m.ctx(c).predictor().branches();
+            r.mispredicts += m.ctx(c).predictor().mispredicts();
+        }
+        tasks->finish(r);
+    } catch (...) {
+        // A failed run can stop anywhere; drop its machine rather
+        // than keep a half-run one for this thread's next run.
+        kept.reset();
+        throw;
     }
-    tasks->finish(r);
+    // Release the run's coroutine frames, events and memory lines
+    // now: destroyed at thread exit instead, the frames would go back
+    // to a FramePool whose thread_local lists may be gone.
+    m.reset(cfg);
     return r;
 }
 

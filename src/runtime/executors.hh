@@ -54,6 +54,9 @@ struct ExecResult
      *  commit process (0 for every abort-free run). */
     std::uint64_t smtxMisspeculations = 0;
 
+    /** Every field equal: the same run, down to its label. */
+    bool operator==(const ExecResult&) const = default;
+
     /** Branch misprediction rate (Table 1). */
     double
     mispredictRate() const
@@ -174,10 +177,16 @@ using SpawnTasks =
 
 /**
  * The one run path of every loop executor (Runner and
- * smtx::SmtxRunner): builds the Machine, sets @p wl up, fits @p budget
- * to the machine's cores (recording the cores it leaves idle in
- * SysStats::idleCores), spawns the schedule's tasks, runs them and
- * collects the result.
+ * smtx::SmtxRunner): readies the calling thread's Machine for @p cfg,
+ * sets @p wl up, fits @p budget to the machine's cores (recording the
+ * cores it leaves idle in SysStats::idleCores), spawns the schedule's
+ * tasks, runs them and collects the result.
+ *
+ * Each host thread keeps one Machine between runs: a config with the
+ * same structure (CacheSystem::sameStructure) resets it
+ * (Machine::reset), any other builds a new one. The result equals
+ * that of a freshly built machine either way. A run that throws
+ * drops the kept machine.
  *
  * @throws std::invalid_argument when the reserved cores plus one
  *         worker exceed cfg.numCores

@@ -23,10 +23,10 @@ namespace hmtx::runtime
 class ThreadContext;
 
 /**
- * Owns every simulation component for one run and drives the event
- * loop. One ThreadContext exists per core; executors spawn root
- * coroutines bound to those contexts and then run() the machine until
- * everything completes.
+ * Owns every simulation component of a run and drives the event loop.
+ * One ThreadContext exists per core; executors spawn root coroutines
+ * bound to those contexts and then run() the machine until everything
+ * completes. reset() readies the same machine for another run.
  */
 class Machine
 {
@@ -55,12 +55,31 @@ class Machine
     void spawn(sim::Task<void> t);
 
     /**
-     * Runs the event loop until it drains. Throws if any root task
-     * ended with an exception or is still blocked (deadlock).
+     * Runs the event loop until it drains. Rethrows the exception of
+     * the first root task that ended with one; otherwise throws
+     * std::logic_error if a root task is still blocked (deadlock).
      */
     void run();
 
+    /**
+     * Puts the machine into exactly the state Machine(@p cfg) builds:
+     * the root tasks are destroyed, pending events dropped
+     * (EventQueue::reset()), the memory system reset
+     * (CacheSystem::reset(), which keeps its containers' capacity),
+     * the heap and every ThreadContext rebuilt. Afterwards the
+     * machine holds no coroutine frame, pending callback or
+     * main-memory line. Must not be called from inside run().
+     *
+     * @throws std::invalid_argument, leaving the machine untouched,
+     *         when @p cfg fails MachineConfig::validate() or changes
+     *         the structure (!sys().sameStructure(@p cfg))
+     */
+    void reset(const sim::MachineConfig& cfg);
+
   private:
+    /** Builds one ThreadContext per core of cfg_. */
+    void buildContexts();
+
     sim::MachineConfig cfg_;
     sim::EventQueue eq_;
     sim::CacheSystem sys_;

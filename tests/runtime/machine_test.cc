@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "runtime/machine.hh"
 #include "runtime/signal.hh"
 #include "runtime/thread_context.hh"
@@ -104,6 +106,107 @@ TEST(Machine, RunDrivesSimulatedTime)
     m.run();
     EXPECT_EQ(end, 25u);
     EXPECT_GE(m.now(), 25u);
+}
+
+/** Stores to and loads back a heap word in a transaction on core
+ *  @p c, with branches for the predictor, then computes. */
+sim::Task<void>
+busyCore(Machine& m, CoreId c, Addr a)
+{
+    ThreadContext& tc = m.ctx(c);
+    tc.beginMtx(1 + c);
+    co_await tc.store(a, 7 + c);
+    co_await tc.load(a);
+    for (int i = 0; i < 20; ++i)
+        co_await tc.branch(0x400 + 4 * c, true);
+    co_await tc.commitMtx(1 + c);
+    co_await tc.compute(30);
+}
+
+/** Runs busyCore on cores 0 and 1 of @p m; returns the final tick. */
+Tick
+runBusy(Machine& m)
+{
+    const Addr a = m.heap().allocLines(2);
+    m.spawn(busyCore(m, 0, a));
+    m.spawn(busyCore(m, 1, a + kLineBytes));
+    m.run();
+    return m.now();
+}
+
+TEST(Machine, ResetReturnsToTheBuiltState)
+{
+    Machine m(cfg());
+    const Addr base = m.heap().used();
+    const Tick fresh = runBusy(m);
+    ASSERT_GT(fresh, 0u);
+    ASSERT_GT(m.heap().used(), base);
+    ASSERT_GT(m.ctx(0).instructions(), 0u);
+    ASSERT_GT(m.ctx(1).predictor().branches(), 0u);
+    ASSERT_FALSE(m.sys().stats() == sim::SysStats{});
+    // A root blocked forever is dropped by the reset, not run.
+    Signal s(m.eq());
+    m.spawn(blockForever(m, s));
+
+    m.reset(cfg());
+    EXPECT_EQ(m.now(), 0u);
+    EXPECT_TRUE(m.eq().empty());
+    EXPECT_EQ(m.heap().used(), base);
+    EXPECT_TRUE(m.sys().stats() == sim::SysStats{});
+    EXPECT_TRUE(m.sys().indexStats() == sim::IndexStats{});
+    for (CoreId c = 0; c < m.config().numCores; ++c) {
+        const ThreadContext& tc = m.ctx(c);
+        EXPECT_EQ(tc.core(), c);
+        EXPECT_EQ(tc.vid(), kNonSpecVid);
+        EXPECT_EQ(tc.instructions(), 0u);
+        EXPECT_EQ(tc.predictor().branches(), 0u);
+        EXPECT_EQ(tc.predictor().mispredicts(), 0u);
+        EXPECT_EQ(tc.slaUnit().size(), 0u);
+        // Untrained: predicts the trained branch as a fresh one does.
+        sim::BranchPredictor bp = tc.predictor();
+        sim::BranchPredictor untrained;
+        EXPECT_EQ(bp.predict(0x400 + 4 * c, true),
+                  untrained.predict(0x400 + 4 * c, true));
+    }
+    // The same work runs the same on the reset machine.
+    EXPECT_EQ(runBusy(m), fresh);
+    Machine built(cfg());
+    runBusy(built);
+    EXPECT_TRUE(m.sys().stats() == built.sys().stats());
+}
+
+TEST(Machine, ResetTakesAnotherPolicy)
+{
+    sim::MachineConfig eager = cfg();
+    eager.txMode = TxMode::EagerHmtx;
+    Machine m(cfg());
+    runBusy(m);
+    m.reset(eager);
+    EXPECT_EQ(m.config().txMode, TxMode::EagerHmtx);
+    const Tick t = runBusy(m);
+    Machine built(eager);
+    EXPECT_EQ(runBusy(built), t);
+    EXPECT_TRUE(m.sys().stats() == built.sys().stats());
+}
+
+TEST(Machine, ResetRejectsAnotherStructureAndStaysUsable)
+{
+    Machine m(cfg());
+    const Tick fresh = runBusy(m);
+    const Addr used = m.heap().used();
+    sim::MachineConfig bigger = cfg();
+    bigger.l2SizeKB *= 2;
+    EXPECT_THROW(m.reset(bigger), std::invalid_argument);
+    sim::MachineConfig contradictory = cfg();
+    contradictory.txMode = TxMode::BestEffort;
+    contradictory.unboundedSpecSets = true;
+    EXPECT_THROW(m.reset(contradictory), std::invalid_argument);
+    // Untouched: still the finished run.
+    EXPECT_EQ(m.now(), fresh);
+    EXPECT_EQ(m.heap().used(), used);
+    EXPECT_EQ(m.config().l2SizeKB, cfg().l2SizeKB);
+    m.reset(cfg());
+    EXPECT_EQ(runBusy(m), fresh);
 }
 
 } // namespace
